@@ -9,7 +9,7 @@ weighting, and node-classification / link-prediction / multi-graph tasks.
 """
 
 from .autodiff import Var, backward
-from .edge_tensor import (EdgeFeatureTensor, axpy, collapse_to_weighted_graph,
+from .edge_tensor import (EdgeFeatureTensor, EdgeSupport, axpy,
                           mode_k_product_dense, project_mode3,
                           propagate_mode1, propagate_mode2)
 from .evaluation import (MetricReport, accuracy, auc_ap, homophily,
@@ -21,14 +21,12 @@ from .features import (EdgeFeatureRecipe, build_concat_features,
 from .generators import sbm_generate
 from .layers import (AttentionHead, EdgeConvLayer, EdgeWeights, GraphConvLayer,
                      attention_forward, blend_edge_weights, gc_forward,
-                     tpgat_forward, tpgc_forward)
-from .models import (EdgeTensorGnn, build_model, etgnn_forward,
-                     link_prediction_forward, prepare, prepare_multigraph)
-from .params import ParamTape, adam_step, glorot_init
-from .sparse_graph import (DegreeVector, LabeledGraph, SparseAdjacency,
-                           degree_vector, renormalize)
-from .training import (LossReport, TaskConfig, bce_link_loss,
-                       cross_entropy_masked, train_loop)
+                     tpgc_forward)
+from .models import (EdgeTensorGnn, build_model, etgnn_forward, prepare,
+                     prepare_multigraph)
+from .params import ParamTape, glorot_init
+from .sparse_graph import LabeledGraph, SparseAdjacency, renormalize
+from .training import LossReport, TaskConfig, cross_entropy_masked, train_loop
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

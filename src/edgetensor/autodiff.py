@@ -232,18 +232,26 @@ def sum_cols(a):
                (lambda g: np.repeat(g[:, None], ncols, axis=1),))
 
 
+def bincount_rows(values, seg_ids, num_segments):
+    """Plain-array segment sum: row k of ``values`` is added to row ``seg_ids[k]``.
+
+    One ``bincount`` per column, so accumulation runs in array order and the
+    result is deterministic.
+    """
+    if values.ndim == 1:
+        return np.bincount(seg_ids, weights=values, minlength=num_segments)
+    out = np.empty((num_segments, values.shape[1]))
+    for k in range(values.shape[1]):
+        out[:, k] = np.bincount(seg_ids, weights=values[:, k],
+                                minlength=num_segments)
+    return out
+
+
 def segment_sum(a, seg_ids, num_segments):
     """Sum rows of ``a`` into ``num_segments`` buckets given by ``seg_ids``."""
     a = as_var(a)
     seg_ids = np.asarray(seg_ids, dtype=np.intp)
-    if a.value.ndim == 1:
-        out = np.bincount(seg_ids, weights=a.value, minlength=num_segments)
-    else:
-        cols = [
-            np.bincount(seg_ids, weights=a.value[:, k], minlength=num_segments)
-            for k in range(a.value.shape[1])
-        ]
-        out = np.stack(cols, axis=1)
+    out = bincount_rows(a.value, seg_ids, num_segments)
     return Var(out, (a,), (lambda g: g[seg_ids],))
 
 

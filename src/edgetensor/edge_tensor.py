@@ -6,98 +6,135 @@ matrix are computed only for output slots inside the support; everything
 the full dense product would create outside it is dropped. A precomputed
 contraction plan lists the surviving (output slot, matrix entry, input
 slot) triples so forward and adjoint passes share one kernel.
+
+The support is an :class:`EdgeSupport`, validated once; every tensor
+derived from another (new values, a mode product, a projection) shares
+its support object, so only the values are checked again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .sparse_graph import SparseAdjacency
 
 
-@dataclass(frozen=True)
-class EdgeFeatureTensor:
-    """Edge features: one length-p vector per stored (i, j) slot.
+@dataclass(frozen=True, eq=False)
+class EdgeSupport:
+    """The slot layout of an edge tensor, validated once at construction.
 
-    The slot list is sorted by (row, col), symmetric as a pair set, and
-    contains every diagonal slot (i, i). ``values`` has shape
-    (num_slots, p); during a traced forward pass it may be an autodiff Var
-    instead of a plain array.
+    Slots are sorted by (row, col) without duplicates, symmetric as a pair
+    set, and contain every diagonal slot (i, i). ``keys`` encodes slot
+    (i, j) as i * n + j; ``transpose_permutation[k]`` is the slot holding
+    the mirror of slot k. ``eq=False``: supports compare and hash by
+    identity, so tensors and plan caches share one object.
     """
 
     n: int
-    p: int
     rows: np.ndarray
     cols: np.ndarray
-    values: object
+    keys: np.ndarray = field(init=False, repr=False)
+    transpose_permutation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.intp))
-        object.__setattr__(self, "cols", np.asarray(self.cols, dtype=np.intp))
-        m = self.rows.size
-        if self.cols.size != m:
+        n = self.n
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        m = rows.size
+        if cols.size != m:
             raise ValueError("rows and cols must have equal length")
         if m:
-            if self.rows.min() < 0 or self.rows.max() >= self.n:
+            if rows.min() < 0 or rows.max() >= n:
                 raise ValueError("slot row index out of range")
-            if self.cols.min() < 0 or self.cols.max() >= self.n:
+            if cols.min() < 0 or cols.max() >= n:
                 raise ValueError("slot col index out of range")
-        keys = self.rows * self.n + self.cols
+        keys = rows * n + cols
         if np.any(np.diff(keys) <= 0):
             raise ValueError("slots must be sorted by (row, col) without duplicates")
-        diag = np.arange(self.n) * self.n + np.arange(self.n)
+        diag = np.arange(n) * n + np.arange(n)
         if not np.all(np.isin(diag, keys)):
             raise ValueError("support must contain every diagonal slot")
-        tkeys = np.sort(self.cols * self.n + self.rows)
-        if not np.array_equal(keys, tkeys):
+        # m distinct mirrored keys all found among the m keys: the pair set
+        # is symmetric
+        tkeys = cols * n + rows
+        perm = np.searchsorted(keys, tkeys)
+        if not np.array_equal(keys[np.minimum(perm, m - 1)], tkeys):
             raise ValueError("support must be symmetric as a set of pairs")
-        if isinstance(self.values, Var):
-            shape = self.values.value.shape
-        else:
-            object.__setattr__(self, "values",
-                               np.asarray(self.values, dtype=np.float64))
-            if not np.all(np.isfinite(self.values)):
-                raise ValueError("tensor values must be finite")
-            shape = self.values.shape
-        if shape != (m, self.p):
-            raise ValueError(f"values must have shape ({m}, {self.p})")
+        for name, value in (("rows", rows), ("cols", cols), ("keys", keys),
+                            ("transpose_permutation", perm)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_slots(self):
         return self.rows.size
 
-    @cached_property
-    def keys(self):
-        return self.rows * self.n + self.cols
 
-    @cached_property
-    def transpose_permutation(self):
-        perm = np.searchsorted(self.keys, self.cols * self.n + self.rows)
-        return perm
+@dataclass(frozen=True, init=False, eq=False)
+class EdgeFeatureTensor:
+    """Edge features: one length-p vector per slot of an :class:`EdgeSupport`.
 
-    def index_of(self, i, j):
-        key = i * self.n + j
-        pos = np.searchsorted(self.keys, key)
-        if pos < self.num_slots and self.keys[pos] == key:
-            return int(pos)
-        return -1
+    ``values`` has shape (num_slots, p); during a traced forward pass it may
+    be an autodiff Var instead of a plain array. ``EdgeFeatureTensor(n, p,
+    rows, cols, values)`` validates a new support; :meth:`on`,
+    :meth:`with_values` and :meth:`from_support_of` reuse an existing one
+    and check only the values.
+    """
+
+    support: EdgeSupport
+    p: int
+    values: object
+
+    def __init__(self, n, p, rows, cols, values):
+        self._attach(EdgeSupport(n, rows, cols), values, p)
+
+    @classmethod
+    def on(cls, support, values, p):
+        """Tensor of width ``p`` on an already validated ``support``."""
+        tensor = cls.__new__(cls)
+        tensor._attach(support, values, p)
+        return tensor
+
+    def _attach(self, support, values, p):
+        if isinstance(values, Var):
+            shape = values.value.shape
+        else:
+            values = np.asarray(values, dtype=np.float64)
+            if not np.all(np.isfinite(values)):
+                raise ValueError("tensor values must be finite")
+            shape = values.shape
+        if shape != (support.num_slots, p):
+            raise ValueError(f"values must have shape ({support.num_slots}, {p})")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def n(self):
+        return self.support.n
+
+    @property
+    def rows(self):
+        return self.support.rows
+
+    @property
+    def cols(self):
+        return self.support.cols
+
+    @property
+    def num_slots(self):
+        return self.support.num_slots
 
     def with_values(self, values, p=None):
-        return EdgeFeatureTensor(self.n, self.p if p is None else p,
-                                 self.rows, self.cols, values)
+        """Same support, new values (of width ``p``, default unchanged)."""
+        return EdgeFeatureTensor.on(self.support, values,
+                                    self.p if p is None else p)
 
     def plain_values(self):
         v = self.values
         return v.value if isinstance(v, Var) else v
-
-    def transpose(self):
-        """Swap the two sample modes: slot (i, j) takes the old (j, i) vector."""
-        return self.with_values(self.plain_values()[self.transpose_permutation])
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n, self.p))
@@ -108,8 +145,7 @@ class EdgeFeatureTensor:
     def from_support_of(cls, adjacency, values):
         """Tensor on the support of ``adjacency`` (which must include the diagonal)."""
         values = np.asarray(values, dtype=np.float64)
-        return cls(adjacency.n, values.shape[1], adjacency.rows, adjacency.cols,
-                   values)
+        return cls.on(adjacency.support, values, values.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -154,27 +190,33 @@ class ContractionPlan:
     num_adj: int
 
 
-def _build_plan(mode, tensor, adjacency):
+def _build_plan(mode, support, adjacency):
     """Enumerate surviving contraction triples for mode 1 or 2.
 
     Mode 1: out(h, j) = sum_i a(h, i) * s(i, j); a triple survives when
     (h, i) is a stored adjacency entry and (i, j) a stored slot. Mode 2
-    contracts over the column index instead.
+    contracts over the column index instead. The adjacency's entries must
+    lie inside the support.
     """
-    n = tensor.n
-    keys = tensor.keys
+    n = support.n
+    keys = support.keys
+    if adjacency.n != n:
+        raise ValueError("tensor and adjacency node counts differ")
+    pos = np.searchsorted(keys, adjacency.keys)
+    if not np.array_equal(keys[np.minimum(pos, keys.size - 1)], adjacency.keys):
+        raise ValueError("adjacency support must be contained in tensor support")
     if mode == 1:
-        anchor = tensor.rows      # h: adjacency row iterated per out slot
-        fixed = tensor.cols       # j stays
+        anchor = support.rows     # h: adjacency row iterated per out slot
+        fixed = support.cols      # j stays
     else:
-        anchor = tensor.cols      # h in out(i, h)
-        fixed = tensor.rows       # i stays
+        anchor = support.cols     # h in out(i, h)
+        fixed = support.rows      # i stays
     indptr = adjacency.indptr
     deg = indptr[anchor + 1] - indptr[anchor]
     total = int(deg.sum())
-    out_idx = np.repeat(np.arange(tensor.num_slots), deg)
+    out_idx = np.repeat(np.arange(support.num_slots), deg)
     # Ragged ranges: adjacency entry indices for each out slot's anchor row.
-    offsets = np.zeros(tensor.num_slots, dtype=np.intp)
+    offsets = np.zeros(support.num_slots, dtype=np.intp)
     np.cumsum(deg[:-1], out=offsets[1:])
     adj_idx = np.arange(total) - np.repeat(offsets, deg) + np.repeat(indptr[anchor], deg)
     neighbor = adjacency.cols[adj_idx]
@@ -186,35 +228,26 @@ def _build_plan(mode, tensor, adjacency):
     pos[pos >= keys.size] = 0
     hit = keys[pos] == cand
     return ContractionPlan(out_idx[hit], adj_idx[hit], pos[hit],
-                           tensor.num_slots, tensor.num_slots, adjacency.nnz)
+                           support.num_slots, support.num_slots, adjacency.nnz)
 
 
 def contraction_plan(mode, tensor, adjacency):
-    """Cached plan lookup; plans are built once per (adjacency, support) pair."""
-    cache = adjacency.__dict__.setdefault("_plans", {})
-    key = (mode, id(tensor.rows), tensor.num_slots)
-    hit = cache.get(key)
-    if hit is not None and hit[0] is tensor.rows:
-        return hit[1]
-    plan = _build_plan(mode, tensor, adjacency)
-    cache[key] = (tensor.rows, plan)
+    """Plan of ``tensor``'s support against ``adjacency``.
+
+    Built (and the support pair checked) once, then cached on the adjacency
+    under ``(mode, support)``; supports hash by identity.
+    """
+    key = (mode, tensor.support)
+    plan = adjacency.plans.get(key)
+    if plan is None:
+        plan = adjacency.plans[key] = _build_plan(mode, tensor.support, adjacency)
     return plan
-
-
-def _segment_rows(values, seg_ids, num):
-    """Row-wise bincount accumulation; deterministic (array order)."""
-    if values.ndim == 1:
-        return np.bincount(seg_ids, weights=values, minlength=num)
-    out = np.empty((num, values.shape[1]))
-    for k in range(values.shape[1]):
-        out[:, k] = np.bincount(seg_ids, weights=values[:, k], minlength=num)
-    return out
 
 
 def plan_apply(plan, a_vals, s_vals):
     """Forward masked product: out[t] = sum over plan triples of a * s."""
     prod = a_vals[plan.adj_idx][:, None] * s_vals[plan.slot_idx]
-    return _segment_rows(prod, plan.out_idx, plan.num_out)
+    return ad.bincount_rows(prod, plan.out_idx, plan.num_out)
 
 
 def propagate_values(plan, a_vals, s_vals):
@@ -230,11 +263,11 @@ def propagate_values(plan, a_vals, s_vals):
     def vjp_a(g):
         rowdot = np.einsum("lp,lp->l", g[plan.out_idx],
                            s_vals.value[plan.slot_idx])
-        return np.bincount(plan.adj_idx, weights=rowdot, minlength=plan.num_adj)
+        return ad.bincount_rows(rowdot, plan.adj_idx, plan.num_adj)
 
     def vjp_s(g):
         contrib = a_vals.value[plan.adj_idx][:, None] * g[plan.out_idx]
-        return _segment_rows(contrib, plan.slot_idx, plan.num_in)
+        return ad.bincount_rows(contrib, plan.slot_idx, plan.num_in)
 
     return Var(out, (a_vals, s_vals), (vjp_a, vjp_s))
 
@@ -243,17 +276,7 @@ def propagate_values(plan, a_vals, s_vals):
 # public sparse operations
 
 
-def _check_compatible(s, a):
-    if s.n != a.n:
-        raise ValueError("tensor and adjacency node counts differ")
-    pos = np.searchsorted(s.keys, a.keys)
-    pos[pos >= s.keys.size] = 0
-    if not np.all(s.keys[np.minimum(pos, s.num_slots - 1)] == a.keys):
-        raise ValueError("adjacency support must be contained in tensor support")
-
-
 def _propagate(s, a, mode, a_values=None):
-    _check_compatible(s, a)
     plan = contraction_plan(mode, s, a)
     a_vals = a.weights if a_values is None else a_values
     if isinstance(a_vals, Var) or isinstance(s.values, Var):
@@ -291,50 +314,12 @@ def project_mode3(s, w):
 
 def axpy(s1, s2, epsilon):
     """Slotwise s1 + epsilon * s2 on identical supports."""
-    if s1.p != s2.p or not np.array_equal(s1.keys, s2.keys):
+    same = s1.support is s2.support or np.array_equal(s1.support.keys,
+                                                      s2.support.keys)
+    if s1.p != s2.p or not same:
         raise ValueError("axpy requires identical supports and feature dims")
     if isinstance(s1.values, Var) or isinstance(s2.values, Var):
         out = ad.add(ad.as_var(s1.values), ad.scale(ad.as_var(s2.values), epsilon))
     else:
         out = s1.values + epsilon * s2.values
     return s1.with_values(out)
-
-
-def collapse_to_weighted_graph(s):
-    """Map a p=1 tensor to a sparse matrix with the slot scalars as weights."""
-    if s.p != 1:
-        raise ValueError("collapse requires feature dimension 1")
-    vals = s.plain_values()[:, 0]
-    sym = np.array_equal(vals, vals[s.transpose_permutation])
-    return SparseAdjacency(s.n, s.rows, s.cols, vals, symmetric=bool(sym))
-
-
-# ---------------------------------------------------------------------------
-# snapshot text format
-
-
-def save_snapshot(s, path):
-    """Write ``n p |support|`` then one ``i j v1 ... vp`` line per slot."""
-    vals = s.plain_values()
-    with open(path, "w") as fh:
-        fh.write(f"{s.n} {s.p} {s.num_slots}\n")
-        for i, j, row in zip(s.rows, s.cols, vals):
-            fh.write(f"{i} {j} " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_snapshot(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("snapshot header must be 'n p num_slots'")
-        n, p, m = map(int, header)
-        rows = np.empty(m, dtype=np.intp)
-        cols = np.empty(m, dtype=np.intp)
-        values = np.empty((m, p))
-        for t in range(m):
-            parts = fh.readline().split()
-            if len(parts) != 2 + p:
-                raise ValueError(f"snapshot slot line {t + 2} malformed")
-            rows[t], cols[t] = int(parts[0]), int(parts[1])
-            values[t] = [float(x) for x in parts[2:]]
-    return EdgeFeatureTensor(n, p, rows, cols, values)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .edge_tensor import EdgeFeatureTensor
+from .edge_tensor import EdgeFeatureTensor, EdgeSupport
 from .layers import gc_forward
 from .sparse_graph import SparseAdjacency
 
@@ -47,9 +47,9 @@ def _paired(h, a_tilde, reducer, combine):
     left = ad.gather_rows(rv, a_tilde.rows)
     right = ad.gather_rows(rv, a_tilde.cols)
     values = combine(left, right)
-    p = values.value.shape[1]
-    return EdgeFeatureTensor(a_tilde.n, p, a_tilde.rows, a_tilde.cols,
-                             values if traced else values.value)
+    return EdgeFeatureTensor.on(a_tilde.support,
+                                values if traced else values.value,
+                                values.value.shape[1])
 
 
 def build_concat_features(h, a_tilde, reducer):
@@ -80,19 +80,19 @@ def union_graph(graphs):
                            np.ones(int(off.sum())), symmetric=True)
 
 
-def build_stacked_graph_features(graphs, reference=None):
+def build_stacked_graph_features(graphs, support=None):
     """Channel v of slot (i, j) is the weight of edge (i, j) in graph v.
 
-    ``reference`` optionally fixes the support as (rows, cols) arrays;
-    by default the union of all supports plus the diagonal is used.
+    ``support`` optionally fixes the :class:`EdgeSupport`; by default the
+    union of all supports plus the diagonal is used.
     """
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("all graphs must share the node count")
-    rows, cols = union_support(graphs) if reference is None else reference
-    keys = rows * n + cols
-    values = np.zeros((keys.size, len(graphs)))
+    if support is None:
+        support = EdgeSupport(n, *union_support(graphs))
+    values = np.zeros((support.num_slots, len(graphs)))
     for v, g in enumerate(graphs):
-        pos = np.searchsorted(keys, g.keys)
+        pos = np.searchsorted(support.keys, g.keys)
         values[pos, v] = g.weights
-    return EdgeFeatureTensor(n, len(graphs), rows, cols, values)
+    return EdgeFeatureTensor.on(support, values, len(graphs))

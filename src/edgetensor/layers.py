@@ -30,8 +30,6 @@ class GraphConvLayer:
     activation: str = "relu"
 
     def __post_init__(self):
-        name = "softmax" if self.activation == "softmax-rows" else self.activation
-        object.__setattr__(self, "activation", name)
         if self.activation not in GC_ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -124,11 +122,6 @@ def tpgc_forward(s, a, layer):
     mixed = axpy(propagated, s, layer.epsilon)
     projected = project_mode3(mixed, layer.weight)
     return projected.with_values(_activate(projected.values, layer.activation))
-
-
-def tpgat_forward(s, alpha, layer):
-    """tpgc_forward with learned attention weights in place of the adjacency."""
-    return tpgc_forward(s, alpha, layer)
 
 
 def attention_forward(h, a, head):

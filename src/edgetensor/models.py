@@ -72,8 +72,7 @@ def prepare_multigraph(graphs, features, labels):
     union of all views.
     """
     a_tilde = renormalize(union_graph(graphs))
-    stacked = build_stacked_graph_features(
-        graphs, reference=(a_tilde.rows, a_tilde.cols))
+    stacked = build_stacked_graph_features(graphs, support=a_tilde.support)
     return GraphContext(np.asarray(features, dtype=np.float64),
                         np.asarray(labels, dtype=np.intp), a_tilde, stacked)
 
@@ -159,20 +158,12 @@ def _build_initial_tensor(model, ctx, h):
 
 
 def _propagation_weights(model, ctx, h):
-    if model.kind == "et_gat":
-        alpha = attention_forward(h, ctx.a_tilde, model.attention_head)
-        if model.blend_attention:
-            return blend_edge_weights(ctx.a_tilde, alpha)
-        return alpha
+    if model.kind != "et_gat" and not model.blend_attention:
+        return ctx.a_tilde
+    alpha = attention_forward(h, ctx.a_tilde, model.attention_head)
     if model.blend_attention:
-        alpha = attention_forward(h, ctx.a_tilde, model.attention_head)
         return blend_edge_weights(ctx.a_tilde, alpha)
-    return ctx.a_tilde
-
-
-def learned_graph_weights(model, ctx, h=None):
-    """Clamped symmetric edge weights produced by the edge stack."""
-    return etgnn_forward(model, ctx, h).edge_weights
+    return alpha
 
 
 def etgnn_forward(model, ctx, h=None):
@@ -197,7 +188,7 @@ def etgnn_forward(model, ctx, h=None):
         raise ValueError("edge stack must end with feature dimension 1")
 
     raw = ad.reshape(ad.as_var(s.values), (-1,))
-    sym = ad.scale(ad.add(raw, ad.gather_rows(raw, pattern.transpose_permutation)), 0.5)
+    sym = ad.scale(ad.add(raw, ad.gather_rows(raw, s.support.transpose_permutation)), 0.5)
     clamped = ad.relu(sym) if model.negative_mode == "clamp" else ad.absolute(sym)
     norm = renormalize_weights(pattern.rows, pattern.cols, pattern.n, clamped)
     learned = EdgeWeights(pattern, norm)
@@ -218,21 +209,3 @@ def link_scores(z, pairs):
     right = ad.gather_rows(zv, pairs[:, 1])
     scores = ad.sigmoid(ad.sum_cols(ad.mul(left, right)))
     return scores if isinstance(z, Var) else scores.value
-
-
-def link_prediction_forward(model, ctx, pairs, h=None):
-    """Node embeddings through the model, decoded on the requested pairs."""
-    result = etgnn_forward(model, ctx, h)
-    return link_scores(result.z, pairs), result
-
-
-def check_learned_graph(result, tol=1e-12):
-    """Assert the learned graph is symmetric, nonnegative and on-support."""
-    w = result.edge_weights
-    w = w.value if isinstance(w, Var) else np.asarray(w)
-    pattern = result.edge_pattern
-    if np.any(w < 0):
-        raise AssertionError("learned graph has negative weights")
-    if np.max(np.abs(w - w[pattern.transpose_permutation])) > tol:
-        raise AssertionError("learned graph is not symmetric")
-    return True

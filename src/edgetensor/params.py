@@ -87,12 +87,6 @@ class ParamTape:
         return {name: p.grad for name, p in self.params.items()}
 
 
-def adam_step(tape, learning_rate, **kwargs):
-    """Functional alias for :meth:`ParamTape.adam_step`."""
-    tape.adam_step(learning_rate, **kwargs)
-    return tape
-
-
 # ---------------------------------------------------------------------------
 # checkpoints: parameter arrays in a text snapshot plus a JSON manifest
 

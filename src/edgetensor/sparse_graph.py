@@ -12,6 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
+from .edge_tensor import EdgeSupport
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,9 @@ class SparseAdjacency:
 
     Houses the raw adjacency A, its renormalized form, and learned
     attention weights (which share A's support). Immutable after
-    construction.
+    construction, apart from ``plans``: the contraction plans of edge
+    tensors propagated along this matrix, keyed by (mode, EdgeSupport)
+    and filled by ``edge_tensor.contraction_plan``.
     """
 
     n: int
@@ -28,6 +31,8 @@ class SparseAdjacency:
     cols: np.ndarray
     weights: np.ndarray
     symmetric: bool = True
+    plans: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.intp))
@@ -104,6 +109,15 @@ class SparseAdjacency:
             raise ValueError("entry pattern is not symmetric")
         return perm
 
+    @cached_property
+    def support(self):
+        """This matrix's pattern as an edge-tensor support, validated once.
+
+        Raises ValueError unless the pattern is symmetric and contains
+        every diagonal entry (a renormalized adjacency always does).
+        """
+        return EdgeSupport(self.n, self.rows, self.cols)
+
     def index_of(self, i, j):
         """Index of entry (i, j), or -1 if absent."""
         key = i * self.n + j
@@ -130,16 +144,6 @@ class SparseAdjacency:
             (int(i), int(j), float(w))
             for i, j, w in zip(self.rows, self.cols, self.weights)
         ]
-
-
-@dataclass(frozen=True)
-class DegreeVector:
-    """Row sums of the self-loop-augmented adjacency A + I."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -193,14 +197,6 @@ def _augmented(adjacency):
     ukeys, inverse = np.unique(keys, return_inverse=True)
     w = np.bincount(inverse, weights=weights, minlength=ukeys.size)
     return ukeys // n, ukeys % n, w
-
-
-def degree_vector(adjacency):
-    """Row sums of A + I."""
-    if np.any(adjacency.weights < 0):
-        raise ValueError("adjacency weights must be nonnegative")
-    rows, _, weights = _augmented(adjacency)
-    return DegreeVector(np.bincount(rows, weights=weights, minlength=adjacency.n))
 
 
 def renormalize(adjacency):

@@ -39,6 +39,35 @@ def _learned_homophily(result, labels):
         return None
 
 
+def _run(tape, model, ctx, config, initial_params, step, evaluate):
+    """Train with ``step`` and score the restored best parameters.
+
+    ``evaluate(final, outcome)`` maps the final forward pass and the
+    training outcome to the task's metrics.
+    """
+    if initial_params is not None:
+        tape.restore(initial_params)
+    outcome = train_loop(tape, step, config)
+    metrics = evaluate(etgnn_forward(model, ctx), outcome)
+    return SeedRunResult(metrics, outcome.history, outcome.best_epoch,
+                         outcome.best_params, model, ctx)
+
+
+def _classification_step(model, ctx, splits):
+    """Epoch step of node classification on ``ctx.labels``."""
+    labels = ctx.labels
+
+    def step(epoch):
+        result = etgnn_forward(model, ctx)
+        train = cross_entropy_masked(result.z, labels, splits["train"])
+        val = cross_entropy_masked(result.z.value, labels, splits["val"])
+        val_acc = accuracy(result.z, labels, splits["val"])
+        extra = {"homophily": _learned_homophily(result, labels)}
+        return train.loss_var, val.loss, val_acc, extra
+
+    return step
+
+
 def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
                             model_kwargs=None, initial_params=None):
     """Train on the labeled train split, early-stop on validation loss."""
@@ -50,36 +79,26 @@ def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
     model = build_model(tape, model_kind, graph.node_features.shape[1],
                         graph.num_classes, epsilon=config.epsilon,
                         final_activation="softmax", seed=config.seed, **kwargs)
-    if initial_params is not None:
-        tape.restore(initial_params)
 
-    def step(epoch):
-        result = etgnn_forward(model, ctx)
-        train = cross_entropy_masked(result.z, labels, splits["train"])
-        val = cross_entropy_masked(result.z.value, labels, splits["val"])
-        val_acc = accuracy(result.z, labels, splits["val"])
-        extra = {"homophily": _learned_homophily(result, labels)}
-        return train.loss_var, val.loss, val_acc, extra
+    def evaluate(final, outcome):
+        return {
+            "test_accuracy": accuracy(final.z, labels, splits["test"]),
+            "val_accuracy": accuracy(final.z, labels, splits["val"]),
+            "val_loss": outcome.best_val_loss,
+            "homophily": _learned_homophily(final, labels),
+            "initial_homophily": (outcome.history[0].extra.get("homophily")
+                                  if outcome.history else None),
+        }
 
-    outcome = train_loop(tape, step, config)
-
-    final = etgnn_forward(model, ctx)
-    metrics = {
-        "test_accuracy": accuracy(final.z, labels, splits["test"]),
-        "val_accuracy": accuracy(final.z, labels, splits["val"]),
-        "val_loss": outcome.best_val_loss,
-        "homophily": _learned_homophily(final, labels),
-        "initial_homophily": (outcome.history[0].extra.get("homophily")
-                              if outcome.history else None),
-    }
-    return SeedRunResult(metrics, outcome.history, outcome.best_epoch,
-                         outcome.best_params, model, ctx)
+    return _run(tape, model, ctx, config, initial_params,
+                _classification_step(model, ctx, splits), evaluate)
 
 
 def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
                         model_kwargs=None, embed_dim=32, initial_params=None):
     """Train an inner-product link decoder on the held-out edge split."""
-    assert isinstance(split, LinkSplit)
+    if not isinstance(split, LinkSplit):
+        raise TypeError(f"split must be a LinkSplit, not {type(split).__name__}")
     ctx = GraphContext(graph.node_features, graph.labels,
                        renormalize(split.train))
     tape = ParamTape()
@@ -88,8 +107,6 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
     model = build_model(tape, model_kind, graph.node_features.shape[1],
                         embed_dim, epsilon=config.epsilon,
                         final_activation="identity", seed=config.seed, **kwargs)
-    if initial_params is not None:
-        tape.restore(initial_params)
 
     upper = split.train.rows < split.train.cols
     train_pos = np.stack([split.train.rows[upper], split.train.cols[upper]],
@@ -115,15 +132,13 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
         val_auc = auc_ap(scores, lab).auc
         return loss, float(val_loss.value), val_auc, {}
 
-    outcome = train_loop(tape, step, config)
+    def evaluate(final, outcome):
+        scores, lab = pair_scores(final.z.value, split.test_pos, split.test_neg)
+        report = auc_ap(scores, lab)
+        return {"auc": report.auc, "ap": report.ap,
+                "val_loss": outcome.best_val_loss}
 
-    final = etgnn_forward(model, ctx)
-    scores, lab = pair_scores(final.z.value, split.test_pos, split.test_neg)
-    report = auc_ap(scores, lab)
-    metrics = {"auc": report.auc, "ap": report.ap,
-               "val_loss": outcome.best_val_loss}
-    return SeedRunResult(metrics, outcome.history, outcome.best_epoch,
-                         outcome.best_params, model, ctx)
+    return _run(tape, model, ctx, config, initial_params, step, evaluate)
 
 
 def run_multigraph_classification(graphs, features, labels, splits, config, *,
@@ -139,23 +154,13 @@ def run_multigraph_classification(graphs, features, labels, splits, config, *,
                         recipe_kind="stack", stacked_channels=len(graphs),
                         epsilon=config.epsilon, final_activation="softmax",
                         seed=config.seed, **kwargs)
-    if initial_params is not None:
-        tape.restore(initial_params)
 
-    def step(epoch):
-        result = etgnn_forward(model, ctx)
-        train = cross_entropy_masked(result.z, ctx.labels, splits["train"])
-        val = cross_entropy_masked(result.z.value, ctx.labels, splits["val"])
-        val_acc = accuracy(result.z, ctx.labels, splits["val"])
-        extra = {"homophily": _learned_homophily(result, ctx.labels)}
-        return train.loss_var, val.loss, val_acc, extra
+    def evaluate(final, outcome):
+        return {
+            "test_accuracy": accuracy(final.z, ctx.labels, splits["test"]),
+            "val_loss": outcome.best_val_loss,
+            "homophily": _learned_homophily(final, ctx.labels),
+        }
 
-    outcome = train_loop(tape, step, config)
-    final = etgnn_forward(model, ctx)
-    metrics = {
-        "test_accuracy": accuracy(final.z, ctx.labels, splits["test"]),
-        "val_loss": outcome.best_val_loss,
-        "homophily": _learned_homophily(final, ctx.labels),
-    }
-    return SeedRunResult(metrics, outcome.history, outcome.best_epoch,
-                         outcome.best_params, model, ctx)
+    return _run(tape, model, ctx, config, initial_params,
+                _classification_step(model, ctx, splits), evaluate)

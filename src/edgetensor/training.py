@@ -54,29 +54,6 @@ def cross_entropy_masked(predictions, labels, mask):
                       loss_var=loss if traced else None)
 
 
-def bce_link_loss(reconstructed, target_adjacency, pos_pairs, neg_pairs):
-    """Binary cross-entropy over sampled positive and negative node pairs.
-
-    ``reconstructed`` holds sigmoid link scores; entries are clamped at
-    PROB_FLOOR on both sides before the log. ``target_adjacency`` is only
-    used to sanity-check that the positive pairs are actual edges.
-    """
-    pos_pairs = np.asarray(pos_pairs, dtype=np.intp).reshape(-1, 2)
-    neg_pairs = np.asarray(neg_pairs, dtype=np.intp).reshape(-1, 2)
-    if pos_pairs.size == 0 or neg_pairs.size == 0:
-        raise ValueError("empty sample set")
-    if target_adjacency is not None:
-        for i, j in pos_pairs:
-            if target_adjacency.index_of(int(i), int(j)) < 0:
-                raise ValueError(f"positive pair ({i}, {j}) is not an edge")
-    traced = isinstance(reconstructed, Var)
-    rec = ad.as_var(reconstructed)
-    pos = ad.take_elems(rec, pos_pairs[:, 0], pos_pairs[:, 1])
-    neg = ad.take_elems(rec, neg_pairs[:, 0], neg_pairs[:, 1])
-    loss = bce_from_scores(pos, neg)
-    return LossReport(float(loss.value), loss_var=loss if traced else None)
-
-
 def bce_from_scores(pos_scores, neg_scores):
     """BCE on 1-d score Vars: positives toward 1, negatives toward 0."""
     pos = ad.as_var(pos_scores)

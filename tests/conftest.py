@@ -8,6 +8,7 @@ between the two is meaningful evidence.
 import numpy as np
 import pytest
 
+from edgetensor.autodiff import Var
 from edgetensor.edge_tensor import EdgeFeatureTensor
 from edgetensor.sparse_graph import SparseAdjacency
 
@@ -103,6 +104,18 @@ def renormalize_oracle(a_dense):
     d = a_bar.sum(axis=1)
     d_inv_sqrt = np.diag(1.0 / np.sqrt(d))
     return d_inv_sqrt @ a_bar @ d_inv_sqrt
+
+
+def check_learned_graph(result, tol=1e-12):
+    """Assert the learned graph is symmetric, nonnegative and on-support."""
+    w = result.edge_weights
+    w = w.value if isinstance(w, Var) else np.asarray(w)
+    pattern = result.edge_pattern
+    if np.any(w < 0):
+        raise AssertionError("learned graph has negative weights")
+    if np.max(np.abs(w - w[pattern.transpose_permutation])) > tol:
+        raise AssertionError("learned graph is not symmetric")
+    return True
 
 
 @pytest.fixture

@@ -11,11 +11,10 @@ from conftest import (dense_mode1_oracle, dense_mode2_oracle,
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import (EdgeFeatureTensor, axpy,
-                                    collapse_to_weighted_graph,
-                                    contraction_plan, load_snapshot,
-                                    mode_k_product_dense, project_mode3,
-                                    propagate_mode1, propagate_mode2,
-                                    save_snapshot)
+                                    contraction_plan, mode_k_product_dense,
+                                    project_mode3, propagate_mode1,
+                                    propagate_mode2)
+from edgetensor.sparse_graph import SparseAdjacency
 
 
 def make_pair(n, p, rng, density=0.4):
@@ -26,7 +25,6 @@ def make_pair(n, p, rng, density=0.4):
     dense[t.rows[upper], t.cols[upper]] = rng.random(int(upper.sum())) + 0.1
     dense = np.maximum(dense, dense.T)
     a = t.rows, t.cols, dense[t.rows, t.cols]
-    from edgetensor.sparse_graph import SparseAdjacency
     return t, SparseAdjacency(n, *a)
 
 
@@ -89,7 +87,6 @@ def test_project_mode3_matches_oracle(rng):
 
 def test_identity_adjacency_is_noop(rng):
     t = random_edge_tensor(5, 2, rng)
-    from edgetensor.sparse_graph import SparseAdjacency
     eye = SparseAdjacency(5, np.arange(5), np.arange(5), np.ones(5))
     np.testing.assert_allclose(propagate_mode1(t, eye).values, t.values,
                                atol=1e-15)
@@ -132,7 +129,7 @@ def test_axpy_and_epsilon_decomposition(rng):
 def test_axpy_rejects_mismatched_support(rng):
     t1 = random_edge_tensor(5, 2, rng, density=0.2)
     t2 = random_edge_tensor(5, 2, rng, density=0.9)
-    if np.array_equal(t1.keys, t2.keys):
+    if np.array_equal(t1.support.keys, t2.support.keys):
         pytest.skip("supports collided")
     with pytest.raises(ValueError, match="support"):
         axpy(t1, t2, 0.1)
@@ -170,32 +167,34 @@ def test_contraction_plan_is_cached(rng):
     assert contraction_plan(2, t, a) is not p1
 
 
-def test_collapse_to_weighted_graph(rng):
-    t, a = make_pair(6, 1, rng)
-    sym_vals = t.plain_values()[:, 0]
-    sym_vals = 0.5 * (sym_vals + sym_vals[t.transpose_permutation])
-    g = collapse_to_weighted_graph(t.with_values(sym_vals[:, None]))
-    assert g.symmetric
-    np.testing.assert_array_equal(g.weights, sym_vals)
-    with pytest.raises(ValueError, match="dimension 1"):
-        collapse_to_weighted_graph(random_edge_tensor(4, 2, rng))
+def test_with_values_shares_the_support(rng):
+    t = random_edge_tensor(6, 2, rng)
+    assert t.with_values(rng.standard_normal((t.num_slots, 2))).support is t.support
+    assert project_mode3(t, np.ones((2, 3))).support is t.support
+    with pytest.raises(ValueError, match="shape"):
+        t.with_values(np.ones((t.num_slots, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        t.with_values(np.full((t.num_slots, 2), np.nan))
 
 
-def test_snapshot_round_trip(tmp_path, rng):
-    t = random_edge_tensor(7, 3, rng)
-    path = tmp_path / "snap.txt"
-    save_snapshot(t, path)
-    back = load_snapshot(path)
-    assert back.n == t.n and back.p == t.p
-    assert np.array_equal(back.rows, t.rows)
-    assert np.array_equal(back.values, t.values)  # repr round-trips exactly
+def test_from_support_of_reuses_the_adjacency_support(rng):
+    t, a = make_pair(6, 2, rng)
+    s1 = EdgeFeatureTensor.from_support_of(a, rng.standard_normal((a.nnz, 2)))
+    s2 = EdgeFeatureTensor.from_support_of(a, rng.standard_normal((a.nnz, 3)))
+    assert s1.support is s2.support is a.support
+    assert s2.p == 3
 
 
-def test_snapshot_rejects_malformed_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3 2\n")
-    with pytest.raises(ValueError, match="header"):
-        load_snapshot(path)
+def test_propagate_rejects_adjacency_outside_support(rng):
+    t = EdgeFeatureTensor(3, 1, [0, 0, 1, 1, 2], [0, 1, 0, 1, 2],
+                          np.ones((5, 1)))
+    a = SparseAdjacency.from_undirected_edges(3, [(1, 2)])
+    for product in (propagate_mode1, propagate_mode2):
+        with pytest.raises(ValueError, match="contained in tensor support"):
+            product(t, a)
+    bigger = SparseAdjacency(4, np.arange(4), np.arange(4), np.ones(4))
+    with pytest.raises(ValueError, match="node counts differ"):
+        propagate_mode1(t, bigger)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,7 +13,7 @@ from edgetensor.edge_tensor import EdgeFeatureTensor
 from edgetensor.layers import (AttentionHead, EdgeConvLayer, EdgeWeights,
                                GraphConvLayer, attention_forward,
                                blend_edge_weights, gc_forward, sparse_matmul,
-                               tpgat_forward, tpgc_forward)
+                               tpgc_forward)
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
 
@@ -42,8 +42,8 @@ def test_gc_forward_relu_and_softmax(rng):
 
 
 def test_gc_forward_softmax_rows_alias():
-    layer = GraphConvLayer(np.ones((2, 2)), activation="softmax-rows")
-    assert layer.activation == "softmax"
+    with pytest.raises(ValueError, match="unknown activation"):
+        GraphConvLayer(np.ones((2, 2)), activation="softmax-rows")
 
 
 def test_gc_forward_rejects_wrong_row_count(rng):
@@ -124,7 +124,7 @@ def test_tpgat_uses_attention_weights(rng):
     alpha = attention_forward(h, a, AttentionHead(rng.standard_normal(6)))
     w = rng.standard_normal((2, 2))
     layer = EdgeConvLayer(w, epsilon=0.2, activation="identity")
-    out = tpgat_forward(t, alpha, layer)
+    out = tpgc_forward(t, alpha, layer)
     expected = tpgc_dense_oracle(t, alpha.to_dense(), w, 0.2, "identity")
     np.testing.assert_allclose(tensor_to_dense(out), expected, atol=1e-10)
 

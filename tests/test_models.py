@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from edgetensor.autodiff import Var, backward
+from conftest import check_learned_graph
+from edgetensor.autodiff import backward
 from edgetensor import autodiff as ad
 from edgetensor.generators import sbm_generate
 from edgetensor.layers import EdgeWeights
-from edgetensor.models import (GraphContext, build_model, check_learned_graph,
-                               etgnn_forward, learned_graph_weights,
-                               link_prediction_forward, link_scores, prepare,
-                               prepare_multigraph)
+from edgetensor.models import (GraphContext, build_model, etgnn_forward,
+                               link_scores, prepare, prepare_multigraph)
 from edgetensor.params import ParamTape
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
@@ -147,21 +146,6 @@ def test_link_scores_identical_large_rows_near_one():
 def test_link_scores_unknown_node_rejected(rng):
     with pytest.raises(ValueError, match="unknown node"):
         link_scores(rng.standard_normal((3, 2)), [(0, 5)])
-
-
-def test_link_prediction_forward_returns_scores():
-    graph, ctx, tape, model = build_small(final_activation="identity")
-    pairs = np.array([(0, 1), (1, 2)])
-    scores, result = link_prediction_forward(model, ctx, pairs)
-    assert scores.value.shape == (2,)
-    assert np.all((scores.value > 0) & (scores.value < 1))
-
-
-def test_learned_graph_weights_helper():
-    graph, ctx, tape, model = build_small()
-    w = learned_graph_weights(model, ctx)
-    assert isinstance(w, Var)
-    assert w.value.shape == (ctx.a_tilde.nnz,)
 
 
 def test_prepare_multigraph_builds_union_context():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from edgetensor.params import (NonFiniteGradient, ParamTape, adam_step,
-                               glorot_init, load_checkpoint, save_checkpoint)
+from edgetensor.params import (NonFiniteGradient, ParamTape, glorot_init,
+                               load_checkpoint, save_checkpoint)
 
 
 def test_glorot_bounds_and_determinism():
@@ -72,7 +72,7 @@ def test_adam_zeroes_gradients_after_step():
     tape = ParamTape()
     p = tape.add("w", np.zeros(2))
     p.grad = np.ones(2)
-    adam_step(tape, 0.1)
+    tape.adam_step(0.1)
     assert p.grad is None
     assert tape.step_count == 1
 

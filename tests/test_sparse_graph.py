@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_adjacency, renormalize_oracle
 from edgetensor.autodiff import Var, backward
 from edgetensor import autodiff as ad
-from edgetensor.sparse_graph import (DegreeVector, LabeledGraph,
-                                     SparseAdjacency, degree_vector,
+from edgetensor.sparse_graph import (LabeledGraph, SparseAdjacency,
                                      renormalize, renormalize_weights)
 
 
@@ -116,13 +115,6 @@ def test_renormalize_rejects_negative_weights():
     a = SparseAdjacency.from_entries(2, [(0, 1, -1.0), (1, 0, -1.0)])
     with pytest.raises(ValueError, match="nonnegative"):
         renormalize(a)
-
-
-def test_degree_vector_counts_self_loop():
-    a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
-    d = degree_vector(a)
-    assert isinstance(d, DegreeVector)
-    np.testing.assert_array_equal(d.values, [2.0, 3.0, 2.0])
 
 
 def test_renormalize_weights_matches_plain_renormalize(rng):

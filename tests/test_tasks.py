@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from edgetensor import edge_tensor
+from edgetensor.edge_tensor import EdgeSupport
 from edgetensor.evaluation import link_split, split_nodes
 from edgetensor.generators import sbm_generate
 from edgetensor.tasks import (run_link_prediction,
@@ -64,6 +66,28 @@ def test_node_classification_eval_only_with_initial_params(sbm_graph,
     assert replay.history == []
 
 
+def test_node_classification_validates_support_once_and_plans_twice(
+        sbm_graph, sbm_splits, monkeypatch):
+    validated, built = [], []
+    post_init, build_plan = EdgeSupport.__post_init__, edge_tensor._build_plan
+
+    def counting_post_init(self):
+        validated.append(self)
+        post_init(self)
+
+    def counting_build_plan(mode, support, adjacency):
+        built.append(mode)
+        return build_plan(mode, support, adjacency)
+
+    monkeypatch.setattr(EdgeSupport, "__post_init__", counting_post_init)
+    monkeypatch.setattr(edge_tensor, "_build_plan", counting_build_plan)
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
+    result = run_node_classification(sbm_graph, sbm_splits, cfg)
+    assert len(result.history) == 3
+    assert len(validated) == 1
+    assert sorted(built) == [1, 2]
+
+
 def test_link_prediction_beats_chance():
     graph = sbm_generate([30, 30], 0.3, 0.05, seed=1)
     split = link_split(graph.adjacency, 0.1, 0.05, seed=0)
@@ -80,6 +104,13 @@ def test_link_prediction_reproducible():
     r1 = run_link_prediction(graph, split, cfg)
     r2 = run_link_prediction(graph, split, cfg)
     assert r1.metrics == r2.metrics
+
+
+def test_link_prediction_rejects_a_split_of_the_wrong_type():
+    graph = sbm_generate([10, 10], 0.3, 0.05, seed=2)
+    cfg = TaskConfig(max_epochs=1, patience=1)
+    with pytest.raises(TypeError, match="LinkSplit"):
+        run_link_prediction(graph, {"train": graph.adjacency}, cfg)
 
 
 def test_multigraph_classification_learns():

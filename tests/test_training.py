@@ -6,10 +6,8 @@ import pytest
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
 from edgetensor.params import ParamTape
-from edgetensor.sparse_graph import SparseAdjacency
 from edgetensor.training import (DivergenceError, TaskConfig, bce_from_scores,
-                                 bce_link_loss, cross_entropy_masked,
-                                 train_loop)
+                                 cross_entropy_masked, train_loop)
 
 
 def test_cross_entropy_perfect_predictions():
@@ -71,20 +69,6 @@ def test_bce_matches_loop_oracle(rng):
     expected = -(np.log(pos).sum() + np.log(1 - neg).sum()) / 8
     loss = bce_from_scores(Var(pos), Var(neg))
     assert float(loss.value) == pytest.approx(expected, abs=1e-12)
-
-
-def test_bce_link_loss_validates_positive_pairs(rng):
-    a = SparseAdjacency.from_undirected_edges(4, [(0, 1), (2, 3)])
-    rec = rng.random((4, 4))
-    report = bce_link_loss(rec, a, [(0, 1)], [(0, 2)])
-    assert np.isfinite(report.loss)
-    with pytest.raises(ValueError, match="not an edge"):
-        bce_link_loss(rec, a, [(0, 3)], [(0, 2)])
-
-
-def test_bce_link_loss_empty_sample_rejected(rng):
-    with pytest.raises(ValueError, match="empty"):
-        bce_link_loss(rng.random((3, 3)), None, [], [(0, 1)])
 
 
 def test_bce_floor_keeps_loss_finite():
