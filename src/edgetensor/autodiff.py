@@ -5,6 +5,12 @@ Operations build a DAG of Vars; :func:`backward` walks it in reverse
 topological order and accumulates vector-Jacobian products into ``.grad``.
 Accumulation order is fixed by graph construction order, so gradients are
 bit-identical across runs.
+
+The one tracing rule: an op takes plain arrays or Vars. It returns a Var
+only when at least one input is a Var, and that Var's parents and vjps
+cover only its Var inputs, so :func:`backward` never computes the gradient
+of a constant. With all-plain inputs it returns the plain numpy result of
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -44,9 +50,24 @@ class Parameter(Var):
         super().__init__(value, name=name)
 
 
-def as_var(x):
-    """Wrap a plain array as a constant Var; Vars pass through."""
-    return x if isinstance(x, Var) else Var(x)
+def value(x):
+    """The array behind ``x``: ``x.value`` for a Var, ``x`` itself otherwise."""
+    return x.value if isinstance(x, Var) else x
+
+
+def _node(out, *pairs):
+    """Result of an op: ``out`` traced over the Var inputs of ``pairs``.
+
+    Each pair is ``(input, vjp)``; pairs whose input is not a Var are
+    dropped. With no Var input the plain ``out`` is returned. Ops outside
+    this module (``edge_tensor.propagate_values``) build their result
+    with it too, so the rule lives here.
+    """
+    traced = [(x, vjp) for x, vjp in pairs if isinstance(x, Var)]
+    if not traced:
+        return out
+    parents, vjps = zip(*traced)
+    return Var(out, parents, vjps)
 
 
 def backward(root, seed=None):
@@ -109,44 +130,33 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value + b.value,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.value.shape),
-         lambda g: _unbroadcast(g, b.value.shape)),
-    )
+    av, bv = value(a), value(b)
+    return _node(av + bv,
+                 (a, lambda g: _unbroadcast(g, av.shape)),
+                 (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b):
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value - b.value,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.value.shape),
-         lambda g: _unbroadcast(-g, b.value.shape)),
-    )
+    av, bv = value(a), value(b)
+    return _node(av - bv,
+                 (a, lambda g: _unbroadcast(g, av.shape)),
+                 (b, lambda g: _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b):
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value * b.value,
-        (a, b),
-        (lambda g: _unbroadcast(g * b.value, a.value.shape),
-         lambda g: _unbroadcast(g * a.value, b.value.shape)),
-    )
+    av, bv = value(a), value(b)
+    return _node(av * bv,
+                 (a, lambda g: _unbroadcast(g * bv, av.shape)),
+                 (b, lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def scale(a, c):
-    a = as_var(a)
     c = float(c)
-    return Var(a.value * c, (a,), (lambda g: g * c,))
+    return _node(value(a) * c, (a, lambda g: g * c))
 
 
 def add_const(a, c):
-    a = as_var(a)
-    return Var(a.value + c, (a,), (lambda g: g,))
+    return _node(value(a) + c, (a, lambda g: g))
 
 
 def neg(a):
@@ -158,45 +168,35 @@ def neg(a):
 
 
 def reshape(a, shape):
-    a = as_var(a)
-    old = a.value.shape
-    return Var(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
+    av = value(a)
+    return _node(av.reshape(shape), (a, lambda g: g.reshape(av.shape)))
 
 
 def concat_cols(a, b):
-    a, b = as_var(a), as_var(b)
-    da = a.value.shape[1]
-    return Var(
-        np.concatenate([a.value, b.value], axis=1),
-        (a, b),
-        (lambda g: g[:, :da], lambda g: g[:, da:]),
-    )
+    av, bv = value(a), value(b)
+    da = av.shape[1]
+    return _node(np.concatenate([av, bv], axis=1),
+                 (a, lambda g: g[:, :da]), (b, lambda g: g[:, da:]))
 
 
 def gather_rows(a, idx):
-    a = as_var(a)
+    av = value(a)
     idx = np.asarray(idx, dtype=np.intp)
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return out
-
-    return Var(a.value[idx], (a,), (vjp,))
+    return _node(av[idx], (a, lambda g: bincount_rows(g, idx, av.shape[0])))
 
 
 def take_elems(a, rows, cols):
     """Gather ``a[rows[k], cols[k]]`` into a vector."""
-    a = as_var(a)
+    av = value(a)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
 
     def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, (rows, cols), g)
-        return out
+        flat = rows * av.shape[1] + cols
+        return np.bincount(flat, weights=g,
+                           minlength=av.size).reshape(av.shape)
 
-    return Var(a.value[rows, cols], (a,), (vjp,))
+    return _node(av[rows, cols], (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +204,26 @@ def take_elems(a, rows, cols):
 
 
 def matmul(a, b):
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value @ b.value,
-        (a, b),
-        (lambda g: g @ b.value.T, lambda g: a.value.T @ g),
-    )
+    av, bv = value(a), value(b)
+    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def total(a):
     """Sum of all elements, as a 0-d Var."""
-    a = as_var(a)
-    return Var(a.value.sum(), (a,), (lambda g: np.full_like(a.value, float(g)),))
+    av = value(a)
+    return _node(av.sum(), (a, lambda g: np.full_like(av, float(g))))
 
 
 def mean(a):
-    a = as_var(a)
-    count = a.value.size
-    return scale(total(a), 1.0 / count)
+    return scale(total(a), 1.0 / value(a).size)
 
 
 def sum_cols(a):
     """Row-wise sum of a 2-d Var, returning a 1-d Var."""
-    a = as_var(a)
-    ncols = a.value.shape[1]
-    return Var(a.value.sum(axis=1), (a,),
-               (lambda g: np.repeat(g[:, None], ncols, axis=1),))
+    av = value(a)
+    ncols = av.shape[1]
+    return _node(av.sum(axis=1),
+                 (a, lambda g: np.repeat(g[:, None], ncols, axis=1)))
 
 
 def bincount_rows(values, seg_ids, num_segments):
@@ -249,19 +243,18 @@ def bincount_rows(values, seg_ids, num_segments):
 
 def segment_sum(a, seg_ids, num_segments):
     """Sum rows of ``a`` into ``num_segments`` buckets given by ``seg_ids``."""
-    a = as_var(a)
     seg_ids = np.asarray(seg_ids, dtype=np.intp)
-    out = bincount_rows(a.value, seg_ids, num_segments)
-    return Var(out, (a,), (lambda g: g[seg_ids],))
+    out = bincount_rows(value(a), seg_ids, num_segments)
+    return _node(out, (a, lambda g: g[seg_ids]))
 
 
 def segment_softmax(a, seg_ids, num_segments):
     """Softmax of a 1-d Var within each segment (numerically stabilized)."""
-    a = as_var(a)
+    av = value(a)
     seg_ids = np.asarray(seg_ids, dtype=np.intp)
     highs = np.full(num_segments, -np.inf)
-    np.maximum.at(highs, seg_ids, a.value)
-    e = np.exp(a.value - highs[seg_ids])
+    np.maximum.at(highs, seg_ids, av)
+    e = np.exp(av - highs[seg_ids])
     denom = np.bincount(seg_ids, weights=e, minlength=num_segments)
     p = e / denom[seg_ids]
 
@@ -269,19 +262,19 @@ def segment_softmax(a, seg_ids, num_segments):
         dots = np.bincount(seg_ids, weights=g * p, minlength=num_segments)
         return p * (g - dots[seg_ids])
 
-    return Var(p, (a,), (vjp,))
+    return _node(p, (a, vjp))
 
 
 def row_softmax(a):
-    a = as_var(a)
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    av = value(a)
+    shifted = av - av.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
         return p * (g - (g * p).sum(axis=1, keepdims=True))
 
-    return Var(p, (a,), (vjp,))
+    return _node(p, (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -289,50 +282,48 @@ def row_softmax(a):
 
 
 def relu(a):
-    a = as_var(a)
-    mask = a.value > 0
-    return Var(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
+    av = value(a)
+    mask = av > 0
+    return _node(np.where(mask, av, 0.0), (a, lambda g: g * mask))
 
 
 def leaky_relu(a, slope=0.2):
-    a = as_var(a)
-    pos = a.value > 0
-    factor = np.where(pos, 1.0, slope)
-    return Var(a.value * factor, (a,), (lambda g: g * factor,))
+    av = value(a)
+    factor = np.where(av > 0, 1.0, slope)
+    return _node(av * factor, (a, lambda g: g * factor))
 
 
 def sigmoid(a):
-    a = as_var(a)
-    x = a.value
+    x = value(a)
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
     def vjp(g):
         return g * s * (1.0 - s)
 
-    return Var(s, (a,), (vjp,))
+    return _node(s, (a, vjp))
 
 
 def log(a):
-    a = as_var(a)
-    return Var(np.log(a.value), (a,), (lambda g: g / a.value,))
+    av = value(a)
+    return _node(np.log(av), (a, lambda g: g / av))
 
 
 def floor_at(a, c):
     """max(a, c) elementwise; subgradient flows where a > c."""
-    a = as_var(a)
-    mask = a.value > c
-    return Var(np.where(mask, a.value, c), (a,), (lambda g: g * mask,))
+    av = value(a)
+    mask = av > c
+    return _node(np.where(mask, av, c), (a, lambda g: g * mask))
 
 
 def absolute(a):
     """|a| elementwise; subgradient at 0 is 0."""
-    a = as_var(a)
-    sign = np.sign(a.value)
-    return Var(np.abs(a.value), (a,), (lambda g: g * sign,))
+    av = value(a)
+    sign = np.sign(av)
+    return _node(np.abs(av), (a, lambda g: g * sign))
 
 
 def rsqrt(a):
-    a = as_var(a)
-    r = 1.0 / np.sqrt(a.value)
-    return Var(r, (a,), (lambda g: g * (-0.5) * r / a.value,))
+    av = value(a)
+    r = 1.0 / np.sqrt(av)
+    return _node(r, (a, lambda g: g * (-0.5) * r / av))

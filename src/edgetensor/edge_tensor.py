@@ -133,8 +133,7 @@ class EdgeFeatureTensor:
                                     self.p if p is None else p)
 
     def plain_values(self):
-        v = self.values
-        return v.value if isinstance(v, Var) else v
+        return ad.value(self.values)
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n, self.p))
@@ -244,32 +243,27 @@ def contraction_plan(mode, tensor, adjacency):
     return plan
 
 
-def plan_apply(plan, a_vals, s_vals):
-    """Forward masked product: out[t] = sum over plan triples of a * s."""
-    prod = a_vals[plan.adj_idx][:, None] * s_vals[plan.slot_idx]
-    return ad.bincount_rows(prod, plan.out_idx, plan.num_out)
-
-
 def propagate_values(plan, a_vals, s_vals):
-    """Differentiable masked mode product on raw value blocks.
+    """Masked mode product on raw value blocks.
 
-    Adjoints reuse the same plan: the gradient w.r.t. the tensor is the
-    product with transposed matrix roles, restricted to the same support.
+    out[t] sums a * s over the plan triples of output slot t. An autodiff
+    op: traced when either block is a Var. Adjoints reuse the same plan:
+    the gradient w.r.t. the tensor is the product with transposed matrix
+    roles, restricted to the same support.
     """
-    a_vals = ad.as_var(a_vals)
-    s_vals = ad.as_var(s_vals)
-    out = plan_apply(plan, a_vals.value, s_vals.value)
+    av, sv = ad.value(a_vals), ad.value(s_vals)
+    prod = av[plan.adj_idx][:, None] * sv[plan.slot_idx]
+    out = ad.bincount_rows(prod, plan.out_idx, plan.num_out)
 
     def vjp_a(g):
-        rowdot = np.einsum("lp,lp->l", g[plan.out_idx],
-                           s_vals.value[plan.slot_idx])
+        rowdot = np.einsum("lp,lp->l", g[plan.out_idx], sv[plan.slot_idx])
         return ad.bincount_rows(rowdot, plan.adj_idx, plan.num_adj)
 
     def vjp_s(g):
-        contrib = a_vals.value[plan.adj_idx][:, None] * g[plan.out_idx]
+        contrib = av[plan.adj_idx][:, None] * g[plan.out_idx]
         return ad.bincount_rows(contrib, plan.slot_idx, plan.num_in)
 
-    return Var(out, (a_vals, s_vals), (vjp_a, vjp_s))
+    return ad._node(out, (a_vals, vjp_a), (s_vals, vjp_s))
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +271,9 @@ def propagate_values(plan, a_vals, s_vals):
 
 
 def _propagate(s, a, mode, a_values=None):
-    plan = contraction_plan(mode, s, a)
     a_vals = a.weights if a_values is None else a_values
-    if isinstance(a_vals, Var) or isinstance(s.values, Var):
-        out = propagate_values(plan, a_vals, ad.as_var(s.values))
-    else:
-        out = plan_apply(plan, a_vals, s.values)
-    return s.with_values(out)
+    return s.with_values(propagate_values(contraction_plan(mode, s, a),
+                                          a_vals, s.values))
 
 
 def propagate_mode1(s, a, a_values=None):
@@ -302,14 +292,10 @@ def propagate_mode2(s, a, a_values=None):
 
 def project_mode3(s, w):
     """Per-slot feature projection: each slot vector v becomes w^T v."""
-    w_plain = w.value if isinstance(w, Var) else np.asarray(w, dtype=np.float64)
-    if w_plain.shape[0] != s.p:
+    w_shape = ad.value(w).shape
+    if w_shape[0] != s.p:
         raise ValueError("projection rows must match tensor feature dimension")
-    if isinstance(s.values, Var) or isinstance(w, Var):
-        out = ad.matmul(ad.as_var(s.values), ad.as_var(w))
-    else:
-        out = s.values @ w_plain
-    return s.with_values(out, p=w_plain.shape[1])
+    return s.with_values(ad.matmul(s.values, w), p=w_shape[1])
 
 
 def axpy(s1, s2, epsilon):
@@ -318,8 +304,4 @@ def axpy(s1, s2, epsilon):
                                                       s2.support.keys)
     if s1.p != s2.p or not same:
         raise ValueError("axpy requires identical supports and feature dims")
-    if isinstance(s1.values, Var) or isinstance(s2.values, Var):
-        out = ad.add(ad.as_var(s1.values), ad.scale(ad.as_var(s2.values), epsilon))
-    else:
-        out = s1.values + epsilon * s2.values
-    return s1.with_values(out)
+    return s1.with_values(ad.add(s1.values, ad.scale(s2.values, epsilon)))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var
+from .autodiff import value
 from .layers import EdgeWeights
 from .sparse_graph import SparseAdjacency
 
@@ -30,7 +30,7 @@ class MetricReport:
 
 def accuracy(predictions, labels, idx):
     """Fraction of nodes in ``idx`` whose argmax prediction is correct."""
-    predictions = predictions.value if isinstance(predictions, Var) else predictions
+    predictions = value(predictions)
     idx = np.asarray(idx, dtype=np.intp)
     labels = np.asarray(labels, dtype=np.intp)
     return float(np.mean(predictions[idx].argmax(axis=1) == labels[idx]))
@@ -77,9 +77,7 @@ def homophily(adjacency, labels, weighted=False):
     uses the ratio of same-label weight mass instead of pair counts.
     """
     if isinstance(adjacency, EdgeWeights):
-        pattern = adjacency.pattern
-        weights = adjacency.values
-        weights = weights.value if isinstance(weights, Var) else weights
+        pattern, weights = adjacency.pattern, value(adjacency.values)
     else:
         pattern, weights = adjacency, adjacency.weights
     labels = np.asarray(labels, dtype=np.intp)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
 from .edge_tensor import EdgeFeatureTensor, EdgeSupport
 from .layers import gc_forward
 from .sparse_graph import SparseAdjacency
@@ -42,14 +41,10 @@ class EdgeFeatureRecipe:
 
 def _paired(h, a_tilde, reducer, combine):
     reduced = gc_forward(h, a_tilde, reducer)
-    traced = isinstance(reduced, Var)
-    rv = ad.as_var(reduced)
-    left = ad.gather_rows(rv, a_tilde.rows)
-    right = ad.gather_rows(rv, a_tilde.cols)
-    values = combine(left, right)
-    return EdgeFeatureTensor.on(a_tilde.support,
-                                values if traced else values.value,
-                                values.value.shape[1])
+    values = combine(ad.gather_rows(reduced, a_tilde.rows),
+                     ad.gather_rows(reduced, a_tilde.cols))
+    return EdgeFeatureTensor.on(a_tilde.support, values,
+                                ad.value(values).shape[1])
 
 
 def build_concat_features(h, a_tilde, reducer):

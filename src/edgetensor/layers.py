@@ -1,9 +1,11 @@
 """Forward definitions: graph convolution, edge-tensor convolution, and
 neighborhood attention.
 
-Every forward works in two flavors. With plain numpy inputs it returns
-plain outputs; when any weight or value is an autodiff :class:`Var`, the
-computation is traced and gradients flow through :func:`autodiff.backward`.
+The forwards are compositions of autodiff ops, so they follow the
+tracing rule stated in :mod:`edgetensor.autodiff`: plain numpy inputs give
+plain outputs, and an output is traced (gradients flow through
+:func:`autodiff.backward`) exactly when some weight or value is a
+:class:`Var`.
 """
 
 from __future__ import annotations
@@ -76,41 +78,28 @@ def _unpack(a):
     return a, a.weights
 
 
-def _is_traced(*xs):
-    return any(isinstance(x, Var) for x in xs)
-
-
 def _activate(values, name):
-    if name == "identity":
-        return values
-    if isinstance(values, Var):
-        return ad.relu(values) if name == "relu" else ad.row_softmax(values)
     if name == "relu":
-        return np.maximum(values, 0.0)
-    shifted = values - values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+        return ad.relu(values)
+    if name == "softmax":
+        return ad.row_softmax(values)
+    return values
 
 
 def sparse_matmul(a, h):
     """A_hat @ H for a sparse matrix (pattern + values) and dense H."""
     pattern, vals = _unpack(a)
-    h = ad.as_var(h)
-    msg = ad.mul(ad.reshape(ad.as_var(vals), (-1, 1)),
-                 ad.gather_rows(h, pattern.cols))
+    msg = ad.mul(ad.reshape(vals, (-1, 1)), ad.gather_rows(h, pattern.cols))
     return ad.segment_sum(msg, pattern.rows, pattern.n)
 
 
 def gc_forward(h, a, layer):
     """act(A_hat H W). Softmax activation yields row-stochastic output."""
-    pattern, vals = _unpack(a)
-    n_rows = h.value.shape[0] if isinstance(h, Var) else np.asarray(h).shape[0]
-    if n_rows != pattern.n:
+    pattern, _ = _unpack(a)
+    if ad.value(h).shape[0] != pattern.n:
         raise ValueError("feature row count must equal node count")
-    traced = _is_traced(h, vals, layer.weight)
-    z = ad.matmul(sparse_matmul(a, h), ad.as_var(layer.weight))
-    out = _activate(z, layer.activation)
-    return out if traced else out.value
+    z = ad.matmul(sparse_matmul(a, h), layer.weight)
+    return _activate(z, layer.activation)
 
 
 def tpgc_forward(s, a, layer):
@@ -133,21 +122,19 @@ def attention_forward(h, a, head):
     SparseAdjacency for plain inputs, EdgeWeights when traced.
     """
     pattern, _ = _unpack(a)
-    if not np.all(np.isin(np.arange(pattern.n) * (pattern.n + 1), pattern.keys)):
+    # entries are unique, so n diagonal entries means every self-loop
+    if np.count_nonzero(pattern.rows == pattern.cols) != pattern.n:
         raise ValueError("attention pattern must contain every self-loop")
-    traced = _is_traced(h, head.theta)
-    h = ad.as_var(h)
-    theta = ad.as_var(head.theta)
-    if theta.value.shape != (2 * h.value.shape[1],):
+    if ad.value(head.theta).shape != (2 * ad.value(h).shape[1],):
         raise ValueError("theta length must be twice the feature dimension")
     pair = ad.concat_cols(ad.gather_rows(h, pattern.rows),
                           ad.gather_rows(h, pattern.cols))
-    scores = ad.reshape(ad.matmul(pair, ad.reshape(theta, (-1, 1))), (-1,))
+    scores = ad.reshape(ad.matmul(pair, ad.reshape(head.theta, (-1, 1))), (-1,))
     scores = ad.leaky_relu(scores, head.leaky_slope)
     alpha = ad.segment_softmax(scores, pattern.rows, pattern.n)
-    if traced:
+    if isinstance(alpha, Var):
         return EdgeWeights(pattern, alpha)
-    return pattern.with_weights(alpha.value, symmetric=False)
+    return pattern.with_weights(alpha, symmetric=False)
 
 
 def blend_edge_weights(a_tilde, alpha):
@@ -156,8 +143,8 @@ def blend_edge_weights(a_tilde, alpha):
     pat_b, vals_b = _unpack(alpha)
     if not np.array_equal(pat_a.keys, pat_b.keys):
         raise ValueError("blend requires identical supports")
-    if _is_traced(vals_a, vals_b):
-        mixed = ad.scale(ad.add(ad.as_var(vals_a), ad.as_var(vals_b)), 0.5)
+    mixed = ad.scale(ad.add(vals_a, vals_b), 0.5)
+    if isinstance(mixed, Var):
         return EdgeWeights(pat_a, mixed)
-    return pat_a.with_weights(0.5 * (vals_a + vals_b),
+    return pat_a.with_weights(mixed,
                               symmetric=pat_a.symmetric and pat_b.symmetric)

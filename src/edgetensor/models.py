@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
 from .edge_tensor import EdgeFeatureTensor
 from .features import (EdgeFeatureRecipe, build_concat_features,
                        build_stacked_graph_features, build_subtract_features,
@@ -187,7 +186,7 @@ def etgnn_forward(model, ctx, h=None):
     if s.p != 1:
         raise ValueError("edge stack must end with feature dimension 1")
 
-    raw = ad.reshape(ad.as_var(s.values), (-1,))
+    raw = ad.reshape(s.values, (-1,))
     sym = ad.scale(ad.add(raw, ad.gather_rows(raw, s.support.transpose_permutation)), 0.5)
     clamped = ad.relu(sym) if model.negative_mode == "clamp" else ad.absolute(sym)
     norm = renormalize_weights(pattern.rows, pattern.cols, pattern.n, clamped)
@@ -202,10 +201,8 @@ def etgnn_forward(model, ctx, h=None):
 def link_scores(z, pairs):
     """Inner-product decoder: sigmoid(z_i . z_j) for each requested pair."""
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    zv = ad.as_var(z)
-    if pairs.size and pairs.max() >= zv.value.shape[0]:
+    if pairs.size and pairs.max() >= ad.value(z).shape[0]:
         raise ValueError("evaluation pair references unknown node")
-    left = ad.gather_rows(zv, pairs[:, 0])
-    right = ad.gather_rows(zv, pairs[:, 1])
-    scores = ad.sigmoid(ad.sum_cols(ad.mul(left, right)))
-    return scores if isinstance(z, Var) else scores.value
+    left = ad.gather_rows(z, pairs[:, 0])
+    right = ad.gather_rows(z, pairs[:, 1])
+    return ad.sigmoid(ad.sum_cols(ad.mul(left, right)))

@@ -118,14 +118,6 @@ class SparseAdjacency:
         """
         return EdgeSupport(self.n, self.rows, self.cols)
 
-    def index_of(self, i, j):
-        """Index of entry (i, j), or -1 if absent."""
-        key = i * self.n + j
-        pos = np.searchsorted(self.keys, key)
-        if pos < self.nnz and self.keys[pos] == key:
-            return int(pos)
-        return -1
-
     def with_weights(self, weights, symmetric=None):
         """Same pattern, new entry values."""
         return SparseAdjacency(
@@ -227,9 +219,8 @@ def renormalize_weights(rows, cols, n, weights):
     added to the diagonal values before degree normalization. ``weights``
     may be a Var (gradients flow through) or a plain array.
     """
-    w = ad.as_var(weights)
     diag = np.where(rows == cols, 1.0, 0.0)
-    w_bar = ad.add(w, diag)
+    w_bar = ad.add(weights, diag)
     deg = ad.segment_sum(w_bar, rows, n)
     inv_sqrt = ad.rsqrt(deg)
     return ad.mul(w_bar, ad.mul(ad.gather_rows(inv_sqrt, rows),

@@ -130,7 +130,7 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
             link_scores(result.z.value, split.val_neg))
         scores, lab = pair_scores(result.z.value, split.val_pos, split.val_neg)
         val_auc = auc_ap(scores, lab).auc
-        return loss, float(val_loss.value), val_auc, {}
+        return loss, float(val_loss), val_auc, {}
 
     def evaluate(final, outcome):
         scores, lab = pair_scores(final.z.value, split.test_pos, split.test_neg)

@@ -44,24 +44,20 @@ def cross_entropy_masked(predictions, labels, mask):
     if mask.size == 0:
         raise ValueError("empty mask")
     labels = np.asarray(labels, dtype=np.intp)
-    traced = isinstance(predictions, Var)
-    pred_var = ad.as_var(predictions)
-    picked = ad.take_elems(pred_var, mask, labels[mask])
+    picked = ad.take_elems(predictions, mask, labels[mask])
     loss = ad.neg(ad.mean(ad.log(ad.floor_at(picked, PROB_FLOOR))))
-    plain = pred_var.value
+    plain = ad.value(predictions)
     correct = int(np.sum(plain[mask].argmax(axis=1) == labels[mask]))
-    return LossReport(float(loss.value), correct, int(mask.size),
-                      loss_var=loss if traced else None)
+    return LossReport(float(ad.value(loss)), correct, int(mask.size),
+                      loss_var=loss if isinstance(loss, Var) else None)
 
 
 def bce_from_scores(pos_scores, neg_scores):
     """BCE on 1-d score Vars: positives toward 1, negatives toward 0."""
-    pos = ad.as_var(pos_scores)
-    neg = ad.as_var(neg_scores)
-    total = pos.value.size + neg.value.size
-    log_pos = ad.total(ad.log(ad.floor_at(pos, PROB_FLOOR)))
+    total = ad.value(pos_scores).size + ad.value(neg_scores).size
+    log_pos = ad.total(ad.log(ad.floor_at(pos_scores, PROB_FLOOR)))
     log_neg = ad.total(ad.log(ad.floor_at(
-        ad.add_const(ad.neg(neg), 1.0), PROB_FLOOR)))
+        ad.add_const(ad.neg(neg_scores), 1.0), PROB_FLOOR)))
     return ad.scale(ad.add(log_pos, log_neg), -1.0 / total)
 
 

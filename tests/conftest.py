@@ -8,7 +8,7 @@ between the two is meaningful evidence.
 import numpy as np
 import pytest
 
-from edgetensor.autodiff import Var
+from edgetensor.autodiff import value
 from edgetensor.edge_tensor import EdgeFeatureTensor
 from edgetensor.sparse_graph import SparseAdjacency
 
@@ -36,6 +36,12 @@ def random_adjacency(n, rng, density=0.3):
     return SparseAdjacency(n, rows, cols, dense[rows, cols])
 
 
+def has_entry(a, i, j):
+    """Whether ``a`` stores entry (i, j); a plain scan of its triplets."""
+    return any(r == i and c == j for r, c in zip(a.rows.tolist(),
+                                                 a.cols.tolist()))
+
+
 def random_edge_tensor(n, p, rng, density=0.3):
     rows, cols = random_support(n, rng, density)
     return EdgeFeatureTensor(n, p, rows, cols,
@@ -43,9 +49,8 @@ def random_edge_tensor(n, p, rng, density=0.3):
 
 
 def tensor_to_dense(t):
-    values = t.values.value if hasattr(t.values, "value") else t.values
     dense = np.zeros((t.n, t.n, t.p))
-    dense[t.rows, t.cols] = values
+    dense[t.rows, t.cols] = value(t.values)
     return dense
 
 
@@ -108,8 +113,7 @@ def renormalize_oracle(a_dense):
 
 def check_learned_graph(result, tol=1e-12):
     """Assert the learned graph is symmetric, nonnegative and on-support."""
-    w = result.edge_weights
-    w = w.value if isinstance(w, Var) else np.asarray(w)
+    w = np.asarray(value(result.edge_weights))
     pattern = result.edge_pattern
     if np.any(w < 0):
         raise AssertionError("learned graph has negative weights")

@@ -159,6 +159,14 @@ def test_propagate_gradients_match_finite_differences(rng):
             assert var.grad.reshape(-1)[k] == pytest.approx(fd, abs=1e-6)
 
 
+def test_propagate_traces_only_its_var_input(rng):
+    t, a = make_pair(5, 2, rng)
+    sv = Var(t.values.copy())
+    out = propagate_mode1(t.with_values(sv), a).values
+    assert isinstance(out, Var)
+    assert len(out._parents) == 1 and out._parents[0] is sv
+
+
 def test_contraction_plan_is_cached(rng):
     t, a = make_pair(6, 2, rng)
     p1 = contraction_plan(1, t, a)

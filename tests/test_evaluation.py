@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import has_entry
 from edgetensor.autodiff import Var
 from edgetensor.evaluation import (LinkSplit, MetricReport, accuracy, auc_ap,
                                    homophily, link_split, sample_non_edges,
@@ -204,10 +205,10 @@ def test_link_split_holds_out_requested_fractions():
     assert kept + len(split.test_pos) + len(split.val_pos) == len(pairs)
     # held-out positives are gone from the training graph
     for i, j in split.test_pos:
-        assert split.train.index_of(int(i), int(j)) < 0
+        assert not has_entry(split.train, int(i), int(j))
     # negatives are honest non-edges of the original graph
     for i, j in np.concatenate([split.test_neg, split.val_neg]):
-        assert a.index_of(int(i), int(j)) < 0
+        assert not has_entry(a, int(i), int(j))
 
 
 def test_link_split_zero_test_fraction_keeps_graph():
@@ -224,8 +225,8 @@ def test_link_split_four_cycle_single_removal():
     split = link_split(a, test_fraction=0.25, val_fraction=0.0, seed=3)
     assert split.train.nnz // 2 == 3
     i, j = split.test_pos[0]
-    assert a.index_of(int(i), int(j)) >= 0
-    assert split.train.index_of(int(i), int(j)) < 0
+    assert has_entry(a, int(i), int(j))
+    assert not has_entry(split.train, int(i), int(j))
 
 
 def test_link_split_deterministic():

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from edgetensor import autodiff as ad
+from edgetensor.autodiff import Var
+from edgetensor.evaluation import split_nodes
+from edgetensor.features import RECIPE_KINDS
+from edgetensor.generators import sbm_generate
 from edgetensor.gradcheck import finite_difference_check, model_gradcheck
+from edgetensor.models import (NEGATIVE_MODES, build_model, etgnn_forward,
+                               prepare, prepare_multigraph)
 from edgetensor.params import ParamTape
+from edgetensor.training import cross_entropy_masked
 
 
 def test_quadratic_gradient_passes():
@@ -26,7 +33,7 @@ def test_detects_wrong_gradient():
 
     def loss_fn():
         # value of sum(w^2) but a graph whose gradient is only w, not 2w
-        wrong = ad.scale(ad.mul(w, ad.as_var(w.value.copy())), 1.0)
+        wrong = ad.scale(ad.mul(w, Var(w.value.copy())), 1.0)
         return ad.total(wrong)
 
     ok, report = finite_difference_check(tape, loss_fn)
@@ -53,7 +60,7 @@ def test_linear_layer_closed_form_gradient(rng):
     w = tape.create("w", (3, 2), seed=0)
 
     def loss_fn():
-        z = ad.matmul(ad.as_var(x), w)
+        z = ad.matmul(Var(x), w)
         return ad.total(ad.mul(z, z))
 
     ok, _ = finite_difference_check(tape, loss_fn)
@@ -73,4 +80,41 @@ def test_full_model_gradcheck(kind):
 def test_full_model_gradcheck_with_relu():
     ok, report = model_gradcheck(model_kind="et_gcn", seed=1,
                                  activation="relu")
+    assert ok, report
+
+
+# every configuration the CLI can build: the edge-stack kinds cross every
+# recipe, negative mode and blend setting; gcn_only ignores all three
+CONFIGURATIONS = [(kind, recipe, negative_mode, blend)
+                  for kind in ("et_gcn", "et_gat")
+                  for recipe in RECIPE_KINDS
+                  for negative_mode in NEGATIVE_MODES
+                  for blend in (False, True)] + [
+                      ("gcn_only", "concat", "clamp", False)]
+
+
+@pytest.mark.parametrize("kind, recipe, negative_mode, blend", CONFIGURATIONS)
+def test_every_model_configuration_gradcheck(kind, recipe, negative_mode,
+                                             blend):
+    graph = sbm_generate([5, 5], 0.6, 0.3, seed=1)
+    splits = split_nodes(graph.labels, 2, 0.2, seed=2)
+    if recipe == "stack":
+        other = sbm_generate([5, 5], 0.5, 0.2, seed=5)
+        ctx = prepare_multigraph([graph.adjacency, other.adjacency],
+                                 graph.node_features, graph.labels)
+    else:
+        ctx = prepare(graph)
+    tape = ParamTape()
+    model = build_model(tape, kind, graph.node_features.shape[1],
+                        graph.num_classes, recipe_kind=recipe, reduce_dim=2,
+                        edge_hidden=(3, 1), gc_hidden=(4,),
+                        negative_mode=negative_mode, blend_attention=blend,
+                        stacked_channels=2, seed=0,
+                        hidden_activation="identity")
+
+    def loss_fn():
+        z = etgnn_forward(model, ctx).z
+        return cross_entropy_masked(z, graph.labels, splits["train"]).loss_var
+
+    ok, report = finite_difference_check(tape, loss_fn)
     assert ok, report

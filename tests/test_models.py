@@ -1,17 +1,27 @@
 """Full model forwards: learned-graph validity, decoders, determinism."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import check_learned_graph
-from edgetensor.autodiff import backward
+from edgetensor.autodiff import Var, backward
 from edgetensor import autodiff as ad
+from edgetensor.edge_tensor import (axpy, project_mode3, propagate_mode1,
+                                    propagate_mode2)
+from edgetensor.features import build_concat_features, build_subtract_features
 from edgetensor.generators import sbm_generate
-from edgetensor.layers import EdgeWeights
+from edgetensor.layers import (EdgeWeights, attention_forward,
+                               blend_edge_weights, gc_forward, sparse_matmul,
+                               tpgc_forward)
 from edgetensor.models import (GraphContext, build_model, etgnn_forward,
                                link_scores, prepare, prepare_multigraph)
 from edgetensor.params import ParamTape
-from edgetensor.sparse_graph import SparseAdjacency, renormalize
+from edgetensor.sparse_graph import (SparseAdjacency, renormalize,
+                                     renormalize_weights)
+from edgetensor.training import bce_from_scores, cross_entropy_masked
 
 
 def small_context(seed=0):
@@ -177,3 +187,67 @@ def test_blend_attention_flag_adds_head():
     assert "theta" in tape.params
     result = etgnn_forward(model, ctx)
     assert isinstance(result.propagation, (SparseAdjacency, EdgeWeights))
+
+
+def _plain_copy(layer):
+    """``layer`` with every Var field replaced by its plain value."""
+    return dataclasses.replace(layer, **{
+        f.name: getattr(layer, f.name).value for f in dataclasses.fields(layer)
+        if isinstance(getattr(layer, f.name), Var)})
+
+
+def _holds_var(out):
+    if isinstance(out, (Var, EdgeWeights)):
+        return True
+    if dataclasses.is_dataclass(out):
+        return any(_holds_var(getattr(out, f.name))
+                   for f in dataclasses.fields(out))
+    return False
+
+
+@pytest.fixture(scope="module")
+def plain_case():
+    graph, ctx, _, model = build_small("et_gat", blend_attention=True)
+    model = dataclasses.replace(
+        model, reducer=_plain_copy(model.reducer),
+        edge_layers=[_plain_copy(layer) for layer in model.edge_layers],
+        gc_layers=[_plain_copy(layer) for layer in model.gc_layers],
+        attention_head=_plain_copy(model.attention_head))
+    h = ctx.features
+    s = build_concat_features(h, ctx.a_tilde, model.reducer)
+    alpha = attention_forward(h, ctx.a_tilde, model.attention_head)
+    return SimpleNamespace(graph=graph, ctx=ctx, model=model, h=h, s=s,
+                           alpha=alpha, a=ctx.a_tilde)
+
+
+PLAIN_FORWARDS = {
+    "sparse_matmul": lambda c: sparse_matmul(c.a, c.h),
+    "gc_forward": lambda c: gc_forward(c.h, c.a, c.model.gc_layers[0]),
+    "tpgc_forward": lambda c: tpgc_forward(c.s, c.a, c.model.edge_layers[0]),
+    "tpgc_forward_attention": lambda c: tpgc_forward(
+        c.s, c.alpha, c.model.edge_layers[0]),
+    "attention_forward": lambda c: attention_forward(
+        c.h, c.a, c.model.attention_head),
+    "blend_edge_weights": lambda c: blend_edge_weights(c.a, c.alpha),
+    "propagate_mode1": lambda c: propagate_mode1(c.s, c.a),
+    "propagate_mode2": lambda c: propagate_mode2(c.s, c.a),
+    "project_mode3": lambda c: project_mode3(c.s, c.model.edge_layers[0].weight),
+    "axpy": lambda c: axpy(c.s, c.s, 0.2),
+    "build_concat_features": lambda c: build_concat_features(
+        c.h, c.a, c.model.reducer),
+    "build_subtract_features": lambda c: build_subtract_features(
+        c.h, c.a, c.model.reducer),
+    "renormalize_weights": lambda c: renormalize_weights(
+        c.a.rows, c.a.cols, c.a.n, c.a.weights),
+    "etgnn_forward": lambda c: etgnn_forward(c.model, c.ctx),
+    "link_scores": lambda c: link_scores(c.h, [[0, 1], [2, 3]]),
+    "cross_entropy_masked": lambda c: cross_entropy_masked(
+        etgnn_forward(c.model, c.ctx).z, c.graph.labels, [0, 1, 2]),
+    "bce_from_scores": lambda c: bce_from_scores(np.array([0.9, 0.6]),
+                                                 np.array([0.2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_FORWARDS))
+def test_plain_inputs_give_plain_outputs(name, plain_case):
+    assert not _holds_var(PLAIN_FORWARDS[name](plain_case))
