@@ -19,7 +19,7 @@ from .experiment import (ExperimentConfig, ResultRecord, report,
 from .features import (EdgeFeatureRecipe, build_concat_features,
                        build_stacked_graph_features, build_subtract_features)
 from .generators import sbm_generate
-from .layers import (AttentionHead, EdgeConvLayer, EdgeWeights, GraphConvLayer,
+from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
                      attention_forward, blend_edge_weights, gc_forward,
                      tpgc_forward)
 from .models import (EdgeTensorGnn, build_model, etgnn_forward, prepare,

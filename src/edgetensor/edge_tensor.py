@@ -184,8 +184,7 @@ class ContractionPlan:
     out_idx: np.ndarray
     adj_idx: np.ndarray
     slot_idx: np.ndarray
-    num_out: int
-    num_in: int
+    num_slots: int
     num_adj: int
 
 
@@ -227,14 +226,15 @@ def _build_plan(mode, support, adjacency):
     pos[pos >= keys.size] = 0
     hit = keys[pos] == cand
     return ContractionPlan(out_idx[hit], adj_idx[hit], pos[hit],
-                           support.num_slots, support.num_slots, adjacency.nnz)
+                           support.num_slots, adjacency.nnz)
 
 
 def contraction_plan(mode, tensor, adjacency):
     """Plan of ``tensor``'s support against ``adjacency``.
 
     Built (and the support pair checked) once, then cached on the adjacency
-    under ``(mode, support)``; supports hash by identity.
+    under ``(mode, support)``; supports hash by identity, and every
+    ``with_weights`` copy of the adjacency shares the cache.
     """
     key = (mode, tensor.support)
     plan = adjacency.plans.get(key)
@@ -252,16 +252,18 @@ def propagate_values(plan, a_vals, s_vals):
     roles, restricted to the same support.
     """
     av, sv = ad.value(a_vals), ad.value(s_vals)
-    prod = av[plan.adj_idx][:, None] * sv[plan.slot_idx]
-    out = ad.bincount_rows(prod, plan.out_idx, plan.num_out)
+    prod = sv[plan.slot_idx]
+    prod *= av[plan.adj_idx][:, None]
+    out = ad.bincount_rows(prod, plan.out_idx, plan.num_slots)
 
     def vjp_a(g):
         rowdot = np.einsum("lp,lp->l", g[plan.out_idx], sv[plan.slot_idx])
         return ad.bincount_rows(rowdot, plan.adj_idx, plan.num_adj)
 
     def vjp_s(g):
-        contrib = av[plan.adj_idx][:, None] * g[plan.out_idx]
-        return ad.bincount_rows(contrib, plan.slot_idx, plan.num_in)
+        contrib = g[plan.out_idx]
+        contrib *= av[plan.adj_idx][:, None]
+        return ad.bincount_rows(contrib, plan.slot_idx, plan.num_slots)
 
     return ad._node(out, (a_vals, vjp_a), (s_vals, vjp_s))
 
@@ -270,24 +272,22 @@ def propagate_values(plan, a_vals, s_vals):
 # public sparse operations
 
 
-def _propagate(s, a, mode, a_values=None):
-    a_vals = a.weights if a_values is None else a_values
+def _propagate(s, a, mode):
     return s.with_values(propagate_values(contraction_plan(mode, s, a),
-                                          a_vals, s.values))
+                                          a.weights, s.values))
 
 
-def propagate_mode1(s, a, a_values=None):
+def propagate_mode1(s, a):
     """Masked mode-1 product: slot (h, j) gets sum_i a[h, i] * s[(i, j)].
 
-    ``a_values`` optionally overrides the adjacency's stored weights (used
-    for traced attention values on a fixed pattern).
+    ``a.weights`` may be a Var (traced attention values on a fixed pattern).
     """
-    return _propagate(s, a, 1, a_values)
+    return _propagate(s, a, 1)
 
 
-def propagate_mode2(s, a, a_values=None):
+def propagate_mode2(s, a):
     """Masked mode-2 product: slot (i, h) gets sum_j a[h, j] * s[(i, j)]."""
-    return _propagate(s, a, 2, a_values)
+    return _propagate(s, a, 2)
 
 
 def project_mode3(s, w):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import value
-from .layers import EdgeWeights
 from .sparse_graph import SparseAdjacency
 
 
@@ -24,15 +23,14 @@ class MetricReport:
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
-    def as_dict(self):
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
 
 def accuracy(predictions, labels, idx):
     """Fraction of nodes in ``idx`` whose argmax prediction is correct."""
     predictions = value(predictions)
     idx = np.asarray(idx, dtype=np.intp)
     labels = np.asarray(labels, dtype=np.intp)
+    if np.any(labels[idx] < 0):
+        raise ValueError("idx selects an unlabeled node")
     return float(np.mean(predictions[idx].argmax(axis=1) == labels[idx]))
 
 
@@ -74,21 +72,19 @@ def homophily(adjacency, labels, weighted=False):
     """Share of stored off-diagonal pairs joining same-label nodes.
 
     Only pairs with both endpoints labeled count. The weighted variant
-    uses the ratio of same-label weight mass instead of pair counts.
+    uses the ratio of same-label weight mass instead of pair counts;
+    ``adjacency.weights`` may be a Var.
     """
-    if isinstance(adjacency, EdgeWeights):
-        pattern, weights = adjacency.pattern, value(adjacency.values)
-    else:
-        pattern, weights = adjacency, adjacency.weights
+    rows, cols = adjacency.rows, adjacency.cols
     labels = np.asarray(labels, dtype=np.intp)
-    li, lj = labels[pattern.rows], labels[pattern.cols]
-    qualify = (pattern.rows != pattern.cols) & (li >= 0) & (lj >= 0)
+    li, lj = labels[rows], labels[cols]
+    qualify = (rows != cols) & (li >= 0) & (lj >= 0)
     if not np.any(qualify):
         raise ValueError("no off-diagonal edges between labeled nodes")
     same = (li == lj)[qualify]
     if not weighted:
         return float(same.mean())
-    mass = np.abs(weights[qualify])
+    mass = np.abs(value(adjacency.weights)[qualify])
     total = mass.sum()
     if total <= 0:
         raise ValueError("no weight mass on qualifying edges")

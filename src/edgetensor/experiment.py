@@ -14,7 +14,7 @@ import numpy as np
 from .datasets import MultiGraphDataset, load_dataset
 from .evaluation import link_split, split_nodes
 from .generators import sbm_generate
-from .params import load_checkpoint, save_checkpoint
+from .params import atomic_open, load_checkpoint, save_checkpoint
 from .tasks import (run_link_prediction, run_multigraph_classification,
                     run_node_classification)
 from .training import TaskConfig
@@ -208,13 +208,13 @@ def run_experiment(config):
 
 def _write_artifacts(config, record, runs):
     os.makedirs(config.output_dir, exist_ok=True)
-    with open(os.path.join(config.output_dir, "result.json"), "w") as fh:
+    with atomic_open(os.path.join(config.output_dir, "result.json")) as fh:
         json.dump({"config": config.semantic_dict(),
                    "record": dataclasses.asdict(record)}, fh, indent=2,
                   sort_keys=True)
     for seed, run in zip(config.seeds, runs):
         path = os.path.join(config.output_dir, f"history_seed{seed}.csv")
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_loss", "val_metric",
                              "homophily"])

@@ -1,11 +1,13 @@
 """Forward definitions: graph convolution, edge-tensor convolution, and
 neighborhood attention.
 
-The forwards are compositions of autodiff ops, so they follow the
-tracing rule stated in :mod:`edgetensor.autodiff`: plain numpy inputs give
-plain outputs, and an output is traced (gradients flow through
-:func:`autodiff.backward`) exactly when some weight or value is a
-:class:`Var`.
+Every graph operand ``a`` is a :class:`SparseAdjacency`: the renormalized
+adjacency, attention weights or their blend, all on one pattern. The
+forwards are compositions of autodiff ops, so they follow the tracing rule
+stated in :mod:`edgetensor.autodiff`: plain numpy inputs give plain
+outputs, and an output is traced (gradients flow through
+:func:`autodiff.backward`) exactly when some weight or value, including
+``a.weights``, is a :class:`Var`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
 from .edge_tensor import (axpy, project_mode3, propagate_mode1,
                           propagate_mode2)
-from .sparse_graph import SparseAdjacency
 
 GC_ACTIVATIONS = ("relu", "softmax", "identity")
 EDGE_ACTIVATIONS = ("relu", "identity")
@@ -63,21 +63,6 @@ class AttentionHead:
     leaky_slope: float = 0.2
 
 
-@dataclass(frozen=True)
-class EdgeWeights:
-    """Traced entry values living on a fixed adjacency pattern."""
-
-    pattern: SparseAdjacency
-    values: Var
-
-
-def _unpack(a):
-    """(pattern, values) for either a SparseAdjacency or EdgeWeights."""
-    if isinstance(a, EdgeWeights):
-        return a.pattern, a.values
-    return a, a.weights
-
-
 def _activate(values, name):
     if name == "relu":
         return ad.relu(values)
@@ -88,15 +73,13 @@ def _activate(values, name):
 
 def sparse_matmul(a, h):
     """A_hat @ H for a sparse matrix (pattern + values) and dense H."""
-    pattern, vals = _unpack(a)
-    msg = ad.mul(ad.reshape(vals, (-1, 1)), ad.gather_rows(h, pattern.cols))
-    return ad.segment_sum(msg, pattern.rows, pattern.n)
+    msg = ad.mul(ad.reshape(a.weights, (-1, 1)), ad.gather_rows(h, a.cols))
+    return ad.segment_sum(msg, a.rows, a.n)
 
 
 def gc_forward(h, a, layer):
     """act(A_hat H W). Softmax activation yields row-stochastic output."""
-    pattern, _ = _unpack(a)
-    if ad.value(h).shape[0] != pattern.n:
+    if ad.value(h).shape[0] != a.n:
         raise ValueError("feature row count must equal node count")
     z = ad.matmul(sparse_matmul(a, h), layer.weight)
     return _activate(z, layer.activation)
@@ -104,10 +87,7 @@ def gc_forward(h, a, layer):
 
 def tpgc_forward(s, a, layer):
     """act((S x1 A x2 A + epsilon S) x3 W), masked to s's support."""
-    pattern, vals = _unpack(a)
-    a_values = vals if isinstance(a, EdgeWeights) else None
-    propagated = propagate_mode2(propagate_mode1(s, pattern, a_values),
-                                 pattern, a_values)
+    propagated = propagate_mode2(propagate_mode1(s, a), a)
     mixed = axpy(propagated, s, layer.epsilon)
     projected = project_mode3(mixed, layer.weight)
     return projected.with_values(_activate(projected.values, layer.activation))
@@ -118,33 +98,25 @@ def attention_forward(h, a, head):
 
     ``a`` supplies the pattern and must contain every self-loop slot
     (pass the renormalized adjacency). Scores are
-    leaky_relu(theta . [H_i || H_j]) softmaxed within each row i. Returns a
-    SparseAdjacency for plain inputs, EdgeWeights when traced.
+    leaky_relu(theta . [H_i || H_j]) softmaxed within each row i. Returns
+    the weights on ``a``'s pattern (a Var when traced).
     """
-    pattern, _ = _unpack(a)
     # entries are unique, so n diagonal entries means every self-loop
-    if np.count_nonzero(pattern.rows == pattern.cols) != pattern.n:
+    if np.count_nonzero(a.rows == a.cols) != a.n:
         raise ValueError("attention pattern must contain every self-loop")
     if ad.value(head.theta).shape != (2 * ad.value(h).shape[1],):
         raise ValueError("theta length must be twice the feature dimension")
-    pair = ad.concat_cols(ad.gather_rows(h, pattern.rows),
-                          ad.gather_rows(h, pattern.cols))
+    pair = ad.concat_cols(ad.gather_rows(h, a.rows), ad.gather_rows(h, a.cols))
     scores = ad.reshape(ad.matmul(pair, ad.reshape(head.theta, (-1, 1))), (-1,))
     scores = ad.leaky_relu(scores, head.leaky_slope)
-    alpha = ad.segment_softmax(scores, pattern.rows, pattern.n)
-    if isinstance(alpha, Var):
-        return EdgeWeights(pattern, alpha)
-    return pattern.with_weights(alpha, symmetric=False)
+    alpha = ad.segment_softmax(scores, a.rows, a.n)
+    return a.with_weights(alpha, symmetric=False)
 
 
 def blend_edge_weights(a_tilde, alpha):
     """Entrywise average (A_tilde + alpha) / 2 on identical supports."""
-    pat_a, vals_a = _unpack(a_tilde)
-    pat_b, vals_b = _unpack(alpha)
-    if not np.array_equal(pat_a.keys, pat_b.keys):
+    if not np.array_equal(a_tilde.keys, alpha.keys):
         raise ValueError("blend requires identical supports")
-    mixed = ad.scale(ad.add(vals_a, vals_b), 0.5)
-    if isinstance(mixed, Var):
-        return EdgeWeights(pat_a, mixed)
-    return pat_a.with_weights(mixed,
-                              symmetric=pat_a.symmetric and pat_b.symmetric)
+    mixed = ad.scale(ad.add(a_tilde.weights, alpha.weights), 0.5)
+    return a_tilde.with_weights(
+        mixed, symmetric=a_tilde.symmetric and alpha.symmetric)

@@ -17,7 +17,7 @@ from .edge_tensor import EdgeFeatureTensor
 from .features import (EdgeFeatureRecipe, build_concat_features,
                        build_stacked_graph_features, build_subtract_features,
                        union_graph)
-from .layers import (AttentionHead, EdgeConvLayer, EdgeWeights, GraphConvLayer,
+from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
                      attention_forward, blend_edge_weights, gc_forward,
                      tpgc_forward)
 from .sparse_graph import renormalize, renormalize_weights
@@ -141,8 +141,7 @@ class ForwardResult:
     """Predictions plus the learned edge weights for diagnostics."""
 
     z: object                     # (n, out_dim) Var or ndarray
-    edge_pattern: object = None   # SparseAdjacency holding the slot layout
-    edge_weights: object = None   # clamped symmetric slot weights (pre-renorm)
+    edge_weights: object = None   # SparseAdjacency: clamped weights, pre-renorm
     propagation: object = None    # adjacency actually used for edge layers
 
 
@@ -190,18 +189,18 @@ def etgnn_forward(model, ctx, h=None):
     sym = ad.scale(ad.add(raw, ad.gather_rows(raw, s.support.transpose_permutation)), 0.5)
     clamped = ad.relu(sym) if model.negative_mode == "clamp" else ad.absolute(sym)
     norm = renormalize_weights(pattern.rows, pattern.cols, pattern.n, clamped)
-    learned = EdgeWeights(pattern, norm)
+    learned = pattern.with_weights(norm)
 
     out = h
     for layer in model.gc_layers:
         out = gc_forward(out, learned, layer)
-    return ForwardResult(out, pattern, clamped, prop)
+    return ForwardResult(out, pattern.with_weights(clamped), prop)
 
 
 def link_scores(z, pairs):
     """Inner-product decoder: sigmoid(z_i . z_j) for each requested pair."""
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    if pairs.size and pairs.max() >= ad.value(z).shape[0]:
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= ad.value(z).shape[0]):
         raise ValueError("evaluation pair references unknown node")
     left = ad.gather_rows(z, pairs[:, 0])
     right = ad.gather_rows(z, pairs[:, 1])

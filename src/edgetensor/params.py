@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -83,18 +84,30 @@ class ParamTape:
         for name, value in snap.items():
             self.params[name].value[...] = value
 
-    def gradients(self):
-        return {name: p.grad for name, p in self.params.items()}
-
 
 # ---------------------------------------------------------------------------
 # checkpoints: parameter arrays in a text snapshot plus a JSON manifest
 
 
+@contextmanager
+def atomic_open(path, newline=None):
+    """Write ``path`` via a temp file that replaces it only on success."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(values, directory, manifest=None):
     """Write named arrays to ``params.txt`` and a manifest to ``manifest.json``."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "params.txt"), "w") as fh:
+    with atomic_open(os.path.join(directory, "params.txt")) as fh:
         for name in sorted(values):
             arr = np.atleast_2d(np.asarray(values[name], dtype=np.float64))
             fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
@@ -102,7 +115,7 @@ def save_checkpoint(values, directory, manifest=None):
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
     meta = dict(manifest or {})
     meta["shapes"] = {k: list(np.asarray(v).shape) for k, v in values.items()}
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
+    with atomic_open(os.path.join(directory, "manifest.json")) as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 

@@ -6,6 +6,7 @@ and serialization are deterministic. All weights are float64.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,47 +20,56 @@ from .edge_tensor import EdgeSupport
 class SparseAdjacency:
     """An n x n sparse real matrix stored as sorted COO triplets.
 
-    Houses the raw adjacency A, its renormalized form, and learned
-    attention weights (which share A's support). Immutable after
-    construction, apart from ``plans``: the contraction plans of edge
-    tensors propagated along this matrix, keyed by (mode, EdgeSupport)
-    and filled by ``edge_tensor.contraction_plan``.
+    Any weights on a pattern: the raw adjacency A, its renormalized form,
+    attention weights, the learned graph. The constructor takes plain
+    arrays; :meth:`with_weights` copies the validated pattern (its cached
+    keys, indptr, transpose permutation, support and ``plans`` are shared)
+    with new weights, which may be an autodiff Var. Immutable apart from
+    ``plans``: contraction plans keyed by (mode, EdgeSupport), filled by
+    ``edge_tensor.contraction_plan``.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
-    weights: np.ndarray
+    weights: object  # plain float64 array, or a Var after with_weights
     symmetric: bool = True
     plans: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.intp))
-        object.__setattr__(self, "cols", np.asarray(self.cols, dtype=np.intp))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        if self.rows.shape != self.cols.shape or self.rows.shape != self.weights.shape:
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if rows.shape != cols.shape or rows.shape != weights.shape:
             raise ValueError("rows, cols and weights must have equal length")
-        if self.rows.size:
-            if self.rows.min() < 0 or self.rows.max() >= self.n:
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= self.n:
                 raise ValueError("row index out of range")
-            if self.cols.min() < 0 or self.cols.max() >= self.n:
+            if cols.min() < 0 or cols.max() >= self.n:
                 raise ValueError("col index out of range")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("adjacency weights must be finite")
-        keys = self.rows * self.n + self.cols
+        keys = rows * self.n + cols
         if keys.size and np.any(np.diff(keys) <= 0):
             order = np.argsort(keys, kind="stable")
-            keys_sorted = keys[order]
-            if np.any(np.diff(keys_sorted) == 0):
+            if np.any(np.diff(keys[order]) == 0):
                 raise ValueError("duplicate (row, col) entry")
-            object.__setattr__(self, "rows", self.rows[order])
-            object.__setattr__(self, "cols", self.cols[order])
-            object.__setattr__(self, "weights", self.weights[order])
-        if self.symmetric:
-            perm = self.transpose_permutation
-            if not np.array_equal(self.weights, self.weights[perm]):
-                raise ValueError("symmetric flag set but entries are not symmetric")
+            rows, cols, weights = rows[order], cols[order], weights[order]
+        for name, arr in (("rows", rows), ("cols", cols), ("weights", weights)):
+            object.__setattr__(self, name, arr)
+        self._check_weights()
+
+    def _check_weights(self):
+        """Shape for a Var; shape, finiteness and symmetry for plain weights."""
+        plain = not isinstance(self.weights, ad.Var)
+        if plain:
+            object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        w = ad.value(self.weights)
+        if w.shape != self.rows.shape:
+            raise ValueError("rows, cols and weights must have equal length")
+        if plain and not np.all(np.isfinite(w)):
+            raise ValueError("adjacency weights must be finite")
+        if plain and self.symmetric and not np.array_equal(w, w[self.transpose_permutation]):
+            raise ValueError("symmetric flag set but entries are not symmetric")
 
     @classmethod
     def from_entries(cls, n, entries, symmetric=True):
@@ -119,15 +129,17 @@ class SparseAdjacency:
         return EdgeSupport(self.n, self.rows, self.cols)
 
     def with_weights(self, weights, symmetric=None):
-        """Same pattern, new entry values."""
-        return SparseAdjacency(
-            self.n, self.rows, self.cols, weights,
-            self.symmetric if symmetric is None else symmetric,
-        )
+        """Same validated pattern and plans, new (plain or Var) weights."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "weights", weights)
+        object.__setattr__(twin, "symmetric",
+                           self.symmetric if symmetric is None else symmetric)
+        twin._check_weights()
+        return twin
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))
-        dense[self.rows, self.cols] = self.weights
+        dense[self.rows, self.cols] = ad.value(self.weights)
         return dense
 
     def entries(self):

@@ -8,7 +8,6 @@ import numpy as np
 
 from .evaluation import (LinkSplit, accuracy, auc_ap, homophily,
                          sample_non_edges)
-from .layers import EdgeWeights
 from .models import (GraphContext, build_model, etgnn_forward, link_scores,
                      prepare, prepare_multigraph)
 from .params import ParamTape
@@ -32,9 +31,8 @@ class SeedRunResult:
 def _learned_homophily(result, labels):
     if result.edge_weights is None:
         return None
-    learned = EdgeWeights(result.edge_pattern, result.edge_weights)
     try:
-        return homophily(learned, labels, weighted=True)
+        return homophily(result.edge_weights, labels, weighted=True)
     except ValueError:
         return None
 

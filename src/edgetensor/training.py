@@ -44,6 +44,8 @@ def cross_entropy_masked(predictions, labels, mask):
     if mask.size == 0:
         raise ValueError("empty mask")
     labels = np.asarray(labels, dtype=np.intp)
+    if np.any(labels[mask] < 0):
+        raise ValueError("mask selects an unlabeled node")
     picked = ad.take_elems(predictions, mask, labels[mask])
     loss = ad.neg(ad.mean(ad.log(ad.floor_at(picked, PROB_FLOOR))))
     plain = ad.value(predictions)

@@ -113,8 +113,8 @@ def renormalize_oracle(a_dense):
 
 def check_learned_graph(result, tol=1e-12):
     """Assert the learned graph is symmetric, nonnegative and on-support."""
-    w = np.asarray(value(result.edge_weights))
-    pattern = result.edge_pattern
+    pattern = result.edge_weights
+    w = np.asarray(value(pattern.weights))
     if np.any(w < 0):
         raise AssertionError("learned graph has negative weights")
     if np.max(np.abs(w - w[pattern.transpose_permutation])) > tol:

@@ -129,6 +129,16 @@ def test_segment_sum_forward_and_grad(rng):
     np.testing.assert_allclose(a.grad, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("ncols", [3, 16])
+def test_bincount_rows_matches_a_bincount_per_column(ncols, rng):
+    values = rng.standard_normal((200, ncols))
+    seg = rng.integers(0, 7, 200)
+    out = ad.bincount_rows(values, seg, 9)
+    for k in range(ncols):
+        np.testing.assert_array_equal(
+            out[:, k], np.bincount(seg, weights=values[:, k], minlength=9))
+
+
 def test_segment_softmax_matches_dense_softmax(rng):
     scores = rng.standard_normal(6)
     seg = np.array([0, 0, 0, 1, 1, 2])

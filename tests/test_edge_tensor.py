@@ -140,14 +140,15 @@ def test_propagate_gradients_match_finite_differences(rng):
     coeff = rng.standard_normal(t.values.shape)
     sv = Var(t.values.copy())
     av = Var(a.weights.copy())
-    out = propagate_mode1(t.with_values(sv), a, a_values=av)
+    out = propagate_mode1(t.with_values(sv), a.with_weights(av))
     backward(ad.total(ad.mul(out.values, Var(coeff))))
 
     step = 1e-6
     for var, base, rebuild in (
         (sv, t.values, lambda v: propagate_mode1(t.with_values(v), a).values),
         (av, a.weights,
-         lambda v: propagate_mode1(t, a, a_values=v).values),
+         lambda v: propagate_mode1(
+             t, a.with_weights(v, symmetric=False)).values),
     ):
         flat = base.reshape(-1).copy()
         for k in range(flat.size):
@@ -173,6 +174,13 @@ def test_contraction_plan_is_cached(rng):
     p2 = contraction_plan(1, t, a)
     assert p1 is p2
     assert contraction_plan(2, t, a) is not p1
+
+
+def test_contraction_plan_is_shared_by_weight_copies(rng):
+    t, a = make_pair(6, 2, rng)
+    plan = contraction_plan(1, t, a)
+    for w in (2.0 * a.weights, Var(a.weights.copy())):
+        assert contraction_plan(1, t, a.with_weights(w)) is plan
 
 
 def test_with_values_shares_the_support(rng):

@@ -10,7 +10,6 @@ from edgetensor.autodiff import Var
 from edgetensor.evaluation import (LinkSplit, MetricReport, accuracy, auc_ap,
                                    homophily, link_split, sample_non_edges,
                                    split_nodes)
-from edgetensor.layers import EdgeWeights
 from edgetensor.sparse_graph import SparseAdjacency
 
 
@@ -24,6 +23,12 @@ def test_accuracy_basic():
     pred = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
     assert accuracy(pred, [0, 1, 1], [0, 1, 2]) == pytest.approx(2 / 3)
     assert accuracy(pred, [0, 1, 1], [0, 1]) == 1.0
+
+
+def test_accuracy_unlabeled_node_in_idx_rejected():
+    pred = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(ValueError, match="unlabeled"):
+        accuracy(pred, [-1, 1], [0, 1])
 
 
 def test_auc_ap_perfect_separation():
@@ -130,7 +135,7 @@ def test_homophily_weighted_mass_ratio():
 
 def test_homophily_accepts_edge_weights_wrapper():
     a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
-    learned = EdgeWeights(a, Var(np.array([2.0, 2.0, 0.0, 0.0])))
+    learned = a.with_weights(Var(np.array([2.0, 2.0, 0.0, 0.0])))
     assert homophily(learned, [0, 0, 1], weighted=True) == 1.0
 
 

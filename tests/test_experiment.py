@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from edgetensor import experiment
 from edgetensor.cli import main
 from edgetensor.experiment import (ExperimentConfig, ResultRecord,
                                    evaluate_checkpoint, format_mean_std,
@@ -84,6 +85,22 @@ def test_run_experiment_writes_reloadable_artifacts(tmp_path):
                                 "val_metric", "homophily"}
     assert os.path.exists(out / "checkpoint" / "params.txt")
     assert os.path.exists(out / "checkpoint" / "manifest.json")
+
+
+def test_interrupted_artifact_write_keeps_previous_result(tmp_path,
+                                                         monkeypatch):
+    out = tmp_path / "out"
+    config = quick_config(output_dir=str(out), seeds=[0])
+    run_experiment(config)
+    before = (out / "result.json").read_bytes()
+    # an unserializable summary makes json.dump raise partway through
+    monkeypatch.setattr(experiment, "_summarize",
+                        lambda per_seed: {"test_accuracy": object()})
+    with pytest.raises(TypeError):
+        run_experiment(config)
+    assert (out / "result.json").read_bytes() == before
+    assert sorted(os.listdir(out)) == ["checkpoint", "history_seed0.csv",
+                                       "result.json"]
 
 
 def test_determinism_across_reruns():

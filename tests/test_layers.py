@@ -10,8 +10,8 @@ from conftest import (dense_mode1_oracle, dense_mode2_oracle,
                       support_mask, tensor_to_dense)
 from edgetensor.autodiff import Var
 from edgetensor.edge_tensor import EdgeFeatureTensor
-from edgetensor.layers import (AttentionHead, EdgeConvLayer, EdgeWeights,
-                               GraphConvLayer, attention_forward,
+from edgetensor.layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
+                               attention_forward,
                                blend_edge_weights, gc_forward, sparse_matmul,
                                tpgc_forward)
 from edgetensor.sparse_graph import SparseAdjacency, renormalize

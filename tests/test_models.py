@@ -9,13 +9,13 @@ import pytest
 from conftest import check_learned_graph
 from edgetensor.autodiff import Var, backward
 from edgetensor import autodiff as ad
+from edgetensor import edge_tensor
 from edgetensor.edge_tensor import (axpy, project_mode3, propagate_mode1,
                                     propagate_mode2)
 from edgetensor.features import build_concat_features, build_subtract_features
 from edgetensor.generators import sbm_generate
-from edgetensor.layers import (EdgeWeights, attention_forward,
-                               blend_edge_weights, gc_forward, sparse_matmul,
-                               tpgc_forward)
+from edgetensor.layers import (attention_forward, blend_edge_weights,
+                               gc_forward, sparse_matmul, tpgc_forward)
 from edgetensor.models import (GraphContext, build_model, etgnn_forward,
                                link_scores, prepare, prepare_multigraph)
 from edgetensor.params import ParamTape
@@ -44,16 +44,16 @@ def test_learned_graph_is_valid(kind):
     graph, ctx, tape, model = build_small(kind)
     result = etgnn_forward(model, ctx)
     assert check_learned_graph(result)
-    w = result.edge_weights.value
+    w = result.edge_weights.weights.value
     assert np.all(w >= 0)
-    perm = result.edge_pattern.transpose_permutation
+    perm = result.edge_weights.transpose_permutation
     np.testing.assert_allclose(w, w[perm], atol=1e-12)
 
 
 def test_learned_graph_support_within_renormalized_adjacency():
     graph, ctx, tape, model = build_small()
     result = etgnn_forward(model, ctx)
-    assert np.array_equal(result.edge_pattern.keys, ctx.a_tilde.keys)
+    assert np.array_equal(result.edge_weights.keys, ctx.a_tilde.keys)
 
 
 def test_forward_output_shape_and_softmax_rows():
@@ -90,7 +90,7 @@ def test_gcn_only_skips_edge_stack():
 
 def test_abs_negative_mode_keeps_magnitudes():
     graph, ctx, tape, model = build_small(negative_mode="abs")
-    w = etgnn_forward(model, ctx).edge_weights.value
+    w = etgnn_forward(model, ctx).edge_weights.weights.value
     assert np.all(w >= 0)
 
 
@@ -158,6 +158,11 @@ def test_link_scores_unknown_node_rejected(rng):
         link_scores(rng.standard_normal((3, 2)), [(0, 5)])
 
 
+def test_link_scores_negative_node_rejected(rng):
+    with pytest.raises(ValueError, match="unknown node"):
+        link_scores(rng.standard_normal((3, 2)), [(-1, 0)])
+
+
 def test_prepare_multigraph_builds_union_context():
     g1 = sbm_generate([4, 4], 0.6, 0.2, seed=0).adjacency
     g2 = sbm_generate([4, 4], 0.6, 0.2, seed=1).adjacency
@@ -186,7 +191,7 @@ def test_blend_attention_flag_adds_head():
     assert model.kind == "et_gcn"
     assert "theta" in tape.params
     result = etgnn_forward(model, ctx)
-    assert isinstance(result.propagation, (SparseAdjacency, EdgeWeights))
+    assert isinstance(result.propagation, SparseAdjacency)
 
 
 def _plain_copy(layer):
@@ -197,7 +202,7 @@ def _plain_copy(layer):
 
 
 def _holds_var(out):
-    if isinstance(out, (Var, EdgeWeights)):
+    if isinstance(out, Var):
         return True
     if dataclasses.is_dataclass(out):
         return any(_holds_var(getattr(out, f.name))
@@ -246,6 +251,22 @@ PLAIN_FORWARDS = {
     "bce_from_scores": lambda c: bce_from_scores(np.array([0.9, 0.6]),
                                                  np.array([0.2])),
 }
+
+
+def test_plain_et_gat_forwards_reuse_their_plans(plain_case, monkeypatch):
+    built = []
+    build_plan = edge_tensor._build_plan
+
+    def counting_build_plan(mode, support, adjacency):
+        built.append(mode)
+        return build_plan(mode, support, adjacency)
+
+    monkeypatch.setattr(edge_tensor, "_build_plan", counting_build_plan)
+    etgnn_forward(plain_case.model, plain_case.ctx)
+    first = len(built)
+    for _ in range(2):
+        etgnn_forward(plain_case.model, plain_case.ctx)
+    assert len(built) == first
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN_FORWARDS))

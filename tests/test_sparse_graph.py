@@ -43,6 +43,33 @@ def test_index_of_and_transpose_permutation():
     assert np.array_equal(a.cols[perm], a.rows)
 
 
+def test_with_weights_shares_the_validated_pattern():
+    a = renormalize(SparseAdjacency.from_undirected_edges(4, [(0, 1), (1, 3)]))
+    before = a.weights.copy()
+    perm, support = a.transpose_permutation, a.support
+    for w in (np.full(a.nnz, 2.0), Var(np.arange(float(a.nnz)))):
+        b = a.with_weights(w)
+        assert np.array_equal(ad.value(b.weights), ad.value(w))
+        assert b.rows is a.rows and b.cols is a.cols and b.plans is a.plans
+        assert b.transpose_permutation is perm and b.support is support
+    assert not a.with_weights(np.arange(float(a.nnz)), symmetric=False).symmetric
+    assert np.array_equal(a.weights, before)
+
+
+def test_with_weights_checks_plain_weights_only():
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="finite"):
+        a.with_weights(np.array([1.0, np.inf, np.inf, 1.0]))
+    with pytest.raises(ValueError, match="symmetric"):
+        a.with_weights(np.arange(4.0))
+    with pytest.raises(ValueError, match="equal length"):
+        a.with_weights(np.ones(3))
+    with pytest.raises(ValueError, match="equal length"):
+        a.with_weights(Var(np.ones(3)))
+    # a Var is checked for shape only: the values are a traced forward's
+    a.with_weights(Var(np.array([1.0, np.inf, 2.0, 3.0])))
+
+
 def test_indptr_is_csr_row_pointer():
     a = SparseAdjacency.from_undirected_edges(4, [(0, 1), (0, 2), (2, 3)])
     for i in range(4):

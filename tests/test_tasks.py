@@ -66,8 +66,20 @@ def test_node_classification_eval_only_with_initial_params(sbm_graph,
     assert replay.history == []
 
 
+def _multigraph_et_gat(sbm_graph, sbm_splits, cfg):
+    graphs = [sbm_generate([25, 25], 0.25, 0.03, seed=s).adjacency
+              for s in range(2)]
+    return run_multigraph_classification(graphs, sbm_graph.node_features,
+                                         sbm_graph.labels, sbm_splits, cfg,
+                                         model_kind="et_gat")
+
+
+@pytest.mark.parametrize("run", [
+    lambda graph, splits, cfg: run_node_classification(graph, splits, cfg),
+    _multigraph_et_gat,
+], ids=["node_classification", "multigraph_et_gat"])
 def test_node_classification_validates_support_once_and_plans_twice(
-        sbm_graph, sbm_splits, monkeypatch):
+        sbm_graph, sbm_splits, monkeypatch, run):
     validated, built = [], []
     post_init, build_plan = EdgeSupport.__post_init__, edge_tensor._build_plan
 
@@ -82,7 +94,7 @@ def test_node_classification_validates_support_once_and_plans_twice(
     monkeypatch.setattr(EdgeSupport, "__post_init__", counting_post_init)
     monkeypatch.setattr(edge_tensor, "_build_plan", counting_build_plan)
     cfg = TaskConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
-    result = run_node_classification(sbm_graph, sbm_splits, cfg)
+    result = run(sbm_graph, sbm_splits, cfg)
     assert len(result.history) == 3
     assert len(validated) == 1
     assert sorted(built) == [1, 2]

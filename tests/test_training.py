@@ -40,6 +40,11 @@ def test_cross_entropy_empty_mask_rejected():
         cross_entropy_masked(np.full((2, 2), 0.5), [0, 1], [])
 
 
+def test_cross_entropy_unlabeled_node_in_mask_rejected():
+    with pytest.raises(ValueError, match="unlabeled"):
+        cross_entropy_masked(np.full((2, 2), 0.5), [-1, 1], [0, 1])
+
+
 def test_cross_entropy_traced_gradient(rng):
     logits = Var(rng.standard_normal((4, 3)))
     labels = np.array([0, 2, 1, 0])
