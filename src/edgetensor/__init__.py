@@ -26,7 +26,7 @@ from .models import (EdgeTensorGnn, build_model, etgnn_forward, prepare,
                      prepare_multigraph)
 from .params import ParamTape, glorot_init
 from .sparse_graph import LabeledGraph, SparseAdjacency, renormalize
-from .training import LossReport, TaskConfig, cross_entropy_masked, train_loop
+from .training import TaskConfig, cross_entropy_masked, train_loop
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -161,7 +161,7 @@ def link_split(adjacency, test_fraction=0.10, val_fraction=0.05, seed=0):
     train = SparseAdjacency.from_undirected_edges(
         adjacency.n, edges[keep], weights[keep])
 
-    edge_keys = set((edges[:, 0] * adjacency.n + edges[:, 1]).tolist())
+    edge_keys = adjacency.keys[upper]
     return LinkSplit(train, val_pos,
                      sample_non_edges(adjacency.n, edge_keys, n_val, rng),
                      test_pos,
@@ -169,22 +169,31 @@ def link_split(adjacency, test_fraction=0.10, val_fraction=0.05, seed=0):
 
 
 def sample_non_edges(n, edge_keys, count, rng):
-    """Uniformly sample ``count`` distinct (i < j) pairs outside ``edge_keys``."""
-    available = n * (n - 1) // 2 - len(edge_keys)
+    """Uniformly sample ``count`` distinct (i < j) pairs outside ``edge_keys``.
+
+    ``edge_keys`` is an array of the keys ``i * n + j`` (i < j) of the
+    excluded pairs. Pairs are drawn in batches and accepted in draw
+    order, so the output is a function of ``rng``'s state.
+    """
+    # excluded keys stay sorted; the sentinel n * n, above every key, keeps
+    # each searchsorted position in range
+    excluded = np.append(np.unique(np.asarray(edge_keys, dtype=np.intp)), n * n)
+    available = n * (n - 1) // 2 - (excluded.size - 1)
     if count > available:
         raise ValueError(f"cannot sample {count} non-edges, "
                          f"only {available} exist")
-    out = []
-    seen = set()
-    while len(out) < count:
-        draw = rng.integers(n, size=(max(2 * (count - len(out)), 8), 2))
-        for i, j in draw:
-            if i == j or len(out) >= count:
-                continue
-            a, b = (int(i), int(j)) if i < j else (int(j), int(i))
-            key = a * n + b
-            if key in edge_keys or key in seen:
-                continue
-            seen.add(key)
-            out.append((a, b))
-    return np.array(out, dtype=np.intp).reshape(-1, 2)
+    parts = [np.zeros(0, dtype=np.intp)]
+    taken = 0
+    while taken < count:
+        draw = rng.integers(n, size=(max(2 * (count - taken), 8), 2))
+        lo, hi = draw.min(axis=1), draw.max(axis=1)
+        keys = (lo * n + hi)[lo != hi]
+        keys = keys[excluded[np.searchsorted(excluded, keys)] != keys]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)[:count - taken]]
+        parts.append(keys)
+        taken += keys.size
+        new = np.sort(keys)
+        excluded = np.insert(excluded, np.searchsorted(excluded, new), new)
+    accepted = np.concatenate(parts)
+    return np.stack([accepted // n, accepted % n], axis=1)

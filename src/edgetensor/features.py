@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .edge_tensor import EdgeFeatureTensor, EdgeSupport
+from .edge_tensor import EdgeFeatureTensor
 from .layers import gc_forward
 from .sparse_graph import SparseAdjacency
 
@@ -57,37 +57,29 @@ def build_subtract_features(h, a_tilde, reducer):
     return _paired(h, a_tilde, reducer, ad.sub)
 
 
-def union_support(graphs):
-    """Union of all edge supports plus the diagonal, as sorted (rows, cols)."""
-    n = graphs[0].n
-    keys = [g.rows * n + g.cols for g in graphs]
-    keys.append(np.arange(n) * n + np.arange(n))
-    ukeys = np.unique(np.concatenate(keys))
-    return ukeys // n, ukeys % n
-
-
 def union_graph(graphs):
     """Binary graph with an edge wherever any input graph has one."""
     n = graphs[0].n
-    rows, cols = union_support(graphs)
-    off = rows != cols
-    return SparseAdjacency(n, rows[off], cols[off],
-                           np.ones(int(off.sum())), symmetric=True)
-
-
-def build_stacked_graph_features(graphs, support=None):
-    """Channel v of slot (i, j) is the weight of edge (i, j) in graph v.
-
-    ``support`` optionally fixes the :class:`EdgeSupport`; by default the
-    union of all supports plus the diagonal is used.
-    """
-    n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("all graphs must share the node count")
-    if support is None:
-        support = EdgeSupport(n, *union_support(graphs))
+    keys = np.unique(np.concatenate([g.keys for g in graphs]))
+    keys = keys[keys // n != keys % n]
+    return SparseAdjacency(n, keys // n, keys % n, np.ones(keys.size))
+
+
+def build_stacked_graph_features(graphs, support):
+    """Channel v of slot (i, j) is the weight of edge (i, j) in graph v.
+
+    Every graph's entries must lie on ``support`` (an :class:`EdgeSupport`
+    with the graphs' node count).
+    """
     values = np.zeros((support.num_slots, len(graphs)))
     for v, g in enumerate(graphs):
+        if g.n != support.n:
+            raise ValueError("all graphs must share the support's node count")
+        # the support holds slot (n-1, n-1), the largest key, so pos is in range
         pos = np.searchsorted(support.keys, g.keys)
+        if not np.array_equal(support.keys[pos], g.keys):
+            raise ValueError(f"graph {v} has an entry outside the support")
         values[pos, v] = g.weights
     return EdgeFeatureTensor.on(support, values, len(graphs))

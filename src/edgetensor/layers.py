@@ -60,7 +60,6 @@ class AttentionHead:
     """Single-layer feedforward scorer on concatenated node-feature pairs."""
 
     theta: object  # (2d,) array or Var
-    leaky_slope: float = 0.2
 
 
 def _activate(values, name):
@@ -108,7 +107,7 @@ def attention_forward(h, a, head):
         raise ValueError("theta length must be twice the feature dimension")
     pair = ad.concat_cols(ad.gather_rows(h, a.rows), ad.gather_rows(h, a.cols))
     scores = ad.reshape(ad.matmul(pair, ad.reshape(head.theta, (-1, 1))), (-1,))
-    scores = ad.leaky_relu(scores, head.leaky_slope)
+    scores = ad.leaky_relu(scores)
     alpha = ad.segment_softmax(scores, a.rows, a.n)
     return a.with_weights(alpha, symmetric=False)
 

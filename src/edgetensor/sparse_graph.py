@@ -1,7 +1,8 @@
 """Sparse symmetric adjacency matrices and degree renormalization.
 
-Entries are stored in canonical (row, col) sorted order so equality tests
-and serialization are deterministic. All weights are float64.
+Entries are stored in canonical (row, col) sorted order, so iteration and
+serialization are deterministic. All weights are float64. Matrices compare
+and hash by identity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import autodiff as ad
 from .edge_tensor import EdgeSupport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseAdjacency:
     """An n x n sparse real matrix stored as sorted COO triplets.
 
@@ -34,8 +35,7 @@ class SparseAdjacency:
     cols: np.ndarray
     weights: object  # plain float64 array, or a Var after with_weights
     symmetric: bool = True
-    plans: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -191,18 +191,6 @@ class LabeledGraph:
         return int(labeled.max()) + 1 if labeled.size else 0
 
 
-def _augmented(adjacency):
-    """Entries of A + I, canonically sorted with duplicates summed."""
-    n = adjacency.n
-    rows = np.concatenate([adjacency.rows, np.arange(n)])
-    cols = np.concatenate([adjacency.cols, np.arange(n)])
-    weights = np.concatenate([adjacency.weights, np.ones(n)])
-    keys = rows * n + cols
-    ukeys, inverse = np.unique(keys, return_inverse=True)
-    w = np.bincount(inverse, weights=weights, minlength=ukeys.size)
-    return ukeys // n, ukeys % n, w
-
-
 def renormalize(adjacency):
     """Symmetric degree renormalization with self-loops.
 
@@ -214,14 +202,16 @@ def renormalize(adjacency):
         raise ValueError("renormalize requires a symmetric adjacency")
     if np.any(adjacency.weights < 0):
         raise ValueError("adjacency weights must be nonnegative")
-    rows, cols, weights = _augmented(adjacency)
-    deg = np.bincount(rows, weights=weights, minlength=adjacency.n)
-    if np.any(deg <= 0):
-        raise RuntimeError("zero degree after adding self-loops")
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    # Grouping keeps mirrored entries bitwise equal.
-    scaled = weights * (inv_sqrt[rows] * inv_sqrt[cols])
-    return SparseAdjacency(adjacency.n, rows, cols, scaled, symmetric=True)
+    n = adjacency.n
+    diag = np.arange(n) * (n + 1)
+    ukeys, inverse = np.unique(np.concatenate([adjacency.keys, diag]),
+                               return_inverse=True)
+    # A on pattern(A) union the diagonal; renormalize_weights adds I
+    weights = np.bincount(inverse[:adjacency.nnz], weights=adjacency.weights,
+                          minlength=ukeys.size)
+    rows, cols = ukeys // n, ukeys % n
+    return SparseAdjacency(n, rows, cols,
+                           renormalize_weights(rows, cols, n, weights))
 
 
 def renormalize_weights(rows, cols, n, weights):

@@ -51,32 +51,26 @@ def _run(tape, model, ctx, config, initial_params, step, evaluate):
                          outcome.best_params, model, ctx)
 
 
-def _classification_step(model, ctx, splits):
-    """Epoch step of node classification on ``ctx.labels``."""
+def _classify(ctx, splits, config, model_kind, model_kwargs, initial_params,
+              **defaults):
+    """Node classification on ``ctx.labels``, early-stopped on validation loss.
+
+    ``defaults`` are ``build_model`` keywords that ``model_kwargs`` overrides.
+    """
     labels = ctx.labels
+    tape = ParamTape()
+    model = build_model(tape, model_kind, ctx.features.shape[1],
+                        int(labels[labels >= 0].max()) + 1,
+                        epsilon=config.epsilon, final_activation="softmax",
+                        seed=config.seed, **{**defaults, **(model_kwargs or {})})
 
     def step(epoch):
         result = etgnn_forward(model, ctx)
-        train = cross_entropy_masked(result.z, labels, splits["train"])
-        val = cross_entropy_masked(result.z.value, labels, splits["val"])
+        loss = cross_entropy_masked(result.z, labels, splits["train"])
+        val_loss = cross_entropy_masked(result.z.value, labels, splits["val"])
         val_acc = accuracy(result.z, labels, splits["val"])
         extra = {"homophily": _learned_homophily(result, labels)}
-        return train.loss_var, val.loss, val_acc, extra
-
-    return step
-
-
-def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
-                            model_kwargs=None, initial_params=None):
-    """Train on the labeled train split, early-stop on validation loss."""
-    ctx = prepare(graph)
-    labels = graph.labels
-    tape = ParamTape()
-    kwargs = dict(gc_hidden=(32,), edge_hidden=(8, 1))
-    kwargs.update(model_kwargs or {})
-    model = build_model(tape, model_kind, graph.node_features.shape[1],
-                        graph.num_classes, epsilon=config.epsilon,
-                        final_activation="softmax", seed=config.seed, **kwargs)
+        return loss, val_loss, val_acc, extra
 
     def evaluate(final, outcome):
         return {
@@ -88,8 +82,14 @@ def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
                                   if outcome.history else None),
         }
 
-    return _run(tape, model, ctx, config, initial_params,
-                _classification_step(model, ctx, splits), evaluate)
+    return _run(tape, model, ctx, config, initial_params, step, evaluate)
+
+
+def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
+                            model_kwargs=None, initial_params=None):
+    """Train on the labeled train split, early-stop on validation loss."""
+    return _classify(prepare(graph), splits, config, model_kind, model_kwargs,
+                     initial_params, gc_hidden=(32,), edge_hidden=(8, 1))
 
 
 def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
@@ -109,13 +109,15 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
     upper = split.train.rows < split.train.cols
     train_pos = np.stack([split.train.rows[upper], split.train.cols[upper]],
                          axis=1)
-    train_keys = set((train_pos[:, 0] * graph.n + train_pos[:, 1]).tolist())
+    train_keys = split.train.keys[upper]
     neg_rng = np.random.default_rng(config.seed + 0x5EED)
 
-    def pair_scores(z, pos, neg):
-        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        scores = link_scores(z, np.concatenate([pos, neg]))
-        return scores, labels
+    def labeled_pairs(pos, neg):
+        return (np.concatenate([pos, neg]),
+                np.concatenate([np.ones(len(pos)), np.zeros(len(neg))]))
+
+    val_pairs, val_labels = labeled_pairs(split.val_pos, split.val_neg)
+    num_val_pos = len(split.val_pos)
 
     def step(epoch):
         result = etgnn_forward(model, ctx)
@@ -123,16 +125,13 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
                                      neg_rng)
         loss = bce_from_scores(link_scores(result.z, train_pos),
                                link_scores(result.z, train_neg))
-        val_loss = bce_from_scores(
-            link_scores(result.z.value, split.val_pos),
-            link_scores(result.z.value, split.val_neg))
-        scores, lab = pair_scores(result.z.value, split.val_pos, split.val_neg)
-        val_auc = auc_ap(scores, lab).auc
-        return loss, float(val_loss), val_auc, {}
+        scores = link_scores(result.z.value, val_pairs)
+        val_loss = bce_from_scores(scores[:num_val_pos], scores[num_val_pos:])
+        return loss, float(val_loss), auc_ap(scores, val_labels).auc, {}
 
     def evaluate(final, outcome):
-        scores, lab = pair_scores(final.z.value, split.test_pos, split.test_neg)
-        report = auc_ap(scores, lab)
+        pairs, labels = labeled_pairs(split.test_pos, split.test_neg)
+        report = auc_ap(link_scores(final.z.value, pairs), labels)
         return {"auc": report.auc, "ap": report.ap,
                 "val_loss": outcome.best_val_loss}
 
@@ -143,22 +142,7 @@ def run_multigraph_classification(graphs, features, labels, splits, config, *,
                                   model_kind="et_gcn", model_kwargs=None,
                                   initial_params=None):
     """Node classification over stacked adjacency views."""
-    ctx = prepare_multigraph(graphs, features, labels)
-    tape = ParamTape()
-    kwargs = dict(gc_hidden=(16,), edge_hidden=(6, 1))
-    kwargs.update(model_kwargs or {})
-    num_classes = int(ctx.labels[ctx.labels >= 0].max()) + 1
-    model = build_model(tape, model_kind, ctx.features.shape[1], num_classes,
-                        recipe_kind="stack", stacked_channels=len(graphs),
-                        epsilon=config.epsilon, final_activation="softmax",
-                        seed=config.seed, **kwargs)
-
-    def evaluate(final, outcome):
-        return {
-            "test_accuracy": accuracy(final.z, ctx.labels, splits["test"]),
-            "val_loss": outcome.best_val_loss,
-            "homophily": _learned_homophily(final, ctx.labels),
-        }
-
-    return _run(tape, model, ctx, config, initial_params,
-                _classification_step(model, ctx, splits), evaluate)
+    return _classify(prepare_multigraph(graphs, features, labels), splits,
+                     config, model_kind, model_kwargs, initial_params,
+                     gc_hidden=(16,), edge_hidden=(6, 1), recipe_kind="stack",
+                     stacked_channels=len(graphs))

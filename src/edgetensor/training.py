@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, backward
+from .autodiff import backward
 
 PROB_FLOOR = 1e-12
 
@@ -21,24 +21,11 @@ class DivergenceError(RuntimeError):
         self.history = history
 
 
-@dataclass
-class LossReport:
-    """A loss value plus, where applicable, classification counts.
-
-    ``loss_var`` carries the traced node for backpropagation when the
-    inputs were traced.
-    """
-
-    loss: float
-    correct: int = None
-    total: int = None
-    loss_var: Var = field(default=None, repr=False)
-
-
 def cross_entropy_masked(predictions, labels, mask):
     """Mean negative log-probability of the true class over masked nodes.
 
     ``predictions`` rows must already be probability vectors (softmaxed).
+    Returns the 0-d loss, a Var when ``predictions`` is traced.
     """
     mask = np.asarray(mask, dtype=np.intp)
     if mask.size == 0:
@@ -47,15 +34,14 @@ def cross_entropy_masked(predictions, labels, mask):
     if np.any(labels[mask] < 0):
         raise ValueError("mask selects an unlabeled node")
     picked = ad.take_elems(predictions, mask, labels[mask])
-    loss = ad.neg(ad.mean(ad.log(ad.floor_at(picked, PROB_FLOOR))))
-    plain = ad.value(predictions)
-    correct = int(np.sum(plain[mask].argmax(axis=1) == labels[mask]))
-    return LossReport(float(ad.value(loss)), correct, int(mask.size),
-                      loss_var=loss if isinstance(loss, Var) else None)
+    return ad.neg(ad.mean(ad.log(ad.floor_at(picked, PROB_FLOOR))))
 
 
 def bce_from_scores(pos_scores, neg_scores):
-    """BCE on 1-d score Vars: positives toward 1, negatives toward 0."""
+    """BCE on 1-d scores: positives toward 1, negatives toward 0.
+
+    Returns the 0-d loss, a Var when the scores are traced.
+    """
     total = ad.value(pos_scores).size + ad.value(neg_scores).size
     log_pos = ad.total(ad.log(ad.floor_at(pos_scores, PROB_FLOOR)))
     log_neg = ad.total(ad.log(ad.floor_at(

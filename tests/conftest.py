@@ -42,6 +42,29 @@ def has_entry(a, i, j):
                                                  a.cols.tolist()))
 
 
+def loop_sample_non_edges(n, edge_keys, count, rng):
+    """Rejection sampling of (i < j) non-edges, one draw at a time.
+
+    The same batches of ``rng.integers`` draws as
+    ``evaluation.sample_non_edges``, accepted in draw order.
+    """
+    edge_keys = set(np.asarray(edge_keys).tolist())
+    out = []
+    seen = set()
+    while len(out) < count:
+        draw = rng.integers(n, size=(max(2 * (count - len(out)), 8), 2))
+        for i, j in draw:
+            if i == j or len(out) >= count:
+                continue
+            a, b = (int(i), int(j)) if i < j else (int(j), int(i))
+            key = a * n + b
+            if key in edge_keys or key in seen:
+                continue
+            seen.add(key)
+            out.append((a, b))
+    return np.array(out, dtype=np.intp).reshape(-1, 2)
+
+
 def random_edge_tensor(n, p, rng, density=0.3):
     rows, cols = random_support(n, rng, density)
     return EdgeFeatureTensor(n, p, rows, cols,

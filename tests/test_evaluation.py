@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import has_entry
+from conftest import has_entry, loop_sample_non_edges
 from edgetensor.autodiff import Var
 from edgetensor.evaluation import (LinkSplit, MetricReport, accuracy, auc_ap,
                                    homophily, link_split, sample_non_edges,
@@ -252,7 +252,7 @@ def test_link_split_insufficient_edges_rejected():
 def test_sample_non_edges_avoids_edges_and_duplicates():
     n = 8
     pairs = [(0, 1), (2, 3)]
-    keys = {i * n + j for i, j in pairs}
+    keys = np.array([i * n + j for i, j in pairs])
     out = sample_non_edges(n, keys, 10, np.random.default_rng(0))
     assert out.shape == (10, 2)
     seen = set()
@@ -261,3 +261,51 @@ def test_sample_non_edges_avoids_edges_and_duplicates():
         key = int(i) * n + int(j)
         assert key not in keys and key not in seen
         seen.add(key)
+
+
+def _upper_keys(n, rng, density):
+    """Keys i * n + j of a random set of (i < j) pairs."""
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < density
+    return i[keep] * n + j[keep]
+
+
+@pytest.mark.parametrize("n", [2, 5, 17, 60])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_non_edges_matches_loop_oracle(n, seed):
+    keys = _upper_keys(n, np.random.default_rng(seed), 0.3)
+    available = n * (n - 1) // 2 - keys.size
+    for count in sorted({0, min(1, available), available // 3, available}):
+        got_rng, want_rng = (np.random.default_rng(seed + 100) for _ in range(2))
+        got = sample_non_edges(n, keys, count, got_rng)
+        want = loop_sample_non_edges(n, keys, count, want_rng)
+        assert got.dtype == want.dtype and got.shape == (count, 2)
+        np.testing.assert_array_equal(got, want)
+        # both consumed the same draws
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+
+def test_sample_non_edges_saturated_returns_every_non_edge():
+    n = 12
+    keys = _upper_keys(n, np.random.default_rng(4), 0.5)
+    available = n * (n - 1) // 2 - keys.size
+    # a repeated key is still one excluded pair
+    got = sample_non_edges(n, np.concatenate([keys, keys[:3]]), available,
+                           np.random.default_rng(9))
+    want = loop_sample_non_edges(n, keys, available, np.random.default_rng(9))
+    np.testing.assert_array_equal(got, want)
+    i, j = np.triu_indices(n, 1)
+    assert sorted((got[:, 0] * n + got[:, 1]).tolist()) == sorted(
+        set((i * n + j).tolist()) - set(keys.tolist()))
+    with pytest.raises(ValueError, match="cannot sample"):
+        sample_non_edges(n, keys, available + 1, np.random.default_rng(9))
+
+
+def test_sample_non_edges_calls_sharing_one_rng_match_loop_oracle():
+    n = 40
+    keys = _upper_keys(n, np.random.default_rng(5), 0.2)
+    got_rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
+    for count in (50, 120):
+        np.testing.assert_array_equal(
+            sample_non_edges(n, keys, count, got_rng),
+            loop_sample_non_edges(n, keys, count, want_rng))

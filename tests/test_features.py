@@ -5,8 +5,7 @@ import pytest
 
 from edgetensor.features import (EdgeFeatureRecipe, build_concat_features,
                                  build_stacked_graph_features,
-                                 build_subtract_features, union_graph,
-                                 union_support)
+                                 build_subtract_features, union_graph)
 from edgetensor.layers import GraphConvLayer, gc_forward
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
@@ -64,21 +63,39 @@ def test_concat_support_equals_renormalized_adjacency(rng):
 def test_union_support_and_graph():
     g1 = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
     g2 = SparseAdjacency.from_undirected_edges(4, [(1, 2), (0, 1)])
-    rows, cols = union_support([g1, g2])
-    got = set(zip(rows.tolist(), cols.tolist()))
-    expected = {(0, 0), (1, 1), (2, 2), (3, 3),
-                (0, 1), (1, 0), (1, 2), (2, 1)}
-    assert got == expected
     u = union_graph([g1, g2])
-    assert u.nnz == 4  # off-diagonal entries only, all weight 1
+    assert set(zip(u.rows.tolist(), u.cols.tolist())) == {
+        (0, 1), (1, 0), (1, 2), (2, 1)}  # off-diagonal entries only
     assert np.all(u.weights == 1.0)
+    support = renormalize(u).support
+    got = set(zip(support.rows.tolist(), support.cols.tolist()))
+    assert got == {(0, 0), (1, 1), (2, 2), (3, 3),
+                   (0, 1), (1, 0), (1, 2), (2, 1)}
+
+
+def test_union_graph_rejects_mismatched_node_counts():
+    g1 = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
+    g2 = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
+    with pytest.raises(ValueError, match="node count"):
+        union_graph([g1, g2])
+
+
+def test_union_graph_drops_self_loops():
+    g = SparseAdjacency.from_entries(3, [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0)])
+    u = union_graph([g])
+    assert u.rows.tolist() == [0, 1] and u.cols.tolist() == [1, 0]
+
+
+def stacked(graphs):
+    return build_stacked_graph_features(
+        graphs, renormalize(union_graph(graphs)).support)
 
 
 def test_stacked_features_channels_are_graph_weights(rng):
     g1 = SparseAdjacency.from_undirected_edges(4, [(0, 1), (2, 3)],
                                                [2.0, 3.0])
     g2 = SparseAdjacency.from_undirected_edges(4, [(0, 1), (1, 2)])
-    t = build_stacked_graph_features([g1, g2])
+    t = stacked([g1, g2])
     assert t.p == 2
     d1, d2 = g1.to_dense(), g2.to_dense()
     dense = t.to_dense()
@@ -89,5 +106,15 @@ def test_stacked_features_channels_are_graph_weights(rng):
 def test_stacked_features_reject_mismatched_sizes():
     g1 = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
     g2 = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
+    support = renormalize(g2).support
     with pytest.raises(ValueError, match="node count"):
-        build_stacked_graph_features([g1, g2])
+        build_stacked_graph_features([g1, g2], support)
+
+
+def test_stacked_features_reject_entries_outside_the_support():
+    support = renormalize(
+        SparseAdjacency.from_undirected_edges(4, [(0, 1)])).support
+    # (1, 2) sorts just before slot (2, 2): a bare key search lands there
+    outside = SparseAdjacency.from_undirected_edges(4, [(1, 2)])
+    with pytest.raises(ValueError, match="outside the support"):
+        build_stacked_graph_features([outside], support)

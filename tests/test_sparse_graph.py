@@ -70,6 +70,14 @@ def test_with_weights_checks_plain_weights_only():
     a.with_weights(Var(np.array([1.0, np.inf, 2.0, 3.0])))
 
 
+def test_equal_graphs_compare_and_hash_by_identity():
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
+    b = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert a.with_weights(a.weights) != a
+
+
 def test_indptr_is_csr_row_pointer():
     a = SparseAdjacency.from_undirected_edges(4, [(0, 1), (0, 2), (2, 3)])
     for i in range(4):

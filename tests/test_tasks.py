@@ -100,6 +100,19 @@ def test_node_classification_validates_support_once_and_plans_twice(
     assert sorted(built) == [1, 2]
 
 
+def test_classification_results_carry_the_same_metric_keys(sbm_graph,
+                                                           sbm_splits):
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=2, patience=2, seed=0)
+    single = run_node_classification(sbm_graph, sbm_splits, cfg,
+                                     model_kind="et_gat")
+    multi = _multigraph_et_gat(sbm_graph, sbm_splits, cfg)
+    assert set(multi.metrics) == set(single.metrics) == {
+        "test_accuracy", "val_accuracy", "val_loss", "homophily",
+        "initial_homophily"}
+    assert multi.metrics["initial_homophily"] == \
+        multi.history[0].extra["homophily"]
+
+
 def test_link_prediction_beats_chance():
     graph = sbm_generate([30, 30], 0.3, 0.05, seed=1)
     split = link_split(graph.adjacency, 0.1, 0.05, seed=0)

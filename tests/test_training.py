@@ -12,16 +12,15 @@ from edgetensor.training import (DivergenceError, TaskConfig, bce_from_scores,
 
 def test_cross_entropy_perfect_predictions():
     pred = np.eye(3)
-    report = cross_entropy_masked(pred, [0, 1, 2], [0, 1, 2])
+    loss = cross_entropy_masked(pred, [0, 1, 2], [0, 1, 2])
     # exact one-hot rows hit the probability floor's log(1) = 0
-    assert report.loss == pytest.approx(0.0, abs=1e-12)
-    assert report.correct == 3 and report.total == 3
+    assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_uniform_four_classes():
     pred = np.full((5, 4), 0.25)
-    report = cross_entropy_masked(pred, [0, 1, 2, 3, 0], [0, 1, 2, 3, 4])
-    assert report.loss == pytest.approx(np.log(4.0), abs=1e-12)
+    loss = cross_entropy_masked(pred, [0, 1, 2, 3, 0], [0, 1, 2, 3, 4])
+    assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_cross_entropy_matches_loop_oracle(rng):
@@ -31,8 +30,8 @@ def test_cross_entropy_matches_loop_oracle(rng):
     labels = rng.integers(0, 3, size=6)
     mask = np.array([0, 2, 5])
     expected = -np.mean([np.log(pred[i, labels[i]]) for i in mask])
-    report = cross_entropy_masked(pred, labels, mask)
-    assert report.loss == pytest.approx(expected, abs=1e-12)
+    loss = cross_entropy_masked(pred, labels, mask)
+    assert loss == pytest.approx(expected, abs=1e-12)
 
 
 def test_cross_entropy_empty_mask_rejected():
@@ -49,8 +48,7 @@ def test_cross_entropy_traced_gradient(rng):
     logits = Var(rng.standard_normal((4, 3)))
     labels = np.array([0, 2, 1, 0])
     mask = np.array([0, 1, 3])
-    report = cross_entropy_masked(ad.row_softmax(logits), labels, mask)
-    backward(report.loss_var)
+    backward(cross_entropy_masked(ad.row_softmax(logits), labels, mask))
     # gradient of mean CE w.r.t. logits is (p - onehot) / |mask| on masked rows
     p = ad.row_softmax(Var(logits.value)).value
     expected = np.zeros_like(p)
