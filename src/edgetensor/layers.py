@@ -42,6 +42,11 @@ class EdgeConvLayer:
 
     S' = act((S x1 A x2 A + epsilon * S) x3 W) where A is either the
     renormalized adjacency or learned attention weights.
+
+    ``tpgc_forward`` propagates at min(p, p') features: when W narrows
+    (p' < p) it projects first. That is exact, because x3 acts only on the
+    feature mode and the mode-1/2 products and support mask only on modes
+    1 and 2, and mode products on distinct modes commute.
     """
 
     weight: object  # (p, p') array or Var
@@ -77,19 +82,40 @@ def sparse_matmul(a, h):
 
 
 def gc_forward(h, a, layer):
-    """act(A_hat H W). Softmax activation yields row-stochastic output."""
+    """act(A_hat H W). Softmax activation yields row-stochastic output.
+
+    Computed as A_hat (H W) when the weight narrows (d' < d) and as
+    (A_hat H) W otherwise, so the sparse product runs at min(d, d') columns;
+    the two orders are equal because matrix products associate.
+    """
     if ad.value(h).shape[0] != a.n:
         raise ValueError("feature row count must equal node count")
-    z = ad.matmul(sparse_matmul(a, h), layer.weight)
+    d, d_out = ad.value(layer.weight).shape
+    if d_out < d:
+        z = sparse_matmul(a, ad.matmul(h, layer.weight))
+    else:
+        z = ad.matmul(sparse_matmul(a, h), layer.weight)
     return _activate(z, layer.activation)
 
 
 def tpgc_forward(s, a, layer):
-    """act((S x1 A x2 A + epsilon S) x3 W), masked to s's support."""
+    """act((S x1 A x2 A + epsilon S) x3 W), masked to s's support.
+
+    Propagates at min(p, p') features: when the weight narrows (p' < p) it
+    projects first, (S x3 W) x1 A x2 A + epsilon (S x3 W); otherwise it
+    propagates, adds the residual and projects last. The orders are equal
+    because x3 touches only the feature mode and the mode-1/2 products and
+    the support mask touch only modes 1 and 2.
+    """
+    p, p_out = ad.value(layer.weight).shape
+    narrows = p_out < p
+    if narrows:
+        s = project_mode3(s, layer.weight)
     propagated = propagate_mode2(propagate_mode1(s, a), a)
-    mixed = axpy(propagated, s, layer.epsilon)
-    projected = project_mode3(mixed, layer.weight)
-    return projected.with_values(_activate(projected.values, layer.activation))
+    out = axpy(propagated, s, layer.epsilon)
+    if not narrows:
+        out = project_mode3(out, layer.weight)
+    return out.with_values(_activate(out.values, layer.activation))
 
 
 def attention_forward(h, a, head):

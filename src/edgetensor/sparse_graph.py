@@ -146,7 +146,7 @@ class SparseAdjacency:
         """Canonical (i, j, w) triplets."""
         return [
             (int(i), int(j), float(w))
-            for i, j, w in zip(self.rows, self.cols, self.weights)
+            for i, j, w in zip(self.rows, self.cols, ad.value(self.weights))
         ]
 
 
@@ -200,6 +200,9 @@ def renormalize(adjacency):
     """
     if not adjacency.symmetric:
         raise ValueError("renormalize requires a symmetric adjacency")
+    if isinstance(adjacency.weights, ad.Var):
+        raise ValueError("renormalize needs plain weights; use "
+                         "renormalize_weights on a fixed pattern for a Var")
     if np.any(adjacency.weights < 0):
         raise ValueError("adjacency weights must be nonnegative")
     n = adjacency.n

@@ -8,20 +8,30 @@ from hypothesis import strategies as st
 from conftest import (dense_mode1_oracle, dense_mode2_oracle,
                       dense_mode3_oracle, has_entry, random_adjacency,
                       support_mask, tensor_to_dense)
+from edgetensor import autodiff as ad
+from edgetensor import layers
 from edgetensor.autodiff import Var
 from edgetensor.edge_tensor import EdgeFeatureTensor
+from edgetensor.gradcheck import finite_difference_check
 from edgetensor.layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
                                attention_forward,
                                blend_edge_weights, gc_forward, sparse_matmul,
                                tpgc_forward)
+from edgetensor.params import ParamTape
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
+# (input width, output width) of a layer weight: the layers project first
+# when it narrows and propagate first otherwise
+WIDTHS = [pytest.param(3, 2, id="narrow"), pytest.param(2, 2, id="equal"),
+          pytest.param(2, 3, id="widen")]
 
-def test_gc_forward_matches_dense(rng):
+
+@pytest.mark.parametrize("d, d_out", WIDTHS)
+def test_gc_forward_matches_dense(d, d_out, rng):
     a = renormalize(SparseAdjacency.from_undirected_edges(
         5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
-    h = rng.standard_normal((5, 3))
-    w = rng.standard_normal((3, 2))
+    h = rng.standard_normal((5, d))
+    w = rng.standard_normal((d, d_out))
     out = gc_forward(h, a, GraphConvLayer(w, activation="identity"))
     np.testing.assert_allclose(out, a.to_dense() @ h @ w, atol=1e-12)
 
@@ -90,12 +100,11 @@ def random_pair(n, p, rng, density=0.4):
     return t, a
 
 
+@pytest.mark.parametrize("p, p_out", WIDTHS)
 @pytest.mark.parametrize("activation", ["identity", "relu"])
-def test_tpgc_forward_matches_dense_oracle(activation, rng):
+def test_tpgc_forward_matches_dense_oracle(activation, p, p_out, rng):
     for _ in range(10):
         n = int(rng.integers(3, 12))
-        p = int(rng.integers(1, 4))
-        p_out = int(rng.integers(1, 4))
         t, a = random_pair(n, p, rng)
         w = rng.standard_normal((p, p_out))
         layer = EdgeConvLayer(w, epsilon=0.2, activation=activation)
@@ -195,6 +204,66 @@ def test_traced_forward_matches_plain(rng):
                                         activation="relu"))
     assert isinstance(traced.values, Var)
     np.testing.assert_array_equal(traced.values.value, plain.values)
+
+
+@pytest.mark.parametrize("p, p_out", WIDTHS)
+def test_tpgc_forward_gradcheck(p, p_out, rng):
+    t, a = random_pair(6, p, rng)
+    tape = ParamTape()
+    values = tape.add("values", t.values)
+    weights = tape.add("a", a.weights)
+    w = tape.add("w", rng.standard_normal((p, p_out)))
+
+    def loss_fn():
+        out = tpgc_forward(t.with_values(values), a.with_weights(weights),
+                           EdgeConvLayer(w, epsilon=0.3, activation="identity"))
+        return ad.total(ad.mul(out.values, out.values))
+
+    ok, report = finite_difference_check(tape, loss_fn)
+    assert ok, report
+
+
+@pytest.mark.parametrize("d, d_out", WIDTHS)
+def test_gc_forward_gradcheck(d, d_out, rng):
+    a = random_adjacency(6, rng)
+    tape = ParamTape()
+    h = tape.add("h", rng.standard_normal((6, d)))
+    weights = tape.add("a", a.weights)
+    w = tape.add("w", rng.standard_normal((d, d_out)))
+
+    def loss_fn():
+        z = gc_forward(h, a.with_weights(weights),
+                       GraphConvLayer(w, activation="identity"))
+        return ad.total(ad.mul(z, z))
+
+    ok, report = finite_difference_check(tape, loss_fn)
+    assert ok, report
+
+
+def test_narrowing_edge_layer_propagates_at_output_width(rng, monkeypatch):
+    t, a = random_pair(6, 16, rng)
+    widths = []
+    for name in ("propagate_mode1", "propagate_mode2"):
+        def spy(s, adj, _inner=getattr(layers, name)):
+            widths.append(s.p)
+            return _inner(s, adj)
+        monkeypatch.setattr(layers, name, spy)
+    tpgc_forward(t, a, EdgeConvLayer(rng.standard_normal((16, 1))))
+    assert widths == [1, 1]
+
+
+def test_narrowing_node_layer_propagates_at_output_width(rng, monkeypatch):
+    a = random_adjacency(6, rng)
+    widths = []
+
+    def spy(adj, h, _inner=layers.sparse_matmul):
+        widths.append(ad.value(h).shape[1])
+        return _inner(adj, h)
+
+    monkeypatch.setattr(layers, "sparse_matmul", spy)
+    gc_forward(rng.standard_normal((6, 32)), a,
+               GraphConvLayer(rng.standard_normal((32, 4))))
+    assert widths == [4]
 
 
 @settings(max_examples=25, deadline=None)

@@ -152,6 +152,17 @@ def test_renormalize_rejects_negative_weights():
         renormalize(a)
 
 
+def test_renormalize_rejects_traced_weights():
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="plain weights"):
+        renormalize(a.with_weights(Var(np.ones(a.nnz))))
+
+
+def test_entries_read_traced_weights():
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1)], weights=[2.0])
+    assert a.with_weights(Var(a.weights)).entries() == a.entries()
+
+
 def test_renormalize_weights_matches_plain_renormalize(rng):
     a = random_adjacency(8, rng)
     off = a.rows != a.cols
