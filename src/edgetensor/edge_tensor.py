@@ -7,6 +7,15 @@ the full dense product would create outside it is dropped. A precomputed
 contraction plan lists the surviving (output slot, matrix entry, input
 slot) triples so forward and adjoint passes share one kernel.
 
+Building a plan is a masked sparse matrix product. For each adjacency
+entry (h, i) the builder walks the shorter of support rows h and i and
+looks the matching slot up in the other, so it tests
+sum_e min(deg h, deg i) candidates and holds O(candidates) memory. The
+mode-2 plan is the mode-1 plan relabeled through the support's transpose
+permutation. Both are sorted by (output slot, adjacency entry): that
+fixes the order in which each output's terms are summed, so results are
+bitwise independent of how the triples were enumerated.
+
 The support is an :class:`EdgeSupport`, validated once; every tensor
 derived from another (new values, a mode product, a projection) shares
 its support object, so only the values are checked again.
@@ -192,40 +201,50 @@ def _build_plan(mode, support, adjacency):
     """Enumerate surviving contraction triples for mode 1 or 2.
 
     Mode 1: out(h, j) = sum_i a(h, i) * s(i, j); a triple survives when
-    (h, i) is a stored adjacency entry and (i, j) a stored slot. Mode 2
-    contracts over the column index instead. The adjacency's entries must
+    (h, i) is a stored adjacency entry and (h, j), (i, j) are stored
+    slots. For each entry the j of the shorter of support rows h and i
+    are walked and the other slot is looked up in ``support.keys``: the
+    cost is sum_e min(deg h, deg i) candidates over entries e = (h, i).
+    Mode 2, out(i, h) = sum_j a(h, j) * s(i, j), is mode 1 on mirrored
+    slots: the support is symmetric, so its triples are the mode-1
+    triples relabeled through ``support.transpose_permutation``. Either
+    way the triples are sorted by (output slot, adjacency entry), the
+    order each output's segment sum adds its terms in, so results do not
+    depend on how the triples were found. The adjacency's entries must
     lie inside the support.
     """
-    n = support.n
-    keys = support.keys
+    n, keys = support.n, support.keys
     if adjacency.n != n:
         raise ValueError("tensor and adjacency node counts differ")
     pos = np.searchsorted(keys, adjacency.keys)
     if not np.array_equal(keys[np.minimum(pos, keys.size - 1)], adjacency.keys):
         raise ValueError("adjacency support must be contained in tensor support")
-    if mode == 1:
-        anchor = support.rows     # h: adjacency row iterated per out slot
-        fixed = support.cols      # j stays
-    else:
-        anchor = support.cols     # h in out(i, h)
-        fixed = support.rows      # i stays
-    indptr = adjacency.indptr
-    deg = indptr[anchor + 1] - indptr[anchor]
-    total = int(deg.sum())
-    out_idx = np.repeat(np.arange(support.num_slots), deg)
-    # Ragged ranges: adjacency entry indices for each out slot's anchor row.
-    offsets = np.zeros(support.num_slots, dtype=np.intp)
-    np.cumsum(deg[:-1], out=offsets[1:])
-    adj_idx = np.arange(total) - np.repeat(offsets, deg) + np.repeat(indptr[anchor], deg)
-    neighbor = adjacency.cols[adj_idx]
-    if mode == 1:
-        cand = neighbor * n + np.repeat(fixed, deg)
-    else:
-        cand = np.repeat(fixed, deg) * n + neighbor
-    pos = np.searchsorted(keys, cand)
+    row_ptr = np.searchsorted(support.rows, np.arange(n + 1))
+    deg = np.diff(row_ptr)
+    h, i = adjacency.rows, adjacency.cols
+    walk_h = deg[h] <= deg[i]
+    walked = np.where(walk_h, h, i)
+    other = np.where(walk_h, i, h)
+    count = deg[walked]
+    starts = np.zeros(count.size, dtype=np.intp)
+    np.cumsum(count[:-1], out=starts[1:])
+    adj_idx = np.repeat(np.arange(adjacency.nnz), count)
+    # ragged ranges: the walked row's slot indices for each entry
+    walked_slot = (np.arange(adj_idx.size) - np.repeat(starts, count)
+                   + np.repeat(row_ptr[walked], count))
+    looked = other[adj_idx] * n + support.cols[walked_slot]
+    pos = np.searchsorted(keys, looked)
     pos[pos >= keys.size] = 0
-    hit = keys[pos] == cand
-    return ContractionPlan(out_idx[hit], adj_idx[hit], pos[hit],
+    hit = keys[pos] == looked
+    adj_idx, walked_slot, pos = adj_idx[hit], walked_slot[hit], pos[hit]
+    walk_h = walk_h[adj_idx]
+    out_idx = np.where(walk_h, walked_slot, pos)
+    slot_idx = np.where(walk_h, pos, walked_slot)
+    if mode != 1:
+        perm = support.transpose_permutation
+        out_idx, slot_idx = perm[out_idx], perm[slot_idx]
+    order = np.argsort(out_idx * adjacency.nnz + adj_idx)
+    return ContractionPlan(out_idx[order], adj_idx[order], slot_idx[order],
                            support.num_slots, adjacency.nnz)
 
 

@@ -65,6 +65,45 @@ def loop_sample_non_edges(n, edge_keys, count, rng):
     return np.array(out, dtype=np.intp).reshape(-1, 2)
 
 
+def loop_plan(mode, support, adjacency):
+    """Contraction triples by explicit loops, in (output slot, entry) order.
+
+    For each output slot, then each adjacency entry in the anchoring row
+    (row h of out (h, j) in mode 1, of out (i, h) in mode 2), keep the
+    entry when the slot it reads, (i, j), is on the support.
+    """
+    n = support.n
+    slot_of = {}
+    for k, (r, c) in enumerate(zip(support.rows.tolist(), support.cols.tolist())):
+        slot_of[(r, c)] = k
+    entries_in_row = [[] for _ in range(n)]
+    for e, (h, c) in enumerate(zip(adjacency.rows.tolist(), adjacency.cols.tolist())):
+        entries_in_row[h].append((e, c))
+    out, adj, slot = [], [], []
+    for t, (r, c) in enumerate(zip(support.rows.tolist(), support.cols.tolist())):
+        anchor = r if mode == 1 else c
+        for e, other in entries_in_row[anchor]:
+            read = (other, c) if mode == 1 else (r, other)
+            if read in slot_of:
+                out.append(t)
+                adj.append(e)
+                slot.append(slot_of[read])
+    return tuple(np.array(v, dtype=np.intp) for v in (out, adj, slot))
+
+
+def one_shot_sbm(block_sizes, p_in, p_out, seed):
+    """SBM upper-triangle pairs and features from one uniform per pair, drawn at once."""
+    n = sum(block_sizes)
+    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < np.where(labels[iu] == labels[ju], p_in, p_out)
+    features = np.zeros((n, len(block_sizes)))
+    features[np.arange(n), labels] = 1.0
+    features += rng.uniform(-0.1, 0.1, features.shape)
+    return np.stack([iu[keep], ju[keep]], axis=1), features
+
+
 def random_edge_tensor(n, p, rng, density=0.3):
     rows, cols = random_support(n, rng, density)
     return EdgeFeatureTensor(n, p, rows, cols,

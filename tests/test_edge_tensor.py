@@ -1,20 +1,23 @@
 """Sparse edge tensors: dense-oracle equivalence and support closure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (dense_mode1_oracle, dense_mode2_oracle,
-                      dense_mode3_oracle, random_adjacency,
-                      random_edge_tensor, support_mask, tensor_to_dense)
+                      dense_mode3_oracle, loop_plan, random_adjacency,
+                      random_edge_tensor, random_support, support_mask,
+                      tensor_to_dense)
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
-from edgetensor.edge_tensor import (EdgeFeatureTensor, axpy,
-                                    contraction_plan, mode_k_product_dense,
-                                    project_mode3, propagate_mode1,
-                                    propagate_mode2)
-from edgetensor.sparse_graph import SparseAdjacency
+from edgetensor.edge_tensor import (EdgeFeatureTensor, EdgeSupport, _build_plan,
+                                    axpy, contraction_plan,
+                                    mode_k_product_dense, project_mode3,
+                                    propagate_mode1, propagate_mode2)
+from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
 
 def make_pair(n, p, rng, density=0.4):
@@ -224,3 +227,84 @@ def test_oracle_equivalence_property(seed):
     expected = mode_k_product_dense(tensor_to_dense(t), a.to_dense(), 1)
     expected[~support_mask(t)] = 0.0
     assert np.abs(out - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+
+
+PLAN_KINDS = ("full", "sub", "edgeless", "hub")
+
+
+def plan_case(seed, n, kind):
+    """A support and an adjacency whose pattern lies inside it.
+
+    ``full``: the adjacency covers the support. ``sub``: a strict symmetric
+    sub-pattern of it. ``edgeless``: diagonal-only support and adjacency.
+    ``hub``: node 0 joined to every node on a sparse random support.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "edgeless":
+        rows = cols = np.arange(n)
+    else:
+        rows, cols = random_support(n, rng, 0.1 if kind == "hub" else rng.random())
+        if kind == "hub":
+            mask = np.zeros((n, n), dtype=bool)
+            mask[rows, cols] = True
+            mask[0, :] = mask[:, 0] = True
+            rows, cols = np.nonzero(mask)
+    support = EdgeSupport(n, rows, cols)
+    keep = np.ones(rows.size, dtype=bool)
+    if kind == "sub":
+        keep = rng.random(rows.size) < 0.5
+        keep[0] = False  # slot (0, 0), its own mirror: the sub-pattern is strict
+        keep |= keep[support.transpose_permutation]
+    weights = rng.random(rows.size) + 0.1
+    weights = np.maximum(weights, weights[support.transpose_permutation])
+    return support, SparseAdjacency(n, rows[keep], cols[keep], weights[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.integers(min_value=1, max_value=16), st.sampled_from(PLAN_KINDS))
+@example(seed=0, n=1, kind="full")
+@example(seed=1, n=1, kind="sub")
+@example(seed=2, n=9, kind="edgeless")
+@example(seed=3, n=16, kind="hub")
+@example(seed=4, n=12, kind="sub")
+def test_plan_matches_loop_oracle(seed, n, kind):
+    support, adjacency = plan_case(seed, n, kind)
+    for mode in (1, 2):
+        plan = _build_plan(mode, support, adjacency)
+        expected = loop_plan(mode, support, adjacency)
+        got = (plan.out_idx, plan.adj_idx, plan.slot_idx)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+        assert (plan.num_slots, plan.num_adj) == (support.num_slots, adjacency.nnz)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.integers(min_value=1, max_value=20), st.sampled_from(PLAN_KINDS))
+def test_mode2_plan_is_mode1_plan_transposed(seed, n, kind):
+    support, adjacency = plan_case(seed, n, kind)
+    p1 = _build_plan(1, support, adjacency)
+    p2 = _build_plan(2, support, adjacency)
+    perm = support.transpose_permutation
+    out, slot = perm[p1.out_idx], perm[p1.slot_idx]
+    order = np.lexsort((p1.adj_idx, out))
+    assert np.array_equal(p2.out_idx, out[order])
+    assert np.array_equal(p2.adj_idx, p1.adj_idx[order])
+    assert np.array_equal(p2.slot_idx, slot[order])
+
+
+def test_star_plans_stay_small():
+    """A 6000-node star: plans cost O(triples), not O(sum of degree squared)."""
+    n = 6000
+    star = np.stack([np.zeros(n - 1, dtype=np.intp), np.arange(1, n)], axis=1)
+    a = renormalize(SparseAdjacency.from_undirected_edges(n, star))
+    for mode in (1, 2):
+        tracemalloc.start()
+        try:
+            plan = _build_plan(mode, a.support, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert plan.out_idx.size == 41_994

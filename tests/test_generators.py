@@ -1,8 +1,12 @@
 """Stochastic block model generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import one_shot_sbm
+from edgetensor import generators
 from edgetensor.generators import sbm_generate
 
 
@@ -64,3 +68,33 @@ def test_preconditions_enforced():
         sbm_generate([5, 0], 0.5, 0.5, seed=0)
     with pytest.raises(ValueError, match="probabilities"):
         sbm_generate([2, 2], 1.5, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, generators._PAIR_BLOCK])
+@pytest.mark.parametrize("block_sizes,p_in,p_out,seed", [
+    ([2, 3], 0.5, 0.2, 0),
+    ([13, 11, 9], 0.3, 0.05, 5),
+    ([40, 40, 41, 40], 0.2, 0.02, 123),
+    ([1000, 1000], 0.01, 0.002, 9),
+])
+def test_row_blocks_give_the_one_shot_graph(block, block_sizes, p_in, p_out,
+                                            seed, monkeypatch):
+    monkeypatch.setattr(generators, "_PAIR_BLOCK", block)
+    g = sbm_generate(block_sizes, p_in, p_out, seed)
+    pairs, features = one_shot_sbm(block_sizes, p_in, p_out, seed)
+    upper = g.adjacency.rows < g.adjacency.cols
+    assert np.array_equal(g.adjacency.rows[upper], pairs[:, 0])
+    assert np.array_equal(g.adjacency.cols[upper], pairs[:, 1])
+    assert np.array_equal(g.node_features, features)
+
+
+def test_generator_memory_is_not_quadratic():
+    """n = 6000 has 18M node pairs; drawing them at once needs over 500 MB."""
+    tracemalloc.start()
+    try:
+        g = sbm_generate([1500] * 4, 0.006, 0.0007, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 6000 and g.adjacency.nnz > 0
+    assert peak < 64 * 2 ** 20
