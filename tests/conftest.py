@@ -91,6 +91,33 @@ def loop_plan(mode, support, adjacency):
     return tuple(np.array(v, dtype=np.intp) for v in (out, adj, slot))
 
 
+def bincount_per_column(values, seg_ids, num_segments):
+    """Segment sum of a 1-d or 2-d block, one ``np.bincount`` per column."""
+    if values.ndim == 1:
+        return np.bincount(seg_ids, weights=values, minlength=num_segments)
+    cols = [np.bincount(seg_ids, weights=values[:, k], minlength=num_segments)
+            for k in range(values.shape[1])]
+    return np.stack(cols, axis=1)
+
+
+def fancy_index_propagate(plan, a_vals, s_vals, g):
+    """The masked mode product and both vjps, with ``x[idx]`` gathers.
+
+    The kernel of ``edge_tensor.propagate_values`` as first written: rows
+    gathered by fancy indexing and summed one ``np.bincount`` per column.
+    Returns the product and the gradients w.r.t. ``a_vals`` and ``s_vals``
+    for upstream gradient ``g``.
+    """
+    out = bincount_per_column(s_vals[plan.slot_idx] * a_vals[plan.adj_idx][:, None],
+                              plan.out_idx, plan.num_slots)
+    grad_a = bincount_per_column(np.einsum("lp,lp->l", g[plan.out_idx],
+                                           s_vals[plan.slot_idx]),
+                                 plan.adj_idx, plan.num_adj)
+    grad_s = bincount_per_column(g[plan.out_idx] * a_vals[plan.adj_idx][:, None],
+                                 plan.slot_idx, plan.num_slots)
+    return out, grad_a, grad_s
+
+
 def one_shot_sbm(block_sizes, p_in, p_out, seed):
     """SBM upper-triangle pairs and features from one uniform per pair, drawn at once."""
     n = sum(block_sizes)

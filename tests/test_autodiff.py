@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import bincount_per_column
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
 
@@ -106,6 +107,28 @@ def test_gather_rows_accumulates_duplicates(rng):
     idx = np.array([0, 0, 2])
     backward(ad.total(ad.gather_rows(a, idx)))
     np.testing.assert_array_equal(a.grad, [[2, 2], [0, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 3), (40, 8)])
+def test_gather_and_segment_sum_bitwise_equal_to_fancy_index(shape, rng):
+    """Values and gradients match ``x[idx]`` and a per-column bincount exactly."""
+    idx = rng.integers(0, shape[0], 300)
+    x = rng.standard_normal(shape)
+    g = rng.standard_normal((idx.size,) + shape[1:])
+    a = Var(x.copy())
+    out = ad.gather_rows(a, idx)
+    backward(out, seed=g)
+    assert np.array_equal(out.value, x[idx])
+    assert np.array_equal(a.grad, bincount_per_column(g, idx, shape[0]))
+
+    b = Var(g.copy())
+    out = ad.segment_sum(b, idx, shape[0])
+    backward(out, seed=x)
+    assert np.array_equal(out.value, bincount_per_column(g, idx, shape[0]))
+    assert np.array_equal(b.grad, x[idx])
+
+    with pytest.raises(IndexError):
+        ad.gather_rows(a, [shape[0]])
 
 
 def test_take_elems_grad(rng):

@@ -8,15 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (dense_mode1_oracle, dense_mode2_oracle,
-                      dense_mode3_oracle, loop_plan, random_adjacency,
-                      random_edge_tensor, random_support, support_mask,
-                      tensor_to_dense)
+                      dense_mode3_oracle, fancy_index_propagate, loop_plan,
+                      random_adjacency, random_edge_tensor, random_support,
+                      support_mask, tensor_to_dense)
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import (EdgeFeatureTensor, EdgeSupport, _build_plan,
                                     axpy, contraction_plan,
                                     mode_k_product_dense, project_mode3,
-                                    propagate_mode1, propagate_mode2)
+                                    propagate_mode1, propagate_mode2,
+                                    propagate_values)
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
 
@@ -138,29 +139,52 @@ def test_axpy_rejects_mismatched_support(rng):
         axpy(t1, t2, 0.1)
 
 
-def test_propagate_gradients_match_finite_differences(rng):
-    t, a = make_pair(5, 2, rng)
-    coeff = rng.standard_normal(t.values.shape)
-    sv = Var(t.values.copy())
-    av = Var(a.weights.copy())
-    out = propagate_mode1(t.with_values(sv), a.with_weights(av))
-    backward(ad.total(ad.mul(out.values, Var(coeff))))
+def assert_grad_matches_finite_differences(grad, base, loss, step=1e-6):
+    flat = base.reshape(-1).copy()
+    for k in range(flat.size):
+        delta = np.zeros_like(flat)
+        delta[k] = step
+        hi = loss((flat + delta).reshape(base.shape))
+        lo = loss((flat - delta).reshape(base.shape))
+        fd = (hi - lo) / (2 * step)
+        assert grad.reshape(-1)[k] == pytest.approx(fd, abs=1e-6)
 
-    step = 1e-6
-    for var, base, rebuild in (
-        (sv, t.values, lambda v: propagate_mode1(t.with_values(v), a).values),
-        (av, a.weights,
-         lambda v: propagate_mode1(
-             t, a.with_weights(v, symmetric=False)).values),
-    ):
-        flat = base.reshape(-1).copy()
-        for k in range(flat.size):
-            delta = np.zeros_like(flat)
-            delta[k] = step
-            hi = (rebuild((flat + delta).reshape(base.shape)) * coeff).sum()
-            lo = (rebuild((flat - delta).reshape(base.shape)) * coeff).sum()
-            fd = (hi - lo) / (2 * step)
-            assert var.grad.reshape(-1)[k] == pytest.approx(fd, abs=1e-6)
+
+def test_propagate_gradients_match_finite_differences(rng):
+    """Both modes at widths 1-3 (mg propagates at 1 and 3).
+
+    The last case traces the weights and the tensor from one leaf, as in
+    et_gat's second layer, where attention weights and the tensor are both
+    Vars: vjp_a and vjp_s add into the same gradient.
+    """
+    for product in (propagate_mode1, propagate_mode2):
+        for p in (1, 2, 3):
+            t, a = make_pair(5, p, rng)
+            coeff = rng.standard_normal(t.values.shape)
+            sv = Var(t.values.copy())
+            av = Var(a.weights.copy())
+            out = product(t.with_values(sv), a.with_weights(av))
+            backward(ad.total(ad.mul(out.values, Var(coeff))))
+            assert_grad_matches_finite_differences(
+                sv.grad, t.values,
+                lambda v: (product(t.with_values(v), a).values * coeff).sum())
+            assert_grad_matches_finite_differences(
+                av.grad, a.weights,
+                lambda v: (product(t, a.with_weights(v, symmetric=False)).values
+                           * coeff).sum())
+
+        # make_pair's adjacency lists the tensor's slots in slot order, so
+        # entry k can take its weight from slot k
+        t, a = make_pair(5, 3, rng)
+        coeff = rng.standard_normal(t.values.shape)
+        leaf = Var(t.values.copy())
+        out = product(t.with_values(leaf), a.with_weights(ad.sum_cols(leaf)))
+        backward(ad.total(ad.mul(out.values, Var(coeff))))
+        assert_grad_matches_finite_differences(
+            leaf.grad, t.values,
+            lambda v: (product(t.with_values(v),
+                               a.with_weights(v.sum(axis=1), symmetric=False)
+                               ).values * coeff).sum())
 
 
 def test_propagate_traces_only_its_var_input(rng):
@@ -292,6 +316,24 @@ def test_mode2_plan_is_mode1_plan_transposed(seed, n, kind):
     assert np.array_equal(p2.out_idx, out[order])
     assert np.array_equal(p2.adj_idx, p1.adj_idx[order])
     assert np.array_equal(p2.slot_idx, slot[order])
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("p", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["full", "hub"])
+def test_propagate_values_bitwise_equal_to_fancy_index_kernel(mode, p, kind):
+    """Forward values and both gradients match the ``x[idx]`` kernel bit for bit."""
+    support, adjacency = plan_case(7, 40, kind)
+    plan = _build_plan(mode, support, adjacency)
+    rng = np.random.default_rng(p)
+    s_vals = rng.standard_normal((support.num_slots, p))
+    g = rng.standard_normal((support.num_slots, p))
+    av, sv = Var(adjacency.weights.copy()), Var(s_vals.copy())
+    out = propagate_values(plan, av, sv)
+    backward(out, seed=g)
+    expected = fancy_index_propagate(plan, adjacency.weights, s_vals, g)
+    for got, want in zip((out.value, av.grad, sv.grad), expected):
+        assert np.array_equal(got, want)
 
 
 def test_star_plans_stay_small():
