@@ -13,10 +13,12 @@ import sys
 
 from .datasets import save_dataset
 from .evaluation import split_nodes
-from .experiment import (ExperimentConfig, ResultRecord, evaluate_checkpoint,
-                         report, run_experiment)
+from .experiment import (TASKS, ExperimentConfig, ResultRecord,
+                         evaluate_checkpoint, report, run_experiment)
+from .features import RECIPE_KINDS
 from .generators import sbm_generate
 from .gradcheck import model_gradcheck
+from .models import MODEL_KINDS
 from .sparse_graph import LabeledGraph
 
 
@@ -46,10 +48,8 @@ def _config_from_args(args):
 
 def _add_config_flags(p):
     p.add_argument("--config", help="JSON experiment config (overrides flags)")
-    p.add_argument("--task", default="node_class",
-                   choices=["node_class", "link_pred", "multi_graph"])
-    p.add_argument("--model", default="et_gcn",
-                   choices=["et_gcn", "et_gat", "gcn_only"])
+    p.add_argument("--task", default="node_class", choices=TASKS)
+    p.add_argument("--model", default="et_gcn", choices=MODEL_KINDS)
     p.add_argument("--dataset", help="dataset directory")
     p.add_argument("--blocks", help="synthetic SBM block sizes, e.g. 50,50")
     p.add_argument("--p-in", type=float, default=0.2)
@@ -59,8 +59,7 @@ def _add_config_flags(p):
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--max-epochs", type=int, default=10000)
     p.add_argument("--patience", type=int, default=100)
-    p.add_argument("--edge-features", default="concat",
-                   choices=["concat", "subtract", "stack"])
+    p.add_argument("--edge-features", default="concat", choices=RECIPE_KINDS)
     p.add_argument("--train-per-class", type=int)
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--val-fraction", type=float, default=0.5)

@@ -16,9 +16,12 @@ permutation. Both are sorted by (output slot, adjacency entry): that
 fixes the order in which each output's terms are summed, so results are
 bitwise independent of how the triples were enumerated.
 
-The support is an :class:`EdgeSupport`, validated once; every tensor
-derived from another (new values, a mode product, a projection) shares
-its support object, so only the values are checked again.
+The support is an :class:`EdgeSupport`: the pattern of a
+:class:`~edgetensor.sparse_graph.SparseAdjacency`, which validated it, plus
+a diagonal check. A tensor is a support and a (num_slots, p) block of
+values; ``p`` is read from the values. Every tensor derived from another
+(new values, a mode product, a projection) shares its support object, so
+only the values are checked again.
 """
 
 from __future__ import annotations
@@ -31,94 +34,69 @@ from . import autodiff as ad
 from .autodiff import Var
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EdgeSupport:
-    """The slot layout of an edge tensor, validated once at construction.
+    """The slot layout of an edge tensor: an adjacency's validated pattern.
 
-    Slots are sorted by (row, col) without duplicates, symmetric as a pair
-    set, and contain every diagonal slot (i, i). ``keys`` encodes slot
-    (i, j) as i * n + j; ``transpose_permutation[k]`` is the slot holding
-    the mirror of slot k. ``eq=False``: supports compare and hash by
-    identity, so tensors and plan caches share one object.
+    ``EdgeSupport(adjacency)`` shares the adjacency's ``rows``, ``cols``,
+    ``keys`` (slot (i, j) as i * n + j, strictly increasing) and
+    ``transpose_permutation`` (the slot of each slot's mirror; raises
+    unless the pattern is symmetric), and checks only that every diagonal
+    slot (i, i) is present. It keeps no reference to the adjacency, whose
+    ``plans`` are keyed by support. ``eq=False``: supports compare and
+    hash by identity, so tensors and plan caches share one object.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
-    keys: np.ndarray = field(init=False, repr=False)
-    transpose_permutation: np.ndarray = field(init=False, repr=False)
+    keys: np.ndarray = field(repr=False)
+    transpose_permutation: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        n = self.n
-        rows = np.asarray(self.rows, dtype=np.intp)
-        cols = np.asarray(self.cols, dtype=np.intp)
-        m = rows.size
-        if cols.size != m:
-            raise ValueError("rows and cols must have equal length")
-        if m:
-            if rows.min() < 0 or rows.max() >= n:
-                raise ValueError("slot row index out of range")
-            if cols.min() < 0 or cols.max() >= n:
-                raise ValueError("slot col index out of range")
-        keys = rows * n + cols
-        if np.any(np.diff(keys) <= 0):
-            raise ValueError("slots must be sorted by (row, col) without duplicates")
-        diag = np.arange(n) * n + np.arange(n)
-        if not np.all(np.isin(diag, keys)):
+    def __init__(self, adjacency):
+        # the pattern has no duplicate entries, so n diagonal entries are all of them
+        if np.count_nonzero(adjacency.rows == adjacency.cols) != adjacency.n:
             raise ValueError("support must contain every diagonal slot")
-        # m distinct mirrored keys all found among the m keys: the pair set
-        # is symmetric
-        tkeys = cols * n + rows
-        perm = np.searchsorted(keys, tkeys)
-        if not np.array_equal(keys[np.minimum(perm, m - 1)], tkeys):
-            raise ValueError("support must be symmetric as a set of pairs")
-        for name, value in (("rows", rows), ("cols", cols), ("keys", keys),
-                            ("transpose_permutation", perm)):
-            object.__setattr__(self, name, value)
+        for name in ("n", "rows", "cols", "keys", "transpose_permutation"):
+            object.__setattr__(self, name, getattr(adjacency, name))
 
     @property
     def num_slots(self):
         return self.rows.size
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class EdgeFeatureTensor:
     """Edge features: one length-p vector per slot of an :class:`EdgeSupport`.
 
     ``values`` has shape (num_slots, p); during a traced forward pass it may
-    be an autodiff Var instead of a plain array. ``EdgeFeatureTensor(n, p,
-    rows, cols, values)`` validates a new support; :meth:`on`,
-    :meth:`with_values` and :meth:`from_support_of` reuse an existing one
-    and check only the values.
+    be an autodiff Var instead of a plain array. Plain values are checked
+    for finiteness, a Var only for its shape.
     """
 
     support: EdgeSupport
-    p: int
     values: object
 
-    def __init__(self, n, p, rows, cols, values):
-        self._attach(EdgeSupport(n, rows, cols), values, p)
-
-    @classmethod
-    def on(cls, support, values, p):
-        """Tensor of width ``p`` on an already validated ``support``."""
-        tensor = cls.__new__(cls)
-        tensor._attach(support, values, p)
-        return tensor
-
-    def _attach(self, support, values, p):
-        if isinstance(values, Var):
-            shape = values.value.shape
+    def __post_init__(self):
+        if isinstance(self.values, Var):
+            shape = self.values.value.shape
         else:
-            values = np.asarray(values, dtype=np.float64)
+            values = np.asarray(self.values, dtype=np.float64)
             if not np.all(np.isfinite(values)):
                 raise ValueError("tensor values must be finite")
+            object.__setattr__(self, "values", values)
             shape = values.shape
-        if shape != (support.num_slots, p):
-            raise ValueError(f"values must have shape ({support.num_slots}, {p})")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "values", values)
+        if len(shape) != 2 or shape[0] != self.support.num_slots:
+            raise ValueError(f"values must have shape ({self.support.num_slots}, p)")
+
+    @classmethod
+    def from_support_of(cls, adjacency, values):
+        """Tensor on the support of ``adjacency`` (which must include the diagonal)."""
+        return cls(adjacency.support, values)
+
+    @property
+    def p(self):
+        return ad.value(self.values).shape[1]
 
     @property
     def n(self):
@@ -136,24 +114,14 @@ class EdgeFeatureTensor:
     def num_slots(self):
         return self.support.num_slots
 
-    def with_values(self, values, p=None):
-        """Same support, new values (of width ``p``, default unchanged)."""
-        return EdgeFeatureTensor.on(self.support, values,
-                                    self.p if p is None else p)
-
-    def plain_values(self):
-        return ad.value(self.values)
+    def with_values(self, values):
+        """Same support, new values of any width."""
+        return EdgeFeatureTensor(self.support, values)
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n, self.p))
-        dense[self.rows, self.cols] = self.plain_values()
+        dense[self.rows, self.cols] = ad.value(self.values)
         return dense
-
-    @classmethod
-    def from_support_of(cls, adjacency, values):
-        """Tensor on the support of ``adjacency`` (which must include the diagonal)."""
-        values = np.asarray(values, dtype=np.float64)
-        return cls.on(adjacency.support, values, values.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +284,9 @@ def propagate_mode2(s, a):
 
 def project_mode3(s, w):
     """Per-slot feature projection: each slot vector v becomes w^T v."""
-    w_shape = ad.value(w).shape
-    if w_shape[0] != s.p:
+    if ad.value(w).shape[0] != s.p:
         raise ValueError("projection rows must match tensor feature dimension")
-    return s.with_values(ad.matmul(s.values, w), p=w_shape[1])
+    return s.with_values(ad.matmul(s.values, w))
 
 
 def axpy(s1, s2, epsilon):

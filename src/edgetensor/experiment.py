@@ -13,14 +13,15 @@ import numpy as np
 
 from .datasets import MultiGraphDataset, load_dataset
 from .evaluation import link_split, split_nodes
+from .features import RECIPE_KINDS
 from .generators import sbm_generate
+from .models import MODEL_KINDS, NEGATIVE_MODES
 from .params import atomic_open, load_checkpoint, save_checkpoint
 from .tasks import (run_link_prediction, run_multigraph_classification,
                     run_node_classification)
 from .training import TaskConfig
 
 TASKS = ("node_class", "link_pred", "multi_graph")
-MODELS = ("et_gcn", "et_gat", "gcn_only")
 
 
 @dataclass
@@ -54,8 +55,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.model not in MODELS:
+        if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}")
+        if self.edge_features not in RECIPE_KINDS:
+            raise ValueError(f"unknown edge features {self.edge_features!r}")
+        if self.negative_mode not in NEGATIVE_MODES:
+            raise ValueError(f"unknown negative mode {self.negative_mode!r}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if self.learning_rate <= 0:
@@ -76,7 +81,7 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def to_json(self, path):
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
 
     @classmethod
@@ -208,6 +213,7 @@ def run_experiment(config):
 
 def _write_artifacts(config, record, runs):
     os.makedirs(config.output_dir, exist_ok=True)
+    config.to_json(os.path.join(config.output_dir, "config.json"))
     with atomic_open(os.path.join(config.output_dir, "result.json")) as fh:
         json.dump({"config": config.semantic_dict(),
                    "record": dataclasses.asdict(record)}, fh, indent=2,

@@ -43,8 +43,7 @@ def _paired(h, a_tilde, reducer, combine):
     reduced = gc_forward(h, a_tilde, reducer)
     values = combine(ad.gather_rows(reduced, a_tilde.rows),
                      ad.gather_rows(reduced, a_tilde.cols))
-    return EdgeFeatureTensor.on(a_tilde.support, values,
-                                ad.value(values).shape[1])
+    return EdgeFeatureTensor(a_tilde.support, values)
 
 
 def build_concat_features(h, a_tilde, reducer):
@@ -82,4 +81,4 @@ def build_stacked_graph_features(graphs, support):
         if not np.array_equal(support.keys[pos], g.keys):
             raise ValueError(f"graph {v} has an entry outside the support")
         values[pos, v] = g.weights
-    return EdgeFeatureTensor.on(support, values, len(graphs))
+    return EdgeFeatureTensor(support, values)

@@ -121,12 +121,13 @@ class SparseAdjacency:
 
     @cached_property
     def support(self):
-        """This matrix's pattern as an edge-tensor support, validated once.
+        """This matrix's pattern as an edge-tensor support, built once.
 
-        Raises ValueError unless the pattern is symmetric and contains
-        every diagonal entry (a renormalized adjacency always does).
+        Shares this matrix's index arrays. Raises ValueError unless the
+        pattern is symmetric and contains every diagonal entry (a
+        renormalized adjacency always does).
         """
-        return EdgeSupport(self.n, self.rows, self.cols)
+        return EdgeSupport(self)
 
     def with_weights(self, weights, symmetric=None):
         """Same validated pattern and plans, new (plain or Var) weights."""

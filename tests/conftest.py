@@ -133,8 +133,9 @@ def one_shot_sbm(block_sizes, p_in, p_out, seed):
 
 def random_edge_tensor(n, p, rng, density=0.3):
     rows, cols = random_support(n, rng, density)
-    return EdgeFeatureTensor(n, p, rows, cols,
-                             rng.standard_normal((rows.size, p)))
+    return EdgeFeatureTensor.from_support_of(
+        SparseAdjacency(n, rows, cols, np.ones(rows.size)),
+        rng.standard_normal((rows.size, p)))
 
 
 def tensor_to_dense(t):

@@ -67,8 +67,9 @@ def random_instance(rng):
     mask = mask | mask.T
     np.fill_diagonal(mask, True)
     rows, cols = np.nonzero(mask)
-    tensor = EdgeFeatureTensor(n, p, rows, cols,
-                               rng.standard_normal((rows.size, p)))
+    tensor = EdgeFeatureTensor.from_support_of(
+        SparseAdjacency(n, rows, cols, np.ones(rows.size)),
+        rng.standard_normal((rows.size, p)))
     dense_w = np.zeros((n, n))
     upper = np.triu(mask)
     dense_w[upper] = rng.random(int(upper.sum())) + 0.1
@@ -81,7 +82,7 @@ def random_instance(rng):
 def dense_tpgc(tensor, a_dense, w, epsilon, mask):
     """Dense two-sided propagation plus residual, masked to the support."""
     s = np.zeros((tensor.n, tensor.n, tensor.p))
-    s[tensor.rows, tensor.cols] = tensor.plain_values()
+    s[tensor.rows, tensor.cols] = tensor.values
     step1 = np.einsum("hi,ijq->hjq", a_dense, s)
     step1[~mask] = 0.0
     step2 = np.einsum("hj,ijq->ihq", a_dense, step1)
@@ -108,7 +109,7 @@ def test_criterion_1_dense_oracle_equivalence():
         got = tpgc_forward(tensor, propagation, layer)
         expected = dense_tpgc(tensor, propagation.to_dense(), w, epsilon, mask)
         got_dense = np.zeros_like(expected)
-        got_dense[tensor.rows, tensor.cols] = got.plain_values()
+        got_dense[tensor.rows, tensor.cols] = got.values
         scale = max(1.0, np.abs(expected).max())
         worst = max(worst, float(np.abs(got_dense - expected).max() / scale))
     elapsed = time.perf_counter() - start
@@ -143,8 +144,8 @@ def test_criterion_3_complexity_scaling():
         g = sbm_generate([1000, 1000], 0.005 * scale, 0.001 * scale, seed=3)
         a = renormalize(g.adjacency)
         rng = np.random.default_rng(0)
-        t = EdgeFeatureTensor(2000, 8, a.rows, a.cols,
-                              rng.standard_normal((a.rows.size, 8)))
+        t = EdgeFeatureTensor.from_support_of(
+            a, rng.standard_normal((a.rows.size, 8)))
         contraction_plan(1, t, a)  # one-time index build, not timed
         return t, a
 

@@ -33,18 +33,16 @@ def make_pair(n, p, rng, density=0.4):
 
 
 def test_tensor_requires_diagonal():
+    a = SparseAdjacency(2, [0, 1], [1, 0], np.ones(2))
     with pytest.raises(ValueError, match="diagonal"):
-        EdgeFeatureTensor(2, 1, [0, 1], [1, 0], np.ones((2, 1)))
+        EdgeFeatureTensor.from_support_of(a, np.ones((2, 1)))
 
 
 def test_tensor_requires_symmetric_support():
+    # symmetric=False lets the adjacency hold the pattern; its support rejects it
+    a = SparseAdjacency(2, [0, 0, 1], [0, 1, 1], np.ones(3), symmetric=False)
     with pytest.raises(ValueError, match="symmetric"):
-        EdgeFeatureTensor(2, 1, [0, 0, 1], [0, 1, 1], np.ones((3, 1)))
-
-
-def test_tensor_requires_sorted_slots():
-    with pytest.raises(ValueError, match="sorted"):
-        EdgeFeatureTensor(2, 1, [1, 0, 0, 1], [1, 0, 1, 0], np.ones((4, 1)))
+        EdgeFeatureTensor.from_support_of(a, np.ones((3, 1)))
 
 
 def test_mode_k_product_dense_matches_loop_oracle(rng):
@@ -214,10 +212,26 @@ def test_with_values_shares_the_support(rng):
     t = random_edge_tensor(6, 2, rng)
     assert t.with_values(rng.standard_normal((t.num_slots, 2))).support is t.support
     assert project_mode3(t, np.ones((2, 3))).support is t.support
-    with pytest.raises(ValueError, match="shape"):
-        t.with_values(np.ones((t.num_slots, 3)))
+    assert t.with_values(np.ones((t.num_slots, 3))).p == 3
     with pytest.raises(ValueError, match="finite"):
         t.with_values(np.full((t.num_slots, 2), np.nan))
+
+
+def test_values_must_be_one_row_per_slot(rng):
+    t = random_edge_tensor(6, 2, rng)
+    for bad in (np.ones(t.num_slots), np.ones((t.num_slots + 1, 2)),
+                np.ones((t.num_slots - 1, 2))):
+        for values in (bad, Var(bad)):
+            with pytest.raises(ValueError, match="shape"):
+                EdgeFeatureTensor(t.support, values)
+
+
+def test_support_shares_the_adjacency_arrays(rng):
+    a = random_adjacency(7, rng)
+    support = a.support
+    for name in ("rows", "cols", "keys", "transpose_permutation"):
+        assert getattr(support, name) is getattr(a, name)
+    assert support.n == a.n and support.num_slots == a.nnz
 
 
 def test_from_support_of_reuses_the_adjacency_support(rng):
@@ -229,8 +243,9 @@ def test_from_support_of_reuses_the_adjacency_support(rng):
 
 
 def test_propagate_rejects_adjacency_outside_support(rng):
-    t = EdgeFeatureTensor(3, 1, [0, 0, 1, 1, 2], [0, 1, 0, 1, 2],
-                          np.ones((5, 1)))
+    t = EdgeFeatureTensor.from_support_of(
+        SparseAdjacency(3, [0, 0, 1, 1, 2], [0, 1, 0, 1, 2], np.ones(5)),
+        np.ones((5, 1)))
     a = SparseAdjacency.from_undirected_edges(3, [(1, 2)])
     for product in (propagate_mode1, propagate_mode2):
         with pytest.raises(ValueError, match="contained in tensor support"):
@@ -273,7 +288,7 @@ def plan_case(seed, n, kind):
             mask[rows, cols] = True
             mask[0, :] = mask[:, 0] = True
             rows, cols = np.nonzero(mask)
-    support = EdgeSupport(n, rows, cols)
+    support = EdgeSupport(SparseAdjacency(n, rows, cols, np.ones(rows.size)))
     keep = np.ones(rows.size, dtype=bool)
     if kind == "sub":
         keep = rng.random(rows.size) < 0.5

@@ -37,6 +37,15 @@ def test_config_validation():
         quick_config(dataset="/nonexistent/path", synthetic=None)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("edge_features", "bogus", "edge features"),
+    ("negative_mode", "nope", "negative mode"),
+], ids=["edge_features", "negative_mode"])
+def test_config_rejects_unknown_model_options(field, value, message):
+    with pytest.raises(ValueError, match=f"unknown {message} '{value}'"):
+        quick_config(**{field: value})
+
+
 def test_config_hash_tracks_semantics(tmp_path):
     c1 = quick_config()
     c2 = quick_config(output_dir=str(tmp_path))  # presentation only
@@ -99,8 +108,8 @@ def test_interrupted_artifact_write_keeps_previous_result(tmp_path,
     with pytest.raises(TypeError):
         run_experiment(config)
     assert (out / "result.json").read_bytes() == before
-    assert sorted(os.listdir(out)) == ["checkpoint", "history_seed0.csv",
-                                       "result.json"]
+    assert sorted(os.listdir(out)) == ["checkpoint", "config.json",
+                                       "history_seed0.csv", "result.json"]
 
 
 def test_determinism_across_reruns():
@@ -206,6 +215,22 @@ def test_cli_train_eval_report_round_trip(tmp_path, capsys):
     assert rc == 0
     table = capsys.readouterr().out
     assert "node_class:et_gcn" in table
+
+
+def test_cli_eval_reads_the_config_train_wrote(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = main(["train", "--blocks", "12,12", "--p-in", "0.4", "--p-out",
+               "0.05", "--train-per-class", "3", "--val-fraction", "0.3",
+               "--max-epochs", "8", "--patience", "8", "--seeds", "0",
+               "--output", str(out_dir)])
+    assert rc == 0
+    trained = json.loads(capsys.readouterr().out)["per_seed"][0]
+
+    rc = main(["eval", "--config", str(out_dir / "config.json"),
+               "--checkpoint", str(out_dir / "checkpoint")])
+    assert rc == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert metrics["test_accuracy"] == pytest.approx(trained["test_accuracy"])
 
 
 def test_cli_seed_count_expansion(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edgetensor.edge_tensor import project_mode3
 from edgetensor.features import (EdgeFeatureRecipe, build_concat_features,
                                  build_stacked_graph_features,
                                  build_subtract_features, union_graph)
@@ -58,6 +59,21 @@ def test_concat_support_equals_renormalized_adjacency(rng):
     t = build_concat_features(h, a, reducer)
     assert np.array_equal(t.rows, a.rows)
     assert np.array_equal(t.cols, a.cols)
+
+
+def test_builders_and_projection_stay_on_the_adjacency_support(rng):
+    a, h, reducer = setup_graph(rng)
+    tensors = [build_concat_features(h, a, reducer),
+               build_subtract_features(h, a, reducer)]
+    graphs = [SparseAdjacency.from_undirected_edges(6, [(0, 1), (2, 3)]),
+              SparseAdjacency.from_undirected_edges(6, [(1, 2)])]
+    a_union = renormalize(union_graph(graphs))
+    tensors.append(build_stacked_graph_features(graphs, a_union.support))
+    tensors.append(project_mode3(tensors[0], rng.standard_normal((4, 3))))
+    for t, a_tilde in zip(tensors, (a, a, a_union, a)):
+        assert t.support is a_tilde.support
+        assert t.p == t.values.shape[1]
+    assert [t.p for t in tensors] == [4, 2, 2, 3]
 
 
 def test_union_support_and_graph():

@@ -91,7 +91,8 @@ def random_pair(n, p, rng, density=0.4):
     np.fill_diagonal(mask, True)
     rows, cols = np.nonzero(mask)
     vals = rng.standard_normal((rows.size, p))
-    t = EdgeFeatureTensor(n, p, rows, cols, vals)
+    t = EdgeFeatureTensor.from_support_of(
+        SparseAdjacency(n, rows, cols, np.ones(rows.size)), vals)
     w = np.zeros((n, n))
     upper = np.triu(mask)
     w[upper] = rng.random(int(upper.sum())) + 0.1

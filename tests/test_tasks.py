@@ -81,17 +81,17 @@ def _multigraph_et_gat(sbm_graph, sbm_splits, cfg):
 def test_node_classification_validates_support_once_and_plans_twice(
         sbm_graph, sbm_splits, monkeypatch, run):
     validated, built = [], []
-    post_init, build_plan = EdgeSupport.__post_init__, edge_tensor._build_plan
+    init, build_plan = EdgeSupport.__init__, edge_tensor._build_plan
 
-    def counting_post_init(self):
+    def counting_init(self, adjacency):
         validated.append(self)
-        post_init(self)
+        init(self, adjacency)
 
     def counting_build_plan(mode, support, adjacency):
         built.append(mode)
         return build_plan(mode, support, adjacency)
 
-    monkeypatch.setattr(EdgeSupport, "__post_init__", counting_post_init)
+    monkeypatch.setattr(EdgeSupport, "__init__", counting_init)
     monkeypatch.setattr(edge_tensor, "_build_plan", counting_build_plan)
     cfg = TaskConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
     result = run(sbm_graph, sbm_splits, cfg)
