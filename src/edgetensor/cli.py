@@ -59,7 +59,9 @@ def _add_config_flags(p):
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--max-epochs", type=int, default=10000)
     p.add_argument("--patience", type=int, default=100)
-    p.add_argument("--edge-features", default="concat", choices=RECIPE_KINDS)
+    p.add_argument("--edge-features", default="concat", choices=RECIPE_KINDS,
+                   help="initial edge tensor recipe; multi_graph stacks its "
+                        "views and takes only the default")
     p.add_argument("--train-per-class", type=int)
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--val-fraction", type=float, default=0.5)
@@ -110,7 +112,7 @@ def _cmd_gradcheck(args):
     all_ok = True
     for kind in args.models.split(","):
         ok, rep = model_gradcheck(model_kind=kind, seed=args.seed,
-                                  n_per_block=args.nodes_per_block // 2 or 1)
+                                  n_per_block=args.nodes_per_block)
         all_ok &= ok
         for name, worst in sorted(rep.items()):
             print(f"{kind} {name}: max rel err {worst:.3e}")
@@ -155,7 +157,7 @@ def build_parser():
                        help="finite-difference suite at reduced size")
     p.add_argument("--models", default="et_gcn,et_gat")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes-per-block", type=int, default=10)
+    p.add_argument("--nodes-per-block", type=int, default=5)
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

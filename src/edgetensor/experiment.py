@@ -37,7 +37,7 @@ class ExperimentConfig:
     epsilon: float = 0.2
     max_epochs: int = 10000
     patience: int = 100
-    edge_features: str = "concat"     # concat | subtract | stack
+    edge_features: str = "concat"     # concat | subtract; not multi_graph
     reduce_dim: int = 8
     edge_hidden: list = None          # defaults per task
     gc_hidden: list = None
@@ -59,6 +59,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.edge_features not in RECIPE_KINDS:
             raise ValueError(f"unknown edge features {self.edge_features!r}")
+        if self.task == "multi_graph" and self.edge_features != "concat":
+            raise ValueError("multi_graph stacks its adjacency views as edge "
+                             "features; leave edge_features at its default")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"unknown negative mode {self.negative_mode!r}")
         if not self.seeds:
@@ -153,6 +156,7 @@ def _run_one_seed(config, data, splits_or_linksplit, seed, initial_params=None):
     task_cfg = TaskConfig(config.learning_rate, config.max_epochs,
                           config.patience, config.epsilon, seed)
     model_kwargs = {
+        "recipe_kind": config.edge_features,
         "reduce_dim": config.reduce_dim,
         "negative_mode": config.negative_mode,
         "blend_attention": config.blend_attention,
@@ -163,13 +167,11 @@ def _run_one_seed(config, data, splits_or_linksplit, seed, initial_params=None):
         model_kwargs["gc_hidden"] = tuple(config.gc_hidden)
 
     if config.task == "node_class":
-        model_kwargs["recipe_kind"] = config.edge_features
         return run_node_classification(data, splits_or_linksplit, task_cfg,
                                        model_kind=config.model,
                                        model_kwargs=model_kwargs,
                                        initial_params=initial_params)
     if config.task == "link_pred":
-        model_kwargs["recipe_kind"] = config.edge_features
         return run_link_prediction(data, splits_or_linksplit, task_cfg,
                                    model_kind=config.model,
                                    model_kwargs=model_kwargs,

@@ -1,14 +1,12 @@
 """Builders for the initial edge-feature tensor.
 
-Three recipes: concatenate reduced node-feature pairs, subtract them, or
-stack the adjacency matrices of a multi-graph. The concat/subtract
-builders run a trainable graph-convolution reducer first, so gradients
-flow into its weights end to end.
+Two recipes pair reduced node features: concatenate them or subtract
+them. Both run a trainable graph-convolution reducer first, so gradients
+flow into its weights end to end. A multi-graph instead stacks its
+adjacency views as channels; that fixed tensor belongs to its context.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,26 +15,7 @@ from .edge_tensor import EdgeFeatureTensor
 from .layers import gc_forward
 from .sparse_graph import SparseAdjacency
 
-RECIPE_KINDS = ("concat", "subtract", "stack")
-
-
-@dataclass(frozen=True)
-class EdgeFeatureRecipe:
-    """How to derive initial edge features.
-
-    ``reduce_dim`` is the node-feature dimension after the reducer layer,
-    applied before pairing (concat yields p = 2 * reduce_dim, subtract
-    yields p = reduce_dim).
-    """
-
-    kind: str = "concat"
-    reduce_dim: int = 8
-
-    def __post_init__(self):
-        if self.kind not in RECIPE_KINDS:
-            raise ValueError(f"unknown recipe kind {self.kind!r}")
-        if self.reduce_dim < 1:
-            raise ValueError("reduce_dim must be >= 1")
+RECIPE_KINDS = ("concat", "subtract")
 
 
 def _paired(h, a_tilde, reducer, combine):

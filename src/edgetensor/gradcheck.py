@@ -63,12 +63,11 @@ def model_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
     """
     graph = sbm_generate([n_per_block, n_per_block], 0.6, 0.3, seed=seed + 1)
     splits = split_nodes(graph.labels, 2, 0.2, seed=seed + 2)
-    tape = ParamTape()
-    model = build_model(tape, model_kind, graph.node_features.shape[1],
-                        graph.num_classes, reduce_dim=2, edge_hidden=(3, 1),
-                        gc_hidden=(4,), epsilon=0.2, seed=seed,
-                        hidden_activation=activation)
     ctx = prepare(graph)
+    tape = ParamTape()
+    model = build_model(tape, model_kind, ctx, graph.num_classes, reduce_dim=2,
+                        edge_hidden=(3, 1), gc_hidden=(4,), epsilon=0.2,
+                        seed=seed, hidden_activation=activation)
 
     def loss_fn():
         z = etgnn_forward(model, ctx).z

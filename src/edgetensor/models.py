@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .edge_tensor import EdgeFeatureTensor
-from .features import (EdgeFeatureRecipe, build_concat_features,
+from .features import (RECIPE_KINDS, build_concat_features,
                        build_stacked_graph_features, build_subtract_features,
                        union_graph)
 from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
@@ -31,7 +31,7 @@ class EdgeTensorGnn:
     """Layer stack configuration plus its trainable parameters."""
 
     kind: str
-    recipe: EdgeFeatureRecipe
+    recipe: str  # one of RECIPE_KINDS; unused when the context is stacked
     reducer: GraphConvLayer
     edge_layers: list
     gc_layers: list
@@ -55,7 +55,7 @@ class GraphContext:
     features: np.ndarray
     labels: np.ndarray
     a_tilde: object  # renormalized adjacency (SparseAdjacency)
-    stacked: EdgeFeatureTensor = None  # fixed edge tensor for stack recipes
+    stacked: EdgeFeatureTensor = None  # fixed initial edge tensor, if any
 
 
 def prepare(graph):
@@ -76,18 +76,21 @@ def prepare_multigraph(graphs, features, labels):
                         np.asarray(labels, dtype=np.intp), a_tilde, stacked)
 
 
-def build_model(tape, kind, d_in, out_dim, *, recipe_kind="concat",
+def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",
                 reduce_dim=8, edge_hidden=(8, 1), gc_hidden=(32,),
                 epsilon=0.2, negative_mode="clamp", blend_attention=False,
-                final_activation="softmax", stacked_channels=None, seed=0,
-                hidden_activation="relu"):
-    """Register all parameters on ``tape`` and return the model.
+                final_activation="softmax", seed=0, hidden_activation="relu"):
+    """Register all parameters on ``tape`` and return the model for ``ctx``.
 
-    ``edge_hidden`` lists edge-layer output dims and must end in 1;
-    ``gc_hidden`` lists node-layer hidden dims (the output layer of size
-    ``out_dim`` is appended). For the ``stack`` recipe ``stacked_channels``
-    gives the number of stacked graphs.
+    The node-feature width is read from ``ctx.features``. A context with a
+    stacked edge tensor feeds it to the edge stack; otherwise the recipe
+    pairs node features reduced to ``reduce_dim`` (concat gives width
+    2 * reduce_dim, subtract gives reduce_dim). ``edge_hidden`` lists
+    edge-layer output dims and must end in 1; ``gc_hidden`` lists node-layer
+    hidden dims (the output layer of size ``out_dim`` is appended).
     """
+    if recipe_kind not in RECIPE_KINDS:
+        raise ValueError(f"unknown recipe kind {recipe_kind!r}")
     if edge_hidden and edge_hidden[-1] != 1:
         raise ValueError("last edge layer must have output dimension 1")
     rng = np.random.default_rng(seed)
@@ -95,18 +98,14 @@ def build_model(tape, kind, d_in, out_dim, *, recipe_kind="concat",
     def child_seed():
         return int(rng.integers(2 ** 32))
 
-    recipe = EdgeFeatureRecipe(recipe_kind, reduce_dim)
+    d_in = ctx.features.shape[1]
     reducer = GraphConvLayer(tape.create("reducer", (d_in, reduce_dim), child_seed()),
                              activation=hidden_activation)
 
-    if recipe_kind == "concat":
-        p = 2 * reduce_dim
-    elif recipe_kind == "subtract":
-        p = reduce_dim
+    if ctx.stacked is not None:
+        p = ctx.stacked.p
     else:
-        if stacked_channels is None:
-            raise ValueError("stack recipe needs stacked_channels")
-        p = stacked_channels
+        p = 2 * reduce_dim if recipe_kind == "concat" else reduce_dim
 
     edge_layers = []
     if kind != "gcn_only":
@@ -131,7 +130,7 @@ def build_model(tape, kind, d_in, out_dim, *, recipe_kind="concat",
     if kind == "et_gat" or blend_attention:
         head = AttentionHead(tape.create("theta", (2 * d_in,), child_seed()))
 
-    return EdgeTensorGnn(kind, recipe, reducer, edge_layers, gc_layers,
+    return EdgeTensorGnn(kind, recipe_kind, reducer, edge_layers, gc_layers,
                          attention_head=head, negative_mode=negative_mode,
                          blend_attention=blend_attention)
 
@@ -142,16 +141,13 @@ class ForwardResult:
 
     z: object                     # (n, out_dim) Var or ndarray
     edge_weights: object = None   # SparseAdjacency: clamped weights, pre-renorm
-    propagation: object = None    # adjacency actually used for edge layers
 
 
 def _build_initial_tensor(model, ctx, h):
-    kind = model.recipe.kind
-    if kind == "stack":
-        if ctx.stacked is None:
-            raise ValueError("context has no stacked edge tensor")
+    if ctx.stacked is not None:
         return ctx.stacked
-    builder = build_concat_features if kind == "concat" else build_subtract_features
+    builder = (build_concat_features if model.recipe == "concat"
+               else build_subtract_features)
     return builder(h, ctx.a_tilde, model.reducer)
 
 
@@ -194,7 +190,7 @@ def etgnn_forward(model, ctx, h=None):
     out = h
     for layer in model.gc_layers:
         out = gc_forward(out, learned, layer)
-    return ForwardResult(out, pattern.with_weights(clamped), prop)
+    return ForwardResult(out, pattern.with_weights(clamped))
 
 
 def link_scores(z, pairs):

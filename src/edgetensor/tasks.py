@@ -59,7 +59,7 @@ def _classify(ctx, splits, config, model_kind, model_kwargs, initial_params,
     """
     labels = ctx.labels
     tape = ParamTape()
-    model = build_model(tape, model_kind, ctx.features.shape[1],
+    model = build_model(tape, model_kind, ctx,
                         int(labels[labels >= 0].max()) + 1,
                         epsilon=config.epsilon, final_activation="softmax",
                         seed=config.seed, **{**defaults, **(model_kwargs or {})})
@@ -89,7 +89,7 @@ def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
                             model_kwargs=None, initial_params=None):
     """Train on the labeled train split, early-stop on validation loss."""
     return _classify(prepare(graph), splits, config, model_kind, model_kwargs,
-                     initial_params, gc_hidden=(32,), edge_hidden=(8, 1))
+                     initial_params)
 
 
 def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
@@ -100,11 +100,9 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
     ctx = GraphContext(graph.node_features, graph.labels,
                        renormalize(split.train))
     tape = ParamTape()
-    kwargs = dict(gc_hidden=(64,), edge_hidden=(8, 1))
-    kwargs.update(model_kwargs or {})
-    model = build_model(tape, model_kind, graph.node_features.shape[1],
-                        embed_dim, epsilon=config.epsilon,
-                        final_activation="identity", seed=config.seed, **kwargs)
+    model = build_model(tape, model_kind, ctx, embed_dim, epsilon=config.epsilon,
+                        final_activation="identity", seed=config.seed,
+                        **{"gc_hidden": (64,), **(model_kwargs or {})})
 
     upper = split.train.rows < split.train.cols
     train_pos = np.stack([split.train.rows[upper], split.train.cols[upper]],
@@ -144,5 +142,4 @@ def run_multigraph_classification(graphs, features, labels, splits, config, *,
     """Node classification over stacked adjacency views."""
     return _classify(prepare_multigraph(graphs, features, labels), splits,
                      config, model_kind, model_kwargs, initial_params,
-                     gc_hidden=(16,), edge_hidden=(6, 1), recipe_kind="stack",
-                     stacked_channels=len(graphs))
+                     gc_hidden=(16,), edge_hidden=(6, 1))

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from edgetensor import experiment
+from edgetensor import cli, experiment
 from edgetensor.cli import main
 from edgetensor.experiment import (ExperimentConfig, ResultRecord,
                                    evaluate_checkpoint, format_mean_std,
@@ -39,11 +39,17 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value, message", [
     ("edge_features", "bogus", "edge features"),
+    ("edge_features", "stack", "edge features"),
     ("negative_mode", "nope", "negative mode"),
-], ids=["edge_features", "negative_mode"])
+], ids=["edge_features", "edge_features_stack", "negative_mode"])
 def test_config_rejects_unknown_model_options(field, value, message):
     with pytest.raises(ValueError, match=f"unknown {message} '{value}'"):
         quick_config(**{field: value})
+
+
+def test_config_rejects_edge_features_for_multi_graph():
+    with pytest.raises(ValueError, match="multi_graph stacks its adjacency"):
+        quick_config(task="multi_graph", edge_features="subtract")
 
 
 def test_config_hash_tracks_semantics(tmp_path):
@@ -246,6 +252,20 @@ def test_cli_gradcheck_command(capsys):
     rc = main(["gradcheck", "--models", "et_gcn", "--nodes-per-block", "8"])
     assert rc == 0
     assert "PASSED" in capsys.readouterr().out
+
+
+def test_cli_gradcheck_passes_block_size_through(monkeypatch):
+    seen = []
+
+    def spy(**kwargs):
+        seen.append(kwargs)
+        return True, {}
+
+    monkeypatch.setattr(cli, "model_gradcheck", spy)
+    assert main(["gradcheck", "--models", "et_gcn", "--nodes-per-block",
+                 "8"]) == 0
+    assert main(["gradcheck", "--models", "et_gcn"]) == 0
+    assert [kw["n_per_block"] for kw in seen] == [8, 5]
 
 
 def test_cli_reports_errors_as_json(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgetensor.edge_tensor import project_mode3
-from edgetensor.features import (EdgeFeatureRecipe, build_concat_features,
+from edgetensor.features import (build_concat_features,
                                  build_stacked_graph_features,
                                  build_subtract_features, union_graph)
 from edgetensor.layers import GraphConvLayer, gc_forward
@@ -20,14 +20,6 @@ def setup_graph(rng, n=6, d=3):
     h = rng.standard_normal((n, d))
     reducer = GraphConvLayer(rng.standard_normal((d, 2)), activation="relu")
     return a, h, reducer
-
-
-def test_recipe_validation():
-    EdgeFeatureRecipe("concat", 4)
-    with pytest.raises(ValueError, match="kind"):
-        EdgeFeatureRecipe("mystery")
-    with pytest.raises(ValueError, match="reduce_dim"):
-        EdgeFeatureRecipe("concat", 0)
 
 
 def test_concat_features_match_hand_loop(rng):

@@ -84,32 +84,35 @@ def test_full_model_gradcheck_with_relu():
 
 
 # every configuration the CLI can build: the edge-stack kinds cross every
-# recipe, negative mode and blend setting; gcn_only ignores all three
-CONFIGURATIONS = [(kind, recipe, negative_mode, blend)
+# recipe on a single graph and the multi-graph context ("stack", whose views
+# replace the recipe), every negative mode and blend setting; gcn_only
+# ignores all of them
+CONFIGURATIONS = [(kind, features, negative_mode, blend)
                   for kind in ("et_gcn", "et_gat")
-                  for recipe in RECIPE_KINDS
+                  for features in (*RECIPE_KINDS, "stack")
                   for negative_mode in NEGATIVE_MODES
                   for blend in (False, True)] + [
                       ("gcn_only", "concat", "clamp", False)]
 
 
-@pytest.mark.parametrize("kind, recipe, negative_mode, blend", CONFIGURATIONS)
-def test_every_model_configuration_gradcheck(kind, recipe, negative_mode,
+@pytest.mark.parametrize("kind, features, negative_mode, blend",
+                         CONFIGURATIONS)
+def test_every_model_configuration_gradcheck(kind, features, negative_mode,
                                              blend):
     graph = sbm_generate([5, 5], 0.6, 0.3, seed=1)
     splits = split_nodes(graph.labels, 2, 0.2, seed=2)
-    if recipe == "stack":
+    if features == "stack":
         other = sbm_generate([5, 5], 0.5, 0.2, seed=5)
         ctx = prepare_multigraph([graph.adjacency, other.adjacency],
                                  graph.node_features, graph.labels)
+        recipe = "concat"
     else:
-        ctx = prepare(graph)
+        ctx, recipe = prepare(graph), features
     tape = ParamTape()
-    model = build_model(tape, kind, graph.node_features.shape[1],
-                        graph.num_classes, recipe_kind=recipe, reduce_dim=2,
-                        edge_hidden=(3, 1), gc_hidden=(4,),
-                        negative_mode=negative_mode, blend_attention=blend,
-                        stacked_channels=2, seed=0,
+    model = build_model(tape, kind, ctx, graph.num_classes,
+                        recipe_kind=recipe, reduce_dim=2, edge_hidden=(3, 1),
+                        gc_hidden=(4,), negative_mode=negative_mode,
+                        blend_attention=blend, seed=0,
                         hidden_activation="identity")
 
     def loss_fn():

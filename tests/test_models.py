@@ -34,8 +34,8 @@ def build_small(kind="et_gcn", seed=0, **kwargs):
     tape = ParamTape()
     defaults = dict(reduce_dim=2, edge_hidden=(3, 1), gc_hidden=(4,))
     defaults.update(kwargs)
-    model = build_model(tape, kind, graph.node_features.shape[1],
-                        graph.num_classes, seed=seed, **defaults)
+    model = build_model(tape, kind, ctx, graph.num_classes, seed=seed,
+                        **defaults)
     return graph, ctx, tape, model
 
 
@@ -98,8 +98,18 @@ def test_build_model_rejects_bad_edge_stack():
     graph, ctx = small_context()
     tape = ParamTape()
     with pytest.raises(ValueError, match="dimension 1"):
-        build_model(tape, "et_gcn", graph.node_features.shape[1], 2,
-                    edge_hidden=(3, 2))
+        build_model(tape, "et_gcn", ctx, 2, edge_hidden=(3, 2))
+
+
+def test_build_model_rejects_bad_recipe():
+    graph, ctx = small_context()
+    tape = ParamTape()
+    for recipe in ("stack", "mystery"):
+        with pytest.raises(ValueError, match=f"unknown recipe kind '{recipe}'"):
+            build_model(tape, "et_gcn", ctx, 2, recipe_kind=recipe)
+    assert not tape.params
+    with pytest.raises(ValueError, match="positive"):
+        build_model(tape, "et_gcn", ctx, 2, reduce_dim=0)
 
 
 def test_et_gat_requires_attention_parameters():
@@ -126,7 +136,7 @@ def test_single_node_class_prediction_path():
     g = LabeledGraph(a, np.eye(3), [0, 1, 1])
     ctx = prepare(g)
     tape = ParamTape()
-    model = build_model(tape, "et_gcn", 3, 2, reduce_dim=2,
+    model = build_model(tape, "et_gcn", ctx, 2, reduce_dim=2,
                         edge_hidden=(2, 1), gc_hidden=(3,), seed=0)
     z = etgnn_forward(model, ctx).z.value
     assert np.all(np.isfinite(z))
@@ -173,25 +183,18 @@ def test_prepare_multigraph_builds_union_context():
     assert ctx.stacked.p == 2
     assert np.array_equal(ctx.stacked.rows, ctx.a_tilde.rows)
     tape = ParamTape()
-    model = build_model(tape, "et_gcn", 8, 2, recipe_kind="stack",
-                        stacked_channels=2, edge_hidden=(2, 1),
+    model = build_model(tape, "et_gcn", ctx, 2, edge_hidden=(2, 1),
                         gc_hidden=(4,), seed=0)
+    assert tape["edge_0"].value.shape == (ctx.stacked.p, 2)
     z = etgnn_forward(model, ctx).z.value
     assert z.shape == (8, 2)
-
-
-def test_stack_recipe_requires_channel_count():
-    tape = ParamTape()
-    with pytest.raises(ValueError, match="stacked_channels"):
-        build_model(tape, "et_gcn", 4, 2, recipe_kind="stack")
 
 
 def test_blend_attention_flag_adds_head():
     graph, ctx, tape, model = build_small(blend_attention=True)
     assert model.kind == "et_gcn"
     assert "theta" in tape.params
-    result = etgnn_forward(model, ctx)
-    assert isinstance(result.propagation, SparseAdjacency)
+    assert check_learned_graph(etgnn_forward(model, ctx))
 
 
 def _plain_copy(layer):
