@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from edgetensor.edge_tensor import project_mode3
-from edgetensor.features import (build_concat_features,
+from edgetensor.features import (RECIPE_KINDS, build_concat_features,
                                  build_stacked_graph_features,
                                  build_subtract_features, union_graph)
+from edgetensor.generators import sbm_generate
 from edgetensor.layers import GraphConvLayer, gc_forward
+from edgetensor.models import build_model, prepare
+from edgetensor.params import ParamTape
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
 
@@ -20,6 +23,19 @@ def setup_graph(rng, n=6, d=3):
     h = rng.standard_normal((n, d))
     reducer = GraphConvLayer(rng.standard_normal((d, 2)), activation="relu")
     return a, h, reducer
+
+
+def test_recipe_validation():
+    assert RECIPE_KINDS == ("concat", "subtract")
+    ctx = prepare(sbm_generate([3, 3], 0.6, 0.2, seed=0))
+    build_model(ParamTape(), "et_gcn", ctx, 2, recipe_kind="subtract",
+                reduce_dim=4)
+    tape = ParamTape()
+    with pytest.raises(ValueError, match="unknown recipe kind 'mystery'"):
+        build_model(tape, "et_gcn", ctx, 2, recipe_kind="mystery")
+    assert not tape.params
+    with pytest.raises(ValueError, match="positive"):
+        build_model(tape, "et_gcn", ctx, 2, reduce_dim=0)
 
 
 def test_concat_features_match_hand_loop(rng):

@@ -101,15 +101,19 @@ def test_build_model_rejects_bad_edge_stack():
         build_model(tape, "et_gcn", ctx, 2, edge_hidden=(3, 2))
 
 
-def test_build_model_rejects_bad_recipe():
+def test_stack_recipe_requires_channel_count():
+    # "stack" is not a recipe: the channel count comes from a multi-graph
+    # context's stacked tensor, whatever recipe and reduce_dim are given
     graph, ctx = small_context()
     tape = ParamTape()
-    for recipe in ("stack", "mystery"):
-        with pytest.raises(ValueError, match=f"unknown recipe kind '{recipe}'"):
-            build_model(tape, "et_gcn", ctx, 2, recipe_kind=recipe)
+    with pytest.raises(ValueError, match="unknown recipe kind 'stack'"):
+        build_model(tape, "et_gcn", ctx, 2, recipe_kind="stack")
     assert not tape.params
-    with pytest.raises(ValueError, match="positive"):
-        build_model(tape, "et_gcn", ctx, 2, reduce_dim=0)
+    views = [sbm_generate([4, 4], 0.6, 0.2, seed=s).adjacency for s in range(3)]
+    multi = prepare_multigraph(views, np.eye(8), np.array([0] * 4 + [1] * 4))
+    build_model(tape, "et_gcn", multi, 2, recipe_kind="subtract", reduce_dim=5,
+                edge_hidden=(2, 1))
+    assert tape["edge_0"].value.shape == (multi.stacked.p, 2) == (3, 2)
 
 
 def test_et_gat_requires_attention_parameters():
