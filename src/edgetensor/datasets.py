@@ -69,9 +69,7 @@ def load_edge_list(path, n):
         seen.add(key)
         pairs.append(key)
         weights.append(w)
-    if not pairs:
-        return SparseAdjacency.from_entries(n, [])
-    return SparseAdjacency.from_undirected_edges(n, np.array(pairs), weights)
+    return SparseAdjacency.from_undirected_edges(n, pairs, weights)
 
 
 def load_matrix(path):

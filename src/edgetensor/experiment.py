@@ -22,6 +22,8 @@ from .tasks import (run_link_prediction, run_multigraph_classification,
 from .training import TaskConfig
 
 TASKS = ("node_class", "link_pred", "multi_graph")
+EDGE_STACK_FIELDS = ("edge_features", "reduce_dim", "edge_hidden", "epsilon",
+                     "negative_mode", "blend_attention")  # gcn_only reads none
 
 
 @dataclass
@@ -64,6 +66,12 @@ class ExperimentConfig:
                              "features; leave edge_features at its default")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"unknown negative mode {self.negative_mode!r}")
+        changed = [f.name for f in dataclasses.fields(self)
+                   if f.name in EDGE_STACK_FIELDS
+                   and getattr(self, f.name) != f.default]
+        if self.model == "gcn_only" and changed:
+            raise ValueError(f"gcn_only has no edge stack; leave {changed} "
+                             "at their defaults")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if self.learning_rate <= 0:
@@ -136,10 +144,9 @@ def _load_multi_data(config):
     spec = dict(config.synthetic)
     views = spec.pop("views", 3)
     base_seed = spec.pop("seed", 0)
-    graphs = [sbm_generate(seed=base_seed + v, **spec).adjacency
-              for v in range(views)]
-    ref = sbm_generate(seed=base_seed, **spec)
-    return MultiGraphDataset(graphs, ref.node_features, ref.labels)
+    graphs = [sbm_generate(seed=base_seed + v, **spec) for v in range(views)]
+    return MultiGraphDataset([g.adjacency for g in graphs],
+                             graphs[0].node_features, graphs[0].labels)
 
 
 def _node_splits(config, labels, splits_from_file):

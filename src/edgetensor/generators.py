@@ -69,8 +69,5 @@ def sbm_generate(block_sizes, p_in, p_out, seed):
     features[np.arange(n), labels] = 1.0
     features += rng.uniform(-FEATURE_NOISE, FEATURE_NOISE, features.shape)
 
-    if pairs.size:
-        adjacency = SparseAdjacency.from_undirected_edges(n, pairs)
-    else:
-        adjacency = SparseAdjacency.from_entries(n, [])
-    return LabeledGraph(adjacency, features, labels)
+    return LabeledGraph(SparseAdjacency.from_undirected_edges(n, pairs),
+                        features, labels)

@@ -20,7 +20,8 @@ def finite_difference_check(tape, loss_fn, step=1e-5, rel_tol=1e-4,
     current parameter values and return a scalar Var. A coordinate passes
     when |g - fd| <= abs_floor or the relative error is within rel_tol.
     Returns (ok, report) where report maps parameter name to its worst
-    relative error.
+    relative error over the coordinates where max(|g|, |fd|) or |g - fd|
+    exceeds abs_floor.
     """
     tape.zero_grad()
     backward(loss_fn())
@@ -44,11 +45,11 @@ def finite_difference_check(tape, loss_fn, step=1e-5, rel_tol=1e-4,
             flat[k] = original
             fd = (hi - lo) / (2.0 * step)
             diff = abs(grad[k] - fd)
-            if diff > abs_floor:
-                rel = diff / max(abs(grad[k]), abs(fd))
+            scale = max(abs(grad[k]), abs(fd))
+            if max(scale, diff) > abs_floor:
+                rel = diff / scale
                 worst = max(worst, rel)
-                if rel > rel_tol:
-                    ok = False
+                ok = ok and not (diff > abs_floor and rel > rel_tol)
         report[name] = worst
     return ok, report
 

@@ -28,24 +28,20 @@ NEGATIVE_MODES = ("clamp", "abs")
 
 @dataclass(frozen=True)
 class EdgeTensorGnn:
-    """Layer stack configuration plus its trainable parameters."""
+    """Layer stack and parameters; the forward branches on what is present.
 
-    kind: str
-    recipe: str  # one of RECIPE_KINDS; unused when the context is stacked
+    No ``edge_layers``: node layers only. No ``reducer``: the context's
+    stacked tensor is the edge input. No ``attention_head``: edges
+    propagate with ``a_tilde``.
+    """
+
+    recipe: str  # one of RECIPE_KINDS; None without a reducer
     reducer: GraphConvLayer
     edge_layers: list
     gc_layers: list
     attention_head: AttentionHead = None
     negative_mode: str = "clamp"
     blend_attention: bool = False
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(f"unknown negative mode {self.negative_mode!r}")
-        if self.kind == "et_gat" and self.attention_head is None:
-            raise ValueError("et_gat requires an attention head")
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",
                 reduce_dim=8, edge_hidden=(8, 1), gc_hidden=(32,),
                 epsilon=0.2, negative_mode="clamp", blend_attention=False,
                 final_activation="softmax", seed=0, hidden_activation="relu"):
-    """Register all parameters on ``tape`` and return the model for ``ctx``.
+    """Register the parameters the forward reads on ``tape``; return the model.
 
     The node-feature width is read from ``ctx.features``. A context with a
     stacked edge tensor feeds it to the edge stack; otherwise the recipe
@@ -88,27 +84,41 @@ def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",
     2 * reduce_dim, subtract gives reduce_dim). ``edge_hidden`` lists
     edge-layer output dims and must end in 1; ``gc_hidden`` lists node-layer
     hidden dims (the output layer of size ``out_dim`` is appended).
+    Every argument is checked before any parameter is registered.
     """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
     if recipe_kind not in RECIPE_KINDS:
         raise ValueError(f"unknown recipe kind {recipe_kind!r}")
-    if edge_hidden and edge_hidden[-1] != 1:
-        raise ValueError("last edge layer must have output dimension 1")
+    if negative_mode not in NEGATIVE_MODES:
+        raise ValueError(f"unknown negative mode {negative_mode!r}")
+    edge_stack = kind != "gcn_only"
+    if edge_stack and (not edge_hidden or edge_hidden[-1] != 1):
+        raise ValueError("edge_hidden must be nonempty and end in output "
+                         f"dimension 1, got {tuple(edge_hidden)}")
+    if blend_attention and not edge_stack:
+        raise ValueError("gcn_only has no edge stack to blend attention into")
+    if min(reduce_dim, *edge_hidden, *gc_hidden, out_dim) <= 0:
+        raise ValueError("layer dimensions must be positive")
     rng = np.random.default_rng(seed)
 
     def child_seed():
         return int(rng.integers(2 ** 32))
 
     d_in = ctx.features.shape[1]
-    reducer = GraphConvLayer(tape.create("reducer", (d_in, reduce_dim), child_seed()),
-                             activation=hidden_activation)
-
-    if ctx.stacked is not None:
-        p = ctx.stacked.p
-    else:
+    reducer_seed = child_seed()  # drawn even if unused: later seeds stay put
+    recipe = reducer = None
+    if edge_stack and ctx.stacked is None:
+        recipe = recipe_kind
+        reducer = GraphConvLayer(
+            tape.create("reducer", (d_in, reduce_dim), reducer_seed),
+            activation=hidden_activation)
         p = 2 * reduce_dim if recipe_kind == "concat" else reduce_dim
+    elif edge_stack:
+        p = ctx.stacked.p
 
     edge_layers = []
-    if kind != "gcn_only":
+    if edge_stack:
         dims = [p, *edge_hidden]
         for k in range(len(edge_hidden)):
             act = hidden_activation if k < len(edge_hidden) - 1 else "identity"
@@ -130,7 +140,7 @@ def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",
     if kind == "et_gat" or blend_attention:
         head = AttentionHead(tape.create("theta", (2 * d_in,), child_seed()))
 
-    return EdgeTensorGnn(kind, recipe_kind, reducer, edge_layers, gc_layers,
+    return EdgeTensorGnn(recipe, reducer, edge_layers, gc_layers,
                          attention_head=head, negative_mode=negative_mode,
                          blend_attention=blend_attention)
 
@@ -144,7 +154,7 @@ class ForwardResult:
 
 
 def _build_initial_tensor(model, ctx, h):
-    if ctx.stacked is not None:
+    if model.reducer is None:
         return ctx.stacked
     builder = (build_concat_features if model.recipe == "concat"
                else build_subtract_features)
@@ -152,7 +162,7 @@ def _build_initial_tensor(model, ctx, h):
 
 
 def _propagation_weights(model, ctx, h):
-    if model.kind != "et_gat" and not model.blend_attention:
+    if model.attention_head is None:
         return ctx.a_tilde
     alpha = attention_forward(h, ctx.a_tilde, model.attention_head)
     if model.blend_attention:
@@ -168,7 +178,7 @@ def etgnn_forward(model, ctx, h=None):
     """
     h = ctx.features if h is None else h
     pattern = ctx.a_tilde
-    if model.kind == "gcn_only":
+    if not model.edge_layers:
         out = h
         for layer in model.gc_layers:
             out = gc_forward(out, pattern, layer)
@@ -178,8 +188,6 @@ def etgnn_forward(model, ctx, h=None):
     prop = _propagation_weights(model, ctx, h)
     for layer in model.edge_layers:
         s = tpgc_forward(s, prop, layer)
-    if s.p != 1:
-        raise ValueError("edge stack must end with feature dimension 1")
 
     raw = ad.reshape(s.values, (-1,))
     sym = ad.scale(ad.add(raw, ad.gather_rows(raw, s.support.transpose_permutation)), 0.5)

@@ -81,6 +81,13 @@ class ParamTape:
         return {name: p.value.copy() for name, p in self.params.items()}
 
     def restore(self, snap):
+        """Copy ``snap`` in place; it must hold exactly these names and shapes."""
+        wrong = sorted(set(self.params) ^ set(snap)) or [
+            f"{name} {np.shape(value)} != {self.params[name].value.shape}"
+            for name, value in sorted(snap.items())
+            if np.shape(value) != self.params[name].value.shape]
+        if wrong:
+            raise ValueError(f"snapshot does not match the parameters: {wrong}")
         for name, value in snap.items():
             self.params[name].value[...] = value
 

@@ -72,17 +72,6 @@ class SparseAdjacency:
             raise ValueError("symmetric flag set but entries are not symmetric")
 
     @classmethod
-    def from_entries(cls, n, entries, symmetric=True):
-        """Build from an iterable of (i, j, w) triplets."""
-        entries = list(entries)
-        if entries:
-            rows, cols, weights = map(np.asarray, zip(*entries))
-        else:
-            rows = cols = np.zeros(0, dtype=np.intp)
-            weights = np.zeros(0)
-        return cls(n, rows, cols, weights, symmetric)
-
-    @classmethod
     def from_undirected_edges(cls, n, pairs, weights=None):
         """Build a symmetric matrix from undirected (i, j) pairs, i != j."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
@@ -142,13 +131,6 @@ class SparseAdjacency:
         dense = np.zeros((self.n, self.n))
         dense[self.rows, self.cols] = ad.value(self.weights)
         return dense
-
-    def entries(self):
-        """Canonical (i, j, w) triplets."""
-        return [
-            (int(i), int(j), float(w))
-            for i, j, w in zip(self.rows, self.cols, ad.value(self.weights))
-        ]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ def test_single_graph_round_trip(tmp_path):
     save_dataset(g, tmp_path / "data")
     back = load_dataset(tmp_path / "data")
     assert isinstance(back, LabeledGraph)
-    assert back.adjacency.entries() == g.adjacency.entries()
+    for attr in ("rows", "cols", "weights"):
+        np.testing.assert_array_equal(getattr(back.adjacency, attr),
+                                      getattr(g.adjacency, attr))
     np.testing.assert_array_equal(back.node_features, g.node_features)
     np.testing.assert_array_equal(back.labels, g.labels)
     for key in splits:
@@ -35,7 +37,9 @@ def test_multi_graph_round_trip(tmp_path):
     assert isinstance(back, MultiGraphDataset)
     assert len(back.graphs) == 3
     for got, expected in zip(back.graphs, graphs):
-        assert got.entries() == expected.entries()
+        for attr in ("rows", "cols", "weights"):
+            np.testing.assert_array_equal(getattr(got, attr),
+                                          getattr(expected, attr))
 
 
 def test_weighted_edges_round_trip(tmp_path):

@@ -121,15 +121,13 @@ def test_homophily_count_oracle(rng):
 
 
 def test_homophily_ignores_unlabeled_and_diagonal():
-    a = SparseAdjacency.from_entries(
-        3, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+    a = SparseAdjacency(3, [0, 0, 1, 1, 2], [0, 1, 0, 2, 1], np.ones(5))
     # (1, 2) pairs with unlabeled node 2, the self-loop never counts
     assert homophily(a, [0, 0, -1]) == 1.0
 
 
 def test_homophily_weighted_mass_ratio():
-    a = SparseAdjacency.from_entries(
-        3, [(0, 1, 3.0), (1, 0, 3.0), (1, 2, 1.0), (2, 1, 1.0)])
+    a = SparseAdjacency(3, [0, 1, 1, 2], [1, 0, 2, 1], [3.0, 3.0, 1.0, 1.0])
     assert homophily(a, [0, 0, 1], weighted=True) == pytest.approx(6 / 8)
 
 
@@ -140,7 +138,7 @@ def test_homophily_accepts_edge_weights_wrapper():
 
 
 def test_homophily_no_qualifying_edges_rejected():
-    a = SparseAdjacency.from_entries(2, [(0, 0, 1.0)])
+    a = SparseAdjacency(2, [0], [0], [1.0])
     with pytest.raises(ValueError, match="no off-diagonal"):
         homophily(a, [0, 0])
     b = SparseAdjacency.from_undirected_edges(2, [(0, 1)])

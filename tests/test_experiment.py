@@ -13,6 +13,7 @@ from edgetensor.cli import main
 from edgetensor.experiment import (ExperimentConfig, ResultRecord,
                                    evaluate_checkpoint, format_mean_std,
                                    report, run_experiment)
+from edgetensor.params import load_checkpoint, save_checkpoint
 
 SBM = {"block_sizes": [12, 12], "p_in": 0.4, "p_out": 0.05, "seed": 0}
 
@@ -50,6 +51,19 @@ def test_config_rejects_unknown_model_options(field, value, message):
 def test_config_rejects_edge_features_for_multi_graph():
     with pytest.raises(ValueError, match="multi_graph stacks its adjacency"):
         quick_config(task="multi_graph", edge_features="subtract")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edge_features", "subtract"), ("reduce_dim", 4), ("edge_hidden", [4, 1]),
+    ("epsilon", 0.3), ("negative_mode", "abs"), ("blend_attention", True),
+], ids=["edge_features", "reduce_dim", "edge_hidden", "epsilon",
+        "negative_mode", "blend_attention"])
+def test_config_rejects_edge_stack_fields_for_gcn_only(field, value):
+    # gcn_only never reads them, so a changed value would only change the hash
+    base = dict(model="gcn_only", synthetic=dict(SBM), train_per_class=3)
+    ExperimentConfig(**base)
+    with pytest.raises(ValueError, match=rf"no edge stack; leave \['{field}'\]"):
+        ExperimentConfig(**base, **{field: value})
 
 
 def test_config_hash_tracks_semantics(tmp_path):
@@ -134,6 +148,19 @@ def test_evaluate_checkpoint_matches_training_metrics(tmp_path):
         seed = json.load(fh)["seed"]
     stored = next(m for m in record.per_seed if m["seed"] == seed)
     assert metrics["test_accuracy"] == pytest.approx(stored["test_accuracy"])
+
+
+def test_evaluate_checkpoint_rejects_parameters_the_model_lacks(tmp_path):
+    out = tmp_path / "out"
+    config = quick_config(model="gcn_only", reduce_dim=8, edge_hidden=None,
+                          seeds=[0], max_epochs=2, output_dir=str(out))
+    run_experiment(config)
+    values, manifest = load_checkpoint(out / "checkpoint")
+    # gcn_only never reads a reducer, so its model has none to restore into
+    values["reducer"] = np.zeros((2, 8))
+    save_checkpoint(values, out / "stale", manifest)
+    with pytest.raises(ValueError, match="reducer"):
+        evaluate_checkpoint(config, str(out / "stale"))
 
 
 def test_format_mean_std_rendering():

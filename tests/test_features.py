@@ -105,7 +105,7 @@ def test_union_graph_rejects_mismatched_node_counts():
 
 
 def test_union_graph_drops_self_loops():
-    g = SparseAdjacency.from_entries(3, [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0)])
+    g = SparseAdjacency(3, [0, 0, 1], [0, 1, 0], [2.0, 1.0, 1.0])
     u = union_graph([g])
     assert u.rows.tolist() == [0, 1] and u.cols.tolist() == [1, 0]
 

@@ -14,7 +14,9 @@ def test_degenerate_probabilities_force_single_edge():
     g = sbm_generate([1, 1], p_in=0.0, p_out=1.0, seed=42)
     assert g.n == 2
     assert np.array_equal(g.labels, [0, 1])
-    assert g.adjacency.entries() == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert g.adjacency.rows.tolist() == [0, 1]
+    assert g.adjacency.cols.tolist() == [1, 0]
+    assert g.adjacency.weights.tolist() == [1.0, 1.0]
 
 
 def test_zero_probabilities_give_edgeless_graph():
@@ -40,10 +42,12 @@ def test_within_block_fraction_exceeds_cross_block():
 def test_deterministic_per_seed():
     g1 = sbm_generate([10, 10, 5], 0.4, 0.1, seed=11)
     g2 = sbm_generate([10, 10, 5], 0.4, 0.1, seed=11)
-    assert g1.adjacency.entries() == g2.adjacency.entries()
+    for attr in ("rows", "cols", "weights"):
+        assert np.array_equal(getattr(g1.adjacency, attr),
+                              getattr(g2.adjacency, attr))
     assert np.array_equal(g1.node_features, g2.node_features)
     g3 = sbm_generate([10, 10, 5], 0.4, 0.1, seed=12)
-    assert g1.adjacency.entries() != g3.adjacency.entries()
+    assert not np.array_equal(g1.adjacency.keys, g3.adjacency.keys)
 
 
 def test_features_are_noisy_one_hot():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgetensor import autodiff as ad
-from edgetensor.autodiff import Var
+from edgetensor.autodiff import Var, backward
 from edgetensor.evaluation import split_nodes
 from edgetensor.features import RECIPE_KINDS
 from edgetensor.generators import sbm_generate
@@ -66,7 +66,6 @@ def test_linear_layer_closed_form_gradient(rng):
     ok, _ = finite_difference_check(tape, loss_fn)
     assert ok
     tape.zero_grad()
-    from edgetensor.autodiff import backward
     backward(loss_fn())
     np.testing.assert_allclose(w.grad, 2 * x.T @ (x @ w.value), atol=1e-10)
 
@@ -77,6 +76,15 @@ def test_full_model_gradcheck(kind):
     assert ok, report
 
 
+def test_gradcheck_reports_real_relative_errors():
+    # central differences are never exact, so every parameter the loss reads
+    # shows a small positive error, below the default rel_tol, rather than 0
+    ok, report = model_gradcheck(model_kind="et_gcn", seed=0)
+    assert ok
+    for name, worst in report.items():
+        assert 0.0 < worst < 1e-4, (name, worst)
+
+
 def test_full_model_gradcheck_with_relu():
     ok, report = model_gradcheck(model_kind="et_gcn", seed=1,
                                  activation="relu")
@@ -85,20 +93,19 @@ def test_full_model_gradcheck_with_relu():
 
 # every configuration the CLI can build: the edge-stack kinds cross every
 # recipe on a single graph and the multi-graph context ("stack", whose views
-# replace the recipe), every negative mode and blend setting; gcn_only
-# ignores all of them
+# replace the recipe), every negative mode and blend setting; gcn_only has
+# no edge stack, so it takes the defaults, on either kind of context
 CONFIGURATIONS = [(kind, features, negative_mode, blend)
                   for kind in ("et_gcn", "et_gat")
                   for features in (*RECIPE_KINDS, "stack")
                   for negative_mode in NEGATIVE_MODES
                   for blend in (False, True)] + [
-                      ("gcn_only", "concat", "clamp", False)]
+                      ("gcn_only", "concat", "clamp", False),
+                      ("gcn_only", "stack", "clamp", False)]
 
 
-@pytest.mark.parametrize("kind, features, negative_mode, blend",
-                         CONFIGURATIONS)
-def test_every_model_configuration_gradcheck(kind, features, negative_mode,
-                                             blend):
+def configured_loss(kind, features, negative_mode, blend):
+    """(tape, loss_fn) of one configuration on a tiny graph."""
     graph = sbm_generate([5, 5], 0.6, 0.3, seed=1)
     splits = split_nodes(graph.labels, 2, 0.2, seed=2)
     if features == "stack":
@@ -119,5 +126,23 @@ def test_every_model_configuration_gradcheck(kind, features, negative_mode,
         z = etgnn_forward(model, ctx).z
         return cross_entropy_masked(z, graph.labels, splits["train"])
 
-    ok, report = finite_difference_check(tape, loss_fn)
+    return tape, loss_fn
+
+
+@pytest.mark.parametrize("kind, features, negative_mode, blend",
+                         CONFIGURATIONS)
+def test_every_model_configuration_gradcheck(kind, features, negative_mode,
+                                             blend):
+    ok, report = finite_difference_check(
+        *configured_loss(kind, features, negative_mode, blend))
     assert ok, report
+
+
+@pytest.mark.parametrize("kind, features, negative_mode, blend",
+                         CONFIGURATIONS)
+def test_every_registered_parameter_gets_a_gradient(kind, features,
+                                                    negative_mode, blend):
+    tape, loss_fn = configured_loss(kind, features, negative_mode, blend)
+    backward(loss_fn())
+    for name, p in tape.params.items():
+        assert p.grad is not None and np.any(p.grad != 0.0), name

@@ -116,6 +116,37 @@ def test_stack_recipe_requires_channel_count():
     assert tape["edge_0"].value.shape == (multi.stacked.p, 2) == (3, 2)
 
 
+@pytest.mark.parametrize("kind, kwargs, message", [
+    ("bogus", {}, "unknown model kind"),
+    ("et_gcn", {"edge_hidden": ()}, "nonempty"),
+    ("gcn_only", {"blend_attention": True}, "no edge stack"),
+    ("et_gcn", {"gc_hidden": (0,)}, "positive"),
+], ids=["kind", "empty_edge_hidden", "gcn_only_blend", "zero_width"])
+def test_build_model_checks_before_registering(kind, kwargs, message):
+    graph, ctx = small_context()
+    tape = ParamTape()
+    with pytest.raises(ValueError, match=message):
+        build_model(tape, kind, ctx, 2, **kwargs)
+    assert not tape.params
+
+
+def test_model_holds_only_what_its_forward_reads():
+    graph, ctx, tape, model = build_small("gcn_only")
+    assert sorted(tape.params) == ["gc_0", "gc_1"]
+    assert model.reducer is None and model.recipe is None
+    assert model.edge_layers == [] and model.attention_head is None
+    views = [sbm_generate([4, 4], 0.6, 0.2, seed=s).adjacency for s in range(2)]
+    multi = prepare_multigraph(views, np.eye(8), np.array([0] * 4 + [1] * 4))
+    tape = ParamTape()
+    model = build_model(tape, "et_gat", multi, 2, edge_hidden=(2, 1))
+    assert "reducer" not in tape.params and model.reducer is None
+    # the reducer's seed is still drawn: later parameters keep theirs
+    _, _, single_tape, _ = build_small("et_gat", edge_hidden=(2, 1),
+                                       gc_hidden=(32,))
+    np.testing.assert_array_equal(tape["edge_1"].value,
+                                  single_tape["edge_1"].value)
+
+
 def test_et_gat_requires_attention_parameters():
     graph, ctx, tape, model = build_small("et_gat")
     assert "theta" in tape.params
@@ -196,7 +227,6 @@ def test_prepare_multigraph_builds_union_context():
 
 def test_blend_attention_flag_adds_head():
     graph, ctx, tape, model = build_small(blend_attention=True)
-    assert model.kind == "et_gcn"
     assert "theta" in tape.params
     assert check_learned_graph(etgnn_forward(model, ctx))
 

@@ -110,6 +110,23 @@ def test_snapshot_restore_round_trip():
     assert tape["w"] is p
 
 
+@pytest.mark.parametrize("snap, message", [
+    ({"w": np.zeros((3, 4))}, r"\['b'\]"),
+    ({"w": np.zeros((3, 4)), "b": np.zeros(4), "reducer": np.zeros((2, 2))},
+     r"\['reducer'\]"),
+    ({"w": np.zeros((1, 4)), "b": np.zeros(4)}, r"w \(1, 4\) != \(3, 4\)"),
+], ids=["missing_name", "extra_reducer", "broadcast_shape"])
+def test_restore_rejects_a_mismatched_snapshot(snap, message):
+    tape = ParamTape()
+    tape.create("w", (3, 4), seed=0)
+    tape.add("b", np.ones(4))
+    before = tape.snapshot()
+    with pytest.raises(ValueError, match=message):
+        tape.restore(snap)
+    for name, value in before.items():
+        np.testing.assert_array_equal(tape[name].value, value)
+
+
 def test_checkpoint_round_trip(tmp_path):
     values = {"a": np.random.default_rng(0).standard_normal((3, 4)),
               "b": np.array([1.5, -2.25])}

@@ -13,25 +13,26 @@ from edgetensor.sparse_graph import (LabeledGraph, SparseAdjacency,
 
 
 def test_entries_sorted_canonically():
-    a = SparseAdjacency.from_entries(3, [(2, 1, 5.0), (0, 1, 2.0),
-                                         (1, 2, 5.0), (1, 0, 2.0)])
-    assert a.entries() == [(0, 1, 2.0), (1, 0, 2.0), (1, 2, 5.0), (2, 1, 5.0)]
+    a = SparseAdjacency(3, [2, 0, 1, 1], [1, 1, 2, 0], [5.0, 2.0, 5.0, 2.0])
+    assert a.rows.tolist() == [0, 1, 1, 2]
+    assert a.cols.tolist() == [1, 0, 2, 1]
+    assert a.weights.tolist() == [2.0, 2.0, 5.0, 5.0]
 
 
 def test_duplicate_entry_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        SparseAdjacency.from_entries(3, [(0, 1, 1.0), (0, 1, 2.0),
-                                         (1, 0, 1.0)], symmetric=False)
+        SparseAdjacency(3, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 1.0],
+                        symmetric=False)
 
 
 def test_asymmetric_values_rejected_when_flagged():
     with pytest.raises(ValueError, match="symmetric"):
-        SparseAdjacency.from_entries(2, [(0, 1, 1.0), (1, 0, 2.0)])
+        SparseAdjacency(2, [0, 1], [1, 0], [1.0, 2.0])
 
 
 def test_out_of_range_index_rejected():
     with pytest.raises(ValueError, match="out of range"):
-        SparseAdjacency.from_entries(2, [(0, 5, 1.0)], symmetric=False)
+        SparseAdjacency(2, [0], [5], [1.0], symmetric=False)
 
 
 def test_index_of_and_transpose_permutation():
@@ -133,8 +134,7 @@ def test_renormalize_spectral_bound(rng):
 
 
 def test_renormalize_existing_self_loops_summed():
-    a = SparseAdjacency.from_entries(2, [(0, 0, 3.0), (0, 1, 1.0),
-                                         (1, 0, 1.0)])
+    a = SparseAdjacency(2, [0, 0, 1], [0, 1, 0], [3.0, 1.0, 1.0])
     r = renormalize(a)
     # A_bar[0,0] = 3 + 1 = 4, degrees: d0 = 5, d1 = 2
     assert r.to_dense()[0, 0] == pytest.approx(4 / 5)
@@ -142,12 +142,12 @@ def test_renormalize_existing_self_loops_summed():
 
 
 def test_renormalize_edgeless_graph_is_identity_scaling():
-    a = SparseAdjacency.from_entries(3, [])
+    a = SparseAdjacency(3, [], [], [])
     np.testing.assert_allclose(renormalize(a).to_dense(), np.eye(3))
 
 
 def test_renormalize_rejects_negative_weights():
-    a = SparseAdjacency.from_entries(2, [(0, 1, -1.0), (1, 0, -1.0)])
+    a = SparseAdjacency(2, [0, 1], [1, 0], [-1.0, -1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         renormalize(a)
 
@@ -160,7 +160,9 @@ def test_renormalize_rejects_traced_weights():
 
 def test_entries_read_traced_weights():
     a = SparseAdjacency.from_undirected_edges(3, [(0, 1)], weights=[2.0])
-    assert a.with_weights(Var(a.weights)).entries() == a.entries()
+    traced = a.with_weights(Var(a.weights))
+    assert traced.rows is a.rows and traced.cols is a.cols
+    np.testing.assert_array_equal(traced.to_dense(), a.to_dense())
 
 
 def test_renormalize_weights_matches_plain_renormalize(rng):
