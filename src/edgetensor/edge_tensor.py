@@ -238,14 +238,18 @@ def propagate_values(plan, a_vals, s_vals):
     the gradient w.r.t. the tensor is the product with transposed matrix
     roles, restricted to the same support.
 
-    Rows are gathered with ``np.take(x, idx, axis=0)``, never ``x[idx]``.
-    On numpy 2.4 it is 2-5x faster for rows of 1-16 float64, with the
-    same result and the same ``IndexError`` on an out-of-range index.
+    The forward and the tensor adjoint run feature-major through
+    :func:`autodiff.gather_scale_sum`: one contiguous gather, scale and
+    ``bincount`` per feature column, never a (triples x p) block. That is
+    bitwise equal to gathering whole rows, scaling them and summing the
+    block: each term is the same single product, and ``bincount`` adds
+    each output's terms in plan order either way. The tensor adjoint
+    gathers the weights again instead of keeping them, so the tape holds
+    no triples-long array.
     """
     av, sv = ad.value(a_vals), ad.value(s_vals)
-    prod = np.take(sv, plan.slot_idx, axis=0)
-    prod *= np.take(av, plan.adj_idx)[:, None]
-    out = ad.bincount_rows(prod, plan.out_idx, plan.num_slots)
+    out = ad.gather_scale_sum(sv, plan.slot_idx, np.take(av, plan.adj_idx),
+                              plan.out_idx, plan.num_slots)
 
     def vjp_a(g):
         rowdot = np.einsum("lp,lp->l", np.take(g, plan.out_idx, axis=0),
@@ -253,9 +257,8 @@ def propagate_values(plan, a_vals, s_vals):
         return ad.bincount_rows(rowdot, plan.adj_idx, plan.num_adj)
 
     def vjp_s(g):
-        contrib = np.take(g, plan.out_idx, axis=0)
-        contrib *= np.take(av, plan.adj_idx)[:, None]
-        return ad.bincount_rows(contrib, plan.slot_idx, plan.num_slots)
+        return ad.gather_scale_sum(g, plan.out_idx, np.take(av, plan.adj_idx),
+                                   plan.slot_idx, plan.num_slots)
 
     return ad._node(out, (a_vals, vjp_a), (s_vals, vjp_s))
 

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from .training import TaskConfig
 TASKS = ("node_class", "link_pred", "multi_graph")
 EDGE_STACK_FIELDS = ("edge_features", "reduce_dim", "edge_hidden", "epsilon",
                      "negative_mode", "blend_attention")  # gcn_only reads none
+RECIPE_FIELDS = ("edge_features", "reduce_dim")  # multi_graph reads neither
 
 
 @dataclass
@@ -40,7 +42,7 @@ class ExperimentConfig:
     max_epochs: int = 10000
     patience: int = 100
     edge_features: str = "concat"     # concat | subtract; not multi_graph
-    reduce_dim: int = 8
+    reduce_dim: int = 8               # not multi_graph
     edge_hidden: list = None          # defaults per task
     gc_hidden: list = None
     embed_dim: int = 32               # link-prediction embedding size
@@ -61,14 +63,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.edge_features not in RECIPE_KINDS:
             raise ValueError(f"unknown edge features {self.edge_features!r}")
-        if self.task == "multi_graph" and self.edge_features != "concat":
-            raise ValueError("multi_graph stacks its adjacency views as edge "
-                             "features; leave edge_features at its default")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"unknown negative mode {self.negative_mode!r}")
         changed = [f.name for f in dataclasses.fields(self)
                    if f.name in EDGE_STACK_FIELDS
                    and getattr(self, f.name) != f.default]
+        recipe_changed = [name for name in changed if name in RECIPE_FIELDS]
+        if self.task == "multi_graph" and recipe_changed:
+            raise ValueError("multi_graph stacks its adjacency views as edge "
+                             f"features; leave {recipe_changed} at their defaults")
         if self.model == "gcn_only" and changed:
             raise ValueError(f"gcn_only has no edge stack; leave {changed} "
                              "at their defaults")
@@ -78,6 +81,11 @@ class ExperimentConfig:
             raise ValueError("learning rate must be positive")
         if self.dataset is None and self.synthetic is None:
             raise ValueError("either a dataset path or a synthetic spec is required")
+        views = (self.synthetic or {}).get("views", 1)
+        if (isinstance(views, bool) or not isinstance(views, numbers.Integral)
+                or views < 1):
+            raise ValueError("synthetic views must be a positive integer, "
+                             f"got {views!r}")
         if self.dataset is not None and not os.path.isdir(self.dataset):
             raise FileNotFoundError(f"dataset directory {self.dataset!r} not found")
 

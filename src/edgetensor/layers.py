@@ -76,9 +76,25 @@ def _activate(values, name):
 
 
 def sparse_matmul(a, h):
-    """A_hat @ H for a sparse matrix (pattern + values) and dense H."""
-    msg = ad.mul(ad.reshape(a.weights, (-1, 1)), ad.gather_rows(h, a.cols))
-    return ad.segment_sum(msg, a.rows, a.n)
+    """A_hat @ H for a sparse matrix (pattern + values) and dense H.
+
+    One autodiff op, traced over ``a.weights`` and ``h``. The forward and
+    the ``h`` adjoint run through :func:`autodiff.gather_scale_sum`. The
+    weight adjoint sums ``g[rows] * h[cols]`` along each row with
+    ``.sum(axis=1)``: ``einsum`` would add in another order from width 3
+    up.
+    """
+    w, hv = ad.value(a.weights), ad.value(h)
+
+    def vjp_w(g):
+        return (np.take(g, a.rows, axis=0)
+                * np.take(hv, a.cols, axis=0)).sum(axis=1)
+
+    def vjp_h(g):
+        return ad.gather_scale_sum(g, a.rows, w, a.cols, a.n)
+
+    return ad._node(ad.gather_scale_sum(hv, a.cols, w, a.rows, a.n),
+                    (a.weights, vjp_w), (h, vjp_h))
 
 
 def gc_forward(h, a, layer):

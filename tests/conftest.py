@@ -8,6 +8,7 @@ between the two is meaningful evidence.
 import numpy as np
 import pytest
 
+from edgetensor import autodiff as ad
 from edgetensor.autodiff import value
 from edgetensor.edge_tensor import EdgeFeatureTensor
 from edgetensor.sparse_graph import SparseAdjacency
@@ -116,6 +117,17 @@ def fancy_index_propagate(plan, a_vals, s_vals, g):
     grad_s = bincount_per_column(g[plan.out_idx] * a_vals[plan.adj_idx][:, None],
                                  plan.slot_idx, plan.num_slots)
     return out, grad_a, grad_s
+
+
+def composed_sparse_matmul(a, h):
+    """``A @ H`` composed of three traced ops, each with its own gradient.
+
+    Rows of ``h`` are gathered with ``gather_rows``, scaled with ``mul`` and
+    summed with ``segment_sum``. ``layers.sparse_matmul``, one op on the
+    feature-major kernel, must match it bit for bit.
+    """
+    msg = ad.mul(ad.reshape(a.weights, (-1, 1)), ad.gather_rows(h, a.cols))
+    return ad.segment_sum(msg, a.rows, a.n)
 
 
 def one_shot_sbm(block_sizes, p_in, p_out, seed):

@@ -334,21 +334,56 @@ def test_mode2_plan_is_mode1_plan_transposed(seed, n, kind):
 
 
 @pytest.mark.parametrize("mode", [1, 2])
-@pytest.mark.parametrize("p", [1, 3, 8])
+@pytest.mark.parametrize("p", [1, 3, 8, 32])
 @pytest.mark.parametrize("kind", ["full", "hub"])
 def test_propagate_values_bitwise_equal_to_fancy_index_kernel(mode, p, kind):
-    """Forward values and both gradients match the ``x[idx]`` kernel bit for bit."""
+    """Forward values and both gradients match the ``x[idx]`` kernel bit for bit.
+
+    Each case runs on C-ordered blocks and on F-ordered ones, the layout
+    of the kernel's own output, so a chained product (mode 1 into mode 2,
+    or a gradient the next product returned) is covered too.
+    """
     support, adjacency = plan_case(7, 40, kind)
     plan = _build_plan(mode, support, adjacency)
     rng = np.random.default_rng(p)
-    s_vals = rng.standard_normal((support.num_slots, p))
-    g = rng.standard_normal((support.num_slots, p))
-    av, sv = Var(adjacency.weights.copy()), Var(s_vals.copy())
-    out = propagate_values(plan, av, sv)
-    backward(out, seed=g)
-    expected = fancy_index_propagate(plan, adjacency.weights, s_vals, g)
-    for got, want in zip((out.value, av.grad, sv.grad), expected):
-        assert np.array_equal(got, want)
+    s_c = rng.standard_normal((support.num_slots, p))
+    g_c = rng.standard_normal((support.num_slots, p))
+    for order in ("C", "F"):
+        s_vals, g = np.asarray(s_c, order=order), np.asarray(g_c, order=order)
+        av, sv = Var(adjacency.weights.copy()), Var(s_vals.copy(order="K"))
+        out = propagate_values(plan, av, sv)
+        assert out.value.flags.f_contiguous
+        backward(out, seed=g)
+        expected = fancy_index_propagate(plan, adjacency.weights, s_vals, g)
+        for got, want in zip((out.value, av.grad, sv.grad), expected):
+            assert np.array_equal(got, want)
+
+
+def test_propagate_values_allocates_no_triples_by_width_block():
+    """A p=8 forward over a 50k-triple plan never holds a triples x p block.
+
+    Seven disjoint 20-node cliques: 2,800 slots and 56,000 triples per
+    mode, so the (slots x p) input copy and output stay small beside one
+    (triples x p) float64 block.
+    """
+    k, cliques, p = 20, 7, 8
+    iu, ju = np.triu_indices(k, 1)
+    offsets = np.repeat(np.arange(cliques) * k, iu.size)
+    pairs = np.stack([np.tile(iu, cliques) + offsets,
+                      np.tile(ju, cliques) + offsets], axis=1)
+    a = renormalize(SparseAdjacency.from_undirected_edges(k * cliques, pairs))
+    s_vals = np.random.default_rng(0).standard_normal((a.nnz, p))
+    for mode in (1, 2):
+        plan = _build_plan(mode, a.support, a)
+        assert plan.out_idx.size >= 50_000
+        block = plan.out_idx.size * p * 8
+        tracemalloc.start()
+        try:
+            propagate_values(plan, a.weights, s_vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block, f"mode {mode}: peak {peak} B >= block {block} B"
 
 
 def test_star_plans_stay_small():

@@ -53,6 +53,21 @@ def test_config_rejects_edge_features_for_multi_graph():
         quick_config(task="multi_graph", edge_features="subtract")
 
 
+def test_config_rejects_reduce_dim_for_multi_graph():
+    # the stacked views are the edge tensor, so no reducer reads reduce_dim
+    base = dict(task="multi_graph", synthetic=dict(SBM), train_per_class=3)
+    ExperimentConfig(**base)
+    with pytest.raises(ValueError, match=r"leave \['reduce_dim'\] at their"):
+        ExperimentConfig(**base, reduce_dim=4)
+
+
+@pytest.mark.parametrize("views", [0, -2, 1.5, True, "2"])
+def test_config_rejects_views_that_are_not_positive_integers(views):
+    with pytest.raises(ValueError, match="views must be a positive integer"):
+        ExperimentConfig(task="multi_graph", synthetic={**SBM, "views": views},
+                         train_per_class=3)
+
+
 @pytest.mark.parametrize("field, value", [
     ("edge_features", "subtract"), ("reduce_dim", 4), ("edge_hidden", [4, 1]),
     ("epsilon", 0.3), ("negative_mode", "abs"), ("blend_attention", True),
@@ -192,7 +207,7 @@ def test_multigraph_experiment_runs(tmp_path):
     config = ExperimentConfig(
         task="multi_graph", synthetic={**SBM, "views": 2}, seeds=[0],
         max_epochs=8, patience=8, train_per_class=3, val_fraction=0.3,
-        reduce_dim=2, edge_hidden=[2, 1], gc_hidden=[4])
+        edge_hidden=[2, 1], gc_hidden=[4])
     record = run_experiment(config)
     assert "test_accuracy" in record.summary
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_mode1_oracle, dense_mode2_oracle,
-                      dense_mode3_oracle, has_entry, random_adjacency,
-                      support_mask, tensor_to_dense)
+from conftest import (composed_sparse_matmul, dense_mode1_oracle,
+                      dense_mode2_oracle, dense_mode3_oracle, has_entry,
+                      random_adjacency, support_mask, tensor_to_dense)
 from edgetensor import autodiff as ad
 from edgetensor import layers
-from edgetensor.autodiff import Var
+from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import EdgeFeatureTensor
 from edgetensor.gradcheck import finite_difference_check
 from edgetensor.layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
@@ -68,6 +68,22 @@ def test_sparse_matmul_matches_dense(rng):
     h = rng.standard_normal((6, 4))
     out = sparse_matmul(a, h)
     np.testing.assert_allclose(out, a.to_dense() @ h, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 4, 8, 32])
+def test_sparse_matmul_bitwise_equal_to_composition(width, rng):
+    """Values and both gradients match gather_rows/mul/segment_sum bit for bit."""
+    a = random_adjacency(30, rng, density=0.4)
+    h = rng.standard_normal((30, width))
+    g = rng.standard_normal((30, width))
+    results = []
+    for op in (sparse_matmul, composed_sparse_matmul):
+        w, hv = Var(a.weights.copy()), Var(h.copy())
+        out = op(a.with_weights(w, symmetric=False), hv)
+        backward(out, seed=g)
+        results.append((out.value, w.grad, hv.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
 
 
 def tpgc_dense_oracle(t, a_dense, w, epsilon, activation):
