@@ -25,7 +25,14 @@ with one ``bincount``, so no (terms x width) block or flat index is
 ever built. It is
 bitwise equal to the row-major gather-multiply-``segment_sum``
 composition: every term is the same single product, and ``bincount``
-adds each output's terms in array order either way.
+adds each output's terms in array order either way. The adjacency-weight
+adjoint of ``edge_tensor.propagate_values`` follows the same rule: it
+accumulates its row dot products one feature column at a time.
+
+Pair features never become a (pairs x 2 width) block. A linear map of
+[x_i || x_j] is x_i W_top + x_j W_bot, so the recipes of ``features``
+and the attention scores of ``layers`` project the n node rows first
+(:func:`row_slice` takes W's halves) and gather the projected rows.
 """
 
 from __future__ import annotations
@@ -188,11 +195,16 @@ def reshape(a, shape):
     return _node(av.reshape(shape), (a, lambda g: g.reshape(av.shape)))
 
 
-def concat_cols(a, b):
-    av, bv = value(a), value(b)
-    da = av.shape[1]
-    return _node(np.concatenate([av, bv], axis=1),
-                 (a, lambda g: g[:, :da]), (b, lambda g: g[:, da:]))
+def row_slice(a, start, stop):
+    """Rows ``start:stop`` of ``a`` (a weight's top or bottom half)."""
+    av = value(a)
+
+    def vjp(g):
+        out = np.zeros_like(av)
+        out[start:stop] = g
+        return out
+
+    return _node(av[start:stop], (a, vjp))
 
 
 def gather_rows(a, idx):

@@ -111,12 +111,17 @@ def _cmd_gradcheck(args):
     worst_overall = 0.0
     all_ok = True
     for kind in args.models.split(","):
-        ok, rep = model_gradcheck(model_kind=kind, seed=args.seed,
-                                  n_per_block=args.nodes_per_block)
-        all_ok &= ok
-        for name, worst in sorted(rep.items()):
-            print(f"{kind} {name}: max rel err {worst:.3e}")
-            worst_overall = max(worst_overall, worst)
+        # gcn_only has no edge stack, so no recipe to vary
+        recipes = ("concat",) if kind == "gcn_only" else RECIPE_KINDS
+        for recipe in recipes:
+            ok, rep = model_gradcheck(model_kind=kind, seed=args.seed,
+                                      n_per_block=args.nodes_per_block,
+                                      recipe_kind=recipe)
+            all_ok &= ok
+            label = kind if kind == "gcn_only" else f"{kind}/{recipe}"
+            for name, worst in sorted(rep.items()):
+                print(f"{label} {name}: max rel err {worst:.3e}")
+                worst_overall = max(worst_overall, worst)
     print(f"gradcheck {'PASSED' if all_ok else 'FAILED'} "
           f"(worst {worst_overall:.3e})")
     if not all_ok:
@@ -154,7 +159,8 @@ def build_parser():
     p.set_defaults(func=_cmd_gen_sbm)
 
     p = sub.add_parser("gradcheck",
-                       help="finite-difference suite at reduced size")
+                       help="finite-difference suite at reduced size, every "
+                       "recipe of each edge-stack kind")
     p.add_argument("--models", default="et_gcn,et_gat")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes-per-block", type=int, default=5)

@@ -246,15 +246,27 @@ def propagate_values(plan, a_vals, s_vals):
     each output's terms in plan order either way. The tensor adjoint
     gathers the weights again instead of keeping them, so the tape holds
     no triples-long array.
+
+    The weight adjoint is feature-major too: it transposes ``g`` and the
+    tensor values once, accumulates one triples-long row dot product
+    column by column (two contiguous gathers and a product per column)
+    and sums it per adjacency entry with one ``bincount``. Each row's dot
+    product adds its columns in order 0, 1, ..., p - 1, so it is
+    deterministic; it may differ in the last bit from an ``einsum`` row
+    dot, which adds in another order.
     """
     av, sv = ad.value(a_vals), ad.value(s_vals)
     out = ad.gather_scale_sum(sv, plan.slot_idx, np.take(av, plan.adj_idx),
                               plan.out_idx, plan.num_slots)
 
     def vjp_a(g):
-        rowdot = np.einsum("lp,lp->l", np.take(g, plan.out_idx, axis=0),
-                           np.take(sv, plan.slot_idx, axis=0))
-        return ad.bincount_rows(rowdot, plan.adj_idx, plan.num_adj)
+        g_cols, s_cols = np.ascontiguousarray(g.T), np.ascontiguousarray(sv.T)
+        rowdot = np.take(g_cols[0], plan.out_idx) * np.take(s_cols[0], plan.slot_idx)
+        for g_col, s_col in zip(g_cols[1:], s_cols[1:]):
+            term = np.take(g_col, plan.out_idx)
+            term *= np.take(s_col, plan.slot_idx)
+            rowdot += term
+        return np.bincount(plan.adj_idx, weights=rowdot, minlength=plan.num_adj)
 
     def vjp_s(g):
         return ad.gather_scale_sum(g, plan.out_idx, np.take(av, plan.adj_idx),

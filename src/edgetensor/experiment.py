@@ -35,7 +35,7 @@ class ExperimentConfig:
     task: str = "node_class"
     model: str = "et_gcn"
     dataset: str = None          # dataset directory; None for synthetic
-    synthetic: dict = None       # SBM spec: block_sizes, p_in, p_out, seed[, views]
+    synthetic: dict = None       # SBM spec: block_sizes, p_in, p_out, seed[, views on multi_graph]
     seeds: list = field(default_factory=lambda: [0])
     learning_rate: float = 0.01
     epsilon: float = 0.2
@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ValueError("learning rate must be positive")
         if self.dataset is None and self.synthetic is None:
             raise ValueError("either a dataset path or a synthetic spec is required")
+        if self.task != "multi_graph" and "views" in (self.synthetic or {}):
+            raise ValueError(f"{self.task} runs on one graph; synthetic views "
+                             "apply only to multi_graph")
         views = (self.synthetic or {}).get("views", 1)
         if (isinstance(views, bool) or not isinstance(views, numbers.Integral)
                 or views < 1):
@@ -135,9 +138,7 @@ def _load_node_data(config):
     if config.dataset is not None:
         data = load_dataset(config.dataset)
     else:
-        spec = dict(config.synthetic)
-        spec.pop("views", None)
-        data = sbm_generate(**spec)
+        data = sbm_generate(**config.synthetic)
     if isinstance(data, MultiGraphDataset):
         raise ValueError("node_class/link_pred need a single-graph dataset")
     return data

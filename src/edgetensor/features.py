@@ -2,8 +2,13 @@
 
 Two recipes pair reduced node features: concatenate them or subtract
 them. Both run a trainable graph-convolution reducer first, so gradients
-flow into its weights end to end. A multi-graph instead stacks its
-adjacency views as channels; that fixed tensor belongs to its context.
+flow into its weights end to end. A recipe returns its pair features
+already projected by a weight (the first edge layer's), and computes that
+projection on the n reduced rows: x3 acts on the feature mode alone, so
+projecting each node's row and then pairing rows gives the projected
+pairs without building a (slots x pair width) tensor. A multi-graph
+instead stacks its adjacency views as channels; that fixed tensor belongs
+to its context.
 """
 
 from __future__ import annotations
@@ -18,21 +23,41 @@ from .sparse_graph import SparseAdjacency
 RECIPE_KINDS = ("concat", "subtract")
 
 
-def _paired(h, a_tilde, reducer, combine):
+def _check_rows(weight, width):
+    if ad.value(weight).shape[0] != width:
+        raise ValueError("projection rows must match the pair feature width "
+                         f"{width}")
+
+
+def build_concat_features(h, a_tilde, reducer, weight):
+    """Slot (i, j) holds [r_i || r_j] W on support(a_tilde).
+
+    r is the reducer output and W a (2 * reduce_dim, p') weight. Computed
+    as (R W_top)_i + (R W_bot)_j, W_top and W_bot being W's top and bottom
+    reduce_dim rows.
+    """
     reduced = gc_forward(h, a_tilde, reducer)
-    values = combine(ad.gather_rows(reduced, a_tilde.rows),
-                     ad.gather_rows(reduced, a_tilde.cols))
+    r = ad.value(reduced).shape[1]
+    _check_rows(weight, 2 * r)
+    top = ad.matmul(reduced, ad.row_slice(weight, 0, r))
+    bottom = ad.matmul(reduced, ad.row_slice(weight, r, 2 * r))
+    values = ad.add(ad.gather_rows(top, a_tilde.rows),
+                    ad.gather_rows(bottom, a_tilde.cols))
     return EdgeFeatureTensor(a_tilde.support, values)
 
 
-def build_concat_features(h, a_tilde, reducer):
-    """Slot (i, j) holds [reduced_i || reduced_j] on support(a_tilde)."""
-    return _paired(h, a_tilde, reducer, ad.concat_cols)
+def build_subtract_features(h, a_tilde, reducer, weight):
+    """Slot (i, j) holds (r_i - r_j) W, computed as (R W)_i - (R W)_j.
 
-
-def build_subtract_features(h, a_tilde, reducer):
-    """Slot (i, j) holds reduced_i - reduced_j; diagonal slots are zero."""
-    return _paired(h, a_tilde, reducer, ad.sub)
+    r is the reducer output and W a (reduce_dim, p') weight; diagonal
+    slots are zero.
+    """
+    reduced = gc_forward(h, a_tilde, reducer)
+    _check_rows(weight, ad.value(reduced).shape[1])
+    projected = ad.matmul(reduced, weight)
+    values = ad.sub(ad.gather_rows(projected, a_tilde.rows),
+                    ad.gather_rows(projected, a_tilde.cols))
+    return EdgeFeatureTensor(a_tilde.support, values)
 
 
 def union_graph(graphs):

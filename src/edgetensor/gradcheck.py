@@ -55,18 +55,22 @@ def finite_difference_check(tape, loss_fn, step=1e-5, rel_tol=1e-4,
 
 
 def model_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
-                    activation="identity", **check_kwargs):
+                    activation="identity", recipe_kind="concat",
+                    **check_kwargs):
     """Finite-difference suite for a full model on a tiny synthetic graph.
 
     Uses identity activations by default so ReLU kinks cannot spoil the
     check; pass ``activation="relu"`` to check at a random (almost surely
-    kink-free) operating point.
+    kink-free) operating point. ``recipe_kind`` picks the edge recipe. At
+    ``reduce_dim=2`` and ``edge_hidden=(3, 1)`` the first edge layer
+    narrows under concat (4 -> 3) and widens under subtract (2 -> 3).
     """
     graph = sbm_generate([n_per_block, n_per_block], 0.6, 0.3, seed=seed + 1)
     splits = split_nodes(graph.labels, 2, 0.2, seed=seed + 2)
     ctx = prepare(graph)
     tape = ParamTape()
-    model = build_model(tape, model_kind, ctx, graph.num_classes, reduce_dim=2,
+    model = build_model(tape, model_kind, ctx, graph.num_classes,
+                        recipe_kind=recipe_kind, reduce_dim=2,
                         edge_hidden=(3, 1), gc_hidden=(4,), epsilon=0.2,
                         seed=seed, hidden_activation=activation)
 

@@ -46,7 +46,10 @@ class EdgeConvLayer:
     ``tpgc_forward`` propagates at min(p, p') features: when W narrows
     (p' < p) it projects first. That is exact, because x3 acts only on the
     feature mode and the mode-1/2 products and support mask only on modes
-    1 and 2, and mode products on distinct modes commute.
+    1 and 2, and mode products on distinct modes commute. For the same
+    reason a recipe-built first layer projects at node level: unless W
+    widens, the recipe returns S x3 W and the layer runs only
+    :func:`tpgc_propagate`.
     """
 
     weight: object  # (p, p') array or Var
@@ -62,7 +65,11 @@ class EdgeConvLayer:
 
 @dataclass(frozen=True)
 class AttentionHead:
-    """Single-layer feedforward scorer on concatenated node-feature pairs."""
+    """Single-layer feedforward scorer on concatenated node-feature pairs.
+
+    ``theta`` splits into a top half that scores the row node and a bottom
+    half that scores the column node.
+    """
 
     theta: object  # (2d,) array or Var
 
@@ -114,23 +121,31 @@ def gc_forward(h, a, layer):
     return _activate(z, layer.activation)
 
 
+def tpgc_propagate(s, a, layer):
+    """act(S x1 A x2 A + epsilon S) for an S already projected by the layer.
+
+    The half of the layer after its x3 W: ``tpgc_forward`` runs it when
+    the weight narrows, and the edge stack runs it on the first layer,
+    whose recipe returns S x3 W directly.
+    """
+    out = axpy(propagate_mode2(propagate_mode1(s, a), a), s, layer.epsilon)
+    return out.with_values(_activate(out.values, layer.activation))
+
+
 def tpgc_forward(s, a, layer):
     """act((S x1 A x2 A + epsilon S) x3 W), masked to s's support.
 
     Propagates at min(p, p') features: when the weight narrows (p' < p) it
-    projects first, (S x3 W) x1 A x2 A + epsilon (S x3 W); otherwise it
+    projects first, then runs :func:`tpgc_propagate`; otherwise it
     propagates, adds the residual and projects last. The orders are equal
     because x3 touches only the feature mode and the mode-1/2 products and
     the support mask touch only modes 1 and 2.
     """
     p, p_out = ad.value(layer.weight).shape
-    narrows = p_out < p
-    if narrows:
-        s = project_mode3(s, layer.weight)
+    if p_out < p:
+        return tpgc_propagate(project_mode3(s, layer.weight), a, layer)
     propagated = propagate_mode2(propagate_mode1(s, a), a)
-    out = axpy(propagated, s, layer.epsilon)
-    if not narrows:
-        out = project_mode3(out, layer.weight)
+    out = project_mode3(axpy(propagated, s, layer.epsilon), layer.weight)
     return out.with_values(_activate(out.values, layer.activation))
 
 
@@ -139,17 +154,21 @@ def attention_forward(h, a, head):
 
     ``a`` supplies the pattern and must contain every self-loop slot
     (pass the renormalized adjacency). Scores are
-    leaky_relu(theta . [H_i || H_j]) softmaxed within each row i. Returns
-    the weights on ``a``'s pattern (a Var when traced).
+    leaky_relu(theta . [H_i || H_j]) softmaxed within each row i, computed
+    at node level as (H theta_top)_i + (H theta_bot)_j. Returns the weights
+    on ``a``'s pattern (a Var when traced).
     """
     # entries are unique, so n diagonal entries means every self-loop
     if np.count_nonzero(a.rows == a.cols) != a.n:
         raise ValueError("attention pattern must contain every self-loop")
-    if ad.value(head.theta).shape != (2 * ad.value(h).shape[1],):
+    d = ad.value(h).shape[1]
+    if ad.value(head.theta).shape != (2 * d,):
         raise ValueError("theta length must be twice the feature dimension")
-    pair = ad.concat_cols(ad.gather_rows(h, a.rows), ad.gather_rows(h, a.cols))
-    scores = ad.reshape(ad.matmul(pair, ad.reshape(head.theta, (-1, 1))), (-1,))
-    scores = ad.leaky_relu(scores)
+    theta = ad.reshape(head.theta, (-1, 1))
+    top = ad.reshape(ad.matmul(h, ad.row_slice(theta, 0, d)), (-1,))
+    bottom = ad.reshape(ad.matmul(h, ad.row_slice(theta, d, 2 * d)), (-1,))
+    scores = ad.leaky_relu(ad.add(ad.gather_rows(top, a.rows),
+                                  ad.gather_rows(bottom, a.cols)))
     alpha = ad.segment_softmax(scores, a.rows, a.n)
     return a.with_weights(alpha, symmetric=False)
 

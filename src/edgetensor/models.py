@@ -19,7 +19,7 @@ from .features import (RECIPE_KINDS, build_concat_features,
                        union_graph)
 from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
                      attention_forward, blend_edge_weights, gc_forward,
-                     tpgc_forward)
+                     tpgc_forward, tpgc_propagate)
 from .sparse_graph import renormalize, renormalize_weights
 
 MODEL_KINDS = ("et_gcn", "et_gat", "gcn_only")
@@ -153,12 +153,27 @@ class ForwardResult:
     edge_weights: object = None   # SparseAdjacency: clamped weights, pre-renorm
 
 
-def _build_initial_tensor(model, ctx, h):
+def _edge_input(model, ctx, h, prop):
+    """An edge tensor and the edge layers still to run on it.
+
+    Without a reducer that is the stacked tensor and every layer. A recipe
+    projects by the first layer's weight at node level, so that layer runs
+    only :func:`tpgc_propagate` here and the rest remain. A widening first
+    layer instead gets the pair features themselves (an identity
+    projection) and runs whole, so it still propagates at the narrower
+    width.
+    """
+    layers = model.edge_layers
     if model.reducer is None:
-        return ctx.stacked
+        return ctx.stacked, layers
     builder = (build_concat_features if model.recipe == "concat"
                else build_subtract_features)
-    return builder(h, ctx.a_tilde, model.reducer)
+    first = layers[0]
+    p, p_out = ad.value(first.weight).shape
+    if p_out > p:
+        return builder(h, ctx.a_tilde, model.reducer, np.eye(p)), layers
+    s = builder(h, ctx.a_tilde, model.reducer, first.weight)
+    return tpgc_propagate(s, prop, first), layers[1:]
 
 
 def _propagation_weights(model, ctx, h):
@@ -184,9 +199,9 @@ def etgnn_forward(model, ctx, h=None):
             out = gc_forward(out, pattern, layer)
         return ForwardResult(out)
 
-    s = _build_initial_tensor(model, ctx, h)
     prop = _propagation_weights(model, ctx, h)
-    for layer in model.edge_layers:
+    s, layers = _edge_input(model, ctx, h, prop)
+    for layer in layers:
         s = tpgc_forward(s, prop, layer)
 
     raw = ad.reshape(s.values, (-1,))

@@ -10,7 +10,8 @@ import pytest
 
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import value
-from edgetensor.edge_tensor import EdgeFeatureTensor
+from edgetensor.edge_tensor import EdgeFeatureTensor, project_mode3
+from edgetensor.layers import gc_forward
 from edgetensor.sparse_graph import SparseAdjacency
 
 
@@ -101,18 +102,27 @@ def bincount_per_column(values, seg_ids, num_segments):
     return np.stack(cols, axis=1)
 
 
+def column_order_rowdot(x, y):
+    """Row dot products of two (rows, p) blocks, adding columns 0, 1, ... in order."""
+    out = x[:, 0] * y[:, 0]
+    for q in range(1, x.shape[1]):
+        out = out + x[:, q] * y[:, q]
+    return out
+
+
 def fancy_index_propagate(plan, a_vals, s_vals, g):
     """The masked mode product and both vjps, with ``x[idx]`` gathers.
 
     The kernel of ``edge_tensor.propagate_values`` as first written: rows
     gathered by fancy indexing and summed one ``np.bincount`` per column.
-    Returns the product and the gradients w.r.t. ``a_vals`` and ``s_vals``
-    for upstream gradient ``g``.
+    The weight gradient's row dot products add their columns in order
+    (:func:`column_order_rowdot`). Returns the product and the gradients
+    w.r.t. ``a_vals`` and ``s_vals`` for upstream gradient ``g``.
     """
     out = bincount_per_column(s_vals[plan.slot_idx] * a_vals[plan.adj_idx][:, None],
                               plan.out_idx, plan.num_slots)
-    grad_a = bincount_per_column(np.einsum("lp,lp->l", g[plan.out_idx],
-                                           s_vals[plan.slot_idx]),
+    grad_a = bincount_per_column(column_order_rowdot(g[plan.out_idx],
+                                                     s_vals[plan.slot_idx]),
                                  plan.adj_idx, plan.num_adj)
     grad_s = bincount_per_column(g[plan.out_idx] * a_vals[plan.adj_idx][:, None],
                                  plan.slot_idx, plan.num_slots)
@@ -128,6 +138,28 @@ def composed_sparse_matmul(a, h):
     """
     msg = ad.mul(ad.reshape(a.weights, (-1, 1)), ad.gather_rows(h, a.cols))
     return ad.segment_sum(msg, a.rows, a.n)
+
+
+def slot_pair_features(h, a_tilde, reducer, weight, recipe):
+    """A recipe's projected pair features, built slot by slot.
+
+    Every slot (i, j) gets [r_i || r_j] (concat) or r_i - r_j (subtract)
+    from the reducer output r, and the (slots x pair width) tensor is then
+    projected with ``project_mode3``. Traced when any input is a Var, so
+    the node-level builders' gradients can be checked against it too.
+    """
+    reduced = gc_forward(h, a_tilde, reducer)
+    left = ad.gather_rows(reduced, a_tilde.rows)
+    right = ad.gather_rows(reduced, a_tilde.cols)
+    if recipe == "concat":
+        lv, rv = value(left), value(right)
+        width = lv.shape[1]
+        pair = ad._node(np.concatenate([lv, rv], axis=1),
+                        (left, lambda g: g[:, :width]),
+                        (right, lambda g: g[:, width:]))
+    else:
+        pair = ad.sub(left, right)
+    return project_mode3(EdgeFeatureTensor(a_tilde.support, pair), weight)
 
 
 def one_shot_sbm(block_sizes, p_in, p_out, seed):

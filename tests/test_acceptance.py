@@ -146,8 +146,8 @@ def test_criterion_3_complexity_scaling():
         rng = np.random.default_rng(0)
         t = EdgeFeatureTensor.from_support_of(
             a, rng.standard_normal((a.rows.size, 8)))
-        contraction_plan(1, t, a)  # one-time index build, not timed
-        return t, a
+        plan = contraction_plan(1, t, a)  # one-time index build, not timed
+        return t, a, plan.out_idx.size
 
     def timed(t, a, reps=7, loops=10):
         # best-of-reps: load spikes only ever inflate a measurement
@@ -159,8 +159,8 @@ def test_criterion_3_complexity_scaling():
             best = min(best, (time.perf_counter() - tic) / loops)
         return best
 
-    t1, a1 = setup(1)
-    t2, a2 = setup(2)
+    t1, a1, triples1 = setup(1)
+    t2, a2, triples2 = setup(2)
     timed(t1, a1, reps=2)
     timed(t2, a2, reps=2)
     # pair the two sizes inside each trial so machine-load drift cancels
@@ -169,7 +169,8 @@ def test_criterion_3_complexity_scaling():
     elapsed = time.perf_counter() - start
     verdict(3, "complexity scaling",
             1.6 <= median <= 2.6 and elapsed < 120.0,
-            f"median factor {median:.2f}, {elapsed:.1f}s")
+            f"median factor {median:.2f}, plan triple ratio "
+            f"{triples2 / triples1:.2f}, {elapsed:.1f}s")
 
 
 @pytest.fixture(scope="module")

@@ -91,15 +91,16 @@ def test_sigmoid_extreme_inputs_stable():
     np.testing.assert_allclose(s.value, [0.0, 0.5, 1.0], atol=1e-12)
 
 
-def test_reshape_and_concat_grads(rng):
-    a = Var(rng.standard_normal((2, 3)))
-    b = Var(rng.standard_normal((2, 2)))
-    c = ad.concat_cols(a, b)
-    flat = ad.reshape(c, (-1,))
-    weights = np.arange(10.0)
-    backward(ad.total(ad.mul(flat, Var(weights))))
-    np.testing.assert_array_equal(a.grad, weights.reshape(2, 5)[:, :3])
-    np.testing.assert_array_equal(b.grad, weights.reshape(2, 5)[:, 3:])
+def test_reshape_and_row_slice_grads(rng):
+    a = Var(rng.standard_normal((5, 2)))
+    top, bottom = ad.row_slice(a, 0, 3), ad.row_slice(a, 3, 5)
+    np.testing.assert_array_equal(top.value, a.value[:3])
+    np.testing.assert_array_equal(bottom.value, a.value[3:])
+    flat = ad.reshape(top, (-1,))
+    weights = np.arange(6.0)
+    backward(ad.add(ad.total(ad.mul(flat, Var(weights))), ad.total(bottom)))
+    np.testing.assert_array_equal(
+        a.grad, np.vstack([weights.reshape(3, 2), np.ones((2, 2))]))
 
 
 def test_gather_rows_accumulates_duplicates(rng):

@@ -359,12 +359,39 @@ def test_propagate_values_bitwise_equal_to_fancy_index_kernel(mode, p, kind):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("p", [1, 3, 8, 32])
+def test_propagate_values_weight_gradient_near_einsum_rowdot(p):
+    """The column-order weight gradient is within 1e-12 of an einsum row dot."""
+    support, adjacency = plan_case(7, 40, "full")
+    rng = np.random.default_rng(p)
+    s_vals = rng.standard_normal((support.num_slots, p))
+    g = rng.standard_normal((support.num_slots, p))
+    for mode in (1, 2):
+        plan = _build_plan(mode, support, adjacency)
+        av = Var(adjacency.weights.copy())
+        backward(propagate_values(plan, av, s_vals), seed=g)
+        rowdot = np.einsum("lp,lp->l", g[plan.out_idx], s_vals[plan.slot_idx])
+        want = np.bincount(plan.adj_idx, weights=rowdot, minlength=plan.num_adj)
+        np.testing.assert_allclose(av.grad, want, rtol=0, atol=1e-12)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_propagate_values_allocates_no_triples_by_width_block():
-    """A p=8 forward over a 50k-triple plan never holds a triples x p block.
+    """A p=8 forward and backward over a 50k-triple plan never hold a
+    triples x p block.
 
     Seven disjoint 20-node cliques: 2,800 slots and 56,000 triples per
     mode, so the (slots x p) input copy and output stay small beside one
-    (triples x p) float64 block.
+    (triples x p) float64 block. The backward traces both the adjacency
+    weights and the tensor values, so it runs both adjoints.
     """
     k, cliques, p = 20, 7, 8
     iu, ju = np.triu_indices(k, 1)
@@ -372,18 +399,20 @@ def test_propagate_values_allocates_no_triples_by_width_block():
     pairs = np.stack([np.tile(iu, cliques) + offsets,
                       np.tile(ju, cliques) + offsets], axis=1)
     a = renormalize(SparseAdjacency.from_undirected_edges(k * cliques, pairs))
-    s_vals = np.random.default_rng(0).standard_normal((a.nnz, p))
+    rng = np.random.default_rng(0)
+    s_vals = rng.standard_normal((a.nnz, p))
+    g = rng.standard_normal((a.nnz, p))
     for mode in (1, 2):
         plan = _build_plan(mode, a.support, a)
         assert plan.out_idx.size >= 50_000
         block = plan.out_idx.size * p * 8
-        tracemalloc.start()
-        try:
-            propagate_values(plan, a.weights, s_vals)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < block, f"mode {mode}: peak {peak} B >= block {block} B"
+        peak = _traced_peak(lambda: propagate_values(plan, a.weights, s_vals))
+        assert peak < block, f"mode {mode}: forward peak {peak} B >= block {block} B"
+        av, sv = Var(a.weights.copy()), Var(s_vals.copy())
+        out = propagate_values(plan, av, sv)
+        peak = _traced_peak(lambda: backward(out, seed=g))
+        assert av.grad is not None and sv.grad is not None
+        assert peak < block, f"mode {mode}: backward peak {peak} B >= block {block} B"
 
 
 def test_star_plans_stay_small():

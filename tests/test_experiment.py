@@ -68,6 +68,17 @@ def test_config_rejects_views_that_are_not_positive_integers(views):
                          train_per_class=3)
 
 
+@pytest.mark.parametrize("task", ["node_class", "link_pred"])
+def test_config_rejects_views_on_single_graph_tasks(task):
+    # one graph is loaded, so views would change only the config hash
+    with pytest.raises(ValueError, match=f"{task} runs on one graph"):
+        ExperimentConfig(task=task, synthetic={**SBM, "views": 5},
+                         train_per_class=3)
+    with pytest.raises(ValueError, match=f"{task} runs on one graph"):
+        ExperimentConfig(task=task, synthetic={**SBM, "views": 1},
+                         train_per_class=3)
+
+
 @pytest.mark.parametrize("field, value", [
     ("edge_features", "subtract"), ("reduce_dim", 4), ("edge_hidden", [4, 1]),
     ("epsilon", 0.3), ("negative_mode", "abs"), ("blend_attention", True),
@@ -307,7 +318,18 @@ def test_cli_gradcheck_passes_block_size_through(monkeypatch):
     assert main(["gradcheck", "--models", "et_gcn", "--nodes-per-block",
                  "8"]) == 0
     assert main(["gradcheck", "--models", "et_gcn"]) == 0
-    assert [kw["n_per_block"] for kw in seen] == [8, 5]
+    assert [kw["n_per_block"] for kw in seen] == [8, 8, 5, 5]
+    assert [kw["recipe_kind"] for kw in seen] == ["concat", "subtract"] * 2
+
+
+def test_cli_gradcheck_covers_every_recipe(capsys):
+    rc = main(["gradcheck", "--models", "et_gcn,et_gat,gcn_only"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    for label in ("et_gcn/concat", "et_gcn/subtract", "et_gat/concat",
+                  "et_gat/subtract"):
+        assert f"{label} edge_0: max rel err" in out
+    assert "gcn_only gc_0: max rel err" in out
 
 
 def test_cli_reports_errors_as_json(capsys):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import slot_pair_features
+from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import project_mode3
 from edgetensor.features import (RECIPE_KINDS, build_concat_features,
                                  build_stacked_graph_features,
@@ -41,38 +43,84 @@ def test_recipe_validation():
 def test_concat_features_match_hand_loop(rng):
     a, h, reducer = setup_graph(rng)
     reduced = gc_forward(h, a, reducer)
-    t = build_concat_features(h, a, reducer)
-    assert t.p == 4
+    t = build_concat_features(h, a, reducer, np.eye(4))
+    w = rng.standard_normal((4, 3))
+    projected = build_concat_features(h, a, reducer, w)
+    assert t.p == 4 and projected.p == 3
     for k in range(t.num_slots):
         i, j = t.rows[k], t.cols[k]
-        np.testing.assert_allclose(
-            t.values[k], np.concatenate([reduced[i], reduced[j]]), atol=1e-12)
+        pair = np.concatenate([reduced[i], reduced[j]])
+        np.testing.assert_allclose(t.values[k], pair, atol=1e-12)
+        np.testing.assert_allclose(projected.values[k], pair @ w, atol=1e-12)
 
 
 def test_subtract_features_match_hand_loop(rng):
     a, h, reducer = setup_graph(rng)
     reduced = gc_forward(h, a, reducer)
-    t = build_subtract_features(h, a, reducer)
-    assert t.p == 2
+    t = build_subtract_features(h, a, reducer, np.eye(2))
+    w = rng.standard_normal((2, 3))
+    projected = build_subtract_features(h, a, reducer, w)
+    assert t.p == 2 and projected.p == 3
     for k in range(t.num_slots):
         i, j = t.rows[k], t.cols[k]
         np.testing.assert_allclose(t.values[k], reduced[i] - reduced[j],
                                    atol=1e-12)
+        np.testing.assert_allclose(projected.values[k],
+                                   (reduced[i] - reduced[j]) @ w, atol=1e-12)
     diag = t.rows == t.cols
     assert np.all(t.values[diag] == 0.0)
+    assert np.all(projected.values[diag] == 0.0)
+
+
+# (recipe, output width of the first edge layer): the reducer gives
+# width 2, so concat pairs have width 4 and subtract pairs width 2
+FIRST_LAYERS = [pytest.param("concat", 3, id="concat-narrow"),
+                pytest.param("concat", 4, id="concat-equal"),
+                pytest.param("concat", 5, id="concat-widen"),
+                pytest.param("subtract", 1, id="subtract-narrow"),
+                pytest.param("subtract", 2, id="subtract-equal"),
+                pytest.param("subtract", 3, id="subtract-widen")]
+BUILDERS = {"concat": build_concat_features,
+            "subtract": build_subtract_features}
+
+
+@pytest.mark.parametrize("recipe, p_out", FIRST_LAYERS)
+def test_node_level_builders_match_slot_level_oracle(recipe, p_out, rng):
+    """Values and the reducer and weight gradients, within 1e-12."""
+    a, h, reducer = setup_graph(rng, n=8)
+    p = 4 if recipe == "concat" else 2
+    w = rng.standard_normal((p, p_out))
+    g = rng.standard_normal((a.nnz, p_out))
+    results = []
+    for build in (BUILDERS[recipe],
+                  lambda *args: slot_pair_features(*args, recipe=recipe)):
+        rw, ww = Var(reducer.weight.copy()), Var(w.copy())
+        t = build(h, a, GraphConvLayer(rw, activation="relu"), ww)
+        backward(t.values, seed=g)
+        results.append((t.values.value, rw.grad, ww.grad))
+        assert t.support is a.support
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [build_concat_features, build_subtract_features])
+def test_builders_reject_a_weight_of_the_wrong_height(build, rng):
+    a, h, reducer = setup_graph(rng)
+    with pytest.raises(ValueError, match="pair feature width"):
+        build(h, a, reducer, np.ones((3, 2)))
 
 
 def test_concat_support_equals_renormalized_adjacency(rng):
     a, h, reducer = setup_graph(rng)
-    t = build_concat_features(h, a, reducer)
+    t = build_concat_features(h, a, reducer, np.eye(4))
     assert np.array_equal(t.rows, a.rows)
     assert np.array_equal(t.cols, a.cols)
 
 
 def test_builders_and_projection_stay_on_the_adjacency_support(rng):
     a, h, reducer = setup_graph(rng)
-    tensors = [build_concat_features(h, a, reducer),
-               build_subtract_features(h, a, reducer)]
+    tensors = [build_concat_features(h, a, reducer, np.eye(4)),
+               build_subtract_features(h, a, reducer, np.eye(2))]
     graphs = [SparseAdjacency.from_undirected_edges(6, [(0, 1), (2, 3)]),
               SparseAdjacency.from_undirected_edges(6, [(1, 2)])]
     a_union = renormalize(union_graph(graphs))

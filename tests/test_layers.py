@@ -188,6 +188,37 @@ def test_attention_matches_hand_softmax(rng):
         np.testing.assert_allclose(dense[i, nbrs], e / e.sum(), atol=1e-12)
 
 
+def test_attention_matches_hand_loop_of_pair_scores(rng):
+    """Scores theta . [H_i || H_j] by a loop over entries, softmaxed per row."""
+    a = random_adjacency(9, rng, density=0.5)
+    h = rng.standard_normal((9, 3))
+    theta = rng.standard_normal(6)
+    alpha = attention_forward(h, a, AttentionHead(theta))
+    scores = np.array([theta @ np.concatenate([h[i], h[j]])
+                       for i, j in zip(a.rows.tolist(), a.cols.tolist())])
+    scores = np.where(scores > 0, scores, 0.2 * scores)
+    for i in range(9):
+        row = a.rows == i
+        e = np.exp(scores[row] - scores[row].max())
+        np.testing.assert_allclose(alpha.weights[row], e / e.sum(), rtol=0,
+                                   atol=1e-12)
+
+
+def test_attention_gradcheck(rng):
+    a = random_adjacency(6, rng, density=0.5)
+    tape = ParamTape()
+    h = tape.add("h", rng.standard_normal((6, 2)))
+    theta = tape.add("theta", rng.standard_normal(4))
+    g = rng.standard_normal(a.nnz)
+
+    def loss_fn():
+        alpha = attention_forward(h, a, AttentionHead(theta))
+        return ad.total(ad.mul(alpha.weights, g))
+
+    ok, report = finite_difference_check(tape, loss_fn)
+    assert ok, report
+
+
 def test_attention_requires_self_loops(rng):
     a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="self-loop"):

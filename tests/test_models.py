@@ -6,16 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import check_learned_graph
+from conftest import check_learned_graph, slot_pair_features
 from edgetensor.autodiff import Var, backward
 from edgetensor import autodiff as ad
-from edgetensor import edge_tensor
+from edgetensor import edge_tensor, layers, models
 from edgetensor.edge_tensor import (axpy, project_mode3, propagate_mode1,
                                     propagate_mode2)
 from edgetensor.features import build_concat_features, build_subtract_features
 from edgetensor.generators import sbm_generate
 from edgetensor.layers import (attention_forward, blend_edge_weights,
-                               gc_forward, sparse_matmul, tpgc_forward)
+                               gc_forward, sparse_matmul, tpgc_forward,
+                               tpgc_propagate)
 from edgetensor.models import (GraphContext, build_model, etgnn_forward,
                                link_scores, prepare, prepare_multigraph)
 from edgetensor.params import ParamTape
@@ -231,6 +232,54 @@ def test_blend_attention_flag_adds_head():
     assert check_learned_graph(etgnn_forward(model, ctx))
 
 
+# (recipe, reduce_dim, first edge layer width): concat pairs are
+# 2 * reduce_dim wide, subtract pairs reduce_dim
+FIRST_LAYERS = [pytest.param("concat", 2, 3, id="narrow"),
+                pytest.param("subtract", 3, 3, id="equal"),
+                pytest.param("subtract", 2, 3, id="widen")]
+
+
+def _pair_width(recipe, reduce_dim):
+    return 2 * reduce_dim if recipe == "concat" else reduce_dim
+
+
+@pytest.mark.parametrize("recipe, reduce_dim, p_out", FIRST_LAYERS)
+def test_first_edge_layer_propagates_at_min_width(recipe, reduce_dim, p_out,
+                                                  monkeypatch):
+    graph, ctx, tape, model = build_small(
+        recipe_kind=recipe, reduce_dim=reduce_dim, edge_hidden=(p_out, 1))
+    widths = []
+    for name in ("propagate_mode1", "propagate_mode2"):
+        def spy(s, adj, _inner=getattr(layers, name)):
+            widths.append(s.p)
+            return _inner(s, adj)
+        monkeypatch.setattr(layers, name, spy)
+    etgnn_forward(model, ctx)
+    first = min(_pair_width(recipe, reduce_dim), p_out)
+    assert widths == [first, first, 1, 1]
+
+
+@pytest.mark.parametrize("kind", ["et_gcn", "et_gat"])
+@pytest.mark.parametrize("recipe, reduce_dim, p_out", FIRST_LAYERS)
+def test_first_edge_layer_matches_slot_level_tensor(kind, recipe, reduce_dim,
+                                                    p_out):
+    """The recipe's node-level input gives the layer a slot-level S gives."""
+    graph, ctx, tape, model = build_small(
+        kind, recipe_kind=recipe, reduce_dim=reduce_dim,
+        edge_hidden=(p_out, 1))
+    h, first = ctx.features, model.edge_layers[0]
+    prop = models._propagation_weights(model, ctx, h)
+    s, rest = models._edge_input(model, ctx, h, prop)
+    if len(rest) == len(model.edge_layers):
+        s = tpgc_forward(s, prop, first)
+    assert len(rest) == (2 if p_out > _pair_width(recipe, reduce_dim) else 1)
+    pairs = slot_pair_features(h, ctx.a_tilde, model.reducer,
+                               np.eye(_pair_width(recipe, reduce_dim)), recipe)
+    want = tpgc_forward(pairs, prop, first)
+    np.testing.assert_allclose(s.values.value, want.values.value, rtol=0,
+                               atol=1e-12)
+
+
 def _plain_copy(layer):
     """``layer`` with every Var field replaced by its plain value."""
     return dataclasses.replace(layer, **{
@@ -256,10 +305,14 @@ def plain_case():
         gc_layers=[_plain_copy(layer) for layer in model.gc_layers],
         attention_head=_plain_copy(model.attention_head))
     h = ctx.features
-    s = build_concat_features(h, ctx.a_tilde, model.reducer)
+    # the pair features themselves (identity projection), and as the first
+    # edge layer reads them, projected by its weight
+    s = build_concat_features(h, ctx.a_tilde, model.reducer, np.eye(4))
+    projected = build_concat_features(h, ctx.a_tilde, model.reducer,
+                                      model.edge_layers[0].weight)
     alpha = attention_forward(h, ctx.a_tilde, model.attention_head)
     return SimpleNamespace(graph=graph, ctx=ctx, model=model, h=h, s=s,
-                           alpha=alpha, a=ctx.a_tilde)
+                           projected=projected, alpha=alpha, a=ctx.a_tilde)
 
 
 PLAIN_FORWARDS = {
@@ -268,6 +321,8 @@ PLAIN_FORWARDS = {
     "tpgc_forward": lambda c: tpgc_forward(c.s, c.a, c.model.edge_layers[0]),
     "tpgc_forward_attention": lambda c: tpgc_forward(
         c.s, c.alpha, c.model.edge_layers[0]),
+    "tpgc_propagate": lambda c: tpgc_propagate(
+        c.projected, c.alpha, c.model.edge_layers[0]),
     "attention_forward": lambda c: attention_forward(
         c.h, c.a, c.model.attention_head),
     "blend_edge_weights": lambda c: blend_edge_weights(c.a, c.alpha),
@@ -276,9 +331,9 @@ PLAIN_FORWARDS = {
     "project_mode3": lambda c: project_mode3(c.s, c.model.edge_layers[0].weight),
     "axpy": lambda c: axpy(c.s, c.s, 0.2),
     "build_concat_features": lambda c: build_concat_features(
-        c.h, c.a, c.model.reducer),
+        c.h, c.a, c.model.reducer, c.model.edge_layers[0].weight),
     "build_subtract_features": lambda c: build_subtract_features(
-        c.h, c.a, c.model.reducer),
+        c.h, c.a, c.model.reducer, c.model.edge_layers[0].weight[:2]),
     "renormalize_weights": lambda c: renormalize_weights(
         c.a.rows, c.a.cols, c.a.n, c.a.weights),
     "etgnn_forward": lambda c: etgnn_forward(c.model, c.ctx),
