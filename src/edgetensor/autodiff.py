@@ -18,16 +18,18 @@ rows of 1-16 float64, with the same result and the same ``IndexError``
 on an out-of-range index.
 
 A gathered, scaled and segment-summed block (the mode-1/2 products of
-``edge_tensor`` and ``layers.sparse_matmul``) runs feature-major in
-:func:`gather_scale_sum`: it transposes the small operand once and, for
-each feature column, gathers and scales one contiguous row and sums it
-with one ``bincount``, so no (terms x width) block or flat index is
-ever built. It is
-bitwise equal to the row-major gather-multiply-``segment_sum``
-composition: every term is the same single product, and ``bincount``
-adds each output's terms in array order either way. The adjacency-weight
-adjoint of ``edge_tensor.propagate_values`` follows the same rule: it
-accumulates its row dot products one feature column at a time.
+``edge_tensor``, ``layers.sparse_matmul`` and the adjoint of
+``models.link_scores``) runs feature-major in :func:`gather_scale_sum`:
+it transposes the small operand once and, for each feature column,
+gathers and scales one contiguous row and sums it with one ``bincount``,
+so no (terms x width) block or flat index is ever built. It is bitwise
+equal to the row-major gather-multiply-``segment_sum`` composition:
+every term is the same single product, and ``bincount`` adds each
+output's terms in array order either way. Row dot products follow the
+same rule: the adjacency-weight adjoint of
+``edge_tensor.propagate_values`` and the forward of
+``models.link_scores`` accumulate them one feature column at a time into
+one rows-long array, so each row adds its columns in order 0..p-1.
 
 Pair features never become a (pairs x 2 width) block. A linear map of
 [x_i || x_j] is x_i W_top + x_j W_bot, so the recipes of ``features``
@@ -245,14 +247,6 @@ def total(a):
 
 def mean(a):
     return scale(total(a), 1.0 / value(a).size)
-
-
-def sum_cols(a):
-    """Row-wise sum of a 2-d Var, returning a 1-d Var."""
-    av = value(a)
-    ncols = av.shape[1]
-    return _node(av.sum(axis=1),
-                 (a, lambda g: np.repeat(g[:, None], ncols, axis=1)))
 
 
 def bincount_rows(values, seg_ids, num_segments):

@@ -17,7 +17,7 @@ from .experiment import (TASKS, ExperimentConfig, ResultRecord,
                          evaluate_checkpoint, report, run_experiment)
 from .features import RECIPE_KINDS
 from .generators import sbm_generate
-from .gradcheck import model_gradcheck
+from .gradcheck import link_gradcheck, model_gradcheck
 from .models import MODEL_KINDS
 from .sparse_graph import LabeledGraph
 
@@ -108,20 +108,24 @@ def _cmd_gen_sbm(args):
 
 
 def _cmd_gradcheck(args):
-    worst_overall = 0.0
-    all_ok = True
+    checks = []
     for kind in args.models.split(","):
         # gcn_only has no edge stack, so no recipe to vary
         recipes = ("concat",) if kind == "gcn_only" else RECIPE_KINDS
         for recipe in recipes:
-            ok, rep = model_gradcheck(model_kind=kind, seed=args.seed,
-                                      n_per_block=args.nodes_per_block,
-                                      recipe_kind=recipe)
-            all_ok &= ok
             label = kind if kind == "gcn_only" else f"{kind}/{recipe}"
-            for name, worst in sorted(rep.items()):
-                print(f"{label} {name}: max rel err {worst:.3e}")
-                worst_overall = max(worst_overall, worst)
+            checks.append((label, model_gradcheck(
+                model_kind=kind, seed=args.seed,
+                n_per_block=args.nodes_per_block, recipe_kind=recipe)))
+        checks.append((f"{kind}/link", link_gradcheck(
+            model_kind=kind, seed=args.seed,
+            n_per_block=args.nodes_per_block)))
+    worst_overall = 0.0
+    for label, (_, rep) in checks:
+        for name, worst in sorted(rep.items()):
+            print(f"{label} {name}: max rel err {worst:.3e}")
+            worst_overall = max(worst_overall, worst)
+    all_ok = all(ok for _, (ok, _) in checks)
     print(f"gradcheck {'PASSED' if all_ok else 'FAILED'} "
           f"(worst {worst_overall:.3e})")
     if not all_ok:

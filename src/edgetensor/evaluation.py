@@ -168,16 +168,32 @@ def link_split(adjacency, test_fraction=0.10, val_fraction=0.05, seed=0):
                      sample_non_edges(adjacency.n, edge_keys, n_test, rng))
 
 
+def _run_starts(ordered):
+    """Positions in a sorted array where a run of equal values begins."""
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def sample_non_edges(n, edge_keys, count, rng):
     """Uniformly sample ``count`` distinct (i < j) pairs outside ``edge_keys``.
 
     ``edge_keys`` is an array of the keys ``i * n + j`` (i < j) of the
     excluded pairs. Pairs are drawn in batches and accepted in draw
     order, so the output is a function of ``rng``'s state.
+
+    Each batch is sorted once. Runs of equal keys in that order give each
+    key's first draw position (``np.minimum.reduceat`` over the sort
+    permutation, which holds for any ``n``, unlike a packed
+    ``key * size + position`` sort key), and the distinct keys, already
+    sorted, are looked up in the sorted excluded array. The keys a batch
+    accepts join the excluded array only when another batch follows.
     """
-    # excluded keys stay sorted; the sentinel n * n, above every key, keeps
-    # each searchsorted position in range
-    excluded = np.append(np.unique(np.asarray(edge_keys, dtype=np.intp)), n * n)
+    edge_keys = np.sort(np.asarray(edge_keys, dtype=np.intp).reshape(-1))
+    # excluded keys stay sorted and distinct; the sentinel n * n, above
+    # every key, keeps each searchsorted position in range
+    excluded = np.append(edge_keys[_run_starts(edge_keys)], n * n)
     available = n * (n - 1) // 2 - (excluded.size - 1)
     if count > available:
         raise ValueError(f"cannot sample {count} non-edges, "
@@ -186,14 +202,21 @@ def sample_non_edges(n, edge_keys, count, rng):
     taken = 0
     while taken < count:
         draw = rng.integers(n, size=(max(2 * (count - taken), 8), 2))
-        lo, hi = draw.min(axis=1), draw.max(axis=1)
+        lo = np.minimum(draw[:, 0], draw[:, 1])
+        hi = np.maximum(draw[:, 0], draw[:, 1])
         keys = (lo * n + hi)[lo != hi]
-        keys = keys[excluded[np.searchsorted(excluded, keys)] != keys]
-        _, first = np.unique(keys, return_index=True)
-        keys = keys[np.sort(first)[:count - taken]]
-        parts.append(keys)
-        taken += keys.size
-        new = np.sort(keys)
-        excluded = np.insert(excluded, np.searchsorted(excluded, new), new)
+        order = np.argsort(keys)
+        ordered = keys[order]
+        starts = _run_starts(ordered)
+        distinct = ordered[starts]
+        fresh = excluded[np.searchsorted(excluded, distinct)] != distinct
+        first = np.minimum.reduceat(order, starts)
+        accepted = keys[np.sort(first[fresh])[:count - taken]]
+        parts.append(accepted)
+        taken += accepted.size
+        if accepted.size and taken < count:
+            # nothing was cut, so the batch accepted every fresh key
+            new = distinct[fresh]
+            excluded = np.insert(excluded, np.searchsorted(excluded, new), new)
     accepted = np.concatenate(parts)
     return np.stack([accepted // n, accepted % n], axis=1)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import backward
-from .evaluation import split_nodes
+from .evaluation import sample_non_edges, split_nodes
 from .generators import sbm_generate
-from .models import build_model, etgnn_forward, prepare
+from .models import build_model, etgnn_forward, link_scores, prepare
 from .params import ParamTape
-from .training import cross_entropy_masked
+from .training import bce_from_scores, cross_entropy_masked
 
 
 def finite_difference_check(tape, loss_fn, step=1e-5, rel_tol=1e-4,
@@ -54,6 +54,24 @@ def finite_difference_check(tape, loss_fn, step=1e-5, rel_tol=1e-4,
     return ok, report
 
 
+def _tiny_model(model_kind, seed, n_per_block, activation, recipe_kind,
+                out_dim=None, **model_kwargs):
+    """(graph, ctx, tape, model) on a two-block SBM with small widths.
+
+    At ``reduce_dim=2`` and ``edge_hidden=(3, 1)`` the first edge layer
+    narrows under concat (4 -> 3) and widens under subtract (2 -> 3).
+    """
+    graph = sbm_generate([n_per_block, n_per_block], 0.6, 0.3, seed=seed + 1)
+    ctx = prepare(graph)
+    tape = ParamTape()
+    model = build_model(tape, model_kind, ctx, out_dim or graph.num_classes,
+                        recipe_kind=recipe_kind, reduce_dim=2,
+                        edge_hidden=(3, 1), gc_hidden=(4,), epsilon=0.2,
+                        seed=seed, hidden_activation=activation,
+                        **model_kwargs)
+    return graph, ctx, tape, model
+
+
 def model_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
                     activation="identity", recipe_kind="concat",
                     **check_kwargs):
@@ -61,21 +79,42 @@ def model_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
 
     Uses identity activations by default so ReLU kinks cannot spoil the
     check; pass ``activation="relu"`` to check at a random (almost surely
-    kink-free) operating point. ``recipe_kind`` picks the edge recipe. At
-    ``reduce_dim=2`` and ``edge_hidden=(3, 1)`` the first edge layer
-    narrows under concat (4 -> 3) and widens under subtract (2 -> 3).
+    kink-free) operating point. ``recipe_kind`` picks the edge recipe.
+    The loss is node classification's masked cross-entropy.
     """
-    graph = sbm_generate([n_per_block, n_per_block], 0.6, 0.3, seed=seed + 1)
+    graph, ctx, tape, model = _tiny_model(model_kind, seed, n_per_block,
+                                          activation, recipe_kind)
     splits = split_nodes(graph.labels, 2, 0.2, seed=seed + 2)
-    ctx = prepare(graph)
-    tape = ParamTape()
-    model = build_model(tape, model_kind, ctx, graph.num_classes,
-                        recipe_kind=recipe_kind, reduce_dim=2,
-                        edge_hidden=(3, 1), gc_hidden=(4,), epsilon=0.2,
-                        seed=seed, hidden_activation=activation)
 
     def loss_fn():
         z = etgnn_forward(model, ctx).z
         return cross_entropy_masked(z, graph.labels, splits["train"])
+
+    return finite_difference_check(tape, loss_fn, **check_kwargs)
+
+
+def link_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
+                   activation="identity", recipe_kind="concat",
+                   **check_kwargs):
+    """:func:`model_gradcheck` for the link-prediction loss.
+
+    The model embeds nodes with an identity output layer, as
+    ``tasks.run_link_prediction`` builds it, and the loss is
+    ``bce_from_scores`` over the ``link_scores`` of the graph's edges and
+    of as many non-edges (fewer when the graph has fewer), sampled once.
+    """
+    graph, ctx, tape, model = _tiny_model(model_kind, seed, n_per_block,
+                                          activation, recipe_kind, out_dim=4,
+                                          final_activation="identity")
+    a = graph.adjacency
+    upper = a.rows < a.cols
+    pos = np.stack([a.rows[upper], a.cols[upper]], axis=1)
+    count = min(pos.shape[0], a.n * (a.n - 1) // 2 - pos.shape[0])
+    neg = sample_non_edges(a.n, a.keys[upper], count,
+                           np.random.default_rng(seed + 3))
+
+    def loss_fn():
+        z = etgnn_forward(model, ctx).z
+        return bce_from_scores(link_scores(z, pos), link_scores(z, neg))
 
     return finite_difference_check(tape, loss_fn, **check_kwargs)

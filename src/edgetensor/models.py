@@ -217,10 +217,32 @@ def etgnn_forward(model, ctx, h=None):
 
 
 def link_scores(z, pairs):
-    """Inner-product decoder: sigmoid(z_i . z_j) for each requested pair."""
+    """Inner-product decoder: sigmoid(z_i . z_j) for each requested pair.
+
+    The dot products are one op, run feature-major: ``z`` is transposed
+    once, and for each feature column two contiguous ``np.take``s over the
+    pair columns are multiplied and added into one pairs-long array, so
+    each row adds its columns in order 0..d-1. The adjoint scatters with
+    :func:`autodiff.gather_scale_sum`, once per pair column. Neither
+    direction builds a (pairs x width) block; the tape keeps ``z``'s
+    transpose and the index columns.
+    """
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= ad.value(z).shape[0]):
+    zv = ad.value(z)
+    n = zv.shape[0]
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError("evaluation pair references unknown node")
-    left = ad.gather_rows(z, pairs[:, 0])
-    right = ad.gather_rows(z, pairs[:, 1])
-    return ad.sigmoid(ad.sum_cols(ad.mul(left, right)))
+    i, j = np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+    columns = np.ascontiguousarray(zv.T)
+    dots = np.zeros(i.size)
+    for column in columns:
+        term = np.take(column, i)
+        term *= np.take(column, j)
+        dots += term
+
+    def vjp(g):
+        # columns.T is F-ordered, so the kernel's transpose of it is free
+        return (ad.gather_scale_sum(columns.T, j, g, i, n)
+                + ad.gather_scale_sum(columns.T, i, g, j, n))
+
+    return ad.sigmoid(ad._node(dots, (z, vjp)))

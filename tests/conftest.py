@@ -110,6 +110,36 @@ def column_order_rowdot(x, y):
     return out
 
 
+def column_order_link_scores(z, pairs, g):
+    """Link scores and their ``z`` gradient by explicit loops.
+
+    Each dot product adds its columns in order 0, 1, ...
+    (:func:`column_order_rowdot`). For upstream gradient ``g`` on the
+    scores, each pair k adds ``d_k * z[j_k]`` to row i_k and, in a second
+    pass, ``d_k * z[i_k]`` to row j_k, pair by pair in order. Returns
+    ``(scores, z_grad)``.
+    """
+    i, j = np.asarray(pairs, dtype=np.intp).T
+    scores = ad.sigmoid(column_order_rowdot(z[i], z[j]))
+    d = g * scores * (1.0 - scores)
+    first, second = np.zeros_like(z), np.zeros_like(z)
+    for k in range(i.size):
+        for q in range(z.shape[1]):
+            first[i[k], q] += z[j[k], q] * d[k]
+            second[j[k], q] += z[i[k], q] * d[k]
+    return scores, first + second
+
+
+def composed_link_scores(z, pairs):
+    """sigmoid(z_i . z_j) composed of traced row gathers, a product and a row sum."""
+    pairs = np.asarray(pairs, dtype=np.intp)
+    prod = ad.mul(ad.gather_rows(z, pairs[:, 0]), ad.gather_rows(z, pairs[:, 1]))
+    width = value(prod).shape[1]
+    dots = ad._node(value(prod).sum(axis=1),
+                    (prod, lambda g: np.repeat(g[:, None], width, axis=1)))
+    return ad.sigmoid(dots)
+
+
 def fancy_index_propagate(plan, a_vals, s_vals, g):
     """The masked mode product and both vjps, with ``x[idx]`` gathers.
 

@@ -307,3 +307,32 @@ def test_sample_non_edges_calls_sharing_one_rng_match_loop_oracle():
         np.testing.assert_array_equal(
             sample_non_edges(n, keys, count, got_rng),
             loop_sample_non_edges(n, keys, count, want_rng))
+
+
+def test_sample_non_edges_at_link_prediction_scale_match_loop_oracle():
+    # the lp workload's size: n=2000, ~10k edge keys, one rng over three calls
+    n = 2000
+    i, j = np.random.default_rng(7).integers(n, size=(2, 10_100))
+    keep = i != j
+    keys = np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep]
+    assert keys.size >= 10_000
+    got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(3):
+        np.testing.assert_array_equal(
+            sample_non_edges(n, keys, keys.size, got_rng),
+            loop_sample_non_edges(n, keys, keys.size, want_rng))
+    assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+
+def test_sample_non_edges_huge_node_count_match_loop_oracle():
+    # keys near n * n: any key packing that multiplies them again overflows;
+    # count 5 draws a batch of 10, whose wrapped multiples lose the position
+    n = 2_000_000_000
+    keys = np.array([0 * n + 1, (n - 2) * n + (n - 1)])
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for count in (3, 5):
+        got = sample_non_edges(n, keys, count, got_rng)
+        np.testing.assert_array_equal(
+            got, loop_sample_non_edges(n, keys, count, want_rng))
+        assert got.shape == (count, 2) and np.all(got[:, 0] < got[:, 1])
+    assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)

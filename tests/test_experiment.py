@@ -327,9 +327,10 @@ def test_cli_gradcheck_covers_every_recipe(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     for label in ("et_gcn/concat", "et_gcn/subtract", "et_gat/concat",
-                  "et_gat/subtract"):
+                  "et_gat/subtract", "et_gcn/link", "et_gat/link"):
         assert f"{label} edge_0: max rel err" in out
     assert "gcn_only gc_0: max rel err" in out
+    assert "gcn_only/link gc_0: max rel err" in out
 
 
 def test_cli_reports_errors_as_json(capsys):

@@ -8,7 +8,8 @@ from edgetensor.autodiff import Var, backward
 from edgetensor.evaluation import split_nodes
 from edgetensor.features import RECIPE_KINDS
 from edgetensor.generators import sbm_generate
-from edgetensor.gradcheck import finite_difference_check, model_gradcheck
+from edgetensor.gradcheck import (finite_difference_check, link_gradcheck,
+                                  model_gradcheck)
 from edgetensor.models import (NEGATIVE_MODES, build_model, etgnn_forward,
                                prepare, prepare_multigraph)
 from edgetensor.params import ParamTape
@@ -83,6 +84,15 @@ def test_gradcheck_reports_real_relative_errors():
     assert ok
     for name, worst in report.items():
         assert 0.0 < worst < 1e-4, (name, worst)
+
+
+@pytest.mark.parametrize("kind", ["gcn_only", "et_gcn", "et_gat"])
+def test_link_prediction_loss_gradcheck(kind):
+    # bce over the link scores of the edges and of sampled non-edges, with
+    # z read by both calls, through the whole model
+    ok, report = link_gradcheck(model_kind=kind, seed=0)
+    assert ok, report
+    assert all(0.0 < worst < 1e-4 for worst in report.values()), report
 
 
 def test_full_model_gradcheck_with_relu():

@@ -1,12 +1,14 @@
 """Full model forwards: learned-graph validity, decoders, determinism."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import check_learned_graph, slot_pair_features
+from conftest import (check_learned_graph, column_order_link_scores,
+                      composed_link_scores, slot_pair_features)
 from edgetensor.autodiff import Var, backward
 from edgetensor import autodiff as ad
 from edgetensor import edge_tensor, layers, models
@@ -207,6 +209,55 @@ def test_link_scores_unknown_node_rejected(rng):
 def test_link_scores_negative_node_rejected(rng):
     with pytest.raises(ValueError, match="unknown node"):
         link_scores(rng.standard_normal((3, 2)), [(-1, 0)])
+
+
+# a repeated pair, an i == j pair, and a z read by two calls
+LINK_POS = [(0, 1), (2, 4), (0, 1), (3, 3), (6, 5)]
+LINK_NEG = [(1, 6), (5, 5), (4, 0), (1, 6)]
+
+
+def test_link_scores_bitwise_equal_to_column_order_oracle(rng):
+    z = rng.standard_normal((7, 5))
+    c_pos, c_neg = rng.standard_normal(len(LINK_POS)), rng.standard_normal(len(LINK_NEG))
+    zv = Var(z.copy())
+    pos, neg = link_scores(zv, LINK_POS), link_scores(zv, LINK_NEG)
+    backward(ad.add(ad.total(ad.mul(pos, c_pos)), ad.total(ad.mul(neg, c_neg))))
+    want_pos, grad_pos = column_order_link_scores(z, LINK_POS, c_pos)
+    want_neg, grad_neg = column_order_link_scores(z, LINK_NEG, c_neg)
+    assert np.array_equal(pos.value, want_pos)
+    assert np.array_equal(neg.value, want_neg)
+    assert np.array_equal(zv.grad, grad_pos + grad_neg)
+    assert np.array_equal(link_scores(z, LINK_POS), want_pos)
+
+
+def test_link_scores_match_the_composed_ops(rng):
+    z = rng.standard_normal((7, 32))
+    grads = []
+    for score in (link_scores, composed_link_scores):
+        zv = Var(z.copy())
+        pos, neg = score(zv, LINK_POS), score(zv, LINK_NEG)
+        backward(bce_from_scores(pos, neg))
+        grads.append((pos.value, neg.value, zv.grad))
+    for got, want in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_link_scores_allocate_no_pairs_by_width_block():
+    """Forward and backward at width 32 over 20k pairs never hold a
+    (pairs x width) block: every temporary is pairs-long or n x width."""
+    n, width, num_pairs = 300, 32, 20_000
+    rng = np.random.default_rng(0)
+    z = Var(rng.standard_normal((n, width)))
+    pairs = rng.integers(n, size=(num_pairs, 2))
+    block = num_pairs * width * 8
+    tracemalloc.start()
+    try:
+        backward(ad.total(link_scores(z, pairs)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.grad is not None
+    assert peak < block / 2, f"peak {peak} B against a {block} B block"
 
 
 def test_prepare_multigraph_builds_union_context():
