@@ -85,8 +85,8 @@ def _node(out, *pairs):
     Each pair is ``(input, vjp)``; pairs whose input is not a Var are
     dropped. With no Var input the plain ``out`` is returned. Ops outside
     this module (``edge_tensor.propagate_values``,
-    ``layers.sparse_matmul``) build their result with it too, so the rule
-    lives here.
+    ``layers.sparse_matmul``, ``models.link_scores``) build their result
+    with it too, so the rule lives here.
     """
     traced = [(x, vjp) for x, vjp in pairs if isinstance(x, Var)]
     if not traced:
