@@ -17,19 +17,16 @@ axis=0)`` rather than ``x[idx]``. On numpy 2.4 it is 2-5x faster for
 rows of 1-16 float64, with the same result and the same ``IndexError``
 on an out-of-range index.
 
-A gathered, scaled and segment-summed block (the mode-1/2 products of
-``edge_tensor``, ``layers.sparse_matmul`` and the adjoint of
-``models.link_scores``) runs feature-major in :func:`gather_scale_sum`:
-it transposes the small operand once and, for each feature column,
-gathers and scales one contiguous row and sums it with one ``bincount``,
-so no (terms x width) block or flat index is ever built. It is bitwise
-equal to the row-major gather-multiply-``segment_sum`` composition:
-every term is the same single product, and ``bincount`` adds each
-output's terms in array order either way. Row dot products follow the
-same rule: the adjacency-weight adjoint of
-``edge_tensor.propagate_values`` and the forward of
-``models.link_scores`` accumulate them one feature column at a time into
-one rows-long array, so each row adds its columns in order 0..p-1.
+Two plain-array kernels run feature-major: each transposes its 2-d
+operands once and then works on one contiguous feature column at a time, so no
+(terms x width) block or flat index is ever built.
+:func:`gather_scale_sum` serves the sparse products of
+``edge_tensor.propagate_values`` (the mode-1/2 products and A·H) and the
+adjoint of ``models.link_scores``. It is bitwise equal to the row-major
+gather-multiply-``segment_sum`` composition: every term is the same
+single product, and ``bincount`` adds each output's terms in array order
+either way. :func:`row_dots` serves the weight adjoint of
+``propagate_values`` and the forward of ``link_scores``.
 
 Pair features never become a (pairs x 2 width) block. A linear map of
 [x_i || x_j] is x_i W_top + x_j W_bot, so the recipes of ``features``
@@ -85,8 +82,8 @@ def _node(out, *pairs):
     Each pair is ``(input, vjp)``; pairs whose input is not a Var are
     dropped. With no Var input the plain ``out`` is returned. Ops outside
     this module (``edge_tensor.propagate_values``,
-    ``layers.sparse_matmul``, ``models.link_scores``) build their result
-    with it too, so the rule lives here.
+    ``models.link_scores``) build their result with it too, so the rule
+    lives here.
     """
     traced = [(x, vjp) for x, vjp in pairs if isinstance(x, Var)]
     if not traced:
@@ -288,6 +285,26 @@ def gather_scale_sum(x, gather_idx, scale, seg_ids, num_segments):
         terms *= scale
         out[q] = np.bincount(seg_ids, weights=terms, minlength=num_segments)
     return out.T
+
+
+def row_dots(x, x_idx, y, y_idx):
+    """Plain-array kernel: ``out[k] = x[x_idx[k]] . y[y_idx[k]]`` for 2-d
+    ``x`` and ``y`` of equal width.
+
+    Feature-major, like :func:`gather_scale_sum`: each operand is
+    transposed once (free when it is F-ordered), then each feature column
+    adds the product of two contiguous ``np.take``s into one
+    ``x_idx``-long array. So every row adds its columns in order
+    0, 1, ..., p - 1: deterministic, though it may differ in the last bit
+    from ``einsum`` or ``.sum(axis=1)``, which add in other orders (the
+    latter from width 8 up on numpy 2.4).
+    """
+    out = np.zeros(len(x_idx))
+    for x_col, y_col in zip(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)):
+        term = np.take(x_col, x_idx)
+        term *= np.take(y_col, y_idx)
+        out += term
+    return out
 
 
 def segment_sum(a, seg_ids, num_segments):

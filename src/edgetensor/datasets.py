@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import atomic_open
 from .sparse_graph import LabeledGraph, SparseAdjacency
 
 
@@ -159,7 +160,7 @@ def load_dataset(root):
 
 def _save_edge_list(adjacency, path):
     upper = adjacency.rows < adjacency.cols
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for i, j, w in zip(adjacency.rows[upper], adjacency.cols[upper],
                            adjacency.weights[upper]):
             if w == 1.0:
@@ -169,21 +170,27 @@ def _save_edge_list(adjacency, path):
 
 
 def save_dataset(data, root):
-    """Write a LabeledGraph or MultiGraphDataset in the text layout."""
+    """Write a LabeledGraph or MultiGraphDataset in the text layout.
+
+    Each file is written through :func:`params.atomic_open`, so it is
+    replaced whole or not at all: an interrupted write never leaves a
+    truncated file that still parses. A crash between two files can still
+    leave new files beside old ones.
+    """
     os.makedirs(root, exist_ok=True)
     if isinstance(data, MultiGraphDataset):
         for k, g in enumerate(data.graphs, start=1):
             _save_edge_list(g, os.path.join(root, f"edges_{k}.tsv"))
     else:
         _save_edge_list(data.adjacency, os.path.join(root, "edges.tsv"))
-    with open(os.path.join(root, "features.txt"), "w") as fh:
+    with atomic_open(os.path.join(root, "features.txt")) as fh:
         for row in data.node_features:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-    with open(os.path.join(root, "labels.txt"), "w") as fh:
+    with atomic_open(os.path.join(root, "labels.txt")) as fh:
         for value in data.labels:
             fh.write(f"{value}\n")
     if data.splits:
-        with open(os.path.join(root, "splits.txt"), "w") as fh:
+        with atomic_open(os.path.join(root, "splits.txt")) as fh:
             for name in ("train", "val", "test"):
                 if name in data.splits:
                     fh.write(f"#{name}\n")

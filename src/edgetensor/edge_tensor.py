@@ -231,42 +231,31 @@ def contraction_plan(mode, tensor, adjacency):
 
 
 def propagate_values(plan, a_vals, s_vals):
-    """Masked mode product on raw value blocks.
+    """Masked sparse product on raw value blocks: the library's one
+    sparse-product op.
 
-    out[t] sums a * s over the plan triples of output slot t. An autodiff
-    op: traced when either block is a Var. Adjoints reuse the same plan:
-    the gradient w.r.t. the tensor is the product with transposed matrix
-    roles, restricted to the same support.
+    out[t] sums a * s over the plan triples of output slot t. It runs the
+    mode-1/2 products of this module and, over a plan with one triple per
+    adjacency entry, the node product A·H of ``layers.sparse_matmul``. An
+    autodiff op: traced when either block is a Var. Adjoints reuse the
+    same plan: the gradient w.r.t. the tensor is the product with
+    transposed matrix roles, restricted to the same support.
 
-    The forward and the tensor adjoint run feature-major through
-    :func:`autodiff.gather_scale_sum`: one contiguous gather, scale and
-    ``bincount`` per feature column, never a (triples x p) block. That is
-    bitwise equal to gathering whole rows, scaling them and summing the
-    block: each term is the same single product, and ``bincount`` adds
-    each output's terms in plan order either way. The tensor adjoint
-    gathers the weights again instead of keeping them, so the tape holds
-    no triples-long array.
-
-    The weight adjoint is feature-major too: it transposes ``g`` and the
-    tensor values once, accumulates one triples-long row dot product
-    column by column (two contiguous gathers and a product per column)
-    and sums it per adjacency entry with one ``bincount``. Each row's dot
-    product adds its columns in order 0, 1, ..., p - 1, so it is
-    deterministic; it may differ in the last bit from an ``einsum`` row
-    dot, which adds in another order.
+    The forward and the tensor adjoint run through
+    :func:`autodiff.gather_scale_sum`, so no (triples x p) block is built.
+    The tensor adjoint gathers the weights again instead of keeping them,
+    so the tape holds no triples-long array. The weight adjoint sums the
+    row dot products of :func:`autodiff.row_dots` per adjacency entry with
+    one ``bincount``.
     """
     av, sv = ad.value(a_vals), ad.value(s_vals)
     out = ad.gather_scale_sum(sv, plan.slot_idx, np.take(av, plan.adj_idx),
                               plan.out_idx, plan.num_slots)
 
     def vjp_a(g):
-        g_cols, s_cols = np.ascontiguousarray(g.T), np.ascontiguousarray(sv.T)
-        rowdot = np.take(g_cols[0], plan.out_idx) * np.take(s_cols[0], plan.slot_idx)
-        for g_col, s_col in zip(g_cols[1:], s_cols[1:]):
-            term = np.take(g_col, plan.out_idx)
-            term *= np.take(s_col, plan.slot_idx)
-            rowdot += term
-        return np.bincount(plan.adj_idx, weights=rowdot, minlength=plan.num_adj)
+        return np.bincount(plan.adj_idx,
+                           weights=ad.row_dots(g, plan.out_idx, sv, plan.slot_idx),
+                           minlength=plan.num_adj)
 
     def vjp_s(g):
         return ad.gather_scale_sum(g, plan.out_idx, np.take(av, plan.adj_idx),

@@ -12,13 +12,11 @@ from .sparse_graph import SparseAdjacency
 
 @dataclass(frozen=True)
 class MetricReport:
-    accuracy: float = None
     auc: float = None
     ap: float = None
-    homophily: float = None
 
     def __post_init__(self):
-        for name in ("accuracy", "auc", "ap", "homophily"):
+        for name in ("auc", "ap"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")

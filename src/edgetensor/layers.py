@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .edge_tensor import (axpy, project_mode3, propagate_mode1,
-                          propagate_mode2)
+from .edge_tensor import (ContractionPlan, axpy, project_mode3,
+                          propagate_mode1, propagate_mode2, propagate_values)
 
 GC_ACTIVATIONS = ("relu", "softmax", "identity")
 EDGE_ACTIVATIONS = ("relu", "identity")
@@ -85,23 +85,13 @@ def _activate(values, name):
 def sparse_matmul(a, h):
     """A_hat @ H for a sparse matrix (pattern + values) and dense H.
 
-    One autodiff op, traced over ``a.weights`` and ``h``. The forward and
-    the ``h`` adjoint run through :func:`autodiff.gather_scale_sum`. The
-    weight adjoint sums ``g[rows] * h[cols]`` along each row with
-    ``.sum(axis=1)``: ``einsum`` would add in another order from width 3
-    up.
+    H x1 A_hat, run by :func:`edge_tensor.propagate_values` over a plan
+    with one triple (output row, entry, input row) per entry of ``a``.
+    The plan is built per call and never cached, so plan caches hold only
+    edge-tensor plans. Traced when ``a.weights`` or ``h`` is a Var.
     """
-    w, hv = ad.value(a.weights), ad.value(h)
-
-    def vjp_w(g):
-        return (np.take(g, a.rows, axis=0)
-                * np.take(hv, a.cols, axis=0)).sum(axis=1)
-
-    def vjp_h(g):
-        return ad.gather_scale_sum(g, a.rows, w, a.cols, a.n)
-
-    return ad._node(ad.gather_scale_sum(hv, a.cols, w, a.rows, a.n),
-                    (a.weights, vjp_w), (h, vjp_h))
+    plan = ContractionPlan(a.rows, np.arange(a.nnz), a.cols, a.n, a.nnz)
+    return propagate_values(plan, a.weights, h)
 
 
 def gc_forward(h, a, layer):

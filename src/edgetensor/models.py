@@ -219,13 +219,11 @@ def etgnn_forward(model, ctx, h=None):
 def link_scores(z, pairs):
     """Inner-product decoder: sigmoid(z_i . z_j) for each requested pair.
 
-    The dot products are one op, run feature-major: ``z`` is transposed
-    once, and for each feature column two contiguous ``np.take``s over the
-    pair columns are multiplied and added into one pairs-long array, so
-    each row adds its columns in order 0..d-1. The adjoint scatters with
+    The dot products are one op: the forward is one
+    :func:`autodiff.row_dots` call, and the adjoint scatters with
     :func:`autodiff.gather_scale_sum`, once per pair column. Neither
-    direction builds a (pairs x width) block; the tape keeps ``z``'s
-    transpose and the index columns.
+    direction builds a (pairs x width) block; the tape keeps an F-ordered
+    copy of ``z`` and the index columns.
     """
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     zv = ad.value(z)
@@ -233,16 +231,12 @@ def link_scores(z, pairs):
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError("evaluation pair references unknown node")
     i, j = np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
-    columns = np.ascontiguousarray(zv.T)
-    dots = np.zeros(i.size)
-    for column in columns:
-        term = np.take(column, i)
-        term *= np.take(column, j)
-        dots += term
+    # F-ordered, so each kernel's transpose of it is free
+    z_f = np.asfortranarray(zv)
+    dots = ad.row_dots(z_f, i, z_f, j)
 
     def vjp(g):
-        # columns.T is F-ordered, so the kernel's transpose of it is free
-        return (ad.gather_scale_sum(columns.T, j, g, i, n)
-                + ad.gather_scale_sum(columns.T, i, g, j, n))
+        return (ad.gather_scale_sum(z_f, j, g, i, n)
+                + ad.gather_scale_sum(z_f, i, g, j, n))
 
     return ad.sigmoid(ad._node(dots, (z, vjp)))

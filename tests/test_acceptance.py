@@ -164,12 +164,16 @@ def test_criterion_3_complexity_scaling():
     timed(t1, a1, reps=2)
     timed(t2, a2, reps=2)
     # pair the two sizes inside each trial so machine-load drift cancels
-    factors = sorted(timed(t2, a2) / timed(t1, a1) for _ in range(5))
-    median = factors[2]
+    pairs = [(timed(t2, a2), timed(t1, a1)) for _ in range(5)]
+    factors = [big / small for big, small in pairs]
+    median = sorted(factors)[2]
     elapsed = time.perf_counter() - start
     verdict(3, "complexity scaling",
             1.6 <= median <= 2.6 and elapsed < 120.0,
-            f"median factor {median:.2f}, plan triple ratio "
+            f"median factor {median:.2f} of paired factors "
+            f"{', '.join(f'{f:.2f}' for f in factors)}; best times "
+            f"{min(s for _, s in pairs) * 1e3:.2f} ms at scale 1, "
+            f"{min(b for b, _ in pairs) * 1e3:.2f} ms at scale 2, plan triple ratio "
             f"{triples2 / triples1:.2f}, {elapsed:.1f}s")
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import bincount_per_column
+from conftest import bincount_per_column, column_order_rowdot
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
 
@@ -161,6 +161,26 @@ def test_bincount_rows_matches_a_bincount_per_column(ncols, rng):
     for k in range(ncols):
         np.testing.assert_array_equal(
             out[:, k], np.bincount(seg, weights=values[:, k], minlength=9))
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 32])
+def test_row_dots_bitwise_equal_to_column_order_rowdot(width, rng):
+    """C- and F-ordered operands give the column-order row dots exactly."""
+    x_c = rng.standard_normal((25, width))
+    y_c = rng.standard_normal((40, width))
+    x_idx = rng.integers(0, 25, 300)
+    y_idx = rng.integers(0, 40, 300)
+    want = column_order_rowdot(x_c[x_idx], y_c[y_idx])
+    for order in ("C", "F"):
+        x, y = np.asarray(x_c, order=order), np.asarray(y_c, order=order)
+        assert np.array_equal(ad.row_dots(x, x_idx, y, y_idx), want)
+
+
+def test_row_dots_empty_index_gives_empty_float_array(rng):
+    x = rng.standard_normal((4, 3))
+    empty = np.array([], dtype=np.intp)
+    out = ad.row_dots(x, empty, x, empty)
+    assert out.shape == (0,) and out.dtype == np.float64
 
 
 def test_segment_softmax_matches_dense_softmax(rng):

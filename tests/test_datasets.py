@@ -1,5 +1,7 @@
 """Text dataset format: round trips and malformed-input diagnostics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,28 @@ def test_multi_graph_round_trip(tmp_path):
         for attr in ("rows", "cols", "weights"):
             np.testing.assert_array_equal(getattr(got, attr),
                                           getattr(expected, attr))
+
+
+class _Unwritable:
+    """An edge weight whose text form raises, to cut a write short."""
+
+    def __float__(self):
+        raise RuntimeError("interrupted")
+
+
+def test_interrupted_save_leaves_previous_files(tmp_path):
+    """A write that fails after some edge lines keeps the old edges.tsv
+    byte for byte and leaves no temp file."""
+    root = tmp_path / "data"
+    save_dataset(sbm_generate([10, 10], 0.5, 0.1, seed=0), root)
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    a = sbm_generate([10, 10], 0.5, 0.1, seed=1).adjacency
+    weights = a.weights.astype(object)
+    weights[np.flatnonzero(a.rows < a.cols)[5]] = _Unwritable()
+    broken = SimpleNamespace(rows=a.rows, cols=a.cols, weights=weights)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_dataset(SimpleNamespace(adjacency=broken), root)
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
 
 def test_weighted_edges_round_trip(tmp_path):

@@ -18,6 +18,7 @@ from edgetensor.edge_tensor import (EdgeFeatureTensor, EdgeSupport, _build_plan,
                                     mode_k_product_dense, project_mode3,
                                     propagate_mode1, propagate_mode2,
                                     propagate_values)
+from edgetensor.layers import sparse_matmul
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
 
@@ -387,12 +388,15 @@ def _traced_peak(fn):
 
 def test_propagate_values_allocates_no_triples_by_width_block():
     """A p=8 forward and backward over a 50k-triple plan never hold a
-    triples x p block.
+    triples x p block, and the A·H backward never holds an entries x p
+    block.
 
     Seven disjoint 20-node cliques: 2,800 slots and 56,000 triples per
     mode, so the (slots x p) input copy and output stay small beside one
     (triples x p) float64 block. The backward traces both the adjacency
-    weights and the tensor values, so it runs both adjoints.
+    weights and the tensor values, so it runs both adjoints. The same
+    graph's ``sparse_matmul`` has 2,800 entries and 140 node rows, so its
+    (n x p) blocks stay small beside one (entries x p) block.
     """
     k, cliques, p = 20, 7, 8
     iu, ju = np.triu_indices(k, 1)
@@ -414,6 +418,13 @@ def test_propagate_values_allocates_no_triples_by_width_block():
         peak = _traced_peak(lambda: backward(out, seed=g))
         assert av.grad is not None and sv.grad is not None
         assert peak < block, f"mode {mode}: backward peak {peak} B >= block {block} B"
+    w, h = Var(a.weights.copy()), Var(rng.standard_normal((a.n, p)))
+    g = rng.standard_normal((a.n, p))
+    out = sparse_matmul(a.with_weights(w, symmetric=False), h)
+    peak = _traced_peak(lambda: backward(out, seed=g))
+    assert w.grad is not None and h.grad is not None
+    block = a.nnz * p * 8
+    assert peak < block, f"A·H: backward peak {peak} B >= block {block} B"
 
 
 def test_star_plans_stay_small():

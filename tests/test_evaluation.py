@@ -14,9 +14,11 @@ from edgetensor.sparse_graph import SparseAdjacency
 
 
 def test_metric_report_bounds():
-    MetricReport(accuracy=0.0, auc=1.0)
+    MetricReport(auc=1.0, ap=0.0)
     with pytest.raises(ValueError, match="auc"):
         MetricReport(auc=1.2)
+    with pytest.raises(ValueError, match="ap"):
+        MetricReport(ap=-0.1)
 
 
 def test_accuracy_basic():

@@ -211,6 +211,15 @@ def test_link_scores_negative_node_rejected(rng):
         link_scores(rng.standard_normal((3, 2)), [(-1, 0)])
 
 
+def test_link_scores_of_no_pairs_are_empty(rng):
+    z = Var(rng.standard_normal((4, 3)))
+    scores = link_scores(z, np.empty((0, 2), dtype=np.intp))
+    assert scores.value.shape == (0,) and scores.value.dtype == np.float64
+    backward(ad.total(scores))
+    assert np.array_equal(z.grad, np.zeros((4, 3)))
+    assert link_scores(z.value, []).shape == (0,)
+
+
 # a repeated pair, an i == j pair, and a z read by two calls
 LINK_POS = [(0, 1), (2, 4), (0, 1), (3, 3), (6, 5)]
 LINK_NEG = [(1, 6), (5, 5), (4, 0), (1, 6)]
