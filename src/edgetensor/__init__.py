@@ -9,9 +9,8 @@ weighting, and node-classification / link-prediction / multi-graph tasks.
 """
 
 from .autodiff import Var, backward
-from .edge_tensor import (EdgeFeatureTensor, EdgeSupport, axpy,
-                          mode_k_product_dense, project_mode3,
-                          propagate_mode1, propagate_mode2)
+from .edge_tensor import (EdgeFeatureTensor, axpy, mode_k_product_dense,
+                          project_mode3, propagate_mode1, propagate_mode2)
 from .evaluation import (MetricReport, accuracy, auc_ap, homophily,
                          link_split, split_nodes)
 from .experiment import (ExperimentConfig, ResultRecord, report,

@@ -4,7 +4,9 @@ Layout of a dataset directory:
 
 * ``edges.tsv``       one ``i<TAB>j[<TAB>w]`` line per undirected edge,
                       0-based, weight defaulting to 1.0. Multi-graph
-                      datasets use ``edges_1.tsv`` ... ``edges_m.tsv``.
+                      datasets use ``edges_1.tsv`` ... ``edges_m.tsv``
+                      instead, one per view, loaded in order of k; a
+                      directory may not hold both layouts.
 * ``features.txt``    one whitespace-separated feature row per node.
 * ``labels.txt``      one class id per node, ``-1`` for unlabeled.
 * ``splits.txt``      optional; node ids listed under ``#train`` /
@@ -14,12 +16,15 @@ Layout of a dataset directory:
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .params import atomic_open
 from .sparse_graph import LabeledGraph, SparseAdjacency
+
+_VIEW_FILE = re.compile(r"edges_([1-9][0-9]*)\.tsv")
 
 
 @dataclass(frozen=True)
@@ -132,11 +137,17 @@ def load_splits(path, n):
 
 
 def _multi_edge_files(root):
-    files = sorted(
-        f for f in os.listdir(root)
-        if f.startswith("edges_") and f.endswith(".tsv")
-    )
-    return [os.path.join(root, f) for f in files]
+    """Paths of ``edges_1.tsv`` ... ``edges_m.tsv`` under ``root``, in order of k."""
+    views = {}
+    for name in os.listdir(root):
+        match = _VIEW_FILE.fullmatch(name)
+        if match:
+            views[int(match.group(1))] = os.path.join(root, name)
+    ks = sorted(views)
+    if ks != list(range(1, len(ks) + 1)):
+        raise ValueError(f"{root}: edge views must be edges_1.tsv ... "
+                         f"edges_m.tsv without a gap, found k = {ks}")
+    return [views[k] for k in ks]
 
 
 def load_dataset(root):
@@ -148,10 +159,12 @@ def load_dataset(root):
     splits = load_splits(splits_path, n) if os.path.exists(splits_path) else {}
 
     single = os.path.join(root, "edges.tsv")
+    multi = _multi_edge_files(root)
     if os.path.exists(single):
+        if multi:
+            raise ValueError(f"{root} holds both edges.tsv and edges_k.tsv")
         adjacency = load_edge_list(single, n)
         return LabeledGraph(adjacency, features, labels, splits)
-    multi = _multi_edge_files(root)
     if not multi:
         raise FileNotFoundError(f"no edges.tsv or edges_*.tsv under {root}")
     graphs = [load_edge_list(p, n) for p in multi]
@@ -172,13 +185,25 @@ def _save_edge_list(adjacency, path):
 def save_dataset(data, root):
     """Write a LabeledGraph or MultiGraphDataset in the text layout.
 
-    Each file is written through :func:`params.atomic_open`, so it is
-    replaced whole or not at all: an interrupted write never leaves a
-    truncated file that still parses. A crash between two files can still
-    leave new files beside old ones.
+    Files that :func:`load_dataset` would read but this save does not
+    write (the other layout's edge files, views above the new m, and
+    ``splits.txt`` for data without splits) are removed first, so an
+    interrupted save cannot load as the old graph. Each file is written
+    through :func:`params.atomic_open`, so it is replaced whole or not at
+    all: an interrupted write never leaves a truncated file that still
+    parses. A crash between two files can still leave new files beside
+    old ones of the same layout.
     """
     os.makedirs(root, exist_ok=True)
-    if isinstance(data, MultiGraphDataset):
+    multi = isinstance(data, MultiGraphDataset)
+    written = ({f"edges_{k}.tsv" for k in range(1, len(data.graphs) + 1)}
+               if multi else {"edges.tsv"})
+    for name in os.listdir(root):
+        edges = name == "edges.tsv" or _VIEW_FILE.fullmatch(name)
+        if (edges and name not in written
+                or name == "splits.txt" and not data.splits):
+            os.remove(os.path.join(root, name))
+    if multi:
         for k, g in enumerate(data.graphs, start=1):
             _save_edge_list(g, os.path.join(root, f"edges_{k}.tsv"))
     else:

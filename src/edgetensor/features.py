@@ -30,7 +30,7 @@ def _check_rows(weight, width):
 
 
 def build_concat_features(h, a_tilde, reducer, weight):
-    """Slot (i, j) holds [r_i || r_j] W on support(a_tilde).
+    """Slot (i, j) holds [r_i || r_j] W on a_tilde's pattern.
 
     r is the reducer output and W a (2 * reduce_dim, p') weight. Computed
     as (R W_top)_i + (R W_bot)_j, W_top and W_bot being W's top and bottom
@@ -43,7 +43,7 @@ def build_concat_features(h, a_tilde, reducer, weight):
     bottom = ad.matmul(reduced, ad.row_slice(weight, r, 2 * r))
     values = ad.add(ad.gather_rows(top, a_tilde.rows),
                     ad.gather_rows(bottom, a_tilde.cols))
-    return EdgeFeatureTensor(a_tilde.support, values)
+    return EdgeFeatureTensor(a_tilde, values)
 
 
 def build_subtract_features(h, a_tilde, reducer, weight):
@@ -57,7 +57,7 @@ def build_subtract_features(h, a_tilde, reducer, weight):
     projected = ad.matmul(reduced, weight)
     values = ad.sub(ad.gather_rows(projected, a_tilde.rows),
                     ad.gather_rows(projected, a_tilde.cols))
-    return EdgeFeatureTensor(a_tilde.support, values)
+    return EdgeFeatureTensor(a_tilde, values)
 
 
 def union_graph(graphs):
@@ -70,19 +70,20 @@ def union_graph(graphs):
     return SparseAdjacency(n, keys // n, keys % n, np.ones(keys.size))
 
 
-def build_stacked_graph_features(graphs, support):
+def build_stacked_graph_features(graphs, pattern):
     """Channel v of slot (i, j) is the weight of edge (i, j) in graph v.
 
-    Every graph's entries must lie on ``support`` (an :class:`EdgeSupport`
-    with the graphs' node count).
+    The tensor lives on ``pattern`` (the renormalized union graph), and
+    every graph's entries must lie on it.
     """
-    values = np.zeros((support.num_slots, len(graphs)))
+    EdgeFeatureTensor.check_pattern(pattern)
+    values = np.zeros((pattern.nnz, len(graphs)))
     for v, g in enumerate(graphs):
-        if g.n != support.n:
+        if g.n != pattern.n:
             raise ValueError("all graphs must share the support's node count")
-        # the support holds slot (n-1, n-1), the largest key, so pos is in range
-        pos = np.searchsorted(support.keys, g.keys)
-        if not np.array_equal(support.keys[pos], g.keys):
+        # the pattern holds slot (n-1, n-1), the largest key, so pos is in range
+        pos = np.searchsorted(pattern.keys, g.keys)
+        if not np.array_equal(pattern.keys[pos], g.keys):
             raise ValueError(f"graph {v} has an entry outside the support")
         values[pos, v] = g.weights
-    return EdgeFeatureTensor(support, values)
+    return EdgeFeatureTensor(pattern, values)

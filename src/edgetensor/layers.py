@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .edge_tensor import (ContractionPlan, axpy, project_mode3,
-                          propagate_mode1, propagate_mode2, propagate_values)
+from .edge_tensor import (axpy, project_mode3, propagate_mode1,
+                          propagate_mode2, propagate_values)
+from .sparse_graph import ContractionPlan
 
 GC_ACTIVATIONS = ("relu", "softmax", "identity")
 EDGE_ACTIVATIONS = ("relu", "identity")
@@ -87,8 +88,8 @@ def sparse_matmul(a, h):
 
     H x1 A_hat, run by :func:`edge_tensor.propagate_values` over a plan
     with one triple (output row, entry, input row) per entry of ``a``.
-    The plan is built per call and never cached, so plan caches hold only
-    edge-tensor plans. Traced when ``a.weights`` or ``h`` is a Var.
+    The plan is built per call and never cached, so a pattern's ``plans``
+    are only edge-tensor plans. Traced when ``a.weights`` or ``h`` is a Var.
     """
     plan = ContractionPlan(a.rows, np.arange(a.nnz), a.cols, a.n, a.nnz)
     return propagate_values(plan, a.weights, h)
@@ -148,8 +149,7 @@ def attention_forward(h, a, head):
     at node level as (H theta_top)_i + (H theta_bot)_j. Returns the weights
     on ``a``'s pattern (a Var when traced).
     """
-    # entries are unique, so n diagonal entries means every self-loop
-    if np.count_nonzero(a.rows == a.cols) != a.n:
+    if not a.has_self_loops:
         raise ValueError("attention pattern must contain every self-loop")
     d = ad.value(h).shape[1]
     if ad.value(head.theta).shape != (2 * d,):
@@ -165,7 +165,7 @@ def attention_forward(h, a, head):
 
 def blend_edge_weights(a_tilde, alpha):
     """Entrywise average (A_tilde + alpha) / 2 on identical supports."""
-    if not np.array_equal(a_tilde.keys, alpha.keys):
+    if not a_tilde.same_pattern(alpha):
         raise ValueError("blend requires identical supports")
     mixed = ad.scale(ad.add(a_tilde.weights, alpha.weights), 0.5)
     return a_tilde.with_weights(

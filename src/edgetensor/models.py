@@ -67,7 +67,7 @@ def prepare_multigraph(graphs, features, labels):
     union of all views.
     """
     a_tilde = renormalize(union_graph(graphs))
-    stacked = build_stacked_graph_features(graphs, support=a_tilde.support)
+    stacked = build_stacked_graph_features(graphs, a_tilde)
     return GraphContext(np.asarray(features, dtype=np.float64),
                         np.asarray(labels, dtype=np.intp), a_tilde, stacked)
 
@@ -205,7 +205,7 @@ def etgnn_forward(model, ctx, h=None):
         s = tpgc_forward(s, prop, layer)
 
     raw = ad.reshape(s.values, (-1,))
-    sym = ad.scale(ad.add(raw, ad.gather_rows(raw, s.support.transpose_permutation)), 0.5)
+    sym = ad.scale(ad.add(raw, ad.gather_rows(raw, s.pattern.transpose_permutation)), 0.5)
     clamped = ad.relu(sym) if model.negative_mode == "clamp" else ad.absolute(sym)
     norm = renormalize_weights(pattern.rows, pattern.cols, pattern.n, clamped)
     learned = pattern.with_weights(norm)

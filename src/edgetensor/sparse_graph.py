@@ -1,8 +1,15 @@
-"""Sparse symmetric adjacency matrices and degree renormalization.
+"""Sparse symmetric adjacency matrices, their contraction plans and
+degree renormalization.
 
 Entries are stored in canonical (row, col) sorted order, so iteration and
 serialization are deterministic. All weights are float64. Matrices compare
 and hash by identity.
+
+A matrix's pattern is also the slot layout of the edge tensors built on it
+(see :mod:`edgetensor.edge_tensor`), and it owns their contraction plans:
+the pair is built on first use, one mode-1 walk with the mode-2 plan as
+its relabel, and cached. Every ``with_weights`` copy made after that
+shares it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,17 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .edge_tensor import EdgeSupport
+
+
+@dataclass(frozen=True)
+class ContractionPlan:
+    """Triples (output slot, adjacency entry, input slot) of a masked product."""
+
+    out_idx: np.ndarray
+    adj_idx: np.ndarray
+    slot_idx: np.ndarray
+    num_slots: int
+    num_adj: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,11 +40,9 @@ class SparseAdjacency:
 
     Any weights on a pattern: the raw adjacency A, its renormalized form,
     attention weights, the learned graph. The constructor takes plain
-    arrays; :meth:`with_weights` copies the validated pattern (its cached
-    keys, indptr, transpose permutation, support and ``plans`` are shared)
-    with new weights, which may be an autodiff Var. Immutable apart from
-    ``plans``: contraction plans keyed by (mode, EdgeSupport), filled by
-    ``edge_tensor.contraction_plan``.
+    arrays; :meth:`with_weights` copies the validated pattern (the cached
+    properties computed so far are shared) with new weights, which may be
+    an autodiff Var. Immutable.
     """
 
     n: int
@@ -35,7 +50,6 @@ class SparseAdjacency:
     cols: np.ndarray
     weights: object  # plain float64 array, or a Var after with_weights
     symmetric: bool = True
-    plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -109,17 +123,36 @@ class SparseAdjacency:
         return perm
 
     @cached_property
-    def support(self):
-        """This matrix's pattern as an edge-tensor support, built once.
+    def has_self_loops(self):
+        """Whether every diagonal entry (i, i) is stored."""
+        # entries are unique, so n diagonal entries are all of them
+        return np.count_nonzero(self.rows == self.cols) == self.n
 
-        Shares this matrix's index arrays. Raises ValueError unless the
-        pattern is symmetric and contains every diagonal entry (a
-        renormalized adjacency always does).
+    def same_pattern(self, other):
+        """Whether ``other`` stores exactly this matrix's entries.
+
+        True at once for a ``with_weights`` copy, which shares ``keys``.
         """
-        return EdgeSupport(self)
+        return self.n == other.n and (self.keys is other.keys
+                                      or np.array_equal(self.keys, other.keys))
+
+    @cached_property
+    def plans(self):
+        """(mode-1, mode-2) plans of an edge tensor on this pattern against
+        a matrix on it, built on first use.
+
+        The pattern must be symmetric. Mode 2, out(i, h) = sum_j a(h, j) *
+        s(i, j), is mode 1 on mirrored slots, so its triples are the mode-1
+        triples relabeled through ``transpose_permutation``: one walk
+        serves both modes.
+        """
+        mode1 = _mode1_plan(self)
+        perm = self.transpose_permutation
+        return mode1, _sorted_plan(perm[mode1.out_idx], mode1.adj_idx,
+                                   perm[mode1.slot_idx], self.nnz)
 
     def with_weights(self, weights, symmetric=None):
-        """Same validated pattern and plans, new (plain or Var) weights."""
+        """Same validated pattern, new (plain or Var) weights."""
         twin = copy.copy(self)
         object.__setattr__(twin, "weights", weights)
         object.__setattr__(twin, "symmetric",
@@ -131,6 +164,49 @@ class SparseAdjacency:
         dense = np.zeros((self.n, self.n))
         dense[self.rows, self.cols] = ad.value(self.weights)
         return dense
+
+
+def _sorted_plan(out_idx, adj_idx, slot_idx, nnz):
+    """The triples as a plan sorted by (output slot, entry).
+
+    That is the order each output's segment sum adds its terms in, so
+    results do not depend on how the triples were found.
+    """
+    order = np.argsort(out_idx * nnz + adj_idx)
+    return ContractionPlan(out_idx[order], adj_idx[order], slot_idx[order],
+                           nnz, nnz)
+
+
+def _mode1_plan(pattern):
+    """Surviving triples of the masked mode-1 product on one pattern.
+
+    out(h, j) = sum_i a(h, i) * s(i, j); a triple survives when (h, i),
+    (h, j) and (i, j) are all stored entries. For each entry the j of the
+    shorter of rows h and i are walked and the other slot is looked up in
+    ``pattern.keys``: the cost is sum_e min(deg h, deg i) candidates over
+    entries e = (h, i).
+    """
+    n, keys, nnz, row_ptr = pattern.n, pattern.keys, pattern.nnz, pattern.indptr
+    deg = np.diff(row_ptr)
+    h, i = pattern.rows, pattern.cols
+    walk_h = deg[h] <= deg[i]
+    walked = np.where(walk_h, h, i)
+    other = np.where(walk_h, i, h)
+    count = deg[walked]
+    starts = np.zeros(count.size, dtype=np.intp)
+    np.cumsum(count[:-1], out=starts[1:])
+    adj_idx = np.repeat(np.arange(nnz), count)
+    # ragged ranges: the walked row's slot indices for each entry
+    walked_slot = (np.arange(adj_idx.size) - np.repeat(starts, count)
+                   + np.repeat(row_ptr[walked], count))
+    looked = other[adj_idx] * n + pattern.cols[walked_slot]
+    pos = np.searchsorted(keys, looked)
+    pos[pos >= keys.size] = 0
+    hit = keys[pos] == looked
+    adj_idx, walked_slot, pos = adj_idx[hit], walked_slot[hit], pos[hit]
+    walk_h = walk_h[adj_idx]
+    return _sorted_plan(np.where(walk_h, walked_slot, pos), adj_idx,
+                        np.where(walk_h, pos, walked_slot), nnz)
 
 
 @dataclass(frozen=True)

@@ -67,22 +67,21 @@ def loop_sample_non_edges(n, edge_keys, count, rng):
     return np.array(out, dtype=np.intp).reshape(-1, 2)
 
 
-def loop_plan(mode, support, adjacency):
+def loop_plan(mode, pattern):
     """Contraction triples by explicit loops, in (output slot, entry) order.
 
-    For each output slot, then each adjacency entry in the anchoring row
-    (row h of out (h, j) in mode 1, of out (i, h) in mode 2), keep the
-    entry when the slot it reads, (i, j), is on the support.
+    Tensor and matrix share ``pattern``. For each output slot, then each
+    entry in the anchoring row (row h of out (h, j) in mode 1, of out
+    (i, h) in mode 2), keep the entry when the slot it reads, (i, j), is on
+    the pattern.
     """
-    n = support.n
-    slot_of = {}
-    for k, (r, c) in enumerate(zip(support.rows.tolist(), support.cols.tolist())):
-        slot_of[(r, c)] = k
-    entries_in_row = [[] for _ in range(n)]
-    for e, (h, c) in enumerate(zip(adjacency.rows.tolist(), adjacency.cols.tolist())):
+    slots = list(zip(pattern.rows.tolist(), pattern.cols.tolist()))
+    slot_of = {rc: k for k, rc in enumerate(slots)}
+    entries_in_row = [[] for _ in range(pattern.n)]
+    for e, (h, c) in enumerate(slots):
         entries_in_row[h].append((e, c))
     out, adj, slot = [], [], []
-    for t, (r, c) in enumerate(zip(support.rows.tolist(), support.cols.tolist())):
+    for t, (r, c) in enumerate(slots):
         anchor = r if mode == 1 else c
         for e, other in entries_in_row[anchor]:
             read = (other, c) if mode == 1 else (r, other)
@@ -189,7 +188,7 @@ def slot_pair_features(h, a_tilde, reducer, weight, recipe):
                         (right, lambda g: g[:, width:]))
     else:
         pair = ad.sub(left, right)
-    return project_mode3(EdgeFeatureTensor(a_tilde.support, pair), weight)
+    return project_mode3(EdgeFeatureTensor(a_tilde, pair), weight)
 
 
 def one_shot_sbm(block_sizes, p_in, p_out, seed):

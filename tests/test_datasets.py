@@ -138,3 +138,90 @@ def test_features_width_mismatch_reported(tmp_path):
     from edgetensor.datasets import load_matrix
     with pytest.raises(ValueError, match="2: expected 2 values"):
         load_matrix(path)
+
+
+def views(count, seed=0):
+    """``count`` distinct 8-node SBM views plus one node set's features."""
+    graphs = [sbm_generate([4, 4], 0.6, 0.2, seed=seed + s).adjacency
+              for s in range(count)]
+    ref = sbm_generate([4, 4], 0.6, 0.2, seed=seed)
+    return MultiGraphDataset(graphs, ref.node_features, ref.labels)
+
+
+def assert_same_views(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        for attr in ("rows", "cols", "weights"):
+            np.testing.assert_array_equal(getattr(g, attr), getattr(e, attr))
+
+
+def test_views_load_in_numeric_order(tmp_path):
+    """edges_10.tsv and edges_11.tsv load after edges_2.tsv, not before."""
+    data = views(11)
+    save_dataset(data, tmp_path)
+    assert_same_views(load_dataset(tmp_path).graphs, data.graphs)
+
+
+def test_view_numbers_with_a_gap_are_refused(tmp_path):
+    save_dataset(views(3), tmp_path)
+    (tmp_path / "edges_2.tsv").unlink()
+    with pytest.raises(ValueError, match="without a gap"):
+        load_dataset(tmp_path)
+
+
+def test_saving_fewer_views_removes_the_ones_above(tmp_path):
+    save_dataset(views(3), tmp_path)
+    data = views(2, seed=5)
+    save_dataset(data, tmp_path)
+    assert not (tmp_path / "edges_3.tsv").exists()
+    assert_same_views(load_dataset(tmp_path).graphs, data.graphs)
+
+
+def test_saving_the_other_layout_removes_the_old_edge_files(tmp_path):
+    single = sbm_generate([4, 4], 0.6, 0.2, seed=9)
+    data = views(2)
+    save_dataset(single, tmp_path)
+    save_dataset(data, tmp_path)
+    assert not (tmp_path / "edges.tsv").exists()
+    assert_same_views(load_dataset(tmp_path).graphs, data.graphs)
+    save_dataset(single, tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("edges*")) == ["edges.tsv"]
+    back = load_dataset(tmp_path)
+    assert isinstance(back, LabeledGraph)
+    assert_same_views([back.adjacency], [single.adjacency])
+
+
+def test_saving_data_without_splits_removes_the_old_splits(tmp_path):
+    g = sbm_generate([6, 6], 0.5, 0.1, seed=0)
+    splits = split_nodes(g.labels, 2, 0.3, seed=0)
+    save_dataset(LabeledGraph(g.adjacency, g.node_features, g.labels, splits),
+                 tmp_path)
+    assert (tmp_path / "splits.txt").exists()
+    save_dataset(g, tmp_path)
+    assert not (tmp_path / "splits.txt").exists()
+    assert load_dataset(tmp_path).splits == {}
+
+
+def test_both_layouts_in_one_directory_are_refused(tmp_path):
+    save_dataset(views(2), tmp_path)
+    (tmp_path / "edges.tsv").write_text("0\t1\n")
+    with pytest.raises(ValueError, match="both"):
+        load_dataset(tmp_path)
+
+
+def test_interrupted_save_of_the_other_layout_does_not_load_the_old_graph(
+        tmp_path):
+    """The old layout's files go before any new file is written, so a save
+    cut short in its first view leaves nothing that loads."""
+    save_dataset(sbm_generate([4, 4], 0.6, 0.2, seed=0), tmp_path)
+    data = views(2)
+    a = data.graphs[0]
+    weights = a.weights.astype(object)
+    weights[np.flatnonzero(a.rows < a.cols)[0]] = _Unwritable()
+    broken = SimpleNamespace(rows=a.rows, cols=a.cols, weights=weights)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_dataset(MultiGraphDataset([broken, data.graphs[1]],
+                                       data.node_features, data.labels),
+                     tmp_path)
+    with pytest.raises(FileNotFoundError, match="edges"):
+        load_dataset(tmp_path)

@@ -98,7 +98,7 @@ def test_node_level_builders_match_slot_level_oracle(recipe, p_out, rng):
         t = build(h, a, GraphConvLayer(rw, activation="relu"), ww)
         backward(t.values, seed=g)
         results.append((t.values.value, rw.grad, ww.grad))
-        assert t.support is a.support
+        assert t.pattern is a
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -124,10 +124,10 @@ def test_builders_and_projection_stay_on_the_adjacency_support(rng):
     graphs = [SparseAdjacency.from_undirected_edges(6, [(0, 1), (2, 3)]),
               SparseAdjacency.from_undirected_edges(6, [(1, 2)])]
     a_union = renormalize(union_graph(graphs))
-    tensors.append(build_stacked_graph_features(graphs, a_union.support))
+    tensors.append(build_stacked_graph_features(graphs, a_union))
     tensors.append(project_mode3(tensors[0], rng.standard_normal((4, 3))))
     for t, a_tilde in zip(tensors, (a, a, a_union, a)):
-        assert t.support is a_tilde.support
+        assert t.pattern is a_tilde
         assert t.p == t.values.shape[1]
     assert [t.p for t in tensors] == [4, 2, 2, 3]
 
@@ -139,8 +139,8 @@ def test_union_support_and_graph():
     assert set(zip(u.rows.tolist(), u.cols.tolist())) == {
         (0, 1), (1, 0), (1, 2), (2, 1)}  # off-diagonal entries only
     assert np.all(u.weights == 1.0)
-    support = renormalize(u).support
-    got = set(zip(support.rows.tolist(), support.cols.tolist()))
+    a_tilde = renormalize(u)
+    got = set(zip(a_tilde.rows.tolist(), a_tilde.cols.tolist()))
     assert got == {(0, 0), (1, 1), (2, 2), (3, 3),
                    (0, 1), (1, 0), (1, 2), (2, 1)}
 
@@ -160,7 +160,7 @@ def test_union_graph_drops_self_loops():
 
 def stacked(graphs):
     return build_stacked_graph_features(
-        graphs, renormalize(union_graph(graphs)).support)
+        graphs, renormalize(union_graph(graphs)))
 
 
 def test_stacked_features_channels_are_graph_weights(rng):
@@ -178,15 +178,22 @@ def test_stacked_features_channels_are_graph_weights(rng):
 def test_stacked_features_reject_mismatched_sizes():
     g1 = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
     g2 = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
-    support = renormalize(g2).support
     with pytest.raises(ValueError, match="node count"):
-        build_stacked_graph_features([g1, g2], support)
+        build_stacked_graph_features([g1, g2], renormalize(g2))
 
 
 def test_stacked_features_reject_entries_outside_the_support():
-    support = renormalize(
-        SparseAdjacency.from_undirected_edges(4, [(0, 1)])).support
+    a_tilde = renormalize(SparseAdjacency.from_undirected_edges(4, [(0, 1)]))
     # (1, 2) sorts just before slot (2, 2): a bare key search lands there
     outside = SparseAdjacency.from_undirected_edges(4, [(1, 2)])
     with pytest.raises(ValueError, match="outside the support"):
-        build_stacked_graph_features([outside], support)
+        build_stacked_graph_features([outside], a_tilde)
+
+
+def test_stacked_features_reject_a_pattern_without_the_diagonal():
+    """Checked before the key search: without slot (n-1, n-1) an entry
+    past the pattern's last key would index out of range."""
+    pattern = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
+    beyond = SparseAdjacency.from_undirected_edges(4, [(2, 3)])
+    with pytest.raises(ValueError, match="diagonal"):
+        build_stacked_graph_features([beyond], pattern)

@@ -12,14 +12,14 @@ from conftest import (composed_sparse_matmul, dense_mode1_oracle,
 from edgetensor import autodiff as ad
 from edgetensor import layers
 from edgetensor.autodiff import Var, backward
-from edgetensor.edge_tensor import ContractionPlan, EdgeFeatureTensor
+from edgetensor.edge_tensor import EdgeFeatureTensor
 from edgetensor.gradcheck import finite_difference_check
 from edgetensor.layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
                                attention_forward,
                                blend_edge_weights, gc_forward, sparse_matmul,
                                tpgc_forward)
 from edgetensor.params import ParamTape
-from edgetensor.sparse_graph import SparseAdjacency, renormalize
+from edgetensor.sparse_graph import ContractionPlan, SparseAdjacency, renormalize
 
 # (input width, output width) of a layer weight: the layers project first
 # when it narrows and propagate first otherwise

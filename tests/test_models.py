@@ -11,7 +11,7 @@ from conftest import (check_learned_graph, column_order_link_scores,
                       composed_link_scores, slot_pair_features)
 from edgetensor.autodiff import Var, backward
 from edgetensor import autodiff as ad
-from edgetensor import edge_tensor, layers, models
+from edgetensor import layers, models, sparse_graph
 from edgetensor.edge_tensor import (axpy, project_mode3, propagate_mode1,
                                     propagate_mode2)
 from edgetensor.features import build_concat_features, build_subtract_features
@@ -406,19 +406,24 @@ PLAIN_FORWARDS = {
 
 
 def test_plain_et_gat_forwards_reuse_their_plans(plain_case, monkeypatch):
-    built = []
-    build_plan = edge_tensor._build_plan
+    """One mode-1 walk, on the context's pattern, over three forwards.
 
-    def counting_build_plan(mode, support, adjacency):
-        built.append(mode)
-        return build_plan(mode, support, adjacency)
+    Each forward propagates with a new ``with_weights`` copy of ``a_tilde``
+    (the attention blend); plans are read from the tensor's pattern, so
+    the copies never rebuild them.
+    """
+    walked = []
+    walk = sparse_graph._mode1_plan
 
-    monkeypatch.setattr(edge_tensor, "_build_plan", counting_build_plan)
-    etgnn_forward(plain_case.model, plain_case.ctx)
-    first = len(built)
-    for _ in range(2):
-        etgnn_forward(plain_case.model, plain_case.ctx)
-    assert len(built) == first
+    def counting_walk(pattern):
+        walked.append(pattern)
+        return walk(pattern)
+
+    monkeypatch.setattr(sparse_graph, "_mode1_plan", counting_walk)
+    ctx = prepare(plain_case.graph)  # a new pattern, with no plans yet
+    for _ in range(3):
+        etgnn_forward(plain_case.model, ctx)
+    assert len(walked) == 1 and walked[0] is ctx.a_tilde
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN_FORWARDS))

@@ -47,12 +47,12 @@ def test_index_of_and_transpose_permutation():
 def test_with_weights_shares_the_validated_pattern():
     a = renormalize(SparseAdjacency.from_undirected_edges(4, [(0, 1), (1, 3)]))
     before = a.weights.copy()
-    perm, support = a.transpose_permutation, a.support
+    perm, plans = a.transpose_permutation, a.plans
     for w in (np.full(a.nnz, 2.0), Var(np.arange(float(a.nnz)))):
         b = a.with_weights(w)
         assert np.array_equal(ad.value(b.weights), ad.value(w))
-        assert b.rows is a.rows and b.cols is a.cols and b.plans is a.plans
-        assert b.transpose_permutation is perm and b.support is support
+        assert b.rows is a.rows and b.cols is a.cols and b.plans is plans
+        assert b.transpose_permutation is perm and b.same_pattern(a)
     assert not a.with_weights(np.arange(float(a.nnz)), symmetric=False).symmetric
     assert np.array_equal(a.weights, before)
 

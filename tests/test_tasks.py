@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from edgetensor import edge_tensor
-from edgetensor.edge_tensor import EdgeSupport
+from edgetensor import sparse_graph
+from edgetensor.sparse_graph import SparseAdjacency
 from edgetensor.evaluation import link_split, split_nodes
 from edgetensor.generators import sbm_generate
 from edgetensor.tasks import (run_link_prediction,
@@ -80,24 +80,28 @@ def _multigraph_et_gat(sbm_graph, sbm_splits, cfg):
 ], ids=["node_classification", "multigraph_et_gat"])
 def test_node_classification_validates_support_once_and_plans_twice(
         sbm_graph, sbm_splits, monkeypatch, run):
-    validated, built = [], []
-    init, build_plan = EdgeSupport.__init__, edge_tensor._build_plan
+    """One diagonal check and one mode-1 walk per run, on one pattern; the
+    mode-2 plan is the walk's relabel."""
+    validated, walked = [], []
+    has_self_loops = SparseAdjacency.__dict__["has_self_loops"]
+    check, walk = has_self_loops.func, sparse_graph._mode1_plan
 
-    def counting_init(self, adjacency):
-        validated.append(self)
-        init(self, adjacency)
+    def counting_check(pattern):
+        validated.append(pattern)
+        return check(pattern)
 
-    def counting_build_plan(mode, support, adjacency):
-        built.append(mode)
-        return build_plan(mode, support, adjacency)
+    def counting_walk(pattern):
+        walked.append(pattern)
+        return walk(pattern)
 
-    monkeypatch.setattr(EdgeSupport, "__init__", counting_init)
-    monkeypatch.setattr(edge_tensor, "_build_plan", counting_build_plan)
+    monkeypatch.setattr(has_self_loops, "func", counting_check)
+    monkeypatch.setattr(sparse_graph, "_mode1_plan", counting_walk)
     cfg = TaskConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
     result = run(sbm_graph, sbm_splits, cfg)
     assert len(result.history) == 3
-    assert len(validated) == 1
-    assert sorted(built) == [1, 2]
+    assert len(validated) == len(walked) == 1
+    pattern = walked[0]
+    assert validated[0] is pattern and len(pattern.plans) == 2
 
 
 def test_classification_results_carry_the_same_metric_keys(sbm_graph,
