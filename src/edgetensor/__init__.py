@@ -15,8 +15,7 @@ from .evaluation import (MetricReport, accuracy, auc_ap, homophily,
                          link_split, split_nodes)
 from .experiment import (ExperimentConfig, ResultRecord, report,
                          run_experiment)
-from .features import (build_concat_features, build_stacked_graph_features,
-                       build_subtract_features)
+from .features import build_concat_features, build_subtract_features
 from .generators import sbm_generate
 from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
                      attention_forward, blend_edge_weights, gc_forward,

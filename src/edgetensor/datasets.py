@@ -3,10 +3,12 @@
 Layout of a dataset directory:
 
 * ``edges.tsv``       one ``i<TAB>j[<TAB>w]`` line per undirected edge,
-                      0-based, weight defaulting to 1.0. Multi-graph
-                      datasets use ``edges_1.tsv`` ... ``edges_m.tsv``
-                      instead, one per view, loaded in order of k; a
-                      directory may not hold both layouts.
+                      0-based, weight defaulting to 1.0. A graph with edge
+                      channels uses ``edges_1.tsv`` ... ``edges_p.tsv``
+                      instead, one adjacency view per channel, loaded in
+                      order of k as their binary union (see
+                      ``LabeledGraph.from_views``); a directory may not
+                      hold both layouts.
 * ``features.txt``    one whitespace-separated feature row per node.
 * ``labels.txt``      one class id per node, ``-1`` for unlabeled.
 * ``splits.txt``      optional; node ids listed under ``#train`` /
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -25,18 +28,6 @@ from .params import atomic_open
 from .sparse_graph import LabeledGraph, SparseAdjacency
 
 _VIEW_FILE = re.compile(r"edges_([1-9][0-9]*)\.tsv")
-
-
-@dataclass(frozen=True)
-class MultiGraphDataset:
-    graphs: list
-    node_features: np.ndarray
-    labels: np.ndarray
-    splits: dict = field(default_factory=dict)
-
-    @property
-    def n(self):
-        return self.graphs[0].n
 
 
 def _fail(path, lineno, message):
@@ -151,7 +142,8 @@ def _multi_edge_files(root):
 
 
 def load_dataset(root):
-    """Load a dataset directory; returns LabeledGraph or MultiGraphDataset."""
+    """Load a dataset directory as a LabeledGraph, with edge channels for
+    the ``edges_k.tsv`` layout."""
     features = load_matrix(os.path.join(root, "features.txt"))
     n = features.shape[0]
     labels = load_labels(os.path.join(root, "labels.txt"), n)
@@ -167,57 +159,86 @@ def load_dataset(root):
         return LabeledGraph(adjacency, features, labels, splits)
     if not multi:
         raise FileNotFoundError(f"no edges.tsv or edges_*.tsv under {root}")
-    graphs = [load_edge_list(p, n) for p in multi]
-    return MultiGraphDataset(graphs, features, labels, splits)
+    views = [load_edge_list(p, n) for p in multi]
+    return LabeledGraph.from_views(views, features, labels, splits)
 
 
-def _save_edge_list(adjacency, path):
-    upper = adjacency.rows < adjacency.cols
+def _edge_lists(graph):
+    """(i, j, w) columns of the undirected edges to save, by file name.
+
+    View k lists the edges whose channel k is nonzero. View 1 also lists
+    the edges whose channels are all zero, with weight 0.0, so that the
+    union loads back with every edge.
+    """
+    a, channels = graph.adjacency, graph.edge_channels
+    if np.any(a.rows == a.cols):
+        raise ValueError("an edge list cannot store a diagonal entry")
+    upper = a.rows < a.cols
+    rows, cols = a.rows[upper], a.cols[upper]
+    if channels is None:
+        return {"edges.tsv": (rows, cols, a.weights[upper])}
+    if np.any(a.weights != 1.0):
+        raise ValueError("edge views load as a binary union: a graph with "
+                         "edge channels needs adjacency weights of 1")
+    block = channels[upper]
+    listed = block != 0
+    listed[:, 0] |= ~listed.any(axis=1)
+    return {f"edges_{k}.tsv": (rows[keep], cols[keep], block[keep, k - 1])
+            for k, keep in enumerate(listed.T, start=1)}
+
+
+def _save_edge_list(path, rows, cols, weights):
     with atomic_open(path) as fh:
-        for i, j, w in zip(adjacency.rows[upper], adjacency.cols[upper],
-                           adjacency.weights[upper]):
+        for i, j, w in zip(rows, cols, weights):
             if w == 1.0:
                 fh.write(f"{i}\t{j}\n")
             else:
                 fh.write(f"{i}\t{j}\t{float(w)!r}\n")
 
 
-def save_dataset(data, root):
-    """Write a LabeledGraph or MultiGraphDataset in the text layout.
+def save_dataset(graph, root):
+    """Write a LabeledGraph in the text layout; :func:`load_dataset` reads
+    it back as saved.
+
+    A graph that would not load back as saved is refused: one whose
+    adjacency stores a diagonal entry, or one with edge channels whose
+    adjacency weights are not all 1.
 
     Files that :func:`load_dataset` would read but this save does not
-    write (the other layout's edge files, views above the new m, and
-    ``splits.txt`` for data without splits) are removed first, so an
-    interrupted save cannot load as the old graph. Each file is written
-    through :func:`params.atomic_open`, so it is replaced whole or not at
-    all: an interrupted write never leaves a truncated file that still
-    parses. A crash between two files can still leave new files beside
-    old ones of the same layout.
+    write (the other layout's edge files, views above the new p, and
+    ``splits.txt`` for a graph without splits) are removed first, so an
+    interrupted save cannot load as the old graph. Every new file is then
+    written, through :func:`params.atomic_open`, into a temporary sibling
+    directory of ``root``, and moved into ``root`` only once all are
+    written: a save cut short before that leaves the old files as they
+    were.
     """
+    edge_lists = _edge_lists(graph)
     os.makedirs(root, exist_ok=True)
-    multi = isinstance(data, MultiGraphDataset)
-    written = ({f"edges_{k}.tsv" for k in range(1, len(data.graphs) + 1)}
-               if multi else {"edges.tsv"})
     for name in os.listdir(root):
         edges = name == "edges.tsv" or _VIEW_FILE.fullmatch(name)
-        if (edges and name not in written
-                or name == "splits.txt" and not data.splits):
+        if (edges and name not in edge_lists
+                or name == "splits.txt" and not graph.splits):
             os.remove(os.path.join(root, name))
-    if multi:
-        for k, g in enumerate(data.graphs, start=1):
-            _save_edge_list(g, os.path.join(root, f"edges_{k}.tsv"))
-    else:
-        _save_edge_list(data.adjacency, os.path.join(root, "edges.tsv"))
-    with atomic_open(os.path.join(root, "features.txt")) as fh:
-        for row in data.node_features:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-    with atomic_open(os.path.join(root, "labels.txt")) as fh:
-        for value in data.labels:
-            fh.write(f"{value}\n")
-    if data.splits:
-        with atomic_open(os.path.join(root, "splits.txt")) as fh:
-            for name in ("train", "val", "test"):
-                if name in data.splits:
-                    fh.write(f"#{name}\n")
-                    for idx in data.splits[name]:
-                        fh.write(f"{idx}\n")
+    staging = tempfile.mkdtemp(prefix=".saving-",
+                               dir=os.path.dirname(os.path.abspath(root)))
+    try:
+        for name, columns in edge_lists.items():
+            _save_edge_list(os.path.join(staging, name), *columns)
+        with atomic_open(os.path.join(staging, "features.txt")) as fh:
+            for row in graph.node_features:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        with atomic_open(os.path.join(staging, "labels.txt")) as fh:
+            for value in graph.labels:
+                fh.write(f"{value}\n")
+        if graph.splits:
+            with atomic_open(os.path.join(staging, "splits.txt")) as fh:
+                for name in ("train", "val", "test"):
+                    if name in graph.splits:
+                        fh.write(f"#{name}\n")
+                        for idx in graph.splits[name]:
+                            fh.write(f"{idx}\n")
+        for name in os.listdir(staging):
+            os.replace(os.path.join(staging, name), os.path.join(root, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)

@@ -44,7 +44,10 @@ class EdgeFeatureTensor:
     values: object
 
     def __post_init__(self):
-        self.check_pattern(self.pattern)
+        # both checks are cached on the pattern: each runs once per pattern
+        if not self.pattern.has_self_loops:
+            raise ValueError("support must contain every diagonal slot")
+        self.pattern.transpose_permutation  # raises unless it is symmetric
         if isinstance(self.values, Var):
             shape = self.values.value.shape
         else:
@@ -55,16 +58,6 @@ class EdgeFeatureTensor:
             shape = values.shape
         if len(shape) != 2 or shape[0] != self.num_slots:
             raise ValueError(f"values must have shape ({self.num_slots}, p)")
-
-    @staticmethod
-    def check_pattern(pattern):
-        """Raise unless ``pattern`` is symmetric and stores every diagonal slot.
-
-        Both checks are cached properties of the pattern: each runs once.
-        """
-        if not pattern.has_self_loops:
-            raise ValueError("support must contain every diagonal slot")
-        pattern.transpose_permutation  # raises unless the pattern is symmetric
 
     @classmethod
     def from_support_of(cls, adjacency, values):

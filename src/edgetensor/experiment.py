@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import MultiGraphDataset, load_dataset
+from .datasets import load_dataset
 from .evaluation import link_split, split_nodes
 from .features import RECIPE_KINDS
 from .generators import sbm_generate
 from .models import MODEL_KINDS, NEGATIVE_MODES
 from .params import atomic_open, load_checkpoint, save_checkpoint
-from .tasks import (run_link_prediction, run_multigraph_classification,
+from .sparse_graph import LabeledGraph
+from .tasks import (MULTI_GRAPH_WIDTHS, run_link_prediction,
                     run_node_classification)
 from .training import TaskConfig
 
@@ -134,28 +135,25 @@ def _summarize(per_seed):
     return summary
 
 
-def _load_node_data(config):
+def _load_data(config):
+    """The configured graph; ``multi_graph`` needs edge channels, the other
+    tasks a graph without them."""
     if config.dataset is not None:
         data = load_dataset(config.dataset)
+    elif config.task == "multi_graph":
+        spec = dict(config.synthetic)
+        views = spec.pop("views", 3)
+        base_seed = spec.pop("seed", 0)
+        graphs = [sbm_generate(seed=base_seed + v, **spec) for v in range(views)]
+        data = LabeledGraph.from_views([g.adjacency for g in graphs],
+                                       graphs[0].node_features, graphs[0].labels)
     else:
         data = sbm_generate(**config.synthetic)
-    if isinstance(data, MultiGraphDataset):
-        raise ValueError("node_class/link_pred need a single-graph dataset")
+    if (data.edge_channels is None) == (config.task == "multi_graph"):
+        raise ValueError("multi_graph needs a dataset of edge views "
+                         "(edges_k.tsv); node_class and link_pred need one "
+                         "graph (edges.tsv)")
     return data
-
-
-def _load_multi_data(config):
-    if config.dataset is not None:
-        data = load_dataset(config.dataset)
-        if not isinstance(data, MultiGraphDataset):
-            raise ValueError("multi_graph task needs a multi-graph dataset")
-        return data
-    spec = dict(config.synthetic)
-    views = spec.pop("views", 3)
-    base_seed = spec.pop("seed", 0)
-    graphs = [sbm_generate(seed=base_seed + v, **spec) for v in range(views)]
-    return MultiGraphDataset([g.adjacency for g in graphs],
-                             graphs[0].node_features, graphs[0].labels)
 
 
 def _node_splits(config, labels, splits_from_file):
@@ -182,29 +180,22 @@ def _run_one_seed(config, data, splits_or_linksplit, seed, initial_params=None):
     if config.gc_hidden is not None:
         model_kwargs["gc_hidden"] = tuple(config.gc_hidden)
 
-    if config.task == "node_class":
-        return run_node_classification(data, splits_or_linksplit, task_cfg,
-                                       model_kind=config.model,
-                                       model_kwargs=model_kwargs,
-                                       initial_params=initial_params)
     if config.task == "link_pred":
         return run_link_prediction(data, splits_or_linksplit, task_cfg,
                                    model_kind=config.model,
                                    model_kwargs=model_kwargs,
                                    embed_dim=config.embed_dim,
                                    initial_params=initial_params)
-    return run_multigraph_classification(
-        data.graphs, data.node_features, data.labels, splits_or_linksplit,
-        task_cfg, model_kind=config.model, model_kwargs=model_kwargs,
-        initial_params=initial_params)
+    if config.task == "multi_graph":
+        model_kwargs = {**MULTI_GRAPH_WIDTHS, **model_kwargs}
+    return run_node_classification(data, splits_or_linksplit, task_cfg,
+                                   model_kind=config.model,
+                                   model_kwargs=model_kwargs,
+                                   initial_params=initial_params)
 
 
 def _prepare_task(config):
-    if config.task == "multi_graph":
-        data = _load_multi_data(config)
-        splits = _node_splits(config, data.labels, data.splits)
-        return data, splits
-    data = _load_node_data(config)
+    data = _load_data(config)
     if config.task == "link_pred":
         return data, link_split(data.adjacency, config.test_edge_fraction,
                                 config.val_edge_fraction, config.split_seed)

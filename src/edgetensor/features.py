@@ -6,19 +6,16 @@ flow into its weights end to end. A recipe returns its pair features
 already projected by a weight (the first edge layer's), and computes that
 projection on the n reduced rows: x3 acts on the feature mode alone, so
 projecting each node's row and then pairing rows gives the projected
-pairs without building a (slots x pair width) tensor. A multi-graph
-instead stacks its adjacency views as channels; that fixed tensor belongs
-to its context.
+pairs without building a (slots x pair width) tensor. A graph with
+observed edge channels skips the recipe: ``models.prepare`` stacks the
+channels into a fixed tensor held by its context.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .edge_tensor import EdgeFeatureTensor
 from .layers import gc_forward
-from .sparse_graph import SparseAdjacency
 
 RECIPE_KINDS = ("concat", "subtract")
 
@@ -58,32 +55,3 @@ def build_subtract_features(h, a_tilde, reducer, weight):
     values = ad.sub(ad.gather_rows(projected, a_tilde.rows),
                     ad.gather_rows(projected, a_tilde.cols))
     return EdgeFeatureTensor(a_tilde, values)
-
-
-def union_graph(graphs):
-    """Binary graph with an edge wherever any input graph has one."""
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError("all graphs must share the node count")
-    keys = np.unique(np.concatenate([g.keys for g in graphs]))
-    keys = keys[keys // n != keys % n]
-    return SparseAdjacency(n, keys // n, keys % n, np.ones(keys.size))
-
-
-def build_stacked_graph_features(graphs, pattern):
-    """Channel v of slot (i, j) is the weight of edge (i, j) in graph v.
-
-    The tensor lives on ``pattern`` (the renormalized union graph), and
-    every graph's entries must lie on it.
-    """
-    EdgeFeatureTensor.check_pattern(pattern)
-    values = np.zeros((pattern.nnz, len(graphs)))
-    for v, g in enumerate(graphs):
-        if g.n != pattern.n:
-            raise ValueError("all graphs must share the support's node count")
-        # the pattern holds slot (n-1, n-1), the largest key, so pos is in range
-        pos = np.searchsorted(pattern.keys, g.keys)
-        if not np.array_equal(pattern.keys[pos], g.keys):
-            raise ValueError(f"graph {v} has an entry outside the support")
-        values[pos, v] = g.weights
-    return EdgeFeatureTensor(pattern, values)

@@ -3,7 +3,9 @@
 The edge stack produces a scalar weight per stored edge slot; those weights
 are symmetrized, clamped nonnegative, degree-renormalized and used as the
 graph for the node-convolution stack. Everything is differentiable, so the
-edge stack trains from the downstream task loss.
+edge stack trains from the downstream task loss. Its input is a recipe of
+node features, or, for a graph with edge channels (a multi-graph's views),
+the channels stacked by :func:`prepare`, the one context builder.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import numpy as np
 from . import autodiff as ad
 from .edge_tensor import EdgeFeatureTensor
 from .features import (RECIPE_KINDS, build_concat_features,
-                       build_stacked_graph_features, build_subtract_features,
-                       union_graph)
+                       build_subtract_features)
 from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
                      attention_forward, blend_edge_weights, gc_forward,
                      tpgc_forward, tpgc_propagate)
-from .sparse_graph import renormalize, renormalize_weights
+from .sparse_graph import LabeledGraph, renormalize, renormalize_weights
 
 MODEL_KINDS = ("et_gcn", "et_gat", "gcn_only")
 NEGATIVE_MODES = ("clamp", "abs")
@@ -55,21 +56,25 @@ class GraphContext:
 
 
 def prepare(graph):
-    """Context for a single-graph task."""
-    return GraphContext(graph.node_features, graph.labels,
-                        renormalize(graph.adjacency))
+    """Context of a ``LabeledGraph``; its edge channels, if any, are stacked.
+
+    The stacked tensor lives on the pattern of ``a_tilde =
+    renormalize(graph.adjacency)``: each entry's channels go to its slot,
+    and the diagonal slots, which the graph does not store, are zero.
+    """
+    a_tilde = renormalize(graph.adjacency)
+    stacked = None
+    if graph.edge_channels is not None:
+        values = np.zeros((a_tilde.nnz, graph.edge_channels.shape[1]))
+        slots = np.searchsorted(a_tilde.keys, graph.adjacency.keys)
+        values[slots] = graph.edge_channels
+        stacked = EdgeFeatureTensor(a_tilde, values)
+    return GraphContext(graph.node_features, graph.labels, a_tilde, stacked)
 
 
 def prepare_multigraph(graphs, features, labels):
-    """Context for multi-graph tasks: stacked edge tensor over the union graph.
-
-    The companion adjacency used for propagation is the renormalized binary
-    union of all views.
-    """
-    a_tilde = renormalize(union_graph(graphs))
-    stacked = build_stacked_graph_features(graphs, a_tilde)
-    return GraphContext(np.asarray(features, dtype=np.float64),
-                        np.asarray(labels, dtype=np.intp), a_tilde, stacked)
+    """Context of the union of adjacency views, one edge channel per view."""
+    return prepare(LabeledGraph.from_views(graphs, features, labels))
 
 
 def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",

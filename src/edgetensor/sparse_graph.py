@@ -214,13 +214,17 @@ class LabeledGraph:
     """A graph with node features, class labels and train/val/test splits.
 
     ``labels[i] == -1`` marks an unlabeled node. Split index sets are
-    disjoint; any of them may be empty.
+    disjoint; any of them may be empty. ``edge_channels``, if given, is an
+    (adjacency.nnz, p) block of observed edge features, one row per stored
+    entry; a graph that has them stores no diagonal entry, and entry (j, i)
+    carries the channels of (i, j).
     """
 
     adjacency: SparseAdjacency
     node_features: np.ndarray
     labels: np.ndarray
     splits: dict = field(default_factory=dict)
+    edge_channels: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "node_features",
@@ -239,6 +243,35 @@ class LabeledGraph:
             if s & seen:
                 raise ValueError(f"split {name!r} overlaps another split")
             seen |= s
+        if self.edge_channels is None:
+            return
+        channels = np.asarray(self.edge_channels, dtype=np.float64)
+        object.__setattr__(self, "edge_channels", channels)
+        a = self.adjacency
+        if channels.ndim != 2 or channels.shape[0] != a.nnz:
+            raise ValueError(f"edge channels must have shape ({a.nnz}, p)")
+        if np.any(a.rows == a.cols):
+            raise ValueError("a graph with edge channels may not store a "
+                             "diagonal entry")
+        if not np.array_equal(channels, channels[a.transpose_permutation]):
+            raise ValueError("edge channels must be equal on (i, j) and (j, i)")
+
+    @classmethod
+    def from_views(cls, views, node_features, labels, splits=None):
+        """The binary union of adjacency ``views``, one edge channel per view.
+
+        The union stores an entry wherever any view does; channel k of an
+        entry holds view k's weight there, or 0 where view k has none.
+        """
+        n = views[0].n
+        if any(v.n != n for v in views):
+            raise ValueError("all views must share the node count")
+        keys = np.unique(np.concatenate([v.keys for v in views]))
+        channels = np.zeros((keys.size, len(views)))
+        for k, v in enumerate(views):
+            channels[np.searchsorted(keys, v.keys), k] = v.weights
+        union = SparseAdjacency(n, keys // n, keys % n, np.ones(keys.size))
+        return cls(union, node_features, labels, splits or {}, channels)
 
     @property
     def n(self):

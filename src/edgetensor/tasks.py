@@ -8,12 +8,13 @@ import numpy as np
 
 from .evaluation import (LinkSplit, accuracy, auc_ap, homophily,
                          sample_non_edges)
-from .models import (GraphContext, build_model, etgnn_forward, link_scores,
-                     prepare, prepare_multigraph)
+from .models import build_model, etgnn_forward, link_scores, prepare
 from .params import ParamTape
-from .sparse_graph import renormalize
-from .training import (TaskConfig, bce_from_scores, cross_entropy_masked,
-                       train_loop)
+from .sparse_graph import LabeledGraph
+from .training import bce_from_scores, cross_entropy_masked, train_loop
+
+# layer widths of a multi-graph run, under any the caller sets
+MULTI_GRAPH_WIDTHS = {"gc_hidden": (16,), "edge_hidden": (6, 1)}
 
 
 @dataclass
@@ -51,18 +52,20 @@ def _run(tape, model, ctx, config, initial_params, step, evaluate):
                          outcome.best_params, model, ctx)
 
 
-def _classify(ctx, splits, config, model_kind, model_kwargs, initial_params,
-              **defaults):
-    """Node classification on ``ctx.labels``, early-stopped on validation loss.
+def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
+                            model_kwargs=None, initial_params=None):
+    """Train on the labeled train split, early-stop on validation loss.
 
-    ``defaults`` are ``build_model`` keywords that ``model_kwargs`` overrides.
+    A graph with edge channels feeds them to the edge stack in place of a
+    recipe.
     """
+    ctx = prepare(graph)
     labels = ctx.labels
     tape = ParamTape()
     model = build_model(tape, model_kind, ctx,
                         int(labels[labels >= 0].max()) + 1,
                         epsilon=config.epsilon, final_activation="softmax",
-                        seed=config.seed, **{**defaults, **(model_kwargs or {})})
+                        seed=config.seed, **(model_kwargs or {}))
 
     def step(epoch):
         result = etgnn_forward(model, ctx)
@@ -85,20 +88,18 @@ def _classify(ctx, splits, config, model_kind, model_kwargs, initial_params,
     return _run(tape, model, ctx, config, initial_params, step, evaluate)
 
 
-def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
-                            model_kwargs=None, initial_params=None):
-    """Train on the labeled train split, early-stop on validation loss."""
-    return _classify(prepare(graph), splits, config, model_kind, model_kwargs,
-                     initial_params)
-
-
 def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
                         model_kwargs=None, embed_dim=32, initial_params=None):
-    """Train an inner-product link decoder on the held-out edge split."""
+    """Train an inner-product link decoder on the held-out edge split.
+
+    The split carries no edge channels, so a graph with them is refused:
+    the channels of a held-out edge would reach the model.
+    """
     if not isinstance(split, LinkSplit):
         raise TypeError(f"split must be a LinkSplit, not {type(split).__name__}")
-    ctx = GraphContext(graph.node_features, graph.labels,
-                       renormalize(split.train))
+    if graph.edge_channels is not None:
+        raise ValueError("link prediction takes a graph without edge channels")
+    ctx = prepare(LabeledGraph(split.train, graph.node_features, graph.labels))
     tape = ParamTape()
     model = build_model(tape, model_kind, ctx, embed_dim, epsilon=config.epsilon,
                         final_activation="identity", seed=config.seed,
@@ -139,7 +140,9 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
 def run_multigraph_classification(graphs, features, labels, splits, config, *,
                                   model_kind="et_gcn", model_kwargs=None,
                                   initial_params=None):
-    """Node classification over stacked adjacency views."""
-    return _classify(prepare_multigraph(graphs, features, labels), splits,
-                     config, model_kind, model_kwargs, initial_params,
-                     gc_hidden=(16,), edge_hidden=(6, 1))
+    """Node classification on the union of adjacency views, one channel each."""
+    return run_node_classification(
+        LabeledGraph.from_views(graphs, features, labels), splits, config,
+        model_kind=model_kind,
+        model_kwargs={**MULTI_GRAPH_WIDTHS, **(model_kwargs or {})},
+        initial_params=initial_params)

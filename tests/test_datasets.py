@@ -1,16 +1,14 @@
 """Text dataset format: round trips and malformed-input diagnostics."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from edgetensor.datasets import (MultiGraphDataset, load_dataset,
-                                 load_edge_list, load_labels, load_splits,
-                                 save_dataset)
+from edgetensor import datasets
+from edgetensor.datasets import (load_dataset, load_edge_list, load_labels,
+                                 load_splits, save_dataset)
 from edgetensor.evaluation import split_nodes
 from edgetensor.generators import sbm_generate
-from edgetensor.sparse_graph import LabeledGraph
+from edgetensor.sparse_graph import LabeledGraph, SparseAdjacency
 
 
 def test_single_graph_round_trip(tmp_path):
@@ -33,15 +31,22 @@ def test_multi_graph_round_trip(tmp_path):
     graphs = [sbm_generate([4, 4], 0.6, 0.2, seed=s).adjacency
               for s in range(3)]
     ref = sbm_generate([4, 4], 0.6, 0.2, seed=0)
-    data = MultiGraphDataset(graphs, ref.node_features, ref.labels)
+    data = LabeledGraph.from_views(graphs, ref.node_features, ref.labels)
     save_dataset(data, tmp_path / "multi")
     back = load_dataset(tmp_path / "multi")
-    assert isinstance(back, MultiGraphDataset)
-    assert len(back.graphs) == 3
-    for got, expected in zip(back.graphs, graphs):
+    assert isinstance(back, LabeledGraph)
+    assert len(views_of(back)) == 3
+    for got, expected in zip(views_of(back), graphs):
         for attr in ("rows", "cols", "weights"):
             np.testing.assert_array_equal(getattr(got, attr),
                                           getattr(expected, attr))
+
+
+def views_of(graph):
+    """One adjacency per edge channel: the entries where it is nonzero."""
+    a = graph.adjacency
+    return [SparseAdjacency(a.n, a.rows[c != 0], a.cols[c != 0], c[c != 0])
+            for c in graph.edge_channels.T]
 
 
 class _Unwritable:
@@ -51,19 +56,89 @@ class _Unwritable:
         raise RuntimeError("interrupted")
 
 
-def test_interrupted_save_leaves_previous_files(tmp_path):
+def cut_edge_writes(monkeypatch, line):
+    """Make each edge file's write raise at its line ``line``."""
+    write = datasets._save_edge_list
+
+    def cut(path, rows, cols, weights):
+        weights = np.asarray(weights, dtype=object)
+        weights[line] = _Unwritable()
+        write(path, rows, cols, weights)
+
+    monkeypatch.setattr(datasets, "_save_edge_list", cut)
+
+
+def test_interrupted_save_leaves_previous_files(tmp_path, monkeypatch):
     """A write that fails after some edge lines keeps the old edges.tsv
     byte for byte and leaves no temp file."""
     root = tmp_path / "data"
     save_dataset(sbm_generate([10, 10], 0.5, 0.1, seed=0), root)
     before = {p.name: p.read_bytes() for p in root.iterdir()}
-    a = sbm_generate([10, 10], 0.5, 0.1, seed=1).adjacency
-    weights = a.weights.astype(object)
-    weights[np.flatnonzero(a.rows < a.cols)[5]] = _Unwritable()
-    broken = SimpleNamespace(rows=a.rows, cols=a.cols, weights=weights)
+    cut_edge_writes(monkeypatch, 5)
     with pytest.raises(RuntimeError, match="interrupted"):
-        save_dataset(SimpleNamespace(adjacency=broken), root)
+        save_dataset(sbm_generate([10, 10], 0.5, 0.1, seed=1), root)
     assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+
+def test_interrupted_save_of_the_same_layout_leaves_the_old_views(
+        tmp_path, monkeypatch):
+    """New views are moved in only once every file is written: a save cut
+    in its second view leaves the old files byte for byte, and no
+    temporary directory."""
+    root = tmp_path / "data"
+    save_dataset(views(2), root)
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    write, calls = datasets._save_edge_list, []
+
+    def second_call_raises(*args):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        write(*args)
+
+    monkeypatch.setattr(datasets, "_save_edge_list", second_call_raises)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_dataset(views(2, seed=5), root)
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+
+def test_save_refuses_a_diagonal_entry(tmp_path):
+    """Edge lists hold no self-loops, so such a graph would load back
+    without its diagonal entry (and with other renormalized weights)."""
+    a = SparseAdjacency(3, [0, 0, 1, 1, 2], [0, 1, 0, 2, 1],
+                        [2.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="diagonal"):
+        save_dataset(LabeledGraph(a, np.eye(3), [0, 1, 0]), tmp_path / "data")
+    assert not (tmp_path / "data").exists()
+
+
+def test_save_refuses_channels_on_a_weighted_adjacency(tmp_path):
+    """Edge views load as a binary union, so other weights would be lost."""
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)], [2.0, 1.0])
+    graph = LabeledGraph(a, np.eye(3), [0, 1, 0],
+                         edge_channels=np.ones((a.nnz, 2)))
+    with pytest.raises(ValueError, match="adjacency weights of 1"):
+        save_dataset(graph, tmp_path / "data")
+    assert not (tmp_path / "data").exists()
+
+
+def test_channel_graph_with_an_all_zero_edge_round_trips(tmp_path):
+    """An edge whose channels are all zero stays in the union: view 1 lists
+    it with an explicit 0.0."""
+    first = SparseAdjacency.from_undirected_edges(4, [(0, 1), (1, 2)],
+                                                  [0.0, 2.5])
+    second = SparseAdjacency.from_undirected_edges(4, [(2, 3)])
+    graph = LabeledGraph.from_views([first, second], np.eye(4), [0, 0, 1, 1])
+    save_dataset(graph, tmp_path)
+    assert (tmp_path / "edges_1.tsv").read_text() == "0\t1\t0.0\n1\t2\t2.5\n"
+    assert (tmp_path / "edges_2.tsv").read_text() == "2\t3\n"
+    back = load_dataset(tmp_path)
+    for attr in ("rows", "cols", "weights"):
+        np.testing.assert_array_equal(getattr(back.adjacency, attr),
+                                      getattr(graph.adjacency, attr))
+    np.testing.assert_array_equal(back.edge_channels, graph.edge_channels)
 
 
 def test_weighted_edges_round_trip(tmp_path):
@@ -145,7 +220,7 @@ def views(count, seed=0):
     graphs = [sbm_generate([4, 4], 0.6, 0.2, seed=seed + s).adjacency
               for s in range(count)]
     ref = sbm_generate([4, 4], 0.6, 0.2, seed=seed)
-    return MultiGraphDataset(graphs, ref.node_features, ref.labels)
+    return LabeledGraph.from_views(graphs, ref.node_features, ref.labels)
 
 
 def assert_same_views(got, expected):
@@ -159,7 +234,7 @@ def test_views_load_in_numeric_order(tmp_path):
     """edges_10.tsv and edges_11.tsv load after edges_2.tsv, not before."""
     data = views(11)
     save_dataset(data, tmp_path)
-    assert_same_views(load_dataset(tmp_path).graphs, data.graphs)
+    assert_same_views(views_of(load_dataset(tmp_path)), views_of(data))
 
 
 def test_view_numbers_with_a_gap_are_refused(tmp_path):
@@ -174,7 +249,7 @@ def test_saving_fewer_views_removes_the_ones_above(tmp_path):
     data = views(2, seed=5)
     save_dataset(data, tmp_path)
     assert not (tmp_path / "edges_3.tsv").exists()
-    assert_same_views(load_dataset(tmp_path).graphs, data.graphs)
+    assert_same_views(views_of(load_dataset(tmp_path)), views_of(data))
 
 
 def test_saving_the_other_layout_removes_the_old_edge_files(tmp_path):
@@ -183,7 +258,7 @@ def test_saving_the_other_layout_removes_the_old_edge_files(tmp_path):
     save_dataset(single, tmp_path)
     save_dataset(data, tmp_path)
     assert not (tmp_path / "edges.tsv").exists()
-    assert_same_views(load_dataset(tmp_path).graphs, data.graphs)
+    assert_same_views(views_of(load_dataset(tmp_path)), views_of(data))
     save_dataset(single, tmp_path)
     assert sorted(p.name for p in tmp_path.glob("edges*")) == ["edges.tsv"]
     back = load_dataset(tmp_path)
@@ -210,18 +285,12 @@ def test_both_layouts_in_one_directory_are_refused(tmp_path):
 
 
 def test_interrupted_save_of_the_other_layout_does_not_load_the_old_graph(
-        tmp_path):
+        tmp_path, monkeypatch):
     """The old layout's files go before any new file is written, so a save
     cut short in its first view leaves nothing that loads."""
     save_dataset(sbm_generate([4, 4], 0.6, 0.2, seed=0), tmp_path)
-    data = views(2)
-    a = data.graphs[0]
-    weights = a.weights.astype(object)
-    weights[np.flatnonzero(a.rows < a.cols)[0]] = _Unwritable()
-    broken = SimpleNamespace(rows=a.rows, cols=a.cols, weights=weights)
+    cut_edge_writes(monkeypatch, 0)
     with pytest.raises(RuntimeError, match="interrupted"):
-        save_dataset(MultiGraphDataset([broken, data.graphs[1]],
-                                       data.node_features, data.labels),
-                     tmp_path)
+        save_dataset(views(2), tmp_path)
     with pytest.raises(FileNotFoundError, match="edges"):
         load_dataset(tmp_path)

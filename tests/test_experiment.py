@@ -1,7 +1,6 @@
 """Experiment configs, artifact persistence, reporting, and the CLI."""
 
 import csv
-import dataclasses
 import json
 import os
 
@@ -13,7 +12,10 @@ from edgetensor.cli import main
 from edgetensor.experiment import (ExperimentConfig, ResultRecord,
                                    evaluate_checkpoint, format_mean_std,
                                    report, run_experiment)
+from edgetensor.datasets import save_dataset
+from edgetensor.generators import sbm_generate
 from edgetensor.params import load_checkpoint, save_checkpoint
+from edgetensor.sparse_graph import LabeledGraph
 
 SBM = {"block_sizes": [12, 12], "p_in": 0.4, "p_out": 0.05, "seed": 0}
 
@@ -221,6 +223,24 @@ def test_multigraph_experiment_runs(tmp_path):
         edge_hidden=[2, 1], gc_hidden=[4])
     record = run_experiment(config)
     assert "test_accuracy" in record.summary
+
+
+@pytest.mark.parametrize("task, views", [("multi_graph", None),
+                                         ("node_class", 2), ("link_pred", 2)])
+def test_dataset_layout_must_fit_the_task(tmp_path, task, views):
+    """multi_graph needs edge channels (edges_k.tsv); the other tasks need
+    one graph without them (edges.tsv)."""
+    graph = sbm_generate(**SBM)
+    if views:
+        graph = LabeledGraph.from_views(
+            [sbm_generate(**{**SBM, "seed": s}).adjacency for s in range(views)],
+            graph.node_features, graph.labels)
+    save_dataset(graph, tmp_path / "data")
+    config = ExperimentConfig(task=task, dataset=str(tmp_path / "data"),
+                              train_per_class=3, max_epochs=1, patience=1)
+    with pytest.raises(ValueError, match="multi_graph needs a dataset of "
+                                         "edge views"):
+        run_experiment(config)
 
 
 def test_link_experiment_runs():

@@ -1,4 +1,4 @@
-"""Initial edge-feature construction: concat, subtract, stacked graphs."""
+"""Initial edge-feature construction: concat, subtract, stacked views."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,13 @@ from conftest import slot_pair_features
 from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import project_mode3
 from edgetensor.features import (RECIPE_KINDS, build_concat_features,
-                                 build_stacked_graph_features,
-                                 build_subtract_features, union_graph)
+                                 build_subtract_features)
 from edgetensor.generators import sbm_generate
 from edgetensor.layers import GraphConvLayer, gc_forward
 from edgetensor.models import build_model, prepare
 from edgetensor.params import ParamTape
-from edgetensor.sparse_graph import SparseAdjacency, renormalize
+from edgetensor.sparse_graph import (LabeledGraph, SparseAdjacency,
+                                     renormalize)
 
 
 def setup_graph(rng, n=6, d=3):
@@ -123,19 +123,24 @@ def test_builders_and_projection_stay_on_the_adjacency_support(rng):
                build_subtract_features(h, a, reducer, np.eye(2))]
     graphs = [SparseAdjacency.from_undirected_edges(6, [(0, 1), (2, 3)]),
               SparseAdjacency.from_undirected_edges(6, [(1, 2)])]
-    a_union = renormalize(union_graph(graphs))
-    tensors.append(build_stacked_graph_features(graphs, a_union))
+    stacked_ctx = prepare(views(graphs))
+    tensors.append(stacked_ctx.stacked)
     tensors.append(project_mode3(tensors[0], rng.standard_normal((4, 3))))
-    for t, a_tilde in zip(tensors, (a, a, a_union, a)):
+    for t, a_tilde in zip(tensors, (a, a, stacked_ctx.a_tilde, a)):
         assert t.pattern is a_tilde
         assert t.p == t.values.shape[1]
     assert [t.p for t in tensors] == [4, 2, 2, 3]
 
 
+def views(graphs):
+    return LabeledGraph.from_views(graphs, np.eye(graphs[0].n),
+                                   np.zeros(graphs[0].n))
+
+
 def test_union_support_and_graph():
     g1 = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
     g2 = SparseAdjacency.from_undirected_edges(4, [(1, 2), (0, 1)])
-    u = union_graph([g1, g2])
+    u = views([g1, g2]).adjacency
     assert set(zip(u.rows.tolist(), u.cols.tolist())) == {
         (0, 1), (1, 0), (1, 2), (2, 1)}  # off-diagonal entries only
     assert np.all(u.weights == 1.0)
@@ -145,22 +150,23 @@ def test_union_support_and_graph():
                    (0, 1), (1, 0), (1, 2), (2, 1)}
 
 
-def test_union_graph_rejects_mismatched_node_counts():
+def test_from_views_rejects_mismatched_node_counts():
     g1 = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
     g2 = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
     with pytest.raises(ValueError, match="node count"):
-        union_graph([g1, g2])
+        LabeledGraph.from_views([g1, g2], np.eye(3), np.zeros(3))
 
 
-def test_union_graph_drops_self_loops():
+def test_from_views_rejects_a_view_with_a_self_loop():
+    """The union is off-diagonal: a loop's weight would have no slot but
+    the diagonal one, which renormalize fills with the identity."""
     g = SparseAdjacency(3, [0, 0, 1], [0, 1, 0], [2.0, 1.0, 1.0])
-    u = union_graph([g])
-    assert u.rows.tolist() == [0, 1] and u.cols.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="diagonal"):
+        views([g])
 
 
 def stacked(graphs):
-    return build_stacked_graph_features(
-        graphs, renormalize(union_graph(graphs)))
+    return prepare(views(graphs)).stacked
 
 
 def test_stacked_features_channels_are_graph_weights(rng):
@@ -176,24 +182,11 @@ def test_stacked_features_channels_are_graph_weights(rng):
 
 
 def test_stacked_features_reject_mismatched_sizes():
-    g1 = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
-    g2 = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
-    with pytest.raises(ValueError, match="node count"):
-        build_stacked_graph_features([g1, g2], renormalize(g2))
-
-
-def test_stacked_features_reject_entries_outside_the_support():
-    a_tilde = renormalize(SparseAdjacency.from_undirected_edges(4, [(0, 1)]))
-    # (1, 2) sorts just before slot (2, 2): a bare key search lands there
-    outside = SparseAdjacency.from_undirected_edges(4, [(1, 2)])
-    with pytest.raises(ValueError, match="outside the support"):
-        build_stacked_graph_features([outside], a_tilde)
-
-
-def test_stacked_features_reject_a_pattern_without_the_diagonal():
-    """Checked before the key search: without slot (n-1, n-1) an entry
-    past the pattern's last key would index out of range."""
-    pattern = SparseAdjacency.from_undirected_edges(4, [(0, 1)])
-    beyond = SparseAdjacency.from_undirected_edges(4, [(2, 3)])
-    with pytest.raises(ValueError, match="diagonal"):
-        build_stacked_graph_features([beyond], pattern)
+    """A channel block needs one row per stored entry, and (j, i) must
+    carry the channels of (i, j)."""
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
+    for channels, message in ((np.ones((3, 2)), "shape"),
+                              (np.ones(2), "shape"),
+                              (np.array([[1.0], [2.0]]), "equal on")):
+        with pytest.raises(ValueError, match=message):
+            LabeledGraph(a, np.eye(3), np.zeros(3), edge_channels=channels)

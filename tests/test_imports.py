@@ -1,0 +1,44 @@
+"""Every imported name in the library, its tests and its demos is read."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for d in ("src", "tests", "demos")
+                 for p in (ROOT / d).rglob("*.py"))
+
+
+def unused_imports(source):
+    """Names that ``source`` binds by import and never loads.
+
+    A package ``__init__`` re-exports what it imports, so it is not
+    scanned; nor are ``__future__`` imports, which bind no name.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in loaded)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_imported_name_is_read(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_scan_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os, json as j\nfrom a.b import c, d\nprint(os, d)\n")
+    assert unused_imports(source) == [(2, "j"), (3, "c")]

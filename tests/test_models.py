@@ -19,11 +19,10 @@ from edgetensor.generators import sbm_generate
 from edgetensor.layers import (attention_forward, blend_edge_weights,
                                gc_forward, sparse_matmul, tpgc_forward,
                                tpgc_propagate)
-from edgetensor.models import (GraphContext, build_model, etgnn_forward,
-                               link_scores, prepare, prepare_multigraph)
+from edgetensor.models import (build_model, etgnn_forward, link_scores,
+                               prepare, prepare_multigraph)
 from edgetensor.params import ParamTape
-from edgetensor.sparse_graph import (SparseAdjacency, renormalize,
-                                     renormalize_weights)
+from edgetensor.sparse_graph import SparseAdjacency, renormalize_weights
 from edgetensor.training import bce_from_scores, cross_entropy_masked
 
 

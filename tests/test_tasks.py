@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from edgetensor import sparse_graph
-from edgetensor.sparse_graph import SparseAdjacency
+from edgetensor.sparse_graph import LabeledGraph, SparseAdjacency
 from edgetensor.evaluation import link_split, split_nodes
 from edgetensor.generators import sbm_generate
-from edgetensor.tasks import (run_link_prediction,
+from edgetensor.tasks import (MULTI_GRAPH_WIDTHS, run_link_prediction,
                               run_multigraph_classification,
                               run_node_classification)
 from edgetensor.training import TaskConfig
@@ -115,6 +115,36 @@ def test_classification_results_carry_the_same_metric_keys(sbm_graph,
         "initial_homophily"}
     assert multi.metrics["initial_homophily"] == \
         multi.history[0].extra["homophily"]
+
+
+def test_views_graph_classifies_as_the_multigraph_wrapper(sbm_graph,
+                                                          sbm_splits):
+    """run_multigraph_classification is run_node_classification on the
+    views' union with MULTI_GRAPH_WIDTHS: the final train loss is equal
+    bit for bit."""
+    graphs = [sbm_generate([25, 25], 0.25, 0.03, seed=s).adjacency
+              for s in range(2)]
+    union = LabeledGraph.from_views(graphs, sbm_graph.node_features,
+                                    sbm_graph.labels)
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=4, patience=4, seed=0)
+    direct = run_node_classification(union, sbm_splits, cfg,
+                                     model_kind="et_gat",
+                                     model_kwargs=MULTI_GRAPH_WIDTHS)
+    wrapped = _multigraph_et_gat(sbm_graph, sbm_splits, cfg)
+    assert direct.history[-1].train_loss == wrapped.history[-1].train_loss
+    assert direct.metrics == wrapped.metrics
+
+
+def test_link_prediction_refuses_a_graph_with_edge_channels():
+    """The split carries no channels, so a held-out edge's channels would
+    otherwise reach the model through the graph."""
+    ref = sbm_generate([10, 10], 0.3, 0.05, seed=2)
+    graph = LabeledGraph.from_views([ref.adjacency], ref.node_features,
+                                    ref.labels)
+    split = link_split(graph.adjacency, 0.1, 0.05, seed=0)
+    cfg = TaskConfig(max_epochs=1, patience=1)
+    with pytest.raises(ValueError, match="edge channels"):
+        run_link_prediction(graph, split, cfg)
 
 
 def test_link_prediction_beats_chance():
