@@ -14,7 +14,7 @@ outside it is dropped. The matrix must lie on the tensor's own pattern (a
 against any other pattern, a strict sub-pattern included, raises. The
 pattern owns the contraction plans, the surviving (output slot, matrix
 entry, input slot) triples, which forward and adjoint passes share: one
-mode-1 walk per pattern, with the mode-2 plan its relabel (see
+walk per pattern builds both, and they share their output-slot array (see
 ``SparseAdjacency.plans``). Plans are looked up on the tensor's pattern,
 never on the matrix, so a per-forward copy of the matrix never rebuilds
 them.

@@ -7,9 +7,10 @@ and hash by identity.
 
 A matrix's pattern is also the slot layout of the edge tensors built on it
 (see :mod:`edgetensor.edge_tensor`), and it owns their contraction plans:
-the pair is built on first use, one mode-1 walk with the mode-2 plan as
-its relabel, and cached. Every ``with_weights`` copy made after that
-shares it.
+the pair is built on first use by one walk over the slots (x, y) with
+x <= y, and cached. Every ``with_weights`` copy made after that shares it.
+A pattern whose pair could need more than ``PLAN_BUDGET_BYTES`` (1 GiB) is
+refused with a ``ValueError`` before the walk allocates its candidates.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
+
+# bytes one pattern's plan pair may need (see _wedges): an n=20k graph of
+# mean degree 12 bounds its pair at ~0.1 GB, a 400-node clique at 2.05 GB
+PLAN_BUDGET_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -108,10 +113,7 @@ class SparseAdjacency:
     @cached_property
     def indptr(self):
         """CSR row pointer over the sorted entries."""
-        counts = np.bincount(self.rows, minlength=self.n)
-        ptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(counts, out=ptr[1:])
-        return ptr
+        return _offsets(np.bincount(self.rows, minlength=self.n))
 
     @cached_property
     def transpose_permutation(self):
@@ -141,15 +143,13 @@ class SparseAdjacency:
         """(mode-1, mode-2) plans of an edge tensor on this pattern against
         a matrix on it, built on first use.
 
-        The pattern must be symmetric. Mode 2, out(i, h) = sum_j a(h, j) *
-        s(i, j), is mode 1 on mirrored slots, so its triples are the mode-1
-        triples relabeled through ``transpose_permutation``: one walk
-        serves both modes.
+        The pattern must be symmetric. One walk (``_plan_walk``) finds
+        each slot's wedges once and serves both modes: mode 2's
+        ``out_idx`` is mode 1's, and its ``slot_idx`` is mode 1's
+        ``adj_idx``. Raises ``ValueError`` if the pair could need more
+        than ``PLAN_BUDGET_BYTES``.
         """
-        mode1 = _mode1_plan(self)
-        perm = self.transpose_permutation
-        return mode1, _sorted_plan(perm[mode1.out_idx], mode1.adj_idx,
-                                   perm[mode1.slot_idx], self.nnz)
+        return _plan_walk(self)
 
     def with_weights(self, weights, symmetric=None):
         """Same validated pattern, new (plain or Var) weights."""
@@ -166,47 +166,84 @@ class SparseAdjacency:
         return dense
 
 
-def _sorted_plan(out_idx, adj_idx, slot_idx, nnz):
-    """The triples as a plan sorted by (output slot, entry).
+def _offsets(counts):
+    """Start of each segment of ``counts``, then the total."""
+    ptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
 
-    That is the order each output's segment sum adds its terms in, so
-    results do not depend on how the triples were found.
+
+def _plan_walk(pattern):
+    """(mode-1, mode-2) plans of a symmetric pattern, from one walk.
+
+    A triple closes a wedge x - c - y: output slot (x, y) and the stored
+    entries P = (x, c) and Q = (y, c). Mode 1, out(x, y) = sum_c a(x, c) *
+    s(c, y), reads entry P and slot (c, y), the mirror of Q; mode 2,
+    out(x, y) = sum_c a(y, c) * s(x, c), reads entry Q and slot P. So the
+    pair is ``(out, P, perm[Q])`` and ``(out, Q, P)``, sharing ``out`` and P.
+
+    :func:`_wedges` walks only the slots with x <= y; the mirror slot
+    (y, x) closes the same wedges with P and Q swapped. A slot's hits come
+    in rising c, which orders both P and Q, so each segment is already in
+    (output slot, entry) order for both modes: nothing is sorted.
     """
-    order = np.argsort(out_idx * nnz + adj_idx)
-    return ContractionPlan(out_idx[order], adj_idx[order], slot_idx[order],
-                           nnz, nnz)
+    nnz, perm = pattern.nnz, pattern.transpose_permutation
+    upper = np.flatnonzero(pattern.rows <= pattern.cols)
+    hits, p_hit, q_hit = _wedges(pattern, upper)
+    mirror = perm[upper]
+    seg = np.zeros(nnz, dtype=np.intp)
+    seg[upper] = seg[mirror] = hits
+    offsets = _offsets(seg)
+    out = np.repeat(np.arange(nnz), seg)
+    P, Q = np.empty_like(out), np.empty_like(out)
+    # each hit's place in its slot's segment; the mirror's takes it swapped
+    rank = np.arange(p_hit.size) - np.repeat(_offsets(hits)[:-1], hits)
+    for slots, p, q in ((upper, p_hit, q_hit), (mirror, q_hit, p_hit)):
+        dest = np.repeat(offsets[slots], hits)
+        dest += rank
+        P[dest], Q[dest] = p, q
+    return (ContractionPlan(out, P, perm[Q], nnz, nnz),
+            ContractionPlan(out, Q, P, nnz, nnz))
 
 
-def _mode1_plan(pattern):
-    """Surviving triples of the masked mode-1 product on one pattern.
+def _wedges(pattern, upper):
+    """Common neighbours c of the ends of each slot ``upper[k]`` = (x, y).
 
-    out(h, j) = sum_i a(h, i) * s(i, j); a triple survives when (h, i),
-    (h, j) and (i, j) are all stored entries. For each entry the j of the
-    shorter of rows h and i are walked and the other slot is looked up in
-    ``pattern.keys``: the cost is sum_e min(deg h, deg i) candidates over
-    entries e = (h, i).
+    The c of the shorter of rows x and y are walked and the other row's
+    entry is looked up in ``pattern.keys``, so a walk tests sum min(deg x,
+    deg y) candidates. Returns the hits per slot and, per hit in (slot, c)
+    order, the entries P = (x, c) and Q = (y, c). A pattern whose plan
+    pair could exceed ``PLAN_BUDGET_BYTES`` is refused before any
+    candidate is built.
     """
-    n, keys, nnz, row_ptr = pattern.n, pattern.keys, pattern.nnz, pattern.indptr
-    deg = np.diff(row_ptr)
-    h, i = pattern.rows, pattern.cols
-    walk_h = deg[h] <= deg[i]
-    walked = np.where(walk_h, h, i)
-    other = np.where(walk_h, i, h)
+    n, keys, nnz, ptr = pattern.n, pattern.keys, pattern.nnz, pattern.indptr
+    deg = np.diff(ptr)
+    x, y = pattern.rows[upper], pattern.cols[upper]
+    walk_x = deg[x] <= deg[y]
+    walked = np.where(walk_x, x, y)
     count = deg[walked]
-    starts = np.zeros(count.size, dtype=np.intp)
-    np.cumsum(count[:-1], out=starts[1:])
-    adj_idx = np.repeat(np.arange(nnz), count)
-    # ragged ranges: the walked row's slot indices for each entry
-    walked_slot = (np.arange(adj_idx.size) - np.repeat(starts, count)
-                   + np.repeat(row_ptr[walked], count))
-    looked = other[adj_idx] * n + pattern.cols[walked_slot]
+    candidates = int(count.sum())
+    # a candidate is at most two triples, its slot's and the mirror's, and
+    # a triple is one element of each of the pair's four index arrays
+    need = candidates * 2 * 4 * np.dtype(np.intp).itemsize
+    if need > PLAN_BUDGET_BYTES:
+        raise ValueError(
+            f"the plan pair of this pattern may need {need:,} bytes "
+            f"({candidates:,} candidates), over its budget of "
+            f"{PLAN_BUDGET_BYTES:,} bytes")
+    starts = _offsets(count)
+    # ragged ranges: the walked row's slot indices for each slot
+    walked_slot = np.repeat(ptr[walked] - starts[:-1], count)
+    walked_slot += np.arange(candidates)
+    looked = np.repeat(np.where(walk_x, y, x) * n, count)
+    looked += pattern.cols[walked_slot]
     pos = np.searchsorted(keys, looked)
-    pos[pos >= keys.size] = 0
-    hit = keys[pos] == looked
-    adj_idx, walked_slot, pos = adj_idx[hit], walked_slot[hit], pos[hit]
-    walk_h = walk_h[adj_idx]
-    return _sorted_plan(np.where(walk_h, walked_slot, pos), adj_idx,
-                        np.where(walk_h, pos, walked_slot), nnz)
+    pos[pos == nnz] = 0
+    found = np.flatnonzero(keys[pos] == looked)
+    hits = np.diff(np.searchsorted(found, starts))
+    walked_slot, pos, walk_x = walked_slot[found], pos[found], np.repeat(walk_x, hits)
+    return (hits, np.where(walk_x, walked_slot, pos),
+            np.where(walk_x, pos, walked_slot))
 
 
 @dataclass(frozen=True)
@@ -266,7 +303,11 @@ class LabeledGraph:
         n = views[0].n
         if any(v.n != n for v in views):
             raise ValueError("all views must share the node count")
-        keys = np.unique(np.concatenate([v.keys for v in views]))
+        # np.unique would hash here, ~20x slower than sorting on numpy 2.4
+        keys = np.sort(np.concatenate([v.keys for v in views]))
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
         channels = np.zeros((keys.size, len(views)))
         for k, v in enumerate(views):
             channels[np.searchsorted(keys, v.keys), k] = v.weights

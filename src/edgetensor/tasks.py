@@ -60,6 +60,7 @@ def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
     recipe.
     """
     ctx = prepare(graph)
+    del graph  # training reads only the context; a caller's temporary is freed
     labels = ctx.labels
     tape = ParamTape()
     model = build_model(tape, model_kind, ctx,

@@ -18,7 +18,8 @@ from edgetensor.edge_tensor import (EdgeFeatureTensor, axpy, contraction_plan,
                                     propagate_mode1, propagate_mode2,
                                     propagate_values)
 from edgetensor.layers import sparse_matmul
-from edgetensor.sparse_graph import SparseAdjacency, renormalize
+from edgetensor.sparse_graph import (PLAN_BUDGET_BYTES, SparseAdjacency,
+                                     renormalize)
 
 
 def make_pair(n, p, rng, density=0.4):
@@ -275,7 +276,7 @@ def test_oracle_equivalence_property(seed):
     assert np.abs(out - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
 
 
-PLAN_KINDS = ("full", "edgeless", "hub")
+PLAN_KINDS = ("full", "edgeless", "hub", "clique")
 
 
 def plan_case(seed, n, kind):
@@ -283,11 +284,13 @@ def plan_case(seed, n, kind):
 
     ``full``: a random symmetric pattern with the diagonal. ``edgeless``:
     the diagonal only. ``hub``: node 0 joined to every node on a sparse
-    random pattern.
+    random pattern. ``clique``: every entry, so every candidate closes.
     """
     rng = np.random.default_rng(seed)
     if kind == "edgeless":
         rows = cols = np.arange(n)
+    elif kind == "clique":
+        rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
     else:
         rows, cols = random_support(n, rng, 0.1 if kind == "hub" else rng.random())
         if kind == "hub":
@@ -306,6 +309,7 @@ def plan_case(seed, n, kind):
 @example(seed=0, n=1, kind="full")
 @example(seed=2, n=9, kind="edgeless")
 @example(seed=3, n=16, kind="hub")
+@example(seed=4, n=12, kind="clique")
 def test_plan_matches_loop_oracle(seed, n, kind):
     pattern = plan_case(seed, n, kind)
     for mode, plan in zip((1, 2), pattern.plans):
@@ -314,6 +318,15 @@ def test_plan_matches_loop_oracle(seed, n, kind):
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and np.array_equal(g, e)
         assert (plan.num_slots, plan.num_adj) == (pattern.nnz, pattern.nnz)
+
+
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+def test_plan_pair_shares_its_output_and_entry_arrays(kind):
+    """Mode 2 reads entry Q and slot P where mode 1 reads entry P: one
+    ``out`` array and one P array serve both plans."""
+    mode1, mode2 = plan_case(5, 12, kind).plans
+    assert mode2.out_idx is mode1.out_idx
+    assert mode2.slot_idx is mode1.adj_idx
 
 
 @pytest.mark.parametrize("mode", [1, 2])
@@ -404,6 +417,41 @@ def test_propagate_values_allocates_no_triples_by_width_block():
     assert w.grad is not None and h.grad is not None
     block = a.nnz * p * 8
     assert peak < block, f"A·H: backward peak {peak} B >= block {block} B"
+
+
+def test_plans_refuse_a_pattern_over_the_budget():
+    """A 400-node clique (64M triples per mode) is refused before its walk
+    builds a candidate-long array.
+
+    Its 80,200 slots with x <= y walk 400 candidates each: 32,080,000
+    candidates, whose 256 MB index arrays alone would outweigh what the
+    refusal holds, a few slot-long arrays (0.64 MB each).
+    """
+    a = plan_case(0, 400, "clique")
+    a.keys, a.indptr, a.transpose_permutation  # cached before the trace
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2,053,120,000 bytes "
+                                             r"\(32,080,000 candidates\)"):
+            a.plans
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_plan_budget_admits_a_sparse_20k_node_graph():
+    """A 20,000-node graph of mean degree 12 bounds its pair far under the
+    budget, and builds it."""
+    n, rng = 20_000, np.random.default_rng(0)
+    pairs = rng.integers(n, size=(6 * n, 2))
+    pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    a = renormalize(SparseAdjacency.from_undirected_edges(n, pairs))
+    deg = np.diff(a.indptr)
+    upper = a.rows <= a.cols
+    candidates = np.minimum(deg[a.rows[upper]], deg[a.cols[upper]]).sum()
+    assert 2 * candidates * 4 * 8 < PLAN_BUDGET_BYTES / 8
+    assert a.plans[0].out_idx.size > 0
 
 
 def test_star_plans_stay_small():

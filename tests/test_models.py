@@ -405,20 +405,20 @@ PLAIN_FORWARDS = {
 
 
 def test_plain_et_gat_forwards_reuse_their_plans(plain_case, monkeypatch):
-    """One mode-1 walk, on the context's pattern, over three forwards.
+    """One plan walk, on the context's pattern, over three forwards.
 
     Each forward propagates with a new ``with_weights`` copy of ``a_tilde``
     (the attention blend); plans are read from the tensor's pattern, so
     the copies never rebuild them.
     """
     walked = []
-    walk = sparse_graph._mode1_plan
+    walk = sparse_graph._plan_walk
 
     def counting_walk(pattern):
         walked.append(pattern)
         return walk(pattern)
 
-    monkeypatch.setattr(sparse_graph, "_mode1_plan", counting_walk)
+    monkeypatch.setattr(sparse_graph, "_plan_walk", counting_walk)
     ctx = prepare(plain_case.graph)  # a new pattern, with no plans yet
     for _ in range(3):
         etgnn_forward(plain_case.model, ctx)

@@ -1,9 +1,11 @@
 """Task pipelines at tiny scale: they train, improve, and stay reproducible."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from edgetensor import sparse_graph
+from edgetensor import sparse_graph, tasks
 from edgetensor.sparse_graph import LabeledGraph, SparseAdjacency
 from edgetensor.evaluation import link_split, split_nodes
 from edgetensor.generators import sbm_generate
@@ -80,11 +82,11 @@ def _multigraph_et_gat(sbm_graph, sbm_splits, cfg):
 ], ids=["node_classification", "multigraph_et_gat"])
 def test_node_classification_validates_support_once_and_plans_twice(
         sbm_graph, sbm_splits, monkeypatch, run):
-    """One diagonal check and one mode-1 walk per run, on one pattern; the
-    mode-2 plan is the walk's relabel."""
+    """One diagonal check and one plan walk per run, on one pattern; the
+    walk builds both plans."""
     validated, walked = [], []
     has_self_loops = SparseAdjacency.__dict__["has_self_loops"]
-    check, walk = has_self_loops.func, sparse_graph._mode1_plan
+    check, walk = has_self_loops.func, sparse_graph._plan_walk
 
     def counting_check(pattern):
         validated.append(pattern)
@@ -95,13 +97,37 @@ def test_node_classification_validates_support_once_and_plans_twice(
         return walk(pattern)
 
     monkeypatch.setattr(has_self_loops, "func", counting_check)
-    monkeypatch.setattr(sparse_graph, "_mode1_plan", counting_walk)
+    monkeypatch.setattr(sparse_graph, "_plan_walk", counting_walk)
     cfg = TaskConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
     result = run(sbm_graph, sbm_splits, cfg)
     assert len(result.history) == 3
     assert len(validated) == len(walked) == 1
     pattern = walked[0]
     assert validated[0] is pattern and len(pattern.plans) == 2
+
+
+def test_multigraph_union_is_freed_before_training(sbm_graph, sbm_splits,
+                                                   monkeypatch):
+    """The union graph from ``from_views`` is dead once training starts:
+    the context holds everything training reads."""
+    unions, alive = [], []
+    from_views, train_loop = LabeledGraph.from_views, tasks.train_loop
+
+    def tracked_from_views(*args, **kwargs):
+        union = from_views(*args, **kwargs)
+        unions.append(weakref.ref(union))
+        return union
+
+    def spying_train_loop(*args, **kwargs):
+        alive.append(unions[0]() is not None)
+        return train_loop(*args, **kwargs)
+
+    monkeypatch.setattr(LabeledGraph, "from_views",
+                        staticmethod(tracked_from_views))
+    monkeypatch.setattr(tasks, "train_loop", spying_train_loop)
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=2, patience=2, seed=0)
+    _multigraph_et_gat(sbm_graph, sbm_splits, cfg)
+    assert len(unions) == 1 and alive == [False]
 
 
 def test_classification_results_carry_the_same_metric_keys(sbm_graph,
