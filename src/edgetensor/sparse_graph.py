@@ -11,6 +11,10 @@ the pair is built on first use by one walk over the slots (x, y) with
 x <= y, and cached. Every ``with_weights`` copy made after that shares it.
 A pattern whose pair could need more than ``PLAN_BUDGET_BYTES`` (1 GiB) is
 refused with a ``ValueError`` before the walk allocates its candidates.
+The bound is 64 bytes per candidate, several times the pair a sparse
+graph builds, so refusal starts at 2**24 (16.8M) candidates: about
+n = 197k nodes at mean degree 12 (85 candidates a node), whose pair would
+be ~0.23 GB.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import numpy as np
 from . import autodiff as ad
 
 # bytes one pattern's plan pair may need (see _wedges): an n=20k graph of
-# mean degree 12 bounds its pair at ~0.1 GB, a 400-node clique at 2.05 GB
+# mean degree 12 bounds its pair at ~0.11 GB, a 400-node clique at 2.05 GB;
+# sparse graphs of mean degree 12 are refused from about n = 197k
 PLAN_BUDGET_BYTES = 2 ** 30
 
 

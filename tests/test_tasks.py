@@ -109,7 +109,9 @@ def test_node_classification_validates_support_once_and_plans_twice(
 def test_multigraph_union_is_freed_before_training(sbm_graph, sbm_splits,
                                                    monkeypatch):
     """The union graph from ``from_views`` is dead once training starts:
-    the context holds everything training reads."""
+    the context holds everything training reads. The union is passed only
+    to ``prepare``, so this holds however an interpreter keeps a call's
+    arguments alive."""
     unions, alive = [], []
     from_views, train_loop = LabeledGraph.from_views, tasks.train_loop
 
