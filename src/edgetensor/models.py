@@ -21,7 +21,7 @@ from .features import (RECIPE_KINDS, build_concat_features,
 from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
                      attention_forward, blend_edge_weights, gc_forward,
                      tpgc_forward, tpgc_propagate)
-from .sparse_graph import LabeledGraph, renormalize, renormalize_weights
+from .sparse_graph import LabeledGraph, renormalize_weights
 
 MODEL_KINDS = ("et_gcn", "et_gat", "gcn_only")
 NEGATIVE_MODES = ("clamp", "abs")
@@ -58,11 +58,14 @@ class GraphContext:
 def prepare(graph):
     """Context of a ``LabeledGraph``; its edge channels, if any, are stacked.
 
-    The stacked tensor lives on the pattern of ``a_tilde =
-    renormalize(graph.adjacency)``: each entry's channels go to its slot,
-    and the diagonal slots, which the graph does not store, are zero.
+    ``a_tilde`` is ``graph.adjacency.renormalized``, which the matrix
+    computes once and keeps with its plan pair, so a second context of the
+    same graph (another seed, another run) renormalizes nothing and builds
+    no plan. The stacked tensor lives on the pattern of ``a_tilde``: each
+    entry's channels go to its slot, and the diagonal slots, which the
+    graph does not store, are zero.
     """
-    a_tilde = renormalize(graph.adjacency)
+    a_tilde = graph.adjacency.renormalized
     stacked = None
     if graph.edge_channels is not None:
         values = np.zeros((a_tilde.nnz, graph.edge_channels.shape[1]))

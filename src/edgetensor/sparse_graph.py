@@ -15,6 +15,12 @@ The bound is 64 bytes per candidate, several times the pair a sparse
 graph builds, so refusal starts at 2**24 (16.8M) candidates: about
 n = 197k nodes at mean degree 12 (85 candidates a node), whose pair would
 be ~0.23 GB.
+
+A matrix also owns its renormalization: ``renormalized`` is computed on
+first read and kept, and with it the plans built on it, so every run on
+one graph shares one renormalized matrix and one plan pair. It is the only
+cached property that depends on the weights, so ``with_weights`` copies
+never inherit it.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ class SparseAdjacency:
     Any weights on a pattern: the raw adjacency A, its renormalized form,
     attention weights, the learned graph. The constructor takes plain
     arrays; :meth:`with_weights` copies the validated pattern (the cached
-    properties computed so far are shared) with new weights, which may be
-    an autodiff Var. Immutable.
+    pattern properties computed so far are shared) with new weights, which
+    may be an autodiff Var. Immutable.
     """
 
     n: int
@@ -156,9 +162,26 @@ class SparseAdjacency:
         """
         return _plan_walk(self)
 
+    @cached_property
+    def renormalized(self):
+        """``renormalize(self)``, computed on first read and kept.
+
+        The result caches its own plan pair, so every run on this matrix
+        reuses both. Unlike the other cached properties this one depends on
+        the weights, not only on the pattern: :meth:`with_weights` drops it
+        from the copy. :func:`renormalize`'s checks run on every read until
+        one succeeds, since an exception is not cached.
+        """
+        return renormalize(self)
+
     def with_weights(self, weights, symmetric=None):
-        """Same validated pattern, new (plain or Var) weights."""
+        """Same validated pattern, new (plain or Var) weights.
+
+        The copy shares the pattern's cached properties computed so far,
+        except ``renormalized``, which depends on the weights.
+        """
         twin = copy.copy(self)
+        twin.__dict__.pop("renormalized", None)
         object.__setattr__(twin, "weights", weights)
         object.__setattr__(twin, "symmetric",
                            self.symmetric if symmetric is None else symmetric)

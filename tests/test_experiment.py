@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from edgetensor import cli, experiment
+from edgetensor import cli, experiment, sparse_graph
 from edgetensor.cli import main
 from edgetensor.experiment import (ExperimentConfig, ResultRecord,
                                    evaluate_checkpoint, format_mean_std,
@@ -241,6 +241,43 @@ def test_dataset_layout_must_fit_the_task(tmp_path, task, views):
     with pytest.raises(ValueError, match="multi_graph needs a dataset of "
                                          "edge views"):
         run_experiment(config)
+
+
+TRAFFIC_CONFIGS = {
+    "node_class": dict(model="et_gcn"),
+    "link_pred": dict(task="link_pred", embed_dim=4),
+    # multi_graph refuses quick_config's reduce_dim, which it never reads
+    "multi_graph": dict(task="multi_graph", synthetic={**SBM, "views": 2},
+                        reduce_dim=8),
+}
+
+
+@pytest.mark.parametrize("task", sorted(TRAFFIC_CONFIGS))
+def test_experiment_renormalizes_and_plans_once_for_all_seeds(task,
+                                                              monkeypatch):
+    """Every seed trains on one graph, so the experiment renormalizes it
+    once and walks its plans at most once; each seed's metrics equal that
+    seed run alone."""
+    renormalized, walked = [], []
+    renormalize, walk = sparse_graph.renormalize, sparse_graph._plan_walk
+
+    def counting_renormalize(adjacency):
+        renormalized.append(adjacency)
+        return renormalize(adjacency)
+
+    def counting_walk(pattern):
+        walked.append(pattern)
+        return walk(pattern)
+
+    monkeypatch.setattr(sparse_graph, "renormalize", counting_renormalize)
+    monkeypatch.setattr(sparse_graph, "_plan_walk", counting_walk)
+    record = run_experiment(quick_config(seeds=[0, 1, 2],
+                                         **TRAFFIC_CONFIGS[task]))
+    assert len(renormalized) == 1 and len(walked) <= 1
+    for seed_metrics in record.per_seed:
+        alone = run_experiment(quick_config(seeds=[seed_metrics["seed"]],
+                                            **TRAFFIC_CONFIGS[task]))
+        assert alone.per_seed == [seed_metrics]
 
 
 def test_link_experiment_runs():

@@ -409,7 +409,8 @@ def test_plain_et_gat_forwards_reuse_their_plans(plain_case, monkeypatch):
 
     Each forward propagates with a new ``with_weights`` copy of ``a_tilde``
     (the attention blend); plans are read from the tensor's pattern, so
-    the copies never rebuild them.
+    the copies never rebuild them. A second context of the same graph
+    shares ``a_tilde`` and walks nothing.
     """
     walked = []
     walk = sparse_graph._plan_walk
@@ -419,10 +420,14 @@ def test_plain_et_gat_forwards_reuse_their_plans(plain_case, monkeypatch):
         return walk(pattern)
 
     monkeypatch.setattr(sparse_graph, "_plan_walk", counting_walk)
-    ctx = prepare(plain_case.graph)  # a new pattern, with no plans yet
+    # a new graph equal to plain_case's, so no pattern with plans yet
+    graph, ctx = small_context()
     for _ in range(3):
         etgnn_forward(plain_case.model, ctx)
     assert len(walked) == 1 and walked[0] is ctx.a_tilde
+    again = prepare(graph)
+    etgnn_forward(plain_case.model, again)
+    assert again.a_tilde is ctx.a_tilde and len(walked) == 1
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN_FORWARDS))

@@ -158,6 +158,40 @@ def test_renormalize_rejects_traced_weights():
         renormalize(a.with_weights(Var(np.ones(a.nnz))))
 
 
+def test_renormalized_is_computed_once_and_kept():
+    a = SparseAdjacency.from_undirected_edges(4, [(0, 1), (1, 3), (2, 3)])
+    r = a.renormalized
+    assert a.renormalized is r
+    np.testing.assert_array_equal(r.to_dense(), renormalize(a).to_dense())
+
+
+def test_with_weights_twin_renormalizes_its_own_weights():
+    pairs = [(0, 1), (1, 3), (2, 3)]
+    a = SparseAdjacency.from_undirected_edges(4, pairs)
+    before = a.renormalized
+    fresh = SparseAdjacency.from_undirected_edges(4, pairs, [2.0, 3.0, 5.0])
+    twin = a.with_weights(fresh.weights)
+    assert twin.renormalized is not before and a.renormalized is before
+    np.testing.assert_array_equal(twin.renormalized.to_dense(),
+                                  renormalize(fresh).to_dense())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda a: a.with_weights(Var(np.ones(a.nnz))), "plain weights"),
+    (lambda a: a.with_weights(a.weights, symmetric=False), "symmetric"),
+    (lambda a: SparseAdjacency(2, [0, 1], [1, 0], [-1.0, -1.0]),
+     "nonnegative"),
+], ids=["var_twin", "asymmetric_twin", "negative"])
+def test_renormalized_raises_on_every_read_of_a_bad_matrix(bad, message):
+    """An exception is not cached, so every read runs the checks again."""
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
+    a.renormalized  # a twin must not inherit it
+    matrix = bad(a)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            matrix.renormalized
+
+
 def test_entries_read_traced_weights():
     a = SparseAdjacency.from_undirected_edges(3, [(0, 1)], weights=[2.0])
     traced = a.with_weights(Var(a.weights))

@@ -15,9 +15,14 @@ from edgetensor.tasks import (MULTI_GRAPH_WIDTHS, run_link_prediction,
 from edgetensor.training import TaskConfig
 
 
+def new_sbm_graph():
+    """A new graph object each call, equal to every other."""
+    return sbm_generate([25, 25], 0.25, 0.03, seed=0)
+
+
 @pytest.fixture(scope="module")
 def sbm_graph():
-    return sbm_generate([25, 25], 0.25, 0.03, seed=0)
+    return new_sbm_graph()
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +81,17 @@ def _multigraph_et_gat(sbm_graph, sbm_splits, cfg):
                                          model_kind="et_gat")
 
 
-@pytest.mark.parametrize("run", [
-    lambda graph, splits, cfg: run_node_classification(graph, splits, cfg),
-    _multigraph_et_gat,
+@pytest.mark.parametrize("run, second_walks", [
+    (lambda graph, splits, cfg: run_node_classification(graph, splits, cfg),
+     0),
+    (_multigraph_et_gat, 1),
 ], ids=["node_classification", "multigraph_et_gat"])
 def test_node_classification_validates_support_once_and_plans_twice(
-        sbm_graph, sbm_splits, monkeypatch, run):
-    """One diagonal check and one plan walk per run, on one pattern; the
-    walk builds both plans."""
+        sbm_splits, monkeypatch, run, second_walks):
+    """A first run on a graph makes one diagonal check and one plan walk,
+    on one pattern; the walk builds both plans. A second run on the same
+    graph reuses its renormalized matrix, so it checks and walks nothing;
+    a multi-graph run builds a new union per call, so it walks again."""
     validated, walked = [], []
     has_self_loops = SparseAdjacency.__dict__["has_self_loops"]
     check, walk = has_self_loops.func, sparse_graph._plan_walk
@@ -98,12 +106,59 @@ def test_node_classification_validates_support_once_and_plans_twice(
 
     monkeypatch.setattr(has_self_loops, "func", counting_check)
     monkeypatch.setattr(sparse_graph, "_plan_walk", counting_walk)
+    graph = new_sbm_graph()  # so no earlier test has renormalized it
     cfg = TaskConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=0)
-    result = run(sbm_graph, sbm_splits, cfg)
+    result = run(graph, sbm_splits, cfg)
     assert len(result.history) == 3
     assert len(validated) == len(walked) == 1
     pattern = walked[0]
     assert validated[0] is pattern and len(pattern.plans) == 2
+    run(graph, sbm_splits, cfg)
+    assert len(validated) == len(walked) == 1 + second_walks
+
+
+def _assert_runs_equal(a, b):
+    assert a.history[-1].train_loss == b.history[-1].train_loss
+    assert a.metrics == b.metrics
+    assert a.best_params.keys() == b.best_params.keys()
+    for name, value in a.best_params.items():
+        assert np.array_equal(value, b.best_params[name]), name
+
+
+@pytest.mark.parametrize("model_kind", ["et_gcn", "et_gat"])
+def test_second_node_classification_run_equals_a_run_on_a_fresh_graph(
+        sbm_splits, model_kind):
+    """A second run reads the renormalized matrix and plans the first run
+    cached; it is equal bit for bit to a run on an equal new graph."""
+    graph = new_sbm_graph()
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=6, patience=6, seed=2)
+    first = run_node_classification(graph, sbm_splits, cfg,
+                                    model_kind=model_kind)
+    second = run_node_classification(graph, sbm_splits, cfg,
+                                     model_kind=model_kind)
+    assert second.context.a_tilde is first.context.a_tilde
+    fresh = run_node_classification(new_sbm_graph(), sbm_splits, cfg,
+                                    model_kind=model_kind)
+    assert fresh.context.a_tilde is not first.context.a_tilde
+    _assert_runs_equal(second, fresh)
+
+
+@pytest.mark.parametrize("model_kind", ["gcn_only", "et_gcn"])
+def test_second_link_prediction_run_equals_a_run_on_a_fresh_split(model_kind):
+    """The same for link prediction, which renormalizes ``split.train``."""
+
+    def inputs():
+        graph = sbm_generate([20, 20], 0.3, 0.05, seed=2)
+        return graph, link_split(graph.adjacency, 0.1, 0.05, seed=0)
+
+    graph, split = inputs()
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=6, patience=6, seed=5)
+    first = run_link_prediction(graph, split, cfg, model_kind=model_kind)
+    second = run_link_prediction(graph, split, cfg, model_kind=model_kind)
+    assert second.context.a_tilde is first.context.a_tilde
+    fresh = run_link_prediction(*inputs(), cfg, model_kind=model_kind)
+    assert fresh.context.a_tilde is not first.context.a_tilde
+    _assert_runs_equal(second, fresh)
 
 
 def test_multigraph_union_is_freed_before_training(sbm_graph, sbm_splits,
