@@ -2,7 +2,10 @@
 
 Every differentiable quantity is a :class:`Var` holding a float64 array.
 Operations build a DAG of Vars; :func:`backward` walks it in reverse
-topological order and accumulates vector-Jacobian products into ``.grad``.
+topological order and accumulates vector-Jacobian products into ``.grad``
+of the leaves only, the Vars with no parents (parameters and Vars a caller
+builds). An intermediate hands its cotangent to its parents and keeps
+nothing, so a backward leaves no gradient-sized copy of the tape alive.
 Accumulation order is fixed by graph construction order, so gradients are
 bit-identical across runs.
 
@@ -43,7 +46,8 @@ class Var:
     """A node in the computation graph.
 
     ``value`` is always a float64 ndarray (possibly 0-d). ``grad`` is filled
-    by :func:`backward` and has the same shape as ``value``.
+    by :func:`backward` on leaves only (a Var with no parents) and has the
+    same shape as ``value``; an op's result keeps ``grad`` None.
     """
 
     __slots__ = ("value", "grad", "_parents", "_vjps", "name")
@@ -93,11 +97,13 @@ def _node(out, *pairs):
 
 
 def backward(root, seed=None):
-    """Accumulate d(root)/d(node) into ``node.grad`` for every ancestor.
+    """Accumulate d(root)/d(leaf) into ``leaf.grad`` for every leaf ancestor.
 
-    ``seed`` defaults to ones (the usual choice for a scalar loss).
-    Existing ``.grad`` values are added to, so callers must zero parameter
-    gradients between steps.
+    A leaf is a Var with no parents. Intermediate nodes, ``root`` included
+    unless it is a leaf, get no ``.grad``: each cotangent is dropped once
+    its node's vjps have run. ``seed`` defaults to ones (the usual choice
+    for a scalar loss). Existing ``.grad`` values are added to, so callers
+    must zero parameter gradients between steps.
     """
     if seed is None:
         seed = np.ones_like(root.value)
@@ -126,7 +132,9 @@ def backward(root, seed=None):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
+        if not node._parents:
+            node.grad = g if node.grad is None else node.grad + g
+            continue
         for parent, vjp in zip(node._parents, node._vjps):
             pg = vjp(g)
             key = id(parent)

@@ -20,12 +20,12 @@ A matrix also owns its renormalization: ``renormalized`` is computed on
 first read and kept, and with it the plans built on it, so every run on
 one graph shares one renormalized matrix and one plan pair. It is the only
 cached property that depends on the weights, so ``with_weights`` copies
-never inherit it.
+never inherit it. A matrix pickles without its cached properties, which
+rebuild on demand.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -130,8 +130,11 @@ class SparseAdjacency:
     def transpose_permutation(self):
         """Permutation p with (rows, cols)[p[k]] == (cols[k], rows[k])."""
         tkeys = self.cols * self.n + self.rows
-        perm = np.searchsorted(self.keys, tkeys)
-        if np.any(perm >= self.nnz) or not np.array_equal(self.keys[perm], tkeys):
+        # keys are unique and sorted: the k-th smallest transposed key is
+        # keys[k] exactly when the pattern is symmetric
+        perm = np.empty(self.nnz, dtype=np.intp)
+        perm[np.argsort(tkeys)] = np.arange(self.nnz)
+        if not np.array_equal(self.keys[perm], tkeys):
             raise ValueError("entry pattern is not symmetric")
         return perm
 
@@ -180,13 +183,22 @@ class SparseAdjacency:
         The copy shares the pattern's cached properties computed so far,
         except ``renormalized``, which depends on the weights.
         """
-        twin = copy.copy(self)
+        # not copy.copy: it copies the state __getstate__ returns, which
+        # leaves out the caches a twin must share
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
         twin.__dict__.pop("renormalized", None)
         object.__setattr__(twin, "weights", weights)
         object.__setattr__(twin, "symmetric",
                            self.symmetric if symmetric is None else symmetric)
         twin._check_weights()
         return twin
+
+    def __getstate__(self):
+        """The matrix without its cached properties, which rebuild on demand,
+        so a used matrix pickles to the bytes of a fresh one."""
+        return {name: v for name, v in self.__dict__.items()
+                if not isinstance(getattr(type(self), name, None), cached_property)}
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))

@@ -239,6 +239,31 @@ def test_shared_node_grad_accumulates(rng):
     np.testing.assert_allclose(a.grad, 2 * a.value + 1, atol=1e-12)
 
 
+def test_backward_fills_grad_only_on_leaves(rng):
+    """An intermediate passes its cotangent on and keeps nothing; the
+    root, when it has parents, is an intermediate too."""
+    a = Var(rng.standard_normal(4))
+    b = Var(rng.standard_normal(4))
+    prod = ad.mul(a, b)
+    shifted = ad.add(prod, a)
+    root = ad.total(shifted)
+    backward(root)
+    assert prod.grad is None and shifted.grad is None and root.grad is None
+    np.testing.assert_array_equal(a.grad, b.value + 1.0)
+    np.testing.assert_array_equal(b.grad, a.value)
+
+
+def test_leaf_grads_accumulate_across_backward_calls(rng):
+    a = Var(rng.standard_normal(4))
+    square = ad.mul(a, a)
+    root = ad.total(square)
+    backward(root)
+    first = a.grad.copy()
+    backward(root)
+    assert np.array_equal(a.grad, first + first)
+    assert square.grad is None and root.grad is None
+
+
 def test_backward_deterministic_bitwise(rng):
     x = rng.standard_normal((6, 6))
     w = rng.standard_normal((6, 3))

@@ -17,6 +17,7 @@ from edgetensor.edge_tensor import (EdgeFeatureTensor, axpy, contraction_plan,
                                     mode_k_product_dense, project_mode3,
                                     propagate_mode1, propagate_mode2,
                                     propagate_values)
+from edgetensor.generators import sbm_generate
 from edgetensor.layers import sparse_matmul
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 
@@ -326,6 +327,29 @@ def test_plan_pair_shares_its_output_and_entry_arrays(kind):
     mode1, mode2 = plan_case(5, 12, kind).plans
     assert mode2.out_idx is mode1.out_idx
     assert mode2.slot_idx is mode1.adj_idx
+
+
+@pytest.mark.parametrize("pattern", [
+    pytest.param(lambda: SparseAdjacency(5, [], [], []), id="empty"),
+    pytest.param(lambda: plan_case(3, 16, "hub"), id="hub"),
+    pytest.param(lambda: plan_case(4, 12, "clique"), id="clique"),
+    pytest.param(lambda: renormalize(
+        sbm_generate([60, 60], 0.2, 0.02, seed=0).adjacency), id="sbm"),
+])
+def test_transpose_permutation_equals_a_search_of_the_transposed_keys(pattern):
+    a = pattern()
+    tkeys = a.cols * a.n + a.rows
+    expected = np.searchsorted(a.keys, tkeys)
+    assert a.transpose_permutation.dtype == expected.dtype
+    assert np.array_equal(a.transpose_permutation, expected)
+
+
+@pytest.mark.parametrize("rows,cols", [([0], [1]), ([0, 1, 2], [1, 2, 0])])
+def test_transpose_permutation_refuses_an_asymmetric_pattern(rows, cols):
+    """One entry with no mirror, and a 3-cycle whose transposed keys are
+    all distinct but none is stored."""
+    with pytest.raises(ValueError, match="entry pattern is not symmetric"):
+        SparseAdjacency(3, rows, cols, np.ones(len(rows)))
 
 
 @pytest.mark.parametrize("mode", [1, 2])

@@ -165,6 +165,91 @@ def test_gradients_reach_every_parameter():
         assert np.any(p.grad != 0.0), name
 
 
+def tape_nodes(root):
+    """Every Var the forward of ``root`` traced, ``root`` included."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def keep_all_backward(root):
+    """The reference walk: ``backward``'s order and arithmetic, but every
+    node, intermediate or leaf, keeps its gradient. Returns them by id."""
+    order, done, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+        elif id(node) not in done:
+            done.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in done)
+    pending, grads = {id(root): np.ones_like(root.value)}, {}
+    for node in reversed(order):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        grads[id(node)] = g
+        for parent, vjp in zip(node._parents, node._vjps):
+            pg = vjp(g)
+            key = id(parent)
+            pending[key] = pending[key] + pg if key in pending else pg
+    return grads
+
+
+def model_loss(kind, graph):
+    ctx = prepare(graph)
+    tape = ParamTape()
+    model = build_model(tape, kind, ctx, graph.num_classes, seed=0)
+    z = etgnn_forward(model, ctx).z
+    return tape, cross_entropy_masked(z, graph.labels, np.arange(graph.n))
+
+
+@pytest.mark.parametrize("kind", ["et_gcn", "et_gat"])
+def test_backward_keeps_gradients_only_on_parameters(kind):
+    """Every non-leaf Var of a model's tape ends ``backward`` without a
+    gradient, and each parameter's equals the keep-everything walk's on a
+    fresh identical model, bit for bit."""
+    graph = sbm_generate([10, 10], 0.5, 0.1, seed=0)
+    tape, loss = model_loss(kind, graph)
+    backward(loss)
+    inner = [v for v in tape_nodes(loss) if v._parents]
+    assert len(inner) > 20
+    assert all(v.grad is None for v in inner)
+    ref_tape, ref_loss = model_loss(kind, graph)
+    ref_grads = keep_all_backward(ref_loss)
+    assert all(id(v) in ref_grads for v in tape_nodes(ref_loss) if v._parents)
+    for name, p in tape.params.items():
+        assert np.array_equal(p.grad, ref_grads[id(ref_tape[name])]), name
+
+
+# bytes a backward may leave alive besides the parameters' gradients: their
+# array headers and interpreter bookkeeping; the intermediate gradients of
+# the 300-node graph below hold ~1.4 MB
+BACKWARD_SLACK_BYTES = 64 * 1024
+
+
+@pytest.mark.parametrize("kind", ["et_gcn", "et_gat"])
+def test_backward_leaves_only_parameter_gradients_alive(kind):
+    graph = sbm_generate([100, 100, 100], 0.08, 0.01, seed=0)
+    tape, loss = model_loss(kind, graph)
+    grad_bytes = sum(p.value.nbytes for p in tape.params.values())
+    tracemalloc.start()
+    try:
+        backward(loss)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in tape.params.values())
+    assert kept <= grad_bytes + BACKWARD_SLACK_BYTES, (
+        f"{kept} B alive after backward, {grad_bytes} B of them gradients")
+
+
 def test_single_node_class_prediction_path():
     # graph with one dominant feature direction: forward stays finite and
     # rows remain probability vectors even for isolated-ish nodes

@@ -1,5 +1,6 @@
 """Task pipelines at tiny scale: they train, improve, and stay reproducible."""
 
+import pickle
 import weakref
 
 import numpy as np
@@ -141,6 +142,23 @@ def test_second_node_classification_run_equals_a_run_on_a_fresh_graph(
                                     model_kind=model_kind)
     assert fresh.context.a_tilde is not first.context.a_tilde
     _assert_runs_equal(second, fresh)
+
+
+@pytest.mark.parametrize("model_kind", ["et_gcn", "et_gat"])
+def test_a_used_graph_pickles_like_a_fresh_one(sbm_splits, model_kind):
+    """Pickles carry no cached Â, plan pair or transposition: a graph
+    pickled after a run is as large as a fresh one, and a run on the
+    unpickled graph equals the original's bit for bit."""
+    graph = new_sbm_graph()
+    fresh = len(pickle.dumps(graph))
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=4, patience=4, seed=1)
+    first = run_node_classification(graph, sbm_splits, cfg,
+                                    model_kind=model_kind)
+    used = pickle.dumps(graph)
+    assert len(used) == fresh
+    again = run_node_classification(pickle.loads(used), sbm_splits, cfg,
+                                    model_kind=model_kind)
+    _assert_runs_equal(first, again)
 
 
 @pytest.mark.parametrize("model_kind", ["gcn_only", "et_gcn"])
