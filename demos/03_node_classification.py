@@ -20,7 +20,7 @@ def main():
           f"test={splits['test'].size}\n")
 
     config = TaskConfig(learning_rate=0.001, max_epochs=300, patience=100,
-                        epsilon=0.2, seed=0)
+                        seed=0)
 
     for kind in ("et_gcn", "gcn_only"):
         result = run_node_classification(graph, splits, config, model_kind=kind)

@@ -21,7 +21,7 @@ def main():
           f"(plus matched non-edge negatives)\n")
 
     config = TaskConfig(learning_rate=0.001, max_epochs=200, patience=50,
-                        epsilon=0.2, seed=0)
+                        seed=0)
     result = run_link_prediction(graph, split, config, model_kind="et_gcn")
     m = result.metrics
     print(f"test AUC {m['auc']:.3f}  test AP {m['ap']:.3f}  "

@@ -22,7 +22,7 @@ def main():
 
     splits = split_nodes(labels, train=8, val_fraction=0.5, seed=0)
     config = TaskConfig(learning_rate=0.001, max_epochs=300, patience=100,
-                        epsilon=0.2, seed=0)
+                        seed=0)
     result = run_multigraph_classification(
         [g.adjacency for g in views], features, labels, splits, config)
     m = result.metrics

@@ -5,7 +5,7 @@ n x n x p tensor restricted to the graph's edge support is propagated along
 both sample modes and projected on the feature mode, producing edge
 embeddings that re-weight the graph for downstream node convolutions.
 Includes a minimal reverse-mode autodiff engine, Adam training, attention
-weighting, and node-classification / link-prediction / multi-graph tasks.
+weighting, and node-classification and link-prediction tasks.
 """
 
 from .autodiff import Var, backward

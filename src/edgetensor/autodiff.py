@@ -356,9 +356,7 @@ def row_softmax(a):
 
 
 def relu(a):
-    av = value(a)
-    mask = av > 0
-    return _node(np.where(mask, av, 0.0), (a, lambda g: g * mask))
+    return floor_at(a, 0.0)
 
 
 def leaky_relu(a, slope=0.2):

@@ -60,9 +60,8 @@ def _add_config_flags(p):
     p.add_argument("--max-epochs", type=int, default=10000)
     p.add_argument("--patience", type=int, default=100)
     p.add_argument("--edge-features", default="concat", choices=RECIPE_KINDS,
-                   help="initial edge tensor recipe; multi_graph's edge "
-                        "channels (one per view) replace it, so it takes "
-                        "only the default")
+                   help="initial edge tensor recipe; a graph's edge "
+                        "channels replace it, so it takes only the default")
     p.add_argument("--train-per-class", type=int)
     p.add_argument("--train-fraction", type=float)
     p.add_argument("--val-fraction", type=float, default=0.5)

@@ -66,12 +66,12 @@ def auc_ap(scores, labels):
     return MetricReport(auc=float(auc), ap=float(ap))
 
 
-def homophily(adjacency, labels, weighted=False):
-    """Share of stored off-diagonal pairs joining same-label nodes.
+def homophily(adjacency, labels):
+    """Share of off-diagonal weight mass joining same-label nodes.
 
-    Only pairs with both endpoints labeled count. The weighted variant
-    uses the ratio of same-label weight mass instead of pair counts;
-    ``adjacency.weights`` may be a Var.
+    Only pairs with both endpoints labeled count, each with its absolute
+    weight; on unit weights this is the share of pairs. ``adjacency.weights``
+    may be a Var.
     """
     rows, cols = adjacency.rows, adjacency.cols
     labels = np.asarray(labels, dtype=np.intp)
@@ -80,8 +80,6 @@ def homophily(adjacency, labels, weighted=False):
     if not np.any(qualify):
         raise ValueError("no off-diagonal edges between labeled nodes")
     same = (li == lj)[qualify]
-    if not weighted:
-        return float(same.mean())
     mass = np.abs(value(adjacency.weights)[qualify])
     total = mass.sum()
     if total <= 0:

@@ -1,4 +1,7 @@
-"""Experiment configuration, multi-seed execution and result reporting."""
+"""Experiment configuration, multi-seed execution and result reporting.
+
+A graph with edge channels, from synthetic ``views`` or ``edges_k.tsv``, is
+classified by ``node_class`` like any other."""
 
 from __future__ import annotations
 
@@ -19,14 +22,13 @@ from .generators import sbm_generate
 from .models import MODEL_KINDS, NEGATIVE_MODES
 from .params import atomic_open, load_checkpoint, save_checkpoint
 from .sparse_graph import LabeledGraph
-from .tasks import (MULTI_GRAPH_WIDTHS, run_link_prediction,
-                    run_node_classification)
+from .tasks import run_link_prediction, run_node_classification
 from .training import TaskConfig
 
-TASKS = ("node_class", "link_pred", "multi_graph")
+TASKS = ("node_class", "link_pred")
 EDGE_STACK_FIELDS = ("edge_features", "reduce_dim", "edge_hidden", "epsilon",
                      "negative_mode", "blend_attention")  # gcn_only reads none
-RECIPE_FIELDS = ("edge_features", "reduce_dim")  # multi_graph reads neither
+RECIPE_FIELDS = ("edge_features", "reduce_dim")  # edge channels read neither
 
 
 @dataclass
@@ -36,14 +38,14 @@ class ExperimentConfig:
     task: str = "node_class"
     model: str = "et_gcn"
     dataset: str = None          # dataset directory; None for synthetic
-    synthetic: dict = None       # SBM spec: block_sizes, p_in, p_out, seed[, views on multi_graph]
+    synthetic: dict = None       # SBM spec: block_sizes, p_in, p_out, seed[, views]
     seeds: list = field(default_factory=lambda: [0])
     learning_rate: float = 0.01
     epsilon: float = 0.2
     max_epochs: int = 10000
     patience: int = 100
-    edge_features: str = "concat"     # concat | subtract; not multi_graph
-    reduce_dim: int = 8               # not multi_graph
+    edge_features: str = "concat"     # concat | subtract; not on edge channels
+    reduce_dim: int = 8               # not on edge channels
     edge_hidden: list = None          # defaults per task
     gc_hidden: list = None
     embed_dim: int = 32               # link-prediction embedding size
@@ -59,20 +61,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
+            raise ValueError(f"unknown task {self.task!r}; tasks are "
+                             f"{', '.join(TASKS)} (a graph with edge channels "
+                             "is node_class)")
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.edge_features not in RECIPE_KINDS:
             raise ValueError(f"unknown edge features {self.edge_features!r}")
         if self.negative_mode not in NEGATIVE_MODES:
             raise ValueError(f"unknown negative mode {self.negative_mode!r}")
-        changed = [f.name for f in dataclasses.fields(self)
-                   if f.name in EDGE_STACK_FIELDS
-                   and getattr(self, f.name) != f.default]
-        recipe_changed = [name for name in changed if name in RECIPE_FIELDS]
-        if self.task == "multi_graph" and recipe_changed:
-            raise ValueError("multi_graph stacks its adjacency views as edge "
-                             f"features; leave {recipe_changed} at their defaults")
+        changed = _changed(self, EDGE_STACK_FIELDS)
         if self.model == "gcn_only" and changed:
             raise ValueError(f"gcn_only has no edge stack; leave {changed} "
                              "at their defaults")
@@ -82,9 +80,9 @@ class ExperimentConfig:
             raise ValueError("learning rate must be positive")
         if self.dataset is None and self.synthetic is None:
             raise ValueError("either a dataset path or a synthetic spec is required")
-        if self.task != "multi_graph" and "views" in (self.synthetic or {}):
-            raise ValueError(f"{self.task} runs on one graph; synthetic views "
-                             "apply only to multi_graph")
+        if self.task == "link_pred" and "views" in (self.synthetic or {}):
+            raise ValueError("link_pred takes a graph without edge "
+                             "channels; synthetic views are for node_class")
         views = (self.synthetic or {}).get("views", 1)
         if (isinstance(views, bool) or not isinstance(views, numbers.Integral)
                 or views < 1):
@@ -135,24 +133,30 @@ def _summarize(per_seed):
     return summary
 
 
+def _changed(config, names):
+    """Those of ``names`` whose config value differs from the default."""
+    return [f.name for f in dataclasses.fields(config)
+            if f.name in names and getattr(config, f.name) != f.default]
+
+
 def _load_data(config):
-    """The configured graph; ``multi_graph`` needs edge channels, the other
-    tasks a graph without them."""
+    """The configured graph: a dataset, synthetic ``views`` stacked as edge
+    channels, or one synthetic graph. Edge channels refuse recipe fields."""
     if config.dataset is not None:
         data = load_dataset(config.dataset)
-    elif config.task == "multi_graph":
+    elif "views" in config.synthetic:
         spec = dict(config.synthetic)
-        views = spec.pop("views", 3)
+        views = spec.pop("views")
         base_seed = spec.pop("seed", 0)
         graphs = [sbm_generate(seed=base_seed + v, **spec) for v in range(views)]
         data = LabeledGraph.from_views([g.adjacency for g in graphs],
                                        graphs[0].node_features, graphs[0].labels)
     else:
         data = sbm_generate(**config.synthetic)
-    if (data.edge_channels is None) == (config.task == "multi_graph"):
-        raise ValueError("multi_graph needs a dataset of edge views "
-                         "(edges_k.tsv); node_class and link_pred need one "
-                         "graph (edges.tsv)")
+    changed = _changed(config, RECIPE_FIELDS)
+    if data.edge_channels is not None and changed:
+        raise ValueError("edge channels replace the recipe; leave "
+                         f"{changed} at their defaults")
     return data
 
 
@@ -168,10 +172,11 @@ def _node_splits(config, labels, splits_from_file):
 
 def _run_one_seed(config, data, splits_or_linksplit, seed, initial_params=None):
     task_cfg = TaskConfig(config.learning_rate, config.max_epochs,
-                          config.patience, config.epsilon, seed)
+                          config.patience, seed)
     model_kwargs = {
         "recipe_kind": config.edge_features,
         "reduce_dim": config.reduce_dim,
+        "epsilon": config.epsilon,
         "negative_mode": config.negative_mode,
         "blend_attention": config.blend_attention,
     }
@@ -186,8 +191,6 @@ def _run_one_seed(config, data, splits_or_linksplit, seed, initial_params=None):
                                    model_kwargs=model_kwargs,
                                    embed_dim=config.embed_dim,
                                    initial_params=initial_params)
-    if config.task == "multi_graph":
-        model_kwargs = {**MULTI_GRAPH_WIDTHS, **model_kwargs}
     return run_node_classification(data, splits_or_linksplit, task_cfg,
                                    model_kind=config.model,
                                    model_kwargs=model_kwargs,

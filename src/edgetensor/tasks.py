@@ -1,4 +1,5 @@
-"""End-to-end training pipelines for the three supported tasks."""
+"""End-to-end training pipelines: node classification, on a graph with or
+without edge channels, and link prediction."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .params import ParamTape
 from .sparse_graph import LabeledGraph
 from .training import bce_from_scores, cross_entropy_masked, train_loop
 
-# layer widths of a multi-graph run, under any the caller sets
+# layer widths of a run on edge channels, under any the caller sets
 MULTI_GRAPH_WIDTHS = {"gc_hidden": (16,), "edge_hidden": (6, 1)}
 
 
@@ -25,15 +26,13 @@ class SeedRunResult:
     history: list
     best_epoch: int
     best_params: dict
-    model: object
-    context: object
 
 
 def _learned_homophily(result, labels):
     if result.edge_weights is None:
         return None
     try:
-        return homophily(result.edge_weights, labels, weighted=True)
+        return homophily(result.edge_weights, labels)
     except ValueError:
         return None
 
@@ -49,7 +48,7 @@ def _run(tape, model, ctx, config, initial_params, step, evaluate):
     outcome = train_loop(tape, step, config)
     metrics = evaluate(etgnn_forward(model, ctx), outcome)
     return SeedRunResult(metrics, outcome.history, outcome.best_epoch,
-                         outcome.best_params, model, ctx)
+                         outcome.best_params)
 
 
 def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
@@ -57,7 +56,8 @@ def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
     """Train on the labeled train split, early-stop on validation loss.
 
     A graph with edge channels feeds them to the edge stack in place of a
-    recipe.
+    recipe, with ``MULTI_GRAPH_WIDTHS`` under the widths ``model_kwargs``
+    sets.
     """
     return _classify_nodes(prepare(graph), splits, config, model_kind,
                            model_kwargs, initial_params)
@@ -67,11 +67,12 @@ def _classify_nodes(ctx, splits, config, model_kind, model_kwargs,
                     initial_params):
     """Node classification on a prepared context; training reads only it."""
     labels = ctx.labels
+    widths = MULTI_GRAPH_WIDTHS if ctx.stacked is not None else {}
     tape = ParamTape()
     model = build_model(tape, model_kind, ctx,
                         int(labels[labels >= 0].max()) + 1,
-                        epsilon=config.epsilon, final_activation="softmax",
-                        seed=config.seed, **(model_kwargs or {}))
+                        final_activation="softmax", seed=config.seed,
+                        **{**widths, **(model_kwargs or {})})
 
     def step(epoch):
         result = etgnn_forward(model, ctx)
@@ -107,7 +108,7 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
         raise ValueError("link prediction takes a graph without edge channels")
     ctx = prepare(LabeledGraph(split.train, graph.node_features, graph.labels))
     tape = ParamTape()
-    model = build_model(tape, model_kind, ctx, embed_dim, epsilon=config.epsilon,
+    model = build_model(tape, model_kind, ctx, embed_dim,
                         final_activation="identity", seed=config.seed,
                         **{"gc_hidden": (64,), **(model_kwargs or {})})
 
@@ -153,5 +154,4 @@ def run_multigraph_classification(graphs, features, labels, splits, config, *,
     """
     return _classify_nodes(
         prepare(LabeledGraph.from_views(graphs, features, labels)), splits,
-        config, model_kind, {**MULTI_GRAPH_WIDTHS, **(model_kwargs or {})},
-        initial_params)
+        config, model_kind, model_kwargs, initial_params)

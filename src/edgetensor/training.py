@@ -56,7 +56,6 @@ class TaskConfig:
     learning_rate: float = 0.01
     max_epochs: int = 10000
     patience: int = 100
-    epsilon: float = 0.2
     seed: int = 0
 
     def __post_init__(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from edgetensor import autodiff as ad
+from edgetensor import tasks
 from edgetensor.autodiff import value
 from edgetensor.edge_tensor import EdgeFeatureTensor, project_mode3
 from edgetensor.layers import gc_forward
@@ -288,3 +289,16 @@ def check_learned_graph(result, tol=1e-12):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def built_models(monkeypatch):
+    """Every model ``tasks.build_model`` returns during the test, in order."""
+    built, build = [], tasks.build_model
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(tasks, "build_model", recording)
+    return built

@@ -189,7 +189,8 @@ def sbm_runs():
             run_node_classification(
                 graph, splits,
                 TaskConfig(learning_rate=0.001, max_epochs=300, patience=100,
-                           epsilon=epsilon, seed=seed))
+                           seed=seed),
+                model_kwargs={"epsilon": epsilon})
             for seed in range(10)
         ]
         runs[epsilon] = (results, time.perf_counter() - tic)

@@ -130,13 +130,13 @@ def test_homophily_ignores_unlabeled_and_diagonal():
 
 def test_homophily_weighted_mass_ratio():
     a = SparseAdjacency(3, [0, 1, 1, 2], [1, 0, 2, 1], [3.0, 3.0, 1.0, 1.0])
-    assert homophily(a, [0, 0, 1], weighted=True) == pytest.approx(6 / 8)
+    assert homophily(a, [0, 0, 1]) == pytest.approx(6 / 8)
 
 
 def test_homophily_accepts_edge_weights_wrapper():
     a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
     learned = a.with_weights(Var(np.array([2.0, 2.0, 0.0, 0.0])))
-    assert homophily(learned, [0, 0, 1], weighted=True) == 1.0
+    assert homophily(learned, [0, 0, 1]) == 1.0
 
 
 def test_homophily_no_qualifying_edges_rejected():
@@ -145,7 +145,7 @@ def test_homophily_no_qualifying_edges_rejected():
         homophily(a, [0, 0])
     b = SparseAdjacency.from_undirected_edges(2, [(0, 1)])
     with pytest.raises(ValueError, match="mass"):
-        homophily(b.with_weights(np.zeros(2)), [0, 0], weighted=True)
+        homophily(b.with_weights(np.zeros(2)), [0, 0])
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,13 +1,14 @@
 """Experiment configs, artifact persistence, reporting, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from edgetensor import cli, experiment, sparse_graph
+from edgetensor import cli, experiment, sparse_graph, tasks
 from edgetensor.cli import main
 from edgetensor.experiment import (ExperimentConfig, ResultRecord,
                                    evaluate_checkpoint, format_mean_std,
@@ -15,7 +16,10 @@ from edgetensor.experiment import (ExperimentConfig, ResultRecord,
 from edgetensor.datasets import save_dataset
 from edgetensor.generators import sbm_generate
 from edgetensor.params import load_checkpoint, save_checkpoint
+from edgetensor.evaluation import split_nodes
 from edgetensor.sparse_graph import LabeledGraph
+from edgetensor.tasks import run_multigraph_classification
+from edgetensor.training import TaskConfig
 
 SBM = {"block_sizes": [12, 12], "p_in": 0.4, "p_out": 0.05, "seed": 0}
 
@@ -30,8 +34,10 @@ def quick_config(**overrides):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="task"):
-        quick_config(task="nope")
+    # a config naming a retired task is pointed at the valid ones
+    with pytest.raises(ValueError, match="unknown task 'multi_graph'; tasks "
+                                         "are node_class, link_pred"):
+        quick_config(task="multi_graph")
     with pytest.raises(ValueError, match="seeds"):
         quick_config(seeds=[])
     with pytest.raises(ValueError, match="dataset path or a synthetic"):
@@ -50,35 +56,56 @@ def test_config_rejects_unknown_model_options(field, value, message):
         quick_config(**{field: value})
 
 
-def test_config_rejects_edge_features_for_multi_graph():
-    with pytest.raises(ValueError, match="multi_graph stacks its adjacency"):
-        quick_config(task="multi_graph", edge_features="subtract")
+def save_views(root, count=2):
+    """A dataset of ``count`` SBM views, one edges_k.tsv each."""
+    graph = sbm_generate(**SBM)
+    save_dataset(LabeledGraph.from_views(
+        [sbm_generate(**{**SBM, "seed": s}).adjacency for s in range(count)],
+        graph.node_features, graph.labels), root)
+    return str(root)
 
 
-def test_config_rejects_reduce_dim_for_multi_graph():
-    # the stacked views are the edge tensor, so no reducer reads reduce_dim
-    base = dict(task="multi_graph", synthetic=dict(SBM), train_per_class=3)
-    ExperimentConfig(**base)
-    with pytest.raises(ValueError, match=r"leave \['reduce_dim'\] at their"):
-        ExperimentConfig(**base, reduce_dim=4)
+@pytest.mark.parametrize("source", ["synthetic", "dataset"])
+@pytest.mark.parametrize("field, value", [("edge_features", "subtract"),
+                                          ("reduce_dim", 4)])
+def test_channel_graph_refuses_recipe_fields_before_training(
+        tmp_path, monkeypatch, source, field, value):
+    """The channels are the edge tensor, so no recipe or reducer reads
+    these fields; a changed value is refused before any training."""
+    trained, train_loop = [], tasks.train_loop
+
+    def recording_train_loop(*args):
+        trained.append(args)
+        return train_loop(*args)
+
+    monkeypatch.setattr(tasks, "train_loop", recording_train_loop)
+    where = (dict(synthetic={**SBM, "views": 2}) if source == "synthetic"
+             else dict(synthetic=None, dataset=save_views(tmp_path / "data")))
+    config = quick_config(**where, reduce_dim=8, seeds=[0])
+    run_experiment(dataclasses.replace(config, max_epochs=1))
+    assert len(trained) == 1  # the defaults train
+    trained.clear()
+    with pytest.raises(ValueError, match=rf"edge channels replace the recipe; "
+                                         rf"leave \['{field}'\]"):
+        run_experiment(dataclasses.replace(config, **{field: value}))
+    assert trained == []
 
 
 @pytest.mark.parametrize("views", [0, -2, 1.5, True, "2"])
 def test_config_rejects_views_that_are_not_positive_integers(views):
     with pytest.raises(ValueError, match="views must be a positive integer"):
-        ExperimentConfig(task="multi_graph", synthetic={**SBM, "views": views},
+        ExperimentConfig(task="node_class", synthetic={**SBM, "views": views},
                          train_per_class=3)
 
 
-@pytest.mark.parametrize("task", ["node_class", "link_pred"])
+@pytest.mark.parametrize("task", ["link_pred"])
 def test_config_rejects_views_on_single_graph_tasks(task):
-    # one graph is loaded, so views would change only the config hash
-    with pytest.raises(ValueError, match=f"{task} runs on one graph"):
-        ExperimentConfig(task=task, synthetic={**SBM, "views": 5},
-                         train_per_class=3)
-    with pytest.raises(ValueError, match=f"{task} runs on one graph"):
-        ExperimentConfig(task=task, synthetic={**SBM, "views": 1},
-                         train_per_class=3)
+    # link prediction refuses edge channels, which views would make
+    for views in (5, 1):
+        with pytest.raises(ValueError, match="link_pred takes a graph "
+                                             "without edge channels"):
+            ExperimentConfig(task=task, synthetic={**SBM, "views": views},
+                             train_per_class=3)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -100,6 +127,13 @@ def test_config_hash_tracks_semantics(tmp_path):
     c3 = quick_config(epsilon=0.3)
     assert c1.config_hash() == c2.config_hash()
     assert c1.config_hash() != c3.config_hash()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_config_epsilon_reaches_every_edge_layer(built_models, epsilon):
+    run_experiment(quick_config(epsilon=epsilon, seeds=[0], max_epochs=1))
+    model, = built_models
+    assert [layer.epsilon for layer in model.edge_layers] == [epsilon] * 2
 
 
 def test_config_json_round_trip(tmp_path):
@@ -216,39 +250,63 @@ def test_report_single_and_multiple_records():
         report([])
 
 
-def test_multigraph_experiment_runs(tmp_path):
-    config = ExperimentConfig(
-        task="multi_graph", synthetic={**SBM, "views": 2}, seeds=[0],
-        max_epochs=8, patience=8, train_per_class=3, val_fraction=0.3,
-        edge_hidden=[2, 1], gc_hidden=[4])
+def test_multigraph_experiment_runs():
+    """A node_class config with synthetic views runs each seed exactly as
+    run_multigraph_classification on the same views and splits."""
+    config = quick_config(synthetic={**SBM, "views": 2}, reduce_dim=8,
+                          edge_hidden=None, gc_hidden=None)
     record = run_experiment(config)
-    assert "test_accuracy" in record.summary
+    graphs = [sbm_generate(**{**SBM, "seed": s}) for s in range(2)]
+    splits = split_nodes(graphs[0].labels, config.train_per_class,
+                         config.val_fraction, config.split_seed)
+    for seed_metrics in record.per_seed:
+        run = run_multigraph_classification(
+            [g.adjacency for g in graphs], graphs[0].node_features,
+            graphs[0].labels, splits,
+            TaskConfig(config.learning_rate, config.max_epochs,
+                       config.patience, seed_metrics["seed"]))
+        assert seed_metrics == {"seed": seed_metrics["seed"], **run.metrics}
 
 
-@pytest.mark.parametrize("task, views", [("multi_graph", None),
-                                         ("node_class", 2), ("link_pred", 2)])
+def test_channel_dataset_trains_as_node_class_and_evals(tmp_path, capsys):
+    """An edges_k.tsv dataset is a node_class graph; eval on the checkpoint
+    reproduces the metrics of the seed that wrote it."""
+    data_dir = save_views(tmp_path / "data")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--dataset", data_dir, "--train-per-class", "3",
+                 "--val-fraction", "0.3", "--max-epochs", "8", "--patience",
+                 "8", "--seeds", "0,1", "--output", str(out_dir)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["name"] == "node_class:et_gcn"
+    with open(out_dir / "checkpoint" / "manifest.json") as fh:
+        seed = json.load(fh)["seed"]
+    trained = next(m for m in record["per_seed"] if m["seed"] == seed)
+
+    assert main(["eval", "--config", str(out_dir / "config.json"),
+                 "--checkpoint", str(out_dir / "checkpoint")]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    for key in ("test_accuracy", "val_accuracy", "homophily"):
+        assert metrics[key] == trained[key], key
+
+
+@pytest.mark.parametrize("task, views", [("link_pred", 2)])
 def test_dataset_layout_must_fit_the_task(tmp_path, task, views):
-    """multi_graph needs edge channels (edges_k.tsv); the other tasks need
-    one graph without them (edges.tsv)."""
-    graph = sbm_generate(**SBM)
-    if views:
-        graph = LabeledGraph.from_views(
-            [sbm_generate(**{**SBM, "seed": s}).adjacency for s in range(views)],
-            graph.node_features, graph.labels)
-    save_dataset(graph, tmp_path / "data")
-    config = ExperimentConfig(task=task, dataset=str(tmp_path / "data"),
-                              train_per_class=3, max_epochs=1, patience=1)
-    with pytest.raises(ValueError, match="multi_graph needs a dataset of "
-                                         "edge views"):
+    """Link prediction refuses a dataset of edge views (edges_k.tsv): the
+    channels of a held-out edge would reach the model."""
+    config = ExperimentConfig(task=task,
+                              dataset=save_views(tmp_path / "data", views),
+                              max_epochs=1, patience=1)
+    with pytest.raises(ValueError, match="link prediction takes a graph "
+                                         "without edge channels"):
         run_experiment(config)
 
 
 TRAFFIC_CONFIGS = {
     "node_class": dict(model="et_gcn"),
     "link_pred": dict(task="link_pred", embed_dim=4),
-    # multi_graph refuses quick_config's reduce_dim, which it never reads
-    "multi_graph": dict(task="multi_graph", synthetic={**SBM, "views": 2},
-                        reduce_dim=8),
+    # a multi-graph: views as edge channels, which refuse quick_config's
+    # reduce_dim, since no reducer reads it
+    "multi_graph": dict(synthetic={**SBM, "views": 2}, reduce_dim=8),
 }
 
 

@@ -118,6 +118,18 @@ def test_node_classification_validates_support_once_and_plans_twice(
     assert len(validated) == len(walked) == 1 + second_walks
 
 
+def counting_renormalize(monkeypatch):
+    """The matrices ``sparse_graph.renormalize`` is called on, in order."""
+    calls, renormalize = [], sparse_graph.renormalize
+
+    def counting(adjacency):
+        calls.append(adjacency)
+        return renormalize(adjacency)
+
+    monkeypatch.setattr(sparse_graph, "renormalize", counting)
+    return calls
+
+
 def _assert_runs_equal(a, b):
     assert a.history[-1].train_loss == b.history[-1].train_loss
     assert a.metrics == b.metrics
@@ -128,19 +140,20 @@ def _assert_runs_equal(a, b):
 
 @pytest.mark.parametrize("model_kind", ["et_gcn", "et_gat"])
 def test_second_node_classification_run_equals_a_run_on_a_fresh_graph(
-        sbm_splits, model_kind):
+        sbm_splits, monkeypatch, model_kind):
     """A second run reads the renormalized matrix and plans the first run
     cached; it is equal bit for bit to a run on an equal new graph."""
+    renormalized = counting_renormalize(monkeypatch)
     graph = new_sbm_graph()
     cfg = TaskConfig(learning_rate=0.01, max_epochs=6, patience=6, seed=2)
-    first = run_node_classification(graph, sbm_splits, cfg,
-                                    model_kind=model_kind)
+    run_node_classification(graph, sbm_splits, cfg, model_kind=model_kind)
     second = run_node_classification(graph, sbm_splits, cfg,
                                      model_kind=model_kind)
-    assert second.context.a_tilde is first.context.a_tilde
-    fresh = run_node_classification(new_sbm_graph(), sbm_splits, cfg,
+    assert renormalized == [graph.adjacency]
+    fresh_graph = new_sbm_graph()
+    fresh = run_node_classification(fresh_graph, sbm_splits, cfg,
                                     model_kind=model_kind)
-    assert fresh.context.a_tilde is not first.context.a_tilde
+    assert renormalized == [graph.adjacency, fresh_graph.adjacency]
     _assert_runs_equal(second, fresh)
 
 
@@ -162,20 +175,24 @@ def test_a_used_graph_pickles_like_a_fresh_one(sbm_splits, model_kind):
 
 
 @pytest.mark.parametrize("model_kind", ["gcn_only", "et_gcn"])
-def test_second_link_prediction_run_equals_a_run_on_a_fresh_split(model_kind):
+def test_second_link_prediction_run_equals_a_run_on_a_fresh_split(
+        monkeypatch, model_kind):
     """The same for link prediction, which renormalizes ``split.train``."""
 
     def inputs():
         graph = sbm_generate([20, 20], 0.3, 0.05, seed=2)
         return graph, link_split(graph.adjacency, 0.1, 0.05, seed=0)
 
+    renormalized = counting_renormalize(monkeypatch)
     graph, split = inputs()
     cfg = TaskConfig(learning_rate=0.01, max_epochs=6, patience=6, seed=5)
-    first = run_link_prediction(graph, split, cfg, model_kind=model_kind)
+    run_link_prediction(graph, split, cfg, model_kind=model_kind)
     second = run_link_prediction(graph, split, cfg, model_kind=model_kind)
-    assert second.context.a_tilde is first.context.a_tilde
-    fresh = run_link_prediction(*inputs(), cfg, model_kind=model_kind)
-    assert fresh.context.a_tilde is not first.context.a_tilde
+    assert renormalized == [split.train]
+    fresh_graph, fresh_split = inputs()
+    fresh = run_link_prediction(fresh_graph, fresh_split, cfg,
+                                model_kind=model_kind)
+    assert renormalized == [split.train, fresh_split.train]
     _assert_runs_equal(second, fresh)
 
 
@@ -205,6 +222,25 @@ def test_multigraph_union_is_freed_before_training(sbm_graph, sbm_splits,
     assert len(unions) == 1 and alive == [False]
 
 
+def test_multigraph_context_is_freed_when_the_call_returns(sbm_graph,
+                                                           sbm_splits,
+                                                           monkeypatch):
+    """A result holds no context, so a held result keeps no union Â, plan
+    pair or stacked tensor alive into the next call."""
+    a_tildes, prepare = [], tasks.prepare
+
+    def tracked_prepare(graph):
+        ctx = prepare(graph)
+        a_tildes.append(weakref.ref(ctx.a_tilde))
+        return ctx
+
+    monkeypatch.setattr(tasks, "prepare", tracked_prepare)
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=2, patience=2, seed=0)
+    result = _multigraph_et_gat(sbm_graph, sbm_splits, cfg)
+    assert len(a_tildes) == 1 and a_tildes[0]() is None
+    assert len(result.history) == 2
+
+
 def test_classification_results_carry_the_same_metric_keys(sbm_graph,
                                                            sbm_splits):
     cfg = TaskConfig(learning_rate=0.01, max_epochs=2, patience=2, seed=0)
@@ -221,19 +257,53 @@ def test_classification_results_carry_the_same_metric_keys(sbm_graph,
 def test_views_graph_classifies_as_the_multigraph_wrapper(sbm_graph,
                                                           sbm_splits):
     """run_multigraph_classification is run_node_classification on the
-    views' union with MULTI_GRAPH_WIDTHS: the final train loss is equal
-    bit for bit."""
+    views' union, which takes MULTI_GRAPH_WIDTHS itself: the final train
+    loss is equal bit for bit."""
     graphs = [sbm_generate([25, 25], 0.25, 0.03, seed=s).adjacency
               for s in range(2)]
     union = LabeledGraph.from_views(graphs, sbm_graph.node_features,
                                     sbm_graph.labels)
     cfg = TaskConfig(learning_rate=0.01, max_epochs=4, patience=4, seed=0)
     direct = run_node_classification(union, sbm_splits, cfg,
-                                     model_kind="et_gat",
-                                     model_kwargs=MULTI_GRAPH_WIDTHS)
+                                     model_kind="et_gat")
     wrapped = _multigraph_et_gat(sbm_graph, sbm_splits, cfg)
     assert direct.history[-1].train_loss == wrapped.history[-1].train_loss
     assert direct.metrics == wrapped.metrics
+
+
+@pytest.mark.parametrize("model_kwargs", [
+    None, {"gc_hidden": (5,)}, {"edge_hidden": (3, 1)},
+], ids=["defaults", "explicit_gc_hidden", "explicit_edge_hidden"])
+def test_edge_channels_take_multigraph_widths_under_explicit_ones(
+        sbm_graph, sbm_splits, built_models, model_kwargs):
+    graphs = [sbm_generate([25, 25], 0.25, 0.03, seed=s).adjacency
+              for s in range(2)]
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=1, patience=1, seed=0)
+    run_multigraph_classification(graphs, sbm_graph.node_features,
+                                  sbm_graph.labels, sbm_splits, cfg,
+                                  model_kwargs=model_kwargs)
+    widths = {**MULTI_GRAPH_WIDTHS, **(model_kwargs or {})}
+    model, = built_models
+
+    def out_widths(layers):
+        return tuple(layer.weight.value.shape[1] for layer in layers)
+
+    assert out_widths(model.gc_layers[:-1]) == widths["gc_hidden"]
+    assert out_widths(model.edge_layers) == widths["edge_hidden"]
+
+
+def test_node_classification_takes_epsilon_from_model_kwargs(sbm_graph,
+                                                             sbm_splits,
+                                                             built_models):
+    """epsilon is a model setting: it reaches every edge layer, and the run
+    equals one made when a training setting carried epsilon = 0."""
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=4, patience=4, seed=0)
+    result = run_node_classification(sbm_graph, sbm_splits, cfg,
+                                     model_kwargs={"epsilon": 0.0})
+    model, = built_models
+    assert len(model.edge_layers) == 2
+    assert all(layer.epsilon == 0.0 for layer in model.edge_layers)
+    assert result.history[-1].train_loss.hex() == "0x1.e40f1252904b0p-2"
 
 
 def test_link_prediction_refuses_a_graph_with_edge_channels():
