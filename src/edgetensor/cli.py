@@ -19,62 +19,58 @@ from .features import RECIPE_KINDS
 from .generators import sbm_generate
 from .gradcheck import link_gradcheck, model_gradcheck
 from .models import MODEL_KINDS
-from .sparse_graph import LabeledGraph
 
 
 def _config_from_args(args):
-    if args.config:
+    """The ``train`` flags' config; an unset flag is absent from ``args``."""
+    given = vars(args)
+    if "config" in given:
         config = ExperimentConfig.from_json(args.config)
-        if getattr(args, "output", None):
-            config = dataclasses.replace(config, output_dir=args.output)
+        if "output_dir" in given:
+            config = dataclasses.replace(config, output_dir=args.output_dir)
         return config
-    synthetic = None
-    if args.blocks:
-        synthetic = {"block_sizes": [int(b) for b in args.blocks.split(",")],
-                     "p_in": args.p_in, "p_out": args.p_out,
-                     "seed": args.sbm_seed}
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else list(range(args.seed_count)))
-    return ExperimentConfig(
-        task=args.task, model=args.model, dataset=args.dataset,
-        synthetic=synthetic, seeds=seeds, learning_rate=args.lr,
-        epsilon=args.epsilon, max_epochs=args.max_epochs,
-        patience=args.patience, edge_features=args.edge_features,
-        train_per_class=args.train_per_class,
-        train_fraction=args.train_fraction, val_fraction=args.val_fraction,
-        split_seed=args.split_seed, output_dir=args.output,
-    )
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    kwargs = {name: value for name, value in given.items() if name in fields}
+    if "blocks" in given:
+        kwargs["synthetic"] = {
+            "block_sizes": [int(b) for b in args.blocks.split(",")],
+            "p_in": args.p_in, "p_out": args.p_out, "seed": args.sbm_seed}
+    if "seeds" in given:
+        kwargs["seeds"] = [int(s) for s in args.seeds.split(",")]
+    elif "seed_count" in given:
+        kwargs["seeds"] = list(range(args.seed_count))
+    return ExperimentConfig(**kwargs)
 
 
 def _add_config_flags(p):
+    """The ``train`` flags; one without a default names a config field."""
     p.add_argument("--config", help="JSON experiment config (overrides flags)")
-    p.add_argument("--task", default="node_class", choices=TASKS)
-    p.add_argument("--model", default="et_gcn", choices=MODEL_KINDS)
+    p.add_argument("--task", choices=TASKS)
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--dataset", help="dataset directory")
     p.add_argument("--blocks", help="synthetic SBM block sizes, e.g. 50,50")
     p.add_argument("--p-in", type=float, default=0.2)
     p.add_argument("--p-out", type=float, default=0.02)
     p.add_argument("--sbm-seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--max-epochs", type=int, default=10000)
-    p.add_argument("--patience", type=int, default=100)
-    p.add_argument("--edge-features", default="concat", choices=RECIPE_KINDS,
-                   help="initial edge tensor recipe; a graph's edge "
-                        "channels replace it, so it takes only the default")
+    p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--recipe", choices=RECIPE_KINDS, help="edge tensor "
+                   "recipe; a graph with edge channels reads none")
     p.add_argument("--train-per-class", type=int)
     p.add_argument("--train-fraction", type=float)
-    p.add_argument("--val-fraction", type=float, default=0.5)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--val-fraction", type=float)
+    p.add_argument("--split-seed", type=int)
     p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--seed-count", type=int, default=1,
+    p.add_argument("--seed-count", type=int,
                    help="expands to seeds 0..k-1 when --seeds is absent")
-    p.add_argument("--output", help="output directory for artifacts")
+    p.add_argument("--output", dest="output_dir", metavar="DIR",
+                   help="output directory for artifacts")
 
 
 def _cmd_train(args):
-    config = _config_from_args(args)
-    record = run_experiment(config)
+    record = run_experiment(_config_from_args(args))
     print(json.dumps(dataclasses.asdict(record), indent=2, sort_keys=True))
 
 
@@ -88,8 +84,7 @@ def _cmd_report(args):
     records = []
     for path in args.results:
         with open(path) as fh:
-            payload = json.load(fh)
-        records.append(ResultRecord(**payload["record"]))
+            records.append(ResultRecord(**json.load(fh)["record"]))
     print(report(records))
 
 
@@ -97,29 +92,25 @@ def _cmd_gen_sbm(args):
     graph = sbm_generate([int(b) for b in args.blocks.split(",")],
                          args.p_in, args.p_out, args.seed)
     if args.train_per_class:
-        splits = split_nodes(graph.labels, args.train_per_class,
-                             args.val_fraction, args.split_seed)
-        graph = LabeledGraph(graph.adjacency, graph.node_features,
-                             graph.labels, splits)
+        graph = dataclasses.replace(graph, splits=split_nodes(
+            graph.labels, args.train_per_class, args.val_fraction,
+            args.split_seed))
     save_dataset(graph, args.out)
-    print(json.dumps({"nodes": graph.n,
-                      "edges": int(graph.adjacency.nnz // 2),
+    print(json.dumps({"nodes": graph.n, "edges": int(graph.adjacency.nnz // 2),
                       "out": args.out}))
 
 
 def _cmd_gradcheck(args):
     checks = []
+    size = dict(seed=args.seed, n_per_block=args.nodes_per_block)
     for kind in args.models.split(","):
         # gcn_only has no edge stack, so no recipe to vary
-        recipes = ("concat",) if kind == "gcn_only" else RECIPE_KINDS
-        for recipe in recipes:
+        for recipe in ("concat",) if kind == "gcn_only" else RECIPE_KINDS:
             label = kind if kind == "gcn_only" else f"{kind}/{recipe}"
-            checks.append((label, model_gradcheck(
-                model_kind=kind, seed=args.seed,
-                n_per_block=args.nodes_per_block, recipe_kind=recipe)))
-        checks.append((f"{kind}/link", link_gradcheck(
-            model_kind=kind, seed=args.seed,
-            n_per_block=args.nodes_per_block)))
+            checks.append((label, model_gradcheck(model_kind=kind,
+                                                  recipe=recipe, **size)))
+        checks.append((f"{kind}/link", link_gradcheck(model_kind=kind,
+                                                      **size)))
     worst_overall = 0.0
     for label, (_, rep) in checks:
         for name, worst in sorted(rep.items()):
@@ -138,7 +129,10 @@ def build_parser():
         description="Edge-feature graph convolution experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run an experiment over seeds")
+    p = sub.add_parser("train", help="run an experiment over seeds",
+                       description="Run an experiment over seeds. A config "
+                       "flag left unset takes ExperimentConfig's default.",
+                       argument_default=argparse.SUPPRESS)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_train)
 

@@ -17,23 +17,21 @@ import numpy as np
 
 from .datasets import load_dataset
 from .evaluation import link_split, split_nodes
-from .features import RECIPE_KINDS
 from .generators import sbm_generate
-from .models import MODEL_KINDS, NEGATIVE_MODES
+from .models import MODEL_DEFAULTS, check_settings
 from .params import atomic_open, load_checkpoint, save_checkpoint
 from .sparse_graph import LabeledGraph
 from .tasks import run_link_prediction, run_node_classification
 from .training import TaskConfig
 
 TASKS = ("node_class", "link_pred")
-EDGE_STACK_FIELDS = ("edge_features", "reduce_dim", "edge_hidden", "epsilon",
-                     "negative_mode", "blend_attention")  # gcn_only reads none
-RECIPE_FIELDS = ("edge_features", "reduce_dim")  # edge channels read neither
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment. The model settings
+    are ``build_model``'s keywords and defaults (a None width is the
+    task's); ``models.check_settings`` decides which a model reads."""
 
     task: str = "node_class"
     model: str = "et_gcn"
@@ -41,16 +39,16 @@ class ExperimentConfig:
     synthetic: dict = None       # SBM spec: block_sizes, p_in, p_out, seed[, views]
     seeds: list = field(default_factory=lambda: [0])
     learning_rate: float = 0.01
-    epsilon: float = 0.2
+    epsilon: float = MODEL_DEFAULTS["epsilon"]
     max_epochs: int = 10000
     patience: int = 100
-    edge_features: str = "concat"     # concat | subtract; not on edge channels
-    reduce_dim: int = 8               # not on edge channels
-    edge_hidden: list = None          # defaults per task
+    recipe: str = MODEL_DEFAULTS["recipe"]  # concat | subtract
+    reduce_dim: int = MODEL_DEFAULTS["reduce_dim"]
+    edge_hidden: list = None          # None: the task's widths
     gc_hidden: list = None
     embed_dim: int = 32               # link-prediction embedding size
-    negative_mode: str = "clamp"
-    blend_attention: bool = False
+    negative_mode: str = MODEL_DEFAULTS["negative_mode"]
+    blend_attention: bool = MODEL_DEFAULTS["blend_attention"]
     train_per_class: int = None
     train_fraction: float = None
     val_fraction: float = 0.5
@@ -64,22 +62,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown task {self.task!r}; tasks are "
                              f"{', '.join(TASKS)} (a graph with edge channels "
                              "is node_class)")
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.edge_features not in RECIPE_KINDS:
-            raise ValueError(f"unknown edge features {self.edge_features!r}")
-        if self.negative_mode not in NEGATIVE_MODES:
-            raise ValueError(f"unknown negative mode {self.negative_mode!r}")
-        changed = _changed(self, EDGE_STACK_FIELDS)
-        if self.model == "gcn_only" and changed:
-            raise ValueError(f"gcn_only has no edge stack; leave {changed} "
-                             "at their defaults")
+        # edge channels are known once the graph loads: build_model refuses
+        # recipe settings then, and this refuses what no graph's model reads
+        check_settings(self.model, False, _model_settings(self))
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.dataset is None and self.synthetic is None:
-            raise ValueError("either a dataset path or a synthetic spec is required")
+        if (self.dataset is None) == (self.synthetic is None):
+            raise ValueError("exactly one of a dataset path or a synthetic "
+                             "spec is required")
         if self.task == "link_pred" and "views" in (self.synthetic or {}):
             raise ValueError("link_pred takes a graph without edge "
                              "channels; synthetic views are for node_class")
@@ -121,8 +113,7 @@ class ResultRecord:
 
 def _summarize(per_seed):
     keys = sorted({k for m in per_seed for k, v in m.items()
-                   if k != "seed" and isinstance(v, (int, float))
-                   and v is not None})
+                   if k != "seed" and isinstance(v, (int, float))})
     summary = {}
     for key in keys:
         vals = np.array([m[key] for m in per_seed
@@ -133,31 +124,24 @@ def _summarize(per_seed):
     return summary
 
 
-def _changed(config, names):
-    """Those of ``names`` whose config value differs from the default."""
-    return [f.name for f in dataclasses.fields(config)
-            if f.name in names and getattr(config, f.name) != f.default]
+def _model_settings(config):
+    """The model settings by ``build_model`` keyword; a None width is not."""
+    return {name: getattr(config, name) for name in MODEL_DEFAULTS
+            if getattr(config, name) is not None}
 
 
 def _load_data(config):
     """The configured graph: a dataset, synthetic ``views`` stacked as edge
-    channels, or one synthetic graph. Edge channels refuse recipe fields."""
+    channels, or one synthetic graph."""
     if config.dataset is not None:
-        data = load_dataset(config.dataset)
-    elif "views" in config.synthetic:
-        spec = dict(config.synthetic)
-        views = spec.pop("views")
-        base_seed = spec.pop("seed", 0)
-        graphs = [sbm_generate(seed=base_seed + v, **spec) for v in range(views)]
-        data = LabeledGraph.from_views([g.adjacency for g in graphs],
-                                       graphs[0].node_features, graphs[0].labels)
-    else:
-        data = sbm_generate(**config.synthetic)
-    changed = _changed(config, RECIPE_FIELDS)
-    if data.edge_channels is not None and changed:
-        raise ValueError("edge channels replace the recipe; leave "
-                         f"{changed} at their defaults")
-    return data
+        return load_dataset(config.dataset)
+    if "views" not in config.synthetic:
+        return sbm_generate(**config.synthetic)
+    spec = dict(config.synthetic)
+    views, base_seed = spec.pop("views"), spec.pop("seed", 0)
+    graphs = [sbm_generate(seed=base_seed + v, **spec) for v in range(views)]
+    return LabeledGraph.from_views([g.adjacency for g in graphs],
+                                   graphs[0].node_features, graphs[0].labels)
 
 
 def _node_splits(config, labels, splits_from_file):
@@ -173,28 +157,13 @@ def _node_splits(config, labels, splits_from_file):
 def _run_one_seed(config, data, splits_or_linksplit, seed, initial_params=None):
     task_cfg = TaskConfig(config.learning_rate, config.max_epochs,
                           config.patience, seed)
-    model_kwargs = {
-        "recipe_kind": config.edge_features,
-        "reduce_dim": config.reduce_dim,
-        "epsilon": config.epsilon,
-        "negative_mode": config.negative_mode,
-        "blend_attention": config.blend_attention,
-    }
-    if config.edge_hidden is not None:
-        model_kwargs["edge_hidden"] = tuple(config.edge_hidden)
-    if config.gc_hidden is not None:
-        model_kwargs["gc_hidden"] = tuple(config.gc_hidden)
-
+    shared = dict(model_kind=config.model, initial_params=initial_params,
+                  model_kwargs=_model_settings(config))
     if config.task == "link_pred":
         return run_link_prediction(data, splits_or_linksplit, task_cfg,
-                                   model_kind=config.model,
-                                   model_kwargs=model_kwargs,
-                                   embed_dim=config.embed_dim,
-                                   initial_params=initial_params)
+                                   embed_dim=config.embed_dim, **shared)
     return run_node_classification(data, splits_or_linksplit, task_cfg,
-                                   model_kind=config.model,
-                                   model_kwargs=model_kwargs,
-                                   initial_params=initial_params)
+                                   **shared)
 
 
 def _prepare_task(config):
@@ -208,12 +177,9 @@ def _prepare_task(config):
 def run_experiment(config):
     """Train over all configured seeds, aggregate, and persist artifacts."""
     data, splits = _prepare_task(config)
-    per_seed = []
-    runs = []
-    for seed in config.seeds:
-        run = _run_one_seed(config, data, splits, seed)
-        runs.append(run)
-        per_seed.append({"seed": seed, **run.metrics})
+    runs = [_run_one_seed(config, data, splits, seed) for seed in config.seeds]
+    per_seed = [{"seed": seed, **run.metrics}
+                for seed, run in zip(config.seeds, runs)]
 
     record = ResultRecord(f"{config.task}:{config.model}",
                           config.config_hash(), per_seed,
@@ -253,9 +219,8 @@ def evaluate_checkpoint(config, checkpoint_dir):
     values, manifest = load_checkpoint(checkpoint_dir)
     data, splits = _prepare_task(config)
     frozen = dataclasses.replace(config, max_epochs=0)
-    run = _run_one_seed(frozen, data, splits, manifest.get("seed", 0),
-                        initial_params=values)
-    return run.metrics
+    return _run_one_seed(frozen, data, splits, manifest.get("seed", 0),
+                         initial_params=values).metrics
 
 
 def format_mean_std(mean, std):
@@ -269,16 +234,12 @@ def report(records):
         raise ValueError("need at least one record")
     records = sorted(records, key=lambda r: r.name)
     keys = sorted({k for r in records for k in r.summary})
-    header = ["config", *keys]
-    rows = [header]
+    rows = [["config", *keys]]
     for r in records:
-        row = [r.name]
-        for key in keys:
-            s = r.summary.get(key)
-            row.append(format_mean_std(100 * s["mean"], 100 * s["std"])
-                       if s else "-")
-        rows.append(row)
-    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
+        stats = [r.summary.get(key) for key in keys]
+        rows.append([r.name, *(format_mean_std(100 * s["mean"], 100 * s["std"])
+                               if s else "-" for s in stats)])
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
     return "\n".join(lines)

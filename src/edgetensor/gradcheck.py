@@ -7,7 +7,8 @@ import numpy as np
 from .autodiff import backward
 from .evaluation import sample_non_edges, split_nodes
 from .generators import sbm_generate
-from .models import build_model, etgnn_forward, link_scores, prepare
+from .models import (build_model, etgnn_forward, link_scores, prepare,
+                     read_settings)
 from .params import ParamTape
 from .training import bce_from_scores, cross_entropy_masked
 
@@ -54,36 +55,37 @@ def finite_difference_check(tape, loss_fn, step=1e-5, rel_tol=1e-4,
     return ok, report
 
 
-def _tiny_model(model_kind, seed, n_per_block, activation, recipe_kind,
+def _tiny_model(model_kind, seed, n_per_block, activation, recipe,
                 out_dim=None, **model_kwargs):
     """(graph, ctx, tape, model) on a two-block SBM with small widths.
 
-    At ``reduce_dim=2`` and ``edge_hidden=(3, 1)`` the first edge layer
-    narrows under concat (4 -> 3) and widens under subtract (2 -> 3).
+    A kind that reads them gets ``reduce_dim=2`` and ``edge_hidden=(3, 1)``,
+    so the first edge layer narrows under concat (4 -> 3) and widens under
+    subtract (2 -> 3).
     """
     graph = sbm_generate([n_per_block, n_per_block], 0.6, 0.3, seed=seed + 1)
     ctx = prepare(graph)
+    small = read_settings(model_kind, False,
+                          {"reduce_dim": 2, "edge_hidden": (3, 1)})
     tape = ParamTape()
     model = build_model(tape, model_kind, ctx, out_dim or graph.num_classes,
-                        recipe_kind=recipe_kind, reduce_dim=2,
-                        edge_hidden=(3, 1), gc_hidden=(4,), epsilon=0.2,
-                        seed=seed, hidden_activation=activation,
-                        **model_kwargs)
+                        recipe=recipe, gc_hidden=(4,), seed=seed,
+                        hidden_activation=activation, **small, **model_kwargs)
     return graph, ctx, tape, model
 
 
 def model_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
-                    activation="identity", recipe_kind="concat",
+                    activation="identity", recipe="concat",
                     **check_kwargs):
     """Finite-difference suite for a full model on a tiny synthetic graph.
 
     Uses identity activations by default so ReLU kinks cannot spoil the
     check; pass ``activation="relu"`` to check at a random (almost surely
-    kink-free) operating point. ``recipe_kind`` picks the edge recipe.
+    kink-free) operating point. ``recipe`` picks the edge recipe.
     The loss is node classification's masked cross-entropy.
     """
     graph, ctx, tape, model = _tiny_model(model_kind, seed, n_per_block,
-                                          activation, recipe_kind)
+                                          activation, recipe)
     splits = split_nodes(graph.labels, 2, 0.2, seed=seed + 2)
 
     def loss_fn():

@@ -5,7 +5,8 @@ are symmetrized, clamped nonnegative, degree-renormalized and used as the
 graph for the node-convolution stack. Everything is differentiable, so the
 edge stack trains from the downstream task loss. Its input is a recipe of
 node features, or, for a graph with edge channels (a multi-graph's views),
-the channels stacked by :func:`prepare`, the one context builder.
+the channels stacked by :func:`prepare`, the one context builder. Which
+settings a model reads is decided here alone, by :func:`read_settings`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ class EdgeTensorGnn:
     reducer: GraphConvLayer
     edge_layers: list
     gc_layers: list
-    attention_head: AttentionHead = None
-    negative_mode: str = "clamp"
-    blend_attention: bool = False
+    attention_head: AttentionHead
+    negative_mode: str
+    blend_attention: bool
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,43 @@ def prepare_multigraph(graphs, features, labels):
     return prepare(LabeledGraph.from_views(graphs, features, labels))
 
 
-def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",
-                reduce_dim=8, edge_hidden=(8, 1), gc_hidden=(32,),
-                epsilon=0.2, negative_mode="clamp", blend_attention=False,
+# The settings build_model takes that a model may not read: gcn_only has no
+# edge stack, and edge channels replace the recipe as the edge input.
+EDGE_STACK_SETTINGS = ("recipe", "reduce_dim", "edge_hidden", "epsilon",
+                       "negative_mode", "blend_attention")
+RECIPE_SETTINGS = ("recipe", "reduce_dim")
+
+
+def read_settings(kind, channels, settings):
+    """Those of ``settings`` a ``kind`` model reads, given edge ``channels``."""
+    unread = (EDGE_STACK_SETTINGS if kind == "gcn_only"
+              else RECIPE_SETTINGS if channels else ())
+    return {k: v for k, v in settings.items() if k not in unread}
+
+
+def check_settings(kind, channels, settings):
+    """Refuse an unknown kind, recipe or negative mode, or a non-default
+    value of a setting the model never reads; an absent one is default."""
+    settings = {k: tuple(v) if isinstance(v, list) else v  # widths from JSON
+                for k, v in {**MODEL_DEFAULTS, **settings}.items()}
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if settings["recipe"] not in RECIPE_KINDS:
+        raise ValueError(f"unknown recipe kind {settings['recipe']!r}")
+    if settings["negative_mode"] not in NEGATIVE_MODES:
+        raise ValueError(f"unknown negative mode {settings['negative_mode']!r}")
+    read = read_settings(kind, channels, settings)
+    changed = [k for k, v in settings.items()
+               if k not in read and v != MODEL_DEFAULTS[k]]
+    if changed:
+        why = ("gcn_only has no edge stack" if kind == "gcn_only"
+               else "edge channels replace the recipe")
+        raise ValueError(f"{why}; leave {changed} at their defaults")
+
+
+def build_model(tape, kind, ctx, out_dim, *, recipe="concat", reduce_dim=8,
+                edge_hidden=(8, 1), gc_hidden=(32,), epsilon=0.2,
+                negative_mode="clamp", blend_attention=False,
                 final_activation="softmax", seed=0, hidden_activation="relu"):
     """Register the parameters the forward reads on ``tape``; return the model.
 
@@ -92,20 +127,18 @@ def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",
     2 * reduce_dim, subtract gives reduce_dim). ``edge_hidden`` lists
     edge-layer output dims and must end in 1; ``gc_hidden`` lists node-layer
     hidden dims (the output layer of size ``out_dim`` is appended).
-    Every argument is checked before any parameter is registered.
+    :func:`check_settings` refuses a model setting (``recipe`` to
+    ``blend_attention``) the model never reads. Every argument is checked
+    before any parameter is registered.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if recipe_kind not in RECIPE_KINDS:
-        raise ValueError(f"unknown recipe kind {recipe_kind!r}")
-    if negative_mode not in NEGATIVE_MODES:
-        raise ValueError(f"unknown negative mode {negative_mode!r}")
+    check_settings(kind, ctx.stacked is not None, dict(
+        recipe=recipe, reduce_dim=reduce_dim, edge_hidden=edge_hidden,
+        gc_hidden=gc_hidden, epsilon=epsilon, negative_mode=negative_mode,
+        blend_attention=blend_attention))
     edge_stack = kind != "gcn_only"
     if edge_stack and (not edge_hidden or edge_hidden[-1] != 1):
         raise ValueError("edge_hidden must be nonempty and end in output "
                          f"dimension 1, got {tuple(edge_hidden)}")
-    if blend_attention and not edge_stack:
-        raise ValueError("gcn_only has no edge stack to blend attention into")
     if min(reduce_dim, *edge_hidden, *gc_hidden, out_dim) <= 0:
         raise ValueError("layer dimensions must be positive")
     rng = np.random.default_rng(seed)
@@ -115,13 +148,12 @@ def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",
 
     d_in = ctx.features.shape[1]
     reducer_seed = child_seed()  # drawn even if unused: later seeds stay put
-    recipe = reducer = None
+    reducer = None
     if edge_stack and ctx.stacked is None:
-        recipe = recipe_kind
         reducer = GraphConvLayer(
             tape.create("reducer", (d_in, reduce_dim), reducer_seed),
             activation=hidden_activation)
-        p = 2 * reduce_dim if recipe_kind == "concat" else reduce_dim
+        p = 2 * reduce_dim if recipe == "concat" else reduce_dim
     elif edge_stack:
         p = ctx.stacked.p
 
@@ -148,9 +180,14 @@ def build_model(tape, kind, ctx, out_dim, *, recipe_kind="concat",
     if kind == "et_gat" or blend_attention:
         head = AttentionHead(tape.create("theta", (2 * d_in,), child_seed()))
 
-    return EdgeTensorGnn(recipe, reducer, edge_layers, gc_layers,
-                         attention_head=head, negative_mode=negative_mode,
-                         blend_attention=blend_attention)
+    return EdgeTensorGnn(recipe if reducer is not None else None, reducer,
+                         edge_layers, gc_layers, head, negative_mode,
+                         blend_attention)
+
+
+# every model setting's default, as build_model declares it
+MODEL_DEFAULTS = {name: build_model.__kwdefaults__[name]
+                  for name in (*EDGE_STACK_SETTINGS, "gc_hidden")}
 
 
 @dataclass

@@ -9,7 +9,8 @@ import numpy as np
 
 from .evaluation import (LinkSplit, accuracy, auc_ap, homophily,
                          sample_non_edges)
-from .models import build_model, etgnn_forward, link_scores, prepare
+from .models import (build_model, etgnn_forward, link_scores, prepare,
+                     read_settings)
 from .params import ParamTape
 from .sparse_graph import LabeledGraph
 from .training import bce_from_scores, cross_entropy_masked, train_loop
@@ -56,8 +57,8 @@ def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
     """Train on the labeled train split, early-stop on validation loss.
 
     A graph with edge channels feeds them to the edge stack in place of a
-    recipe, with ``MULTI_GRAPH_WIDTHS`` under the widths ``model_kwargs``
-    sets.
+    recipe, with those of ``MULTI_GRAPH_WIDTHS`` that the model reads under
+    the widths ``model_kwargs`` sets.
     """
     return _classify_nodes(prepare(graph), splits, config, model_kind,
                            model_kwargs, initial_params)
@@ -67,7 +68,8 @@ def _classify_nodes(ctx, splits, config, model_kind, model_kwargs,
                     initial_params):
     """Node classification on a prepared context; training reads only it."""
     labels = ctx.labels
-    widths = MULTI_GRAPH_WIDTHS if ctx.stacked is not None else {}
+    widths = (read_settings(model_kind, True, MULTI_GRAPH_WIDTHS)
+              if ctx.stacked is not None else {})
     tape = ParamTape()
     model = build_model(tape, model_kind, ctx,
                         int(labels[labels >= 0].max()) + 1,

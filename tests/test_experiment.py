@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import os
 
@@ -17,6 +18,7 @@ from edgetensor.datasets import save_dataset
 from edgetensor.generators import sbm_generate
 from edgetensor.params import load_checkpoint, save_checkpoint
 from edgetensor.evaluation import split_nodes
+from edgetensor.models import MODEL_DEFAULTS, build_model
 from edgetensor.sparse_graph import LabeledGraph
 from edgetensor.tasks import run_multigraph_classification
 from edgetensor.training import TaskConfig
@@ -46,11 +48,22 @@ def test_config_validation():
         quick_config(dataset="/nonexistent/path", synthetic=None)
 
 
+def test_config_takes_exactly_one_graph_source(tmp_path):
+    """A dataset and a synthetic spec together are refused: the loader
+    would read the dataset, and the spec would change only the hash."""
+    data_dir = tmp_path / "data"
+    save_dataset(sbm_generate(**SBM), data_dir)
+    quick_config(dataset=str(data_dir), synthetic=None)
+    with pytest.raises(ValueError, match="exactly one of a dataset path or "
+                                         "a synthetic spec"):
+        quick_config(dataset=str(data_dir))
+
+
 @pytest.mark.parametrize("field, value, message", [
-    ("edge_features", "bogus", "edge features"),
-    ("edge_features", "stack", "edge features"),
+    ("recipe", "bogus", "recipe kind"),
+    ("recipe", "stack", "recipe kind"),
     ("negative_mode", "nope", "negative mode"),
-], ids=["edge_features", "edge_features_stack", "negative_mode"])
+], ids=["recipe", "recipe_stack", "negative_mode"])
 def test_config_rejects_unknown_model_options(field, value, message):
     with pytest.raises(ValueError, match=f"unknown {message} '{value}'"):
         quick_config(**{field: value})
@@ -66,12 +79,13 @@ def save_views(root, count=2):
 
 
 @pytest.mark.parametrize("source", ["synthetic", "dataset"])
-@pytest.mark.parametrize("field, value", [("edge_features", "subtract"),
+@pytest.mark.parametrize("field, value", [("recipe", "subtract"),
                                           ("reduce_dim", 4)])
 def test_channel_graph_refuses_recipe_fields_before_training(
         tmp_path, monkeypatch, source, field, value):
     """The channels are the edge tensor, so no recipe or reducer reads
-    these fields; a changed value is refused before any training."""
+    these fields; build_model refuses a changed value once the graph has
+    loaded, before any training."""
     trained, train_loop = [], tasks.train_loop
 
     def recording_train_loop(*args):
@@ -109,16 +123,33 @@ def test_config_rejects_views_on_single_graph_tasks(task):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("edge_features", "subtract"), ("reduce_dim", 4), ("edge_hidden", [4, 1]),
+    ("recipe", "subtract"), ("reduce_dim", 4), ("edge_hidden", [4, 1]),
     ("epsilon", 0.3), ("negative_mode", "abs"), ("blend_attention", True),
-], ids=["edge_features", "reduce_dim", "edge_hidden", "epsilon",
+], ids=["recipe", "reduce_dim", "edge_hidden", "epsilon",
         "negative_mode", "blend_attention"])
 def test_config_rejects_edge_stack_fields_for_gcn_only(field, value):
-    # gcn_only never reads them, so a changed value would only change the hash
+    # gcn_only never reads them, so a changed value would only change the
+    # hash; build_model's rule refuses it at construction
     base = dict(model="gcn_only", synthetic=dict(SBM), train_per_class=3)
     ExperimentConfig(**base)
+    ExperimentConfig(**base, edge_hidden=list(MODEL_DEFAULTS["edge_hidden"]))
     with pytest.raises(ValueError, match=rf"no edge stack; leave \['{field}'\]"):
         ExperimentConfig(**base, **{field: value})
+
+
+def test_config_model_defaults_are_build_models():
+    """Each model field is named for its build_model keyword and defaults
+    to that keyword's default; a width defaults to None, the task's."""
+    keywords = inspect.signature(build_model).parameters
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    assert set(MODEL_DEFAULTS) == {"recipe", "reduce_dim", "edge_hidden",
+                                   "gc_hidden", "epsilon", "negative_mode",
+                                   "blend_attention"}
+    for name in MODEL_DEFAULTS:
+        assert MODEL_DEFAULTS[name] == keywords[name].default, name
+        expected = (None if name in ("edge_hidden", "gc_hidden")
+                    else keywords[name].default)
+        assert defaults[name] == expected, name
 
 
 def test_config_hash_tracks_semantics(tmp_path):
@@ -434,7 +465,7 @@ def test_cli_gradcheck_passes_block_size_through(monkeypatch):
                  "8"]) == 0
     assert main(["gradcheck", "--models", "et_gcn"]) == 0
     assert [kw["n_per_block"] for kw in seen] == [8, 8, 5, 5]
-    assert [kw["recipe_kind"] for kw in seen] == ["concat", "subtract"] * 2
+    assert [kw["recipe"] for kw in seen] == ["concat", "subtract"] * 2
 
 
 def test_cli_gradcheck_covers_every_recipe(capsys):
@@ -446,6 +477,29 @@ def test_cli_gradcheck_covers_every_recipe(capsys):
         assert f"{label} edge_0: max rel err" in out
     assert "gcn_only gc_0: max rel err" in out
     assert "gcn_only/link gc_0: max rel err" in out
+
+
+def test_cli_unset_flags_take_the_config_defaults(monkeypatch):
+    """A train flag left unset never reaches ExperimentConfig, so each
+    field keeps the config's default; a flag that is set wins."""
+    seen = []
+
+    def spy(config):
+        seen.append(config)
+        return ResultRecord("spy", config.config_hash(), [], {})
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    assert main(["train", "--blocks", "5,5"]) == 0
+    config, = seen
+    assert config.synthetic == {"block_sizes": [5, 5], "p_in": 0.2,
+                                "p_out": 0.02, "seed": 0}
+    assert config == ExperimentConfig(synthetic=config.synthetic)
+    assert main(["train", "--blocks", "5,5", "--lr", "0.5", "--recipe",
+                 "subtract", "--max-epochs", "3", "--task", "link_pred",
+                 "--seed-count", "2", "--output", "out"]) == 0
+    assert seen[1] == ExperimentConfig(
+        synthetic=config.synthetic, learning_rate=0.5, recipe="subtract",
+        max_epochs=3, task="link_pred", seeds=[0, 1], output_dir="out")
 
 
 def test_cli_reports_errors_as_json(capsys):

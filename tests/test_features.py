@@ -30,11 +30,11 @@ def setup_graph(rng, n=6, d=3):
 def test_recipe_validation():
     assert RECIPE_KINDS == ("concat", "subtract")
     ctx = prepare(sbm_generate([3, 3], 0.6, 0.2, seed=0))
-    build_model(ParamTape(), "et_gcn", ctx, 2, recipe_kind="subtract",
+    build_model(ParamTape(), "et_gcn", ctx, 2, recipe="subtract",
                 reduce_dim=4)
     tape = ParamTape()
     with pytest.raises(ValueError, match="unknown recipe kind 'mystery'"):
-        build_model(tape, "et_gcn", ctx, 2, recipe_kind="mystery")
+        build_model(tape, "et_gcn", ctx, 2, recipe="mystery")
     assert not tape.params
     with pytest.raises(ValueError, match="positive"):
         build_model(tape, "et_gcn", ctx, 2, reduce_dim=0)

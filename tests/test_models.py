@@ -32,12 +32,13 @@ def small_context(seed=0):
 
 
 def build_small(kind="et_gcn", seed=0, **kwargs):
+    """A model of small widths; gcn_only reads no edge-stack width."""
     graph, ctx = small_context(seed)
     tape = ParamTape()
-    defaults = dict(reduce_dim=2, edge_hidden=(3, 1), gc_hidden=(4,))
-    defaults.update(kwargs)
+    small = (dict(gc_hidden=(4,)) if kind == "gcn_only"
+             else dict(reduce_dim=2, edge_hidden=(3, 1), gc_hidden=(4,)))
     model = build_model(tape, kind, ctx, graph.num_classes, seed=seed,
-                        **defaults)
+                        **{**small, **kwargs})
     return graph, ctx, tape, model
 
 
@@ -105,15 +106,23 @@ def test_build_model_rejects_bad_edge_stack():
 
 def test_stack_recipe_requires_channel_count():
     # "stack" is not a recipe: the channel count comes from a multi-graph
-    # context's stacked tensor, whatever recipe and reduce_dim are given
+    # context's stacked tensor, which reads no recipe or reduce_dim, so a
+    # changed one is refused there before anything is registered
     graph, ctx = small_context()
     tape = ParamTape()
     with pytest.raises(ValueError, match="unknown recipe kind 'stack'"):
-        build_model(tape, "et_gcn", ctx, 2, recipe_kind="stack")
+        build_model(tape, "et_gcn", ctx, 2, recipe="stack")
     assert not tape.params
     views = [sbm_generate([4, 4], 0.6, 0.2, seed=s).adjacency for s in range(3)]
     multi = prepare_multigraph(views, np.eye(8), np.array([0] * 4 + [1] * 4))
-    build_model(tape, "et_gcn", multi, 2, recipe_kind="subtract", reduce_dim=5,
+    for setting in ({"recipe": "subtract"}, {"reduce_dim": 5},
+                    {"recipe": "subtract", "reduce_dim": 5}):
+        with pytest.raises(ValueError, match=r"edge channels replace the "
+                                             r"recipe; leave \['"):
+            build_model(tape, "et_gcn", multi, 2, edge_hidden=(2, 1),
+                        **setting)
+        assert not tape.params
+    build_model(tape, "et_gcn", multi, 2, recipe="concat", reduce_dim=8,
                 edge_hidden=(2, 1))
     assert tape["edge_0"].value.shape == (multi.stacked.p, 2) == (3, 2)
 
@@ -122,8 +131,14 @@ def test_stack_recipe_requires_channel_count():
     ("bogus", {}, "unknown model kind"),
     ("et_gcn", {"edge_hidden": ()}, "nonempty"),
     ("gcn_only", {"blend_attention": True}, "no edge stack"),
+    ("gcn_only", {"epsilon": 0.5, "reduce_dim": 3},
+     r"gcn_only has no edge stack; leave \['reduce_dim', 'epsilon'\]"),
+    ("gcn_only", {"edge_hidden": [8, 1], "recipe": "subtract"},
+     r"leave \['recipe'\] at their defaults"),
     ("et_gcn", {"gc_hidden": (0,)}, "positive"),
-], ids=["kind", "empty_edge_hidden", "gcn_only_blend", "zero_width"])
+], ids=["kind", "empty_edge_hidden", "gcn_only_blend",
+        "gcn_only_names_each_unread", "gcn_only_default_list_width",
+        "zero_width"])
 def test_build_model_checks_before_registering(kind, kwargs, message):
     graph, ctx = small_context()
     tape = ParamTape()
@@ -391,7 +406,7 @@ def _pair_width(recipe, reduce_dim):
 def test_first_edge_layer_propagates_at_min_width(recipe, reduce_dim, p_out,
                                                   monkeypatch):
     graph, ctx, tape, model = build_small(
-        recipe_kind=recipe, reduce_dim=reduce_dim, edge_hidden=(p_out, 1))
+        recipe=recipe, reduce_dim=reduce_dim, edge_hidden=(p_out, 1))
     widths = []
     for name in ("propagate_mode1", "propagate_mode2"):
         def spy(s, adj, _inner=getattr(layers, name)):
@@ -409,7 +424,7 @@ def test_first_edge_layer_matches_slot_level_tensor(kind, recipe, reduce_dim,
                                                     p_out):
     """The recipe's node-level input gives the layer a slot-level S gives."""
     graph, ctx, tape, model = build_small(
-        kind, recipe_kind=recipe, reduce_dim=reduce_dim,
+        kind, recipe=recipe, reduce_dim=reduce_dim,
         edge_hidden=(p_out, 1))
     h, first = ctx.features, model.edge_layers[0]
     prop = models._propagation_weights(model, ctx, h)

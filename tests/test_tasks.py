@@ -74,6 +74,14 @@ def test_node_classification_eval_only_with_initial_params(sbm_graph,
     assert replay.history == []
 
 
+def two_view_union(sbm_graph):
+    """The union of the two views _multigraph_et_gat classifies."""
+    graphs = [sbm_generate([25, 25], 0.25, 0.03, seed=s).adjacency
+              for s in range(2)]
+    return LabeledGraph.from_views(graphs, sbm_graph.node_features,
+                                   sbm_graph.labels)
+
+
 def _multigraph_et_gat(sbm_graph, sbm_splits, cfg):
     graphs = [sbm_generate([25, 25], 0.25, 0.03, seed=s).adjacency
               for s in range(2)]
@@ -259,13 +267,9 @@ def test_views_graph_classifies_as_the_multigraph_wrapper(sbm_graph,
     """run_multigraph_classification is run_node_classification on the
     views' union, which takes MULTI_GRAPH_WIDTHS itself: the final train
     loss is equal bit for bit."""
-    graphs = [sbm_generate([25, 25], 0.25, 0.03, seed=s).adjacency
-              for s in range(2)]
-    union = LabeledGraph.from_views(graphs, sbm_graph.node_features,
-                                    sbm_graph.labels)
     cfg = TaskConfig(learning_rate=0.01, max_epochs=4, patience=4, seed=0)
-    direct = run_node_classification(union, sbm_splits, cfg,
-                                     model_kind="et_gat")
+    direct = run_node_classification(two_view_union(sbm_graph), sbm_splits,
+                                     cfg, model_kind="et_gat")
     wrapped = _multigraph_et_gat(sbm_graph, sbm_splits, cfg)
     assert direct.history[-1].train_loss == wrapped.history[-1].train_loss
     assert direct.metrics == wrapped.metrics
@@ -304,6 +308,62 @@ def test_node_classification_takes_epsilon_from_model_kwargs(sbm_graph,
     assert len(model.edge_layers) == 2
     assert all(layer.epsilon == 0.0 for layer in model.edge_layers)
     assert result.history[-1].train_loss.hex() == "0x1.e40f1252904b0p-2"
+
+
+def recording_train_loop(monkeypatch):
+    """The calls ``tasks.train_loop`` gets during the test, in order."""
+    calls, train_loop = [], tasks.train_loop
+
+    def recording(*args):
+        calls.append(args)
+        return train_loop(*args)
+
+    monkeypatch.setattr(tasks, "train_loop", recording)
+    return calls
+
+
+@pytest.mark.parametrize("model_kwargs", [{"recipe": "subtract"},
+                                          {"reduce_dim": 4}],
+                         ids=["recipe", "reduce_dim"])
+def test_edge_channels_refuse_recipe_settings_before_training(
+        sbm_graph, sbm_splits, monkeypatch, model_kwargs):
+    """The channels are the edge input, so no recipe or reducer would read
+    these settings; the model refuses them instead of dropping them."""
+    trained = recording_train_loop(monkeypatch)
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=2, patience=2, seed=0)
+    name, = model_kwargs
+    with pytest.raises(ValueError, match=rf"edge channels replace the "
+                                         rf"recipe; leave \['{name}'\]"):
+        run_node_classification(two_view_union(sbm_graph), sbm_splits, cfg,
+                                model_kwargs=model_kwargs)
+    assert trained == []
+
+
+def test_gcn_only_link_prediction_refuses_edge_stack_settings(monkeypatch):
+    """gcn_only reads no epsilon; the model refuses it before training."""
+    trained = recording_train_loop(monkeypatch)
+    graph = sbm_generate([20, 20], 0.3, 0.05, seed=2)
+    split = link_split(graph.adjacency, 0.1, 0.05, seed=0)
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=2, patience=2, seed=0)
+    with pytest.raises(ValueError, match=r"gcn_only has no edge stack; "
+                                         r"leave \['epsilon'\]"):
+        run_link_prediction(graph, split, cfg, model_kind="gcn_only",
+                            model_kwargs={"epsilon": 0.5})
+    assert trained == []
+
+
+def test_gcn_only_trains_on_edge_channels(sbm_graph, sbm_splits,
+                                          built_models):
+    """gcn_only on a graph with edge channels takes only the node width of
+    MULTI_GRAPH_WIDTHS; its final train loss is pinned bit for bit."""
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=4, patience=4, seed=0)
+    result = run_node_classification(two_view_union(sbm_graph), sbm_splits,
+                                     cfg, model_kind="gcn_only")
+    model, = built_models
+    assert model.edge_layers == []
+    assert ([layer.weight.value.shape[1] for layer in model.gc_layers[:-1]]
+            == list(MULTI_GRAPH_WIDTHS["gc_hidden"]))
+    assert result.history[-1].train_loss.hex() == "0x1.48dcb177b5218p-1"
 
 
 def test_link_prediction_refuses_a_graph_with_edge_channels():
