@@ -98,7 +98,7 @@ def read_settings(kind, channels, settings):
 def check_settings(kind, channels, settings):
     """Refuse an unknown kind, recipe or negative mode, or a non-default
     value of a setting the model never reads; an absent one is default."""
-    settings = {k: tuple(v) if isinstance(v, list) else v  # widths from JSON
+    settings = {k: tuple(v) if isinstance(v, (list, np.ndarray)) else v
                 for k, v in {**MODEL_DEFAULTS, **settings}.items()}
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")

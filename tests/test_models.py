@@ -135,10 +135,12 @@ def test_stack_recipe_requires_channel_count():
      r"gcn_only has no edge stack; leave \['reduce_dim', 'epsilon'\]"),
     ("gcn_only", {"edge_hidden": [8, 1], "recipe": "subtract"},
      r"leave \['recipe'\] at their defaults"),
+    ("gcn_only", {"edge_hidden": np.array([8, 1]), "recipe": "subtract"},
+     r"leave \['recipe'\] at their defaults"),
     ("et_gcn", {"gc_hidden": (0,)}, "positive"),
 ], ids=["kind", "empty_edge_hidden", "gcn_only_blend",
         "gcn_only_names_each_unread", "gcn_only_default_list_width",
-        "zero_width"])
+        "gcn_only_default_array_width", "zero_width"])
 def test_build_model_checks_before_registering(kind, kwargs, message):
     graph, ctx = small_context()
     tape = ParamTape()
