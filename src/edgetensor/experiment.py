@@ -25,13 +25,22 @@ from .tasks import run_link_prediction, run_node_classification
 from .training import TaskConfig
 
 TASKS = ("node_class", "link_pred")
+# the split and decoder settings each task reads, with their defaults; a
+# config refuses a changed setting that its task never reads
+TASK_SETTINGS = {
+    "node_class": {"train_per_class": None, "train_fraction": None,
+                   "val_fraction": 0.5},
+    "link_pred": {"embed_dim": 32, "test_edge_fraction": 0.10,
+                  "val_edge_fraction": 0.05},
+}
 
 
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one experiment. The model settings
     are ``build_model``'s keywords and defaults (a None width is the
-    task's); ``models.check_settings`` decides which a model reads."""
+    task's); ``models.check_settings`` decides which a model reads, and
+    ``TASK_SETTINGS`` which split and decoder settings a task reads."""
 
     task: str = "node_class"
     model: str = "et_gcn"
@@ -46,15 +55,15 @@ class ExperimentConfig:
     reduce_dim: int = MODEL_DEFAULTS["reduce_dim"]
     edge_hidden: list = None          # None: the task's widths
     gc_hidden: list = None
-    embed_dim: int = 32               # link-prediction embedding size
+    embed_dim: int = TASK_SETTINGS["link_pred"]["embed_dim"]
     negative_mode: str = MODEL_DEFAULTS["negative_mode"]
     blend_attention: bool = MODEL_DEFAULTS["blend_attention"]
-    train_per_class: int = None
-    train_fraction: float = None
-    val_fraction: float = 0.5
+    train_per_class: int = TASK_SETTINGS["node_class"]["train_per_class"]
+    train_fraction: float = TASK_SETTINGS["node_class"]["train_fraction"]
+    val_fraction: float = TASK_SETTINGS["node_class"]["val_fraction"]
     split_seed: int = 0
-    test_edge_fraction: float = 0.10
-    val_edge_fraction: float = 0.05
+    test_edge_fraction: float = TASK_SETTINGS["link_pred"]["test_edge_fraction"]
+    val_edge_fraction: float = TASK_SETTINGS["link_pred"]["val_edge_fraction"]
     output_dir: str = None
 
     def __post_init__(self):
@@ -65,10 +74,16 @@ class ExperimentConfig:
         # edge channels are known once the graph loads: build_model refuses
         # recipe settings then, and this refuses what no graph's model reads
         check_settings(self.model, False, _model_settings(self))
+        unread = [name for task, settings in TASK_SETTINGS.items()
+                  if task != self.task for name, default in settings.items()
+                  if getattr(self, name) != default]
+        if unread:
+            raise ValueError(f"{self.task} never reads {unread}; leave them "
+                             "at their defaults")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        # the learning rate and epoch settings follow TaskConfig's rules
+        TaskConfig(self.learning_rate, self.max_epochs, self.patience)
         if (self.dataset is None) == (self.synthetic is None):
             raise ValueError("exactly one of a dataset path or a synthetic "
                              "spec is required")
@@ -215,10 +230,11 @@ def _write_artifacts(config, record, runs):
 
 
 def evaluate_checkpoint(config, checkpoint_dir):
-    """Metrics of saved parameters, without any training."""
+    """Metrics of saved parameters, without any training: one epoch, which
+    as the last updates nothing, scores them."""
     values, manifest = load_checkpoint(checkpoint_dir)
     data, splits = _prepare_task(config)
-    frozen = dataclasses.replace(config, max_epochs=0)
+    frozen = dataclasses.replace(config, max_epochs=1)
     return _run_one_seed(frozen, data, splits, manifest.get("seed", 0),
                          initial_params=values).metrics
 

@@ -38,16 +38,17 @@ def _learned_homophily(result, labels):
         return None
 
 
-def _run(tape, model, ctx, config, initial_params, step, evaluate):
-    """Train with ``step`` and score the restored best parameters.
+def _run(tape, config, initial_params, step, evaluate):
+    """Train with ``step`` and score the best epoch's outputs.
 
-    ``evaluate(final, outcome)`` maps the final forward pass and the
-    training outcome to the task's metrics.
+    ``evaluate(z, outcome)`` maps the predictions of the best epoch's own
+    forward pass and the training outcome to the task's metrics, so no
+    forward pass runs after training.
     """
     if initial_params is not None:
         tape.restore(initial_params)
     outcome = train_loop(tape, step, config)
-    metrics = evaluate(etgnn_forward(model, ctx), outcome)
+    metrics = evaluate(outcome.best_outputs, outcome)
     return SeedRunResult(metrics, outcome.history, outcome.best_epoch,
                          outcome.best_params)
 
@@ -78,23 +79,23 @@ def _classify_nodes(ctx, splits, config, model_kind, model_kwargs,
 
     def step(epoch):
         result = etgnn_forward(model, ctx)
+        z = result.z.value
         loss = cross_entropy_masked(result.z, labels, splits["train"])
-        val_loss = cross_entropy_masked(result.z.value, labels, splits["val"])
-        val_acc = accuracy(result.z, labels, splits["val"])
+        val_loss = cross_entropy_masked(z, labels, splits["val"])
+        val_acc = accuracy(z, labels, splits["val"])
         extra = {"homophily": _learned_homophily(result, labels)}
-        return loss, val_loss, val_acc, extra
+        return loss, val_loss, val_acc, extra, z
 
-    def evaluate(final, outcome):
+    def evaluate(z, outcome):
         return {
-            "test_accuracy": accuracy(final.z, labels, splits["test"]),
-            "val_accuracy": accuracy(final.z, labels, splits["val"]),
+            "test_accuracy": accuracy(z, labels, splits["test"]),
+            "val_accuracy": accuracy(z, labels, splits["val"]),
             "val_loss": outcome.best_val_loss,
-            "homophily": _learned_homophily(final, labels),
-            "initial_homophily": (outcome.history[0].extra.get("homophily")
-                                  if outcome.history else None),
+            "homophily": outcome.history[outcome.best_epoch].extra["homophily"],
+            "initial_homophily": outcome.history[0].extra["homophily"],
         }
 
-    return _run(tape, model, ctx, config, initial_params, step, evaluate)
+    return _run(tape, config, initial_params, step, evaluate)
 
 
 def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
@@ -129,21 +130,22 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
 
     def step(epoch):
         result = etgnn_forward(model, ctx)
+        z = result.z.value
         train_neg = sample_non_edges(graph.n, train_keys, len(train_pos),
                                      neg_rng)
         loss = bce_from_scores(link_scores(result.z, train_pos),
                                link_scores(result.z, train_neg))
-        scores = link_scores(result.z.value, val_pairs)
+        scores = link_scores(z, val_pairs)
         val_loss = bce_from_scores(scores[:num_val_pos], scores[num_val_pos:])
-        return loss, float(val_loss), auc_ap(scores, val_labels).auc, {}
+        return loss, float(val_loss), auc_ap(scores, val_labels).auc, {}, z
 
-    def evaluate(final, outcome):
+    def evaluate(z, outcome):
         pairs, labels = labeled_pairs(split.test_pos, split.test_neg)
-        report = auc_ap(link_scores(final.z.value, pairs), labels)
+        report = auc_ap(link_scores(z, pairs), labels)
         return {"auc": report.auc, "ap": report.ap,
                 "val_loss": outcome.best_val_loss}
 
-    return _run(tape, model, ctx, config, initial_params, step, evaluate)
+    return _run(tape, config, initial_params, step, evaluate)
 
 
 def run_multigraph_classification(graphs, features, labels, splits, config, *,

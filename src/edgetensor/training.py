@@ -51,7 +51,12 @@ def bce_from_scores(pos_scores, neg_scores):
 
 @dataclass
 class TaskConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run.
+
+    ``max_epochs`` is at least 1, so every run has a best epoch whose
+    outputs score it; one epoch is an evaluation, since the last epoch
+    updates nothing. ``patience`` is at least 0 (see :func:`train_loop`).
+    """
 
     learning_rate: float = 0.01
     max_epochs: int = 10000
@@ -61,6 +66,12 @@ class TaskConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, got "
+                             f"{self.max_epochs!r}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be at least 0, got "
+                             f"{self.patience!r}")
 
 
 @dataclass
@@ -79,27 +90,35 @@ class TrainResult:
     best_val_loss: float
     history: list
     stopped_early: bool
+    best_outputs: object  # what the best epoch's step returned last
 
 
 def train_loop(tape, step, config):
     """Run Adam with early stopping on validation loss.
 
     ``step(epoch)`` performs a traced forward pass with the tape's current
-    parameters and returns ``(train_loss_var, val_loss, val_metric, extra)``.
-    The parameters with the lowest validation loss are returned. Stops when
-    the validation loss has not improved for ``patience`` consecutive
-    epochs (``patience == 0`` stops at the first non-improving epoch).
+    parameters and returns ``(train_loss_var, val_loss, val_metric, extra,
+    outputs)``, where ``outputs`` are plain values (never Vars) the caller
+    scores the run on. The parameters with the lowest validation loss are
+    restored and returned, with their epoch's ``outputs`` as
+    ``best_outputs``, so no forward pass is needed after training. Stops
+    when the validation loss has not improved for ``patience`` consecutive
+    epochs (``patience == 0`` stops at the first non-improving epoch) or
+    after ``max_epochs``. Every epoch but the last updates the parameters;
+    the last runs no backward pass, since no later epoch would read its
+    update.
     """
     best_snapshot = tape.snapshot()
     best_val = np.inf
     best_epoch = -1
+    best_outputs = None
     bad_epochs = 0
     history = []
     stall_limit = max(config.patience, 1)
     stopped_early = False
     for epoch in range(config.max_epochs):
         tape.zero_grad()
-        loss_var, val_loss, val_metric, extra = step(epoch)
+        loss_var, val_loss, val_metric, extra, outputs = step(epoch)
         train_loss = float(loss_var.value)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise DivergenceError(
@@ -110,13 +129,17 @@ def train_loop(tape, step, config):
             best_val = float(val_loss)
             best_epoch = epoch
             best_snapshot = tape.snapshot()
+            best_outputs = outputs
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= stall_limit:
                 stopped_early = True
                 break
+        if epoch == config.max_epochs - 1:
+            break
         backward(loss_var)
         tape.adam_step(config.learning_rate)
     tape.restore(best_snapshot)
-    return TrainResult(best_snapshot, best_epoch, best_val, history, stopped_early)
+    return TrainResult(best_snapshot, best_epoch, best_val, history,
+                       stopped_early, best_outputs)

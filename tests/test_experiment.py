@@ -27,10 +27,12 @@ SBM = {"block_sizes": [12, 12], "p_in": 0.4, "p_out": 0.05, "seed": 0}
 
 
 def quick_config(**overrides):
+    """A small config; node_class splits only where the task reads them."""
     base = dict(task="node_class", synthetic=dict(SBM), seeds=[0, 1],
-                max_epochs=12, patience=12, train_per_class=3,
-                val_fraction=0.3, reduce_dim=2, edge_hidden=[2, 1],
+                max_epochs=12, patience=12, reduce_dim=2, edge_hidden=[2, 1],
                 gc_hidden=[4])
+    if overrides.get("task", "node_class") == "node_class":
+        base.update(train_per_class=3, val_fraction=0.3)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -118,8 +120,38 @@ def test_config_rejects_views_on_single_graph_tasks(task):
     for views in (5, 1):
         with pytest.raises(ValueError, match="link_pred takes a graph "
                                              "without edge channels"):
-            ExperimentConfig(task=task, synthetic={**SBM, "views": views},
-                             train_per_class=3)
+            ExperimentConfig(task=task, synthetic={**SBM, "views": views})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_epochs", 0), ("max_epochs", -1), ("patience", -2),
+    ("learning_rate", 0.0),
+])
+def test_config_rejects_bad_training_settings(field, value):
+    # TaskConfig's rule: zero epochs leave no best epoch to score, and a
+    # negative patience would silently act as 1
+    quick_config(max_epochs=1, patience=0)
+    with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
+        quick_config(**{field: value})
+
+
+@pytest.mark.parametrize("task, field, value", [
+    ("node_class", "embed_dim", 4),
+    ("node_class", "test_edge_fraction", 0.3),
+    ("node_class", "val_edge_fraction", 0.1),
+    ("link_pred", "train_per_class", 5),
+    ("link_pred", "train_fraction", 0.2),
+    ("link_pred", "val_fraction", 0.1),
+])
+def test_config_rejects_task_settings_its_task_never_reads(task, field,
+                                                           value):
+    """A setting of the other task would change only the config hash."""
+    quick_config(task=task)
+    quick_config(task=task, **{field: experiment.TASK_SETTINGS[
+        "link_pred" if task == "node_class" else "node_class"][field]})
+    with pytest.raises(ValueError, match=rf"{task} never reads "
+                                         rf"\['{field}'\]"):
+        quick_config(task=task, **{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -436,6 +468,35 @@ def test_cli_eval_reads_the_config_train_wrote(tmp_path, capsys):
     assert rc == 0
     metrics = json.loads(capsys.readouterr().out)
     assert metrics["test_accuracy"] == pytest.approx(trained["test_accuracy"])
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("task", ["node_class", "link_pred"])
+def test_cli_eval_prints_the_checkpoint_metrics_as_json(tmp_path, capsys,
+                                                         task):
+    """eval scores the checkpoint with one epoch, which updates nothing:
+    its output is strict JSON, and its val_loss is the trained seed's."""
+    out_dir = tmp_path / "run"
+    config = quick_config(task=task, max_epochs=6, patience=6,
+                          output_dir=str(out_dir))
+    record = run_experiment(config)
+    with open(out_dir / "checkpoint" / "manifest.json") as fh:
+        seed = json.load(fh)["seed"]
+    trained = next(m for m in record.per_seed if m["seed"] == seed)
+
+    assert main(["eval", "--config", str(out_dir / "config.json"),
+                 "--checkpoint", str(out_dir / "checkpoint")]) == 0
+    metrics = json.loads(capsys.readouterr().out,
+                         parse_constant=_refuse_constant)
+    assert metrics["val_loss"] == trained["val_loss"]
+    expected = {k: v for k, v in trained.items() if k != "seed"}
+    if task == "node_class":
+        # the single epoch starts from the checkpoint's learned graph
+        expected["initial_homophily"] = trained["homophily"]
+    assert metrics == expected
 
 
 def test_cli_seed_count_expansion(tmp_path, capsys):

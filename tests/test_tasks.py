@@ -6,14 +6,18 @@ import weakref
 import numpy as np
 import pytest
 
-from edgetensor import sparse_graph, tasks
+from edgetensor import sparse_graph, tasks, training
+from edgetensor.models import build_model, etgnn_forward, link_scores
+from edgetensor.params import ParamTape
 from edgetensor.sparse_graph import LabeledGraph, SparseAdjacency
-from edgetensor.evaluation import link_split, split_nodes
+from edgetensor.evaluation import (accuracy, auc_ap, homophily, link_split,
+                                   split_nodes)
 from edgetensor.generators import sbm_generate
 from edgetensor.tasks import (MULTI_GRAPH_WIDTHS, run_link_prediction,
                               run_multigraph_classification,
                               run_node_classification)
-from edgetensor.training import TaskConfig
+from edgetensor.training import (TaskConfig, bce_from_scores,
+                                 cross_entropy_masked)
 
 
 def new_sbm_graph():
@@ -65,13 +69,19 @@ def test_node_classification_et_gat_runs(sbm_graph, sbm_splits):
 
 def test_node_classification_eval_only_with_initial_params(sbm_graph,
                                                            sbm_splits):
+    """One epoch is the last, so it scores the initial parameters and
+    updates nothing: every metric equals the trained run's, and the
+    learned graph it starts from is the trained run's final one."""
     cfg = TaskConfig(learning_rate=0.005, max_epochs=30, patience=30, seed=0)
     trained = run_node_classification(sbm_graph, sbm_splits, cfg)
-    frozen = TaskConfig(learning_rate=0.005, max_epochs=0, patience=0, seed=0)
+    frozen = TaskConfig(learning_rate=0.005, max_epochs=1, patience=0, seed=0)
     replay = run_node_classification(sbm_graph, sbm_splits, frozen,
                                      initial_params=trained.best_params)
     assert replay.metrics["test_accuracy"] == trained.metrics["test_accuracy"]
-    assert replay.history == []
+    assert len(replay.history) == 1
+    assert replay.metrics == {**trained.metrics, "initial_homophily":
+                              trained.metrics["homophily"]}
+    _assert_params_equal(replay.best_params, trained.best_params)
 
 
 def two_view_union(sbm_graph):
@@ -88,6 +98,140 @@ def _multigraph_et_gat(sbm_graph, sbm_splits, cfg):
     return run_multigraph_classification(graphs, sbm_graph.node_features,
                                          sbm_graph.labels, sbm_splits, cfg,
                                          model_kind="et_gat")
+
+
+def _assert_params_equal(a, b):
+    assert a.keys() == b.keys()
+    for name, value in a.items():
+        assert np.array_equal(value, b[name]), name
+
+
+def small_link_inputs():
+    graph = sbm_generate([20, 20], 0.3, 0.05, seed=2)
+    return graph, link_split(graph.adjacency, 0.1, 0.05, seed=0)
+
+
+def _link_et_gcn(sbm_graph, sbm_splits, cfg):
+    graph, split = small_link_inputs()
+    return run_link_prediction(graph, split, cfg)
+
+
+@pytest.mark.parametrize("run, cfg, stopped_early", [
+    (run_node_classification, TaskConfig(0.01, 6, 6, seed=0), False),
+    (run_node_classification, TaskConfig(0.5, 30, 2, seed=0), True),
+    (_multigraph_et_gat, TaskConfig(0.01, 4, 4, seed=0), False),
+    (_link_et_gcn, TaskConfig(0.05, 30, 2, seed=0), True),
+    (_link_et_gcn, TaskConfig(0.01, 5, 5, seed=0), False),
+], ids=["nc_max_epochs", "nc_early_stop", "multigraph_max_epochs",
+        "lp_early_stop", "lp_max_epochs"])
+def test_a_call_runs_one_forward_per_epoch_and_no_unread_backward(
+        sbm_graph, sbm_splits, monkeypatch, run, cfg, stopped_early):
+    """Each epoch runs one forward pass, the metrics are scored on the best
+    epoch's, so none runs after training, and every epoch but the last
+    runs one backward pass."""
+    calls = []
+    forward, backward = tasks.etgnn_forward, training.backward
+    train_loop = tasks.train_loop
+
+    def counting_forward(*args, **kwargs):
+        calls.append("forward")
+        return forward(*args, **kwargs)
+
+    def counting_backward(*args, **kwargs):
+        calls.append("backward")
+        return backward(*args, **kwargs)
+
+    def marking_train_loop(*args, **kwargs):
+        outcome = train_loop(*args, **kwargs)
+        calls.append("trained")
+        return outcome
+
+    monkeypatch.setattr(tasks, "etgnn_forward", counting_forward)
+    monkeypatch.setattr(training, "backward", counting_backward)
+    monkeypatch.setattr(tasks, "train_loop", marking_train_loop)
+    result = run(sbm_graph, sbm_splits, cfg)
+    epochs = len(result.history)
+    assert (epochs < cfg.max_epochs) == stopped_early
+    assert calls == ["forward", "backward"] * (epochs - 1) + [
+        "forward", "trained"]
+
+
+def _fresh_forward(recorded, best_params):
+    """The forward pass of the recorded ``build_model`` call's model, built
+    again on a fresh tape that holds ``best_params``, and its context. The
+    best epoch's outputs, which the task scored, equal its predictions."""
+    builds, outcomes = recorded
+    (_, kind, ctx, *args), kwargs = builds[-1]
+    tape = ParamTape()
+    model = build_model(tape, kind, ctx, *args, **kwargs)
+    tape.restore(best_params)
+    final = etgnn_forward(model, ctx)
+    assert np.array_equal(outcomes[-1].best_outputs, final.z.value)
+    return final, ctx
+
+
+@pytest.fixture
+def recorded_calls(monkeypatch):
+    """The arguments of every ``tasks.build_model`` call, in order, and the
+    outcome of every ``tasks.train_loop`` call."""
+    builds, outcomes = [], []
+    build, train_loop = tasks.build_model, tasks.train_loop
+
+    def recording(*args, **kwargs):
+        builds.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    def recording_train_loop(*args, **kwargs):
+        outcomes.append(train_loop(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(tasks, "build_model", recording)
+    monkeypatch.setattr(tasks, "train_loop", recording_train_loop)
+    return builds, outcomes
+
+
+@pytest.mark.parametrize("graph_of, model_kind, learning_rate", [
+    (lambda g: g, "et_gcn", 0.5), (lambda g: g, "et_gat", 0.7),
+    (two_view_union, "et_gcn", 0.7),
+], ids=["et_gcn", "et_gat", "channel_graph"])
+def test_node_metrics_equal_a_fresh_forward_at_the_best_params(
+        sbm_graph, sbm_splits, recorded_calls, graph_of, model_kind,
+        learning_rate):
+    """The metrics scored on the best epoch's own forward pass equal, bit
+    for bit, those of a forward pass of a fresh model holding the best
+    parameters. The rates are high so that the best epoch is not the last,
+    and the learned graph keeps weight to score homophily on."""
+    cfg = TaskConfig(learning_rate, max_epochs=12, patience=12, seed=2)
+    result = run_node_classification(graph_of(sbm_graph), sbm_splits, cfg,
+                                     model_kind=model_kind)
+    assert result.best_epoch < len(result.history) - 1
+    final, ctx = _fresh_forward(recorded_calls, result.best_params)
+    labels = ctx.labels
+    assert result.metrics == {
+        "test_accuracy": accuracy(final.z, labels, sbm_splits["test"]),
+        "val_accuracy": accuracy(final.z, labels, sbm_splits["val"]),
+        "val_loss": cross_entropy_masked(final.z.value, labels,
+                                         sbm_splits["val"]),
+        "homophily": homophily(final.edge_weights, labels),
+        "initial_homophily": result.history[0].extra["homophily"],
+    }
+
+
+def test_link_metrics_equal_a_fresh_forward_at_the_best_params(
+        recorded_calls):
+    graph, split = small_link_inputs()
+    cfg = TaskConfig(learning_rate=0.05, max_epochs=12, patience=12, seed=1)
+    result = run_link_prediction(graph, split, cfg)
+    assert result.best_epoch < len(result.history) - 1
+    z = _fresh_forward(recorded_calls, result.best_params)[0].z.value
+    report = auc_ap(link_scores(z, np.concatenate([split.test_pos,
+                                                   split.test_neg])),
+                    np.r_[np.ones(len(split.test_pos)),
+                          np.zeros(len(split.test_neg))])
+    val_loss = bce_from_scores(link_scores(z, split.val_pos),
+                               link_scores(z, split.val_neg))
+    assert result.metrics == {"auc": report.auc, "ap": report.ap,
+                              "val_loss": float(val_loss)}
 
 
 @pytest.mark.parametrize("run, second_walks", [
@@ -141,9 +285,7 @@ def counting_renormalize(monkeypatch):
 def _assert_runs_equal(a, b):
     assert a.history[-1].train_loss == b.history[-1].train_loss
     assert a.metrics == b.metrics
-    assert a.best_params.keys() == b.best_params.keys()
-    for name, value in a.best_params.items():
-        assert np.array_equal(value, b.best_params[name]), name
+    _assert_params_equal(a.best_params, b.best_params)
 
 
 @pytest.mark.parametrize("model_kind", ["et_gcn", "et_gat"])

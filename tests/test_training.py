@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edgetensor import autodiff as ad
+from edgetensor import training
 from edgetensor.autodiff import Var, backward
 from edgetensor.params import ParamTape
 from edgetensor.training import (DivergenceError, TaskConfig, bce_from_scores,
@@ -80,7 +81,8 @@ def test_bce_floor_keeps_loss_finite():
 
 
 def quadratic_step(tape, noise=None):
-    """Step closure minimizing (w - 3)^2 with val loss equal to train loss."""
+    """Step closure minimizing (w - 3)^2 with val loss equal to train loss;
+    its outputs are a copy of the parameter the epoch ran at."""
     p = tape["w"]
 
     def step(epoch):
@@ -88,7 +90,7 @@ def quadratic_step(tape, noise=None):
         diff = ad.add_const(p, -3.0)
         loss = ad.total(ad.mul(diff, diff))
         val = float(loss.value) if noise is None else float(loss.value) + noise[epoch]
-        return loss, val, -val, {}
+        return loss, val, -val, {}, p.value.copy()
 
     return step
 
@@ -102,6 +104,8 @@ def test_train_loop_converges_and_restores_best():
     assert tape["w"].value[0] == pytest.approx(3.0, abs=1e-2)
     assert result.best_val_loss == pytest.approx(0.0, abs=1e-3)
     np.testing.assert_array_equal(tape["w"].value, result.best_params["w"])
+    # the outputs kept are those of the epoch that ran at best_params
+    np.testing.assert_array_equal(result.best_outputs, result.best_params["w"])
 
 
 def test_train_loop_early_stops_on_plateau():
@@ -111,13 +115,14 @@ def test_train_loop_early_stops_on_plateau():
     # then `patience` consecutive non-improving epochs trigger the stop
     def step(epoch):
         diff = ad.add_const(tape["w"], -3.0)
-        return ad.total(ad.mul(diff, diff)), 1.0, 0.0, {}
+        return ad.total(ad.mul(diff, diff)), 1.0, 0.0, {}, epoch
 
     result = train_loop(tape, step, TaskConfig(learning_rate=1e-4,
                                                max_epochs=1000, patience=5))
     assert result.stopped_early
     assert len(result.history) == 1 + 5
     assert result.best_epoch == 0
+    assert result.best_outputs == 0
 
 
 def test_train_loop_patience_zero_stops_at_first_stall():
@@ -126,7 +131,7 @@ def test_train_loop_patience_zero_stops_at_first_stall():
 
     def step(epoch):
         diff = ad.add_const(tape["w"], -3.0)
-        return ad.total(ad.mul(diff, diff)), 1.0, 0.0, {}
+        return ad.total(ad.mul(diff, diff)), 1.0, 0.0, {}, None
 
     result = train_loop(tape, step, TaskConfig(learning_rate=1e-4,
                                                max_epochs=100, patience=0))
@@ -141,7 +146,7 @@ def test_train_loop_raises_on_divergence():
         diff = ad.add_const(tape["w"], -3.0)
         loss = ad.total(ad.mul(diff, diff))
         val = np.nan if epoch == 3 else 1.0 / (epoch + 1)
-        return loss, val, 0.0, {}
+        return loss, val, 0.0, {}, None
 
     with pytest.raises(DivergenceError) as err:
         train_loop(tape, step, TaskConfig(learning_rate=0.01, max_epochs=10))
@@ -156,7 +161,7 @@ def test_train_loop_records_history_extras():
     def step(epoch):
         diff = ad.add_const(tape["w"], -3.0)
         return (ad.total(ad.mul(diff, diff)), float(epoch), 0.5,
-                {"homophily": epoch * 0.1})
+                {"homophily": epoch * 0.1}, None)
 
     result = train_loop(tape, step, TaskConfig(learning_rate=0.01,
                                                max_epochs=3, patience=10))
@@ -174,7 +179,7 @@ def test_small_steps_decrease_smooth_loss():
         diff = ad.add_const(tape["w"], -3.0)
         loss = ad.total(ad.mul(diff, diff))
         losses.append(float(loss.value))
-        return loss, float(loss.value), 0.0, {}
+        return loss, float(loss.value), 0.0, {}, None
 
     train_loop(tape, step, TaskConfig(learning_rate=1e-3, max_epochs=50,
                                       patience=50))
@@ -184,3 +189,68 @@ def test_small_steps_decrease_smooth_loss():
 def test_task_config_rejects_bad_learning_rate():
     with pytest.raises(ValueError):
         TaskConfig(learning_rate=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_epochs", 0), ("max_epochs", -3), ("patience", -1),
+    ("patience", -2),
+])
+def test_task_config_rejects_bad_epoch_settings(field, value):
+    # zero epochs leave no best epoch to score, and a negative patience
+    # would silently act as 1
+    TaskConfig(max_epochs=1, patience=0)
+    with pytest.raises(ValueError, match=f"{field} must be at least"):
+        TaskConfig(**{field: value})
+
+
+def counting_updates(monkeypatch):
+    """The backward passes and Adam steps ``train_loop`` runs, in order."""
+    calls = []
+
+    def counting_backward(loss):
+        calls.append("backward")
+        return backward(loss)
+
+    adam_step = ParamTape.adam_step
+
+    def counting_adam_step(tape, learning_rate):
+        calls.append("adam_step")
+        return adam_step(tape, learning_rate)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    monkeypatch.setattr(ParamTape, "adam_step", counting_adam_step)
+    return calls
+
+
+@pytest.mark.parametrize("patience, stopped_early", [(3, True), (50, False)],
+                         ids=["early_stop", "max_epochs"])
+def test_train_loop_updates_after_every_epoch_but_the_last(
+        monkeypatch, patience, stopped_early):
+    """No later epoch reads the last epoch's update, and the best snapshot
+    replaces it, so the last epoch of either path runs no backward pass."""
+    tape = ParamTape()
+    tape.add("w", np.array([0.0]))
+    noise = np.where(np.arange(12) < 4, 0.0, 100.0)  # epoch 3 is the best
+    calls = counting_updates(monkeypatch)
+    result = train_loop(tape, quadratic_step(tape, noise),
+                        TaskConfig(learning_rate=0.1, max_epochs=12,
+                                   patience=patience))
+    assert result.stopped_early == stopped_early
+    assert len(result.history) == (4 + 3 if stopped_early else 12)
+    assert calls == ["backward", "adam_step"] * (len(result.history) - 1)
+    assert result.best_epoch == 3
+    np.testing.assert_array_equal(result.best_outputs, result.best_params["w"])
+    np.testing.assert_array_equal(tape["w"].value, result.best_params["w"])
+
+
+def test_one_epoch_scores_the_parameters_without_updating_them(monkeypatch):
+    tape = ParamTape()
+    tape.add("w", np.array([1.5]))
+    calls = counting_updates(monkeypatch)
+    result = train_loop(tape, quadratic_step(tape),
+                        TaskConfig(learning_rate=0.1, max_epochs=1))
+    assert calls == []
+    assert [r.val_loss for r in result.history] == [2.25]
+    assert result.best_val_loss == 2.25 and result.best_epoch == 0
+    np.testing.assert_array_equal(result.best_outputs, [1.5])
+    np.testing.assert_array_equal(tape["w"].value, [1.5])
