@@ -257,23 +257,16 @@ def mean(a):
 def bincount_rows(values, seg_ids, num_segments):
     """Plain-array segment sum: row k of ``values`` is added to row ``seg_ids[k]``.
 
-    From 8 columns up it runs one ``bincount`` over the flat index
-    ``seg_id * ncols + col`` (~2x faster than a loop at 16-64 columns);
-    narrower blocks, where that index costs more than it saves, take one
-    per column. Both sum in array order: deterministic and bitwise equal.
+    A 2-d block runs one ``bincount`` over the flat index
+    ``seg_id * ncols + col``, which sums in array order, as a
+    ``bincount`` per column would: deterministic and bitwise equal to it.
     """
     if values.ndim == 1:
         return np.bincount(seg_ids, weights=values, minlength=num_segments)
     ncols = values.shape[1]
-    if ncols >= 8:
-        flat = (seg_ids[:, None] * ncols + np.arange(ncols)).reshape(-1)
-        return np.bincount(flat, weights=values.reshape(-1),
-                           minlength=num_segments * ncols).reshape(num_segments, ncols)
-    out = np.empty((num_segments, ncols))
-    for k in range(ncols):
-        out[:, k] = np.bincount(seg_ids, weights=values[:, k],
-                                minlength=num_segments)
-    return out
+    flat = (seg_ids[:, None] * ncols + np.arange(ncols)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1),
+                       minlength=num_segments * ncols).reshape(num_segments, ncols)
 
 
 def gather_scale_sum(x, gather_idx, scale, seg_ids, num_segments):

@@ -3,9 +3,10 @@
 A tensor lives on a pattern: a :class:`~edgetensor.sparse_graph.SparseAdjacency`
 whose entries are its slots (the graph's edges plus the diagonal), with a
 (num_slots, p) block of values; ``p`` is read from the values. The pattern
-must be symmetric and store every diagonal entry. Both checks are cached on
-the pattern, so they run once per pattern however many tensors (new values,
-a mode product, a projection) are built on it.
+must store every diagonal entry, a check cached on the pattern, so it runs
+once per pattern however many tensors (new values, a mode product, a
+projection) are built on it. It is symmetric, as every pattern is: that is
+decided in :mod:`edgetensor.sparse_graph` alone.
 
 Mode-1/2 products against a sparse matrix are computed only for output
 slots on the pattern; everything the full dense product would create
@@ -44,10 +45,9 @@ class EdgeFeatureTensor:
     values: object
 
     def __post_init__(self):
-        # both checks are cached on the pattern: each runs once per pattern
+        # cached on the pattern: it runs once per pattern
         if not self.pattern.has_self_loops:
             raise ValueError("support must contain every diagonal slot")
-        self.pattern.transpose_permutation  # raises unless it is symmetric
         if isinstance(self.values, Var):
             shape = self.values.value.shape
         else:

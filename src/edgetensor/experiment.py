@@ -80,6 +80,8 @@ class ExperimentConfig:
         if unread:
             raise ValueError(f"{self.task} never reads {unread}; leave them "
                              "at their defaults")
+        if self.train_per_class is not None and self.train_fraction is not None:
+            raise ValueError("set train_per_class or train_fraction, not both")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         # the learning rate and epoch settings follow TaskConfig's rules
@@ -160,7 +162,16 @@ def _load_data(config):
 
 
 def _node_splits(config, labels, splits_from_file):
+    """The dataset's own splits, which leave every split setting unread,
+    or a split drawn by the config's settings."""
     if splits_from_file:
+        changed = [f.name for f in dataclasses.fields(config)
+                   if f.name in (*TASK_SETTINGS["node_class"], "split_seed")
+                   and getattr(config, f.name) != f.default]
+        if changed:
+            raise ValueError(f"the dataset carries its own splits, so it "
+                             f"never reads {changed}; leave them at their "
+                             "defaults")
         return splits_from_file
     train = (config.train_per_class if config.train_per_class is not None
              else config.train_fraction)
@@ -231,8 +242,13 @@ def _write_artifacts(config, record, runs):
 
 def evaluate_checkpoint(config, checkpoint_dir):
     """Metrics of saved parameters, without any training: one epoch, which
-    as the last updates nothing, scores them."""
+    as the last updates nothing, scores them. The checkpoint must have been
+    saved under ``config``: its manifest's ``config_hash`` is checked."""
     values, manifest = load_checkpoint(checkpoint_dir)
+    saved, expected = manifest.get("config_hash"), config.config_hash()
+    if saved != expected:
+        raise ValueError(f"checkpoint was saved under config hash {saved}, "
+                         f"not this config's {expected}")
     data, splits = _prepare_task(config)
     frozen = dataclasses.replace(config, max_epochs=1)
     return _run_one_seed(frozen, data, splits, manifest.get("seed", 0),

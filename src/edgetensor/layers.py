@@ -160,7 +160,7 @@ def attention_forward(h, a, head):
     scores = ad.leaky_relu(ad.add(ad.gather_rows(top, a.rows),
                                   ad.gather_rows(bottom, a.cols)))
     alpha = ad.segment_softmax(scores, a.rows, a.n)
-    return a.with_weights(alpha, symmetric=False)
+    return a.with_weights(alpha)
 
 
 def blend_edge_weights(a_tilde, alpha):
@@ -168,5 +168,4 @@ def blend_edge_weights(a_tilde, alpha):
     if not a_tilde.same_pattern(alpha):
         raise ValueError("blend requires identical supports")
     mixed = ad.scale(ad.add(a_tilde.weights, alpha.weights), 0.5)
-    return a_tilde.with_weights(
-        mixed, symmetric=a_tilde.symmetric and alpha.symmetric)
+    return a_tilde.with_weights(mixed)

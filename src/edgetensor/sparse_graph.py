@@ -5,6 +5,12 @@ Entries are stored in canonical (row, col) sorted order, so iteration and
 serialization are deterministic. All weights are float64. Matrices compare
 and hash by identity.
 
+Symmetry is decided here alone. The constructor refuses an asymmetric
+pattern or asymmetric weights, so every pattern is symmetric; a
+``with_weights`` copy's weights (attention, blends, the learned graph)
+need not be. :func:`renormalize`, the one function that needs symmetric
+weights and can be given a copy, checks them itself.
+
 A matrix's pattern is also the slot layout of the edge tensors built on it
 (see :mod:`edgetensor.edge_tensor`), and it owns their contraction plans:
 the pair is built on first use by one walk over the slots (x, y) with
@@ -56,16 +62,16 @@ class SparseAdjacency:
 
     Any weights on a pattern: the raw adjacency A, its renormalized form,
     attention weights, the learned graph. The constructor takes plain
-    arrays; :meth:`with_weights` copies the validated pattern (the cached
-    pattern properties computed so far are shared) with new weights, which
-    may be an autodiff Var. Immutable.
+    arrays of an undirected graph; :meth:`with_weights` copies the
+    validated pattern (the cached pattern properties computed so far are
+    shared) with new weights, which may be asymmetric or an autodiff Var.
+    Immutable.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     weights: object  # plain float64 array, or a Var after with_weights
-    symmetric: bool = True
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -87,9 +93,11 @@ class SparseAdjacency:
         for name, arr in (("rows", rows), ("cols", cols), ("weights", weights)):
             object.__setattr__(self, name, arr)
         self._check_weights()
+        if not np.array_equal(weights, weights[self.transpose_permutation]):
+            raise ValueError("adjacency weights are not symmetric")
 
     def _check_weights(self):
-        """Shape for a Var; shape, finiteness and symmetry for plain weights."""
+        """Shape for a Var; shape and finiteness for plain weights."""
         plain = not isinstance(self.weights, ad.Var)
         if plain:
             object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
@@ -98,8 +106,6 @@ class SparseAdjacency:
             raise ValueError("rows, cols and weights must have equal length")
         if plain and not np.all(np.isfinite(w)):
             raise ValueError("adjacency weights must be finite")
-        if plain and self.symmetric and not np.array_equal(w, w[self.transpose_permutation]):
-            raise ValueError("symmetric flag set but entries are not symmetric")
 
     @classmethod
     def from_undirected_edges(cls, n, pairs, weights=None):
@@ -110,7 +116,7 @@ class SparseAdjacency:
         weights = np.asarray(weights, dtype=np.float64)
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        return cls(n, rows, cols, np.concatenate([weights, weights]), symmetric=True)
+        return cls(n, rows, cols, np.concatenate([weights, weights]))
 
     @property
     def nnz(self):
@@ -157,11 +163,11 @@ class SparseAdjacency:
         """(mode-1, mode-2) plans of an edge tensor on this pattern against
         a matrix on it, built on first use.
 
-        The pattern must be symmetric. One walk (``_plan_walk``) finds
-        each slot's wedges once and serves both modes: mode 2's
-        ``out_idx`` is mode 1's, and its ``slot_idx`` is mode 1's
-        ``adj_idx``. Raises ``ValueError`` if the pair could need more
-        than ``PLAN_BUDGET_BYTES``.
+        One walk (``_plan_walk``) over the symmetric pattern finds each
+        slot's wedges once and serves both modes: mode 2's ``out_idx`` is
+        mode 1's, and its ``slot_idx`` is mode 1's ``adj_idx``. Raises
+        ``ValueError`` if the pair could need more than
+        ``PLAN_BUDGET_BYTES``.
         """
         return _plan_walk(self)
 
@@ -177,9 +183,11 @@ class SparseAdjacency:
         """
         return renormalize(self)
 
-    def with_weights(self, weights, symmetric=None):
+    def with_weights(self, weights):
         """Same validated pattern, new (plain or Var) weights.
 
+        The weights are checked for shape and, when plain, finiteness;
+        not for symmetry, which only :func:`renormalize` needs and checks.
         The copy shares the pattern's cached properties computed so far,
         except ``renormalized``, which depends on the weights.
         """
@@ -189,8 +197,6 @@ class SparseAdjacency:
         twin.__dict__.update(self.__dict__)
         twin.__dict__.pop("renormalized", None)
         object.__setattr__(twin, "weights", weights)
-        object.__setattr__(twin, "symmetric",
-                           self.symmetric if symmetric is None else symmetric)
         twin._check_weights()
         return twin
 
@@ -369,13 +375,15 @@ def renormalize(adjacency):
 
     Returns D^{-1/2} (A + I) D^{-1/2} where D holds the row sums of A + I.
     Existing self-loops in A are summed with the injected identity. The
-    output support is support(A) union the diagonal.
+    output support is support(A) union the diagonal. A's weights must be
+    plain, symmetric and nonnegative, which a copy's may not be.
     """
-    if not adjacency.symmetric:
-        raise ValueError("renormalize requires a symmetric adjacency")
     if isinstance(adjacency.weights, ad.Var):
         raise ValueError("renormalize needs plain weights; use "
                          "renormalize_weights on a fixed pattern for a Var")
+    w = adjacency.weights
+    if not np.array_equal(w, w[adjacency.transpose_permutation]):
+        raise ValueError("renormalize requires symmetric weights")
     if np.any(adjacency.weights < 0):
         raise ValueError("adjacency weights must be nonnegative")
     n = adjacency.n

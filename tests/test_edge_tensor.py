@@ -39,13 +39,6 @@ def test_tensor_requires_diagonal():
         EdgeFeatureTensor.from_support_of(a, np.ones((2, 1)))
 
 
-def test_tensor_requires_symmetric_support():
-    # symmetric=False lets the adjacency hold the pattern; the tensor rejects it
-    a = SparseAdjacency(2, [0, 0, 1], [0, 1, 1], np.ones(3), symmetric=False)
-    with pytest.raises(ValueError, match="symmetric"):
-        EdgeFeatureTensor.from_support_of(a, np.ones((3, 1)))
-
-
 def test_mode_k_product_dense_matches_loop_oracle(rng):
     t = rng.standard_normal((4, 4, 3))
     a = rng.standard_normal((4, 4))
@@ -169,7 +162,7 @@ def test_propagate_gradients_match_finite_differences(rng):
                 lambda v: (product(t.with_values(v), a).values * coeff).sum())
             assert_grad_matches_finite_differences(
                 av.grad, a.weights,
-                lambda v: (product(t, a.with_weights(v, symmetric=False)).values
+                lambda v: (product(t, a.with_weights(v)).values
                            * coeff).sum())
 
         # make_pair's adjacency lists the tensor's slots in slot order, so
@@ -183,7 +176,7 @@ def test_propagate_gradients_match_finite_differences(rng):
         assert_grad_matches_finite_differences(
             leaf.grad, t.values,
             lambda v: (product(t.with_values(v),
-                               a.with_weights(v.sum(axis=1), symmetric=False)
+                               a.with_weights(v.sum(axis=1))
                                ).values * coeff).sum())
 
 
@@ -248,19 +241,21 @@ def test_propagate_rejects_adjacency_on_another_pattern(rng):
     t = EdgeFeatureTensor.from_support_of(
         SparseAdjacency(3, [0, 0, 1, 1, 2], [0, 1, 0, 1, 2], np.ones(5)),
         np.ones((5, 1)))
-    others = [
+    cases = [(t, a) for a in (
         SparseAdjacency(3, [0, 1, 2], [0, 1, 2], np.ones(3)),  # a strict sub-pattern
         SparseAdjacency.from_undirected_edges(3, [(1, 2)]),  # partly outside
         SparseAdjacency(4, np.arange(4), np.arange(4), np.ones(4)),  # another n
-        # another n whose keys i * n + j equal the tensor's
-        SparseAdjacency(4, [0, 0, 0, 1, 2], [0, 1, 3, 0, 0], np.ones(5),
-                        symmetric=False),
-    ]
-    assert np.array_equal(others[-1].keys, t.pattern.keys)
-    for a in others:
+    )]
+    # another n whose keys i * n + j equal the tensor's: among symmetric
+    # patterns up to n = 5, only the lone entry (0, 0) makes such a pair
+    one = SparseAdjacency(1, [0], [0], [1.0])
+    cases.append((EdgeFeatureTensor.from_support_of(one, np.ones((1, 1))),
+                  SparseAdjacency(2, [0], [0], [1.0])))
+    assert np.array_equal(cases[-1][1].keys, one.keys)
+    for s, a in cases:
         for product in (propagate_mode1, propagate_mode2):
             with pytest.raises(ValueError, match="tensor's pattern"):
-                product(t, a)
+                product(s, a)
 
 
 @settings(max_examples=30, deadline=None)
@@ -298,9 +293,10 @@ def plan_case(seed, n, kind):
             mask[rows, cols] = True
             mask[0, :] = mask[:, 0] = True
             rows, cols = np.nonzero(mask)
+    pattern = SparseAdjacency(n, rows, cols, np.ones(rows.size))
     weights = rng.random(rows.size) + 0.1
-    perm = SparseAdjacency(n, rows, cols, weights, symmetric=False).transpose_permutation
-    return SparseAdjacency(n, rows, cols, np.maximum(weights, weights[perm]))
+    return pattern.with_weights(
+        np.maximum(weights, weights[pattern.transpose_permutation]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -435,7 +431,7 @@ def test_propagate_values_allocates_no_triples_by_width_block():
         assert peak < block, f"mode {mode}: backward peak {peak} B >= block {block} B"
     w, h = Var(a.weights.copy()), Var(rng.standard_normal((a.n, p)))
     g = rng.standard_normal((a.n, p))
-    out = sparse_matmul(a.with_weights(w, symmetric=False), h)
+    out = sparse_matmul(a.with_weights(w), h)
     peak = _traced_peak(lambda: backward(out, seed=g))
     assert w.grad is not None and h.grad is not None
     block = a.nnz * p * 8

@@ -154,6 +154,32 @@ def test_config_rejects_task_settings_its_task_never_reads(task, field,
         quick_config(task=task, **{field: value})
 
 
+def test_config_refuses_train_per_class_with_train_fraction():
+    """The split would read train_per_class, and the fraction would change
+    only the config hash."""
+    quick_config(train_per_class=None, train_fraction=0.5)
+    with pytest.raises(ValueError, match="train_per_class or train_fraction, "
+                                         "not both"):
+        quick_config(train_fraction=0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("train_per_class", 5), ("train_fraction", 0.4), ("val_fraction", 0.1),
+    ("split_seed", 7),
+])
+def test_dataset_with_splits_refuses_changed_split_settings(tmp_path, capsys,
+                                                            field, value):
+    """A dataset's own splits leave every split setting unread, so a
+    changed one is refused once the dataset has loaded, before training."""
+    data_dir = str(tmp_path / "data")
+    assert main(["gen-sbm", "--blocks", "12,12", "--train-per-class", "3",
+                 "--out", data_dir]) == 0
+    capsys.readouterr()
+    config = ExperimentConfig(dataset=data_dir, **{field: value})
+    with pytest.raises(ValueError, match=rf"never reads \['{field}'\]"):
+        run_experiment(config)
+
+
 @pytest.mark.parametrize("field, value", [
     ("recipe", "subtract"), ("reduce_dim", 4), ("edge_hidden", [4, 1]),
     ("epsilon", 0.3), ("negative_mode", "abs"), ("blend_attention", True),
@@ -286,6 +312,23 @@ def test_evaluate_checkpoint_rejects_parameters_the_model_lacks(tmp_path):
     save_checkpoint(values, out / "stale", manifest)
     with pytest.raises(ValueError, match="reducer"):
         evaluate_checkpoint(config, str(out / "stale"))
+
+
+def test_evaluate_checkpoint_refuses_a_checkpoint_of_another_config(
+        tmp_path, capsys):
+    """A checkpoint saved under one config is not scored under another;
+    the error names both hashes. The CLI reports it as JSON."""
+    out = tmp_path / "out"
+    config = quick_config(seeds=[0], max_epochs=2, output_dir=str(out))
+    run_experiment(config)
+    other = dataclasses.replace(config, epsilon=0.9)
+    with pytest.raises(ValueError, match=f"{config.config_hash()}.*"
+                                         f"{other.config_hash()}"):
+        evaluate_checkpoint(other, str(out / "checkpoint"))
+    other.to_json(tmp_path / "other.json")
+    assert main(["eval", "--config", str(tmp_path / "other.json"),
+                 "--checkpoint", str(out / "checkpoint")]) == 1
+    assert other.config_hash() in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_format_mean_std_rendering():

@@ -1,4 +1,5 @@
-"""Every imported name in the library, its tests and its demos is read."""
+"""Every imported name in the library, its tests, its demos and its
+benchmark harness is read."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(p for d in ("src", "tests", "demos")
+SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
 
 

@@ -88,7 +88,7 @@ def test_sparse_matmul_bitwise_equal_to_composition(width, rng):
     results = []
     for op in (sparse_matmul, composed_sparse_matmul):
         w, hv = Var(a.weights.copy()), Var(h.copy())
-        out = op(a.with_weights(w, symmetric=False), hv)
+        out = op(a.with_weights(w), hv)
         backward(out, seed=g)
         results.append((out.value, w.grad, hv.grad))
     (out, grad_w, grad_h), (want_out, want_w, want_h) = results

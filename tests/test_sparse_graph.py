@@ -21,18 +21,21 @@ def test_entries_sorted_canonically():
 
 def test_duplicate_entry_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        SparseAdjacency(3, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 1.0],
-                        symmetric=False)
+        SparseAdjacency(3, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 1.0])
 
 
-def test_asymmetric_values_rejected_when_flagged():
-    with pytest.raises(ValueError, match="symmetric"):
+def test_constructor_refuses_asymmetric_weights_and_patterns():
+    """The constructor builds an undirected graph, so no edge tensor can
+    lie on an asymmetric pattern."""
+    with pytest.raises(ValueError, match="weights are not symmetric"):
         SparseAdjacency(2, [0, 1], [1, 0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="pattern is not symmetric"):
+        SparseAdjacency(2, [0, 0, 1], [0, 1, 1], np.ones(3))
 
 
 def test_out_of_range_index_rejected():
     with pytest.raises(ValueError, match="out of range"):
-        SparseAdjacency(2, [0], [5], [1.0], symmetric=False)
+        SparseAdjacency(2, [0], [5], [1.0])
 
 
 def test_index_of_and_transpose_permutation():
@@ -53,7 +56,6 @@ def test_with_weights_shares_the_validated_pattern():
         assert np.array_equal(ad.value(b.weights), ad.value(w))
         assert b.rows is a.rows and b.cols is a.cols and b.plans is plans
         assert b.transpose_permutation is perm and b.same_pattern(a)
-    assert not a.with_weights(np.arange(float(a.nnz)), symmetric=False).symmetric
     assert np.array_equal(a.weights, before)
 
 
@@ -61,12 +63,12 @@ def test_with_weights_checks_plain_weights_only():
     a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="finite"):
         a.with_weights(np.array([1.0, np.inf, np.inf, 1.0]))
-    with pytest.raises(ValueError, match="symmetric"):
-        a.with_weights(np.arange(4.0))
     with pytest.raises(ValueError, match="equal length"):
         a.with_weights(np.ones(3))
     with pytest.raises(ValueError, match="equal length"):
         a.with_weights(Var(np.ones(3)))
+    # plain weights are not checked for symmetry: attention is asymmetric
+    assert a.with_weights(np.arange(4.0)).weights.tolist() == [0.0, 1.0, 2.0, 3.0]
     # a Var is checked for shape only: the values are a traced forward's
     a.with_weights(Var(np.array([1.0, np.inf, 2.0, 3.0])))
 
@@ -158,6 +160,13 @@ def test_renormalize_rejects_traced_weights():
         renormalize(a.with_weights(Var(np.ones(a.nnz))))
 
 
+def test_renormalize_rejects_an_asymmetric_copy():
+    """``with_weights`` does not check symmetry; renormalize does."""
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="requires symmetric weights"):
+        renormalize(a.with_weights(np.array([1.0, 2.0, 1.0, 1.0])))
+
+
 def test_renormalized_is_computed_once_and_kept():
     a = SparseAdjacency.from_undirected_edges(4, [(0, 1), (1, 3), (2, 3)])
     r = a.renormalized
@@ -178,7 +187,7 @@ def test_with_weights_twin_renormalizes_its_own_weights():
 
 @pytest.mark.parametrize("bad, message", [
     (lambda a: a.with_weights(Var(np.ones(a.nnz))), "plain weights"),
-    (lambda a: a.with_weights(a.weights, symmetric=False), "symmetric"),
+    (lambda a: a.with_weights(np.arange(float(a.nnz))), "symmetric weights"),
     (lambda a: SparseAdjacency(2, [0, 1], [1, 0], [-1.0, -1.0]),
      "nonnegative"),
 ], ids=["var_twin", "asymmetric_twin", "negative"])
