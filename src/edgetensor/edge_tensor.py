@@ -107,17 +107,14 @@ def mode_k_product_dense(tensor, matrix, k):
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     matrix = np.asarray(matrix, dtype=np.float64)
+    if k not in (1, 2, 3):
+        raise ValueError("k must be 1, 2 or 3")
     if tensor.ndim != 3:
         raise ValueError("tensor must be 3-way")
     if matrix.ndim != 2 or matrix.shape[1] != tensor.shape[k - 1]:
         raise ValueError("matrix columns must match tensor dimension k")
-    if k == 1:
-        return np.einsum("abc,ja->jbc", tensor, matrix)
-    if k == 2:
-        return np.einsum("abc,jb->ajc", tensor, matrix)
-    if k == 3:
-        return np.einsum("abc,jc->abj", tensor, matrix)
-    raise ValueError("k must be 1, 2 or 3")
+    subscripts = ("abc,ja->jbc", "abc,jb->ajc", "abc,jc->abj")[k - 1]
+    return np.einsum(subscripts, tensor, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -198,4 +195,4 @@ def axpy(s1, s2, epsilon):
     """Slotwise s1 + epsilon * s2 on identical supports."""
     if s1.p != s2.p or not s1.pattern.same_pattern(s2.pattern):
         raise ValueError("axpy requires identical supports and feature dims")
-    return s1.with_values(ad.add(s1.values, ad.scale(s2.values, epsilon)))
+    return s1.with_values(ad.add(s1.values, ad.mul(s2.values, epsilon)))

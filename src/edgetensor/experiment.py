@@ -107,7 +107,12 @@ class ExperimentConfig:
         return d
 
     def config_hash(self):
-        blob = json.dumps(self.semantic_dict(), sort_keys=True)
+        """Hash of :meth:`semantic_dict`, with the dataset keyed by its
+        resolved path, so every spelling of one directory hashes alike."""
+        semantics = self.semantic_dict()
+        if self.dataset is not None:
+            semantics["dataset"] = os.path.realpath(self.dataset)
+        blob = json.dumps(semantics, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def to_json(self, path):

@@ -13,16 +13,21 @@ from .params import ParamTape
 from .training import bce_from_scores, cross_entropy_masked
 
 
-def finite_difference_check(tape, loss_fn, step=1e-5, rel_tol=1e-4,
-                            abs_floor=1e-7):
+# central-difference step, and a coordinate's pass rule (see below)
+FD_STEP = 1e-5
+FD_REL_TOL = 1e-4
+FD_ABS_FLOOR = 1e-7
+
+
+def finite_difference_check(tape, loss_fn):
     """Compare every parameter gradient against central differences.
 
     ``loss_fn()`` must rebuild the traced forward pass from the tape's
     current parameter values and return a scalar Var. A coordinate passes
-    when |g - fd| <= abs_floor or the relative error is within rel_tol.
-    Returns (ok, report) where report maps parameter name to its worst
-    relative error over the coordinates where max(|g|, |fd|) or |g - fd|
-    exceeds abs_floor.
+    when |g - fd| <= FD_ABS_FLOOR or the relative error is within
+    FD_REL_TOL. Returns (ok, report) where report maps parameter name to
+    its worst relative error over the coordinates where max(|g|, |fd|) or
+    |g - fd| exceeds FD_ABS_FLOOR.
     """
     tape.zero_grad()
     backward(loss_fn())
@@ -39,18 +44,18 @@ def finite_difference_check(tape, loss_fn, step=1e-5, rel_tol=1e-4,
         grad = analytic[name].reshape(-1)
         for k in range(flat.size):
             original = flat[k]
-            flat[k] = original + step
+            flat[k] = original + FD_STEP
             hi = float(loss_fn().value)
-            flat[k] = original - step
+            flat[k] = original - FD_STEP
             lo = float(loss_fn().value)
             flat[k] = original
-            fd = (hi - lo) / (2.0 * step)
+            fd = (hi - lo) / (2.0 * FD_STEP)
             diff = abs(grad[k] - fd)
             scale = max(abs(grad[k]), abs(fd))
-            if max(scale, diff) > abs_floor:
+            if max(scale, diff) > FD_ABS_FLOOR:
                 rel = diff / scale
                 worst = max(worst, rel)
-                ok = ok and not (diff > abs_floor and rel > rel_tol)
+                ok = ok and not (diff > FD_ABS_FLOOR and rel > FD_REL_TOL)
         report[name] = worst
     return ok, report
 
@@ -75,8 +80,7 @@ def _tiny_model(model_kind, seed, n_per_block, activation, recipe,
 
 
 def model_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
-                    activation="identity", recipe="concat",
-                    **check_kwargs):
+                    activation="identity", recipe="concat"):
     """Finite-difference suite for a full model on a tiny synthetic graph.
 
     Uses identity activations by default so ReLU kinks cannot spoil the
@@ -92,11 +96,10 @@ def model_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
         z = etgnn_forward(model, ctx).z
         return cross_entropy_masked(z, graph.labels, splits["train"])
 
-    return finite_difference_check(tape, loss_fn, **check_kwargs)
+    return finite_difference_check(tape, loss_fn)
 
 
-def link_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
-                   **check_kwargs):
+def link_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5):
     """:func:`model_gradcheck` for the link-prediction loss.
 
     The model embeds nodes with an identity output layer, as
@@ -121,4 +124,4 @@ def link_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
         z = etgnn_forward(model, ctx).z
         return bce_from_scores(link_scores(z, pos), link_scores(z, neg))
 
-    return finite_difference_check(tape, loss_fn, **check_kwargs)
+    return finite_difference_check(tape, loss_fn)

@@ -167,5 +167,5 @@ def blend_edge_weights(a_tilde, alpha):
     """Entrywise average (A_tilde + alpha) / 2 on identical supports."""
     if not a_tilde.same_pattern(alpha):
         raise ValueError("blend requires identical supports")
-    mixed = ad.scale(ad.add(a_tilde.weights, alpha.weights), 0.5)
+    mixed = ad.mul(ad.add(a_tilde.weights, alpha.weights), 0.5)
     return a_tilde.with_weights(mixed)

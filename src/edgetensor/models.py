@@ -250,7 +250,7 @@ def etgnn_forward(model, ctx, h=None):
         s = tpgc_forward(s, prop, layer)
 
     raw = ad.reshape(s.values, (-1,))
-    sym = ad.scale(ad.add(raw, ad.gather_rows(raw, s.pattern.transpose_permutation)), 0.5)
+    sym = ad.mul(ad.add(raw, ad.gather_rows(raw, s.pattern.transpose_permutation)), 0.5)
     clamped = ad.relu(sym) if model.negative_mode == "clamp" else ad.absolute(sym)
     norm = renormalize_weights(pattern.rows, pattern.cols, pattern.n, clamped)
     learned = pattern.with_weights(norm)

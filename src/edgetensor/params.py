@@ -8,7 +8,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .autodiff import Parameter
+from .autodiff import Var
+
+
+# Adam's moment decays and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NonFiniteGradient(RuntimeError):
@@ -41,7 +47,7 @@ class ParamTape:
     def add(self, name, value):
         if name in self.params:
             raise ValueError(f"parameter {name!r} already registered")
-        p = Parameter(np.array(value, dtype=np.float64), name)
+        p = Var(np.array(value, dtype=np.float64), name=name)
         self.params[name] = p
         self._m[name] = np.zeros_like(p.value)
         self._v[name] = np.zeros_like(p.value)
@@ -57,7 +63,7 @@ class ParamTape:
         for p in self.params.values():
             p.grad = None
 
-    def adam_step(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def adam_step(self, learning_rate):
         """Standard bias-corrected Adam update; gradients are zeroed after."""
         self.step_count += 1
         t = self.step_count
@@ -67,13 +73,13 @@ class ParamTape:
                 raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1 ** t)
-            v_hat = v / (1.0 - beta2 ** t)
-            p.value -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            p.value -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         self.zero_grad()
 
     def snapshot(self):

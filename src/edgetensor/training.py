@@ -30,11 +30,17 @@ def cross_entropy_masked(predictions, labels, mask):
     mask = np.asarray(mask, dtype=np.intp)
     if mask.size == 0:
         raise ValueError("empty mask")
-    labels = np.asarray(labels, dtype=np.intp)
-    if np.any(labels[mask] < 0):
+    picked_labels = np.asarray(labels, dtype=np.intp)[mask]
+    if np.any(picked_labels < 0):
         raise ValueError("mask selects an unlabeled node")
-    picked = ad.take_elems(predictions, mask, labels[mask])
-    return ad.neg(ad.mean(ad.log(ad.floor_at(picked, PROB_FLOOR))))
+    width = ad.value(predictions).shape[1]
+    if np.any(picked_labels >= width):
+        raise ValueError(f"mask selects a label outside the {width} "
+                         "prediction columns")
+    # one flat gather: row mask[k], column picked_labels[k]
+    picked = ad.gather_rows(ad.reshape(predictions, (-1,)),
+                            mask * width + picked_labels)
+    return ad.mul(ad.mean(ad.log(ad.floor_at(picked, PROB_FLOOR))), -1.0)
 
 
 def bce_from_scores(pos_scores, neg_scores):
@@ -44,9 +50,9 @@ def bce_from_scores(pos_scores, neg_scores):
     """
     total = ad.value(pos_scores).size + ad.value(neg_scores).size
     log_pos = ad.total(ad.log(ad.floor_at(pos_scores, PROB_FLOOR)))
-    log_neg = ad.total(ad.log(ad.floor_at(
-        ad.add_const(ad.neg(neg_scores), 1.0), PROB_FLOOR)))
-    return ad.scale(ad.add(log_pos, log_neg), -1.0 / total)
+    log_neg = ad.total(ad.log(ad.floor_at(ad.sub(1.0, neg_scores),
+                                          PROB_FLOOR)))
+    return ad.mul(ad.add(log_pos, log_neg), -1.0 / total)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from edgetensor.autodiff import value
 from edgetensor.edge_tensor import EdgeFeatureTensor, project_mode3
 from edgetensor.layers import gc_forward
 from edgetensor.sparse_graph import SparseAdjacency
+from edgetensor.training import PROB_FLOOR
 
 
 def random_support(n, rng, density=0.3):
@@ -128,6 +129,52 @@ def column_order_link_scores(z, pairs, g):
             first[i[k], q] += z[j[k], q] * d[k]
             second[j[k], q] += z[i[k], q] * d[k]
     return scores, first + second
+
+
+def _floored(p):
+    """``p`` floored at PROB_FLOOR, and 1.0 where p is above the floor, else
+    0.0: the floor's subgradient."""
+    return (p, 1.0) if p > PROB_FLOOR else (PROB_FLOOR, 0.0)
+
+
+def loop_cross_entropy(pred, labels, mask):
+    """Masked cross-entropy and its ``pred`` gradient by explicit loops.
+
+    The log-probabilities are added one at a time, left to right, as
+    ``np.sum`` adds fewer than 8 terms; the mean scales by 1 / |mask| and
+    the negation multiplies by -1. Each masked node adds its term's
+    gradient to its (node, label) entry in mask order, so a repeated node
+    adds twice. Returns ``(loss, grad)``.
+    """
+    acc = 0.0
+    for i in mask:
+        acc += np.log(_floored(pred[i, labels[i]])[0])
+    d = -1.0 * (1.0 / len(mask))
+    grad = np.zeros_like(pred)
+    for i in mask:
+        p, through = _floored(pred[i, labels[i]])
+        grad[i, labels[i]] += d / p * through
+    return acc * (1.0 / len(mask)) * -1.0, grad
+
+
+def loop_bce(pos, neg):
+    """BCE on scores and its two gradients by explicit loops.
+
+    Sums run left to right, as in :func:`loop_cross_entropy`; a negative
+    score s enters as 1.0 - s. Returns ``(loss, grad_pos, grad_neg)``.
+    """
+    c = -1.0 / (len(pos) + len(neg))
+    log_pos = log_neg = 0.0
+    grad_pos, grad_neg = np.zeros_like(pos), np.zeros_like(neg)
+    for k, s in enumerate(pos):
+        p, through = _floored(s)
+        log_pos += np.log(p)
+        grad_pos[k] = c / p * through
+    for k, s in enumerate(neg):
+        p, through = _floored(1.0 - s)
+        log_neg += np.log(p)
+        grad_neg[k] = -(c / p * through)
+    return (log_pos + log_neg) * c, grad_pos, grad_neg
 
 
 def composed_link_scores(z, pairs):

@@ -196,6 +196,19 @@ def test_splits_parse_and_errors(tmp_path):
     path.write_text("#train\n7\n")
     with pytest.raises(ValueError, match="2: node index out of range"):
         load_splits(path, 5)
+    path.write_text("#train\n\n0 x\n")
+    with pytest.raises(ValueError, match="3: malformed node id"):
+        load_splits(path, 5)
+
+
+def test_feature_matrix_errors(tmp_path):
+    path = tmp_path / "features.txt"
+    path.write_text("1 2\n3 nan?\n")
+    with pytest.raises(ValueError, match="2: malformed number"):
+        datasets.load_matrix(path)
+    path.write_text("# only a comment\n\n")
+    with pytest.raises(ValueError, match="empty feature file"):
+        datasets.load_matrix(path)
 
 
 def test_missing_edge_files_reported(tmp_path):

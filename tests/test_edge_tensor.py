@@ -73,6 +73,23 @@ def test_propagate_mode2_matches_masked_dense_oracle(rng):
         np.testing.assert_allclose(tensor_to_dense(out), expected, atol=1e-12)
 
 
+def test_mode_k_product_dense_rejects_bad_operands():
+    cube = np.ones((2, 3, 4))
+    with pytest.raises(ValueError, match="3-way"):
+        mode_k_product_dense(np.ones((2, 2)), np.ones((2, 2)), 1)
+    with pytest.raises(ValueError, match="columns must match"):
+        mode_k_product_dense(cube, np.ones((4, 3)), 3)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="k must be 1, 2 or 3"):
+            mode_k_product_dense(cube, np.ones((4, 4)), k)
+
+
+def test_project_mode3_rejects_a_weight_of_another_height(rng):
+    t = random_edge_tensor(5, 3, rng)
+    with pytest.raises(ValueError, match="projection rows"):
+        project_mode3(t, np.ones((2, 2)))
+
+
 def test_project_mode3_matches_oracle(rng):
     t = random_edge_tensor(6, 4, rng)
     w = rng.standard_normal((4, 2))

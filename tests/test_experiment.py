@@ -210,12 +210,55 @@ def test_config_model_defaults_are_build_models():
         assert defaults[name] == expected, name
 
 
+def test_node_class_without_a_train_setting_is_refused():
+    """A dataset without its own splits needs a train setting to draw them."""
+    with pytest.raises(ValueError, match="set train_per_class or "
+                                         "train_fraction"):
+        run_experiment(quick_config(train_per_class=None))
+
+
 def test_config_hash_tracks_semantics(tmp_path):
     c1 = quick_config()
     c2 = quick_config(output_dir=str(tmp_path))  # presentation only
     c3 = quick_config(epsilon=0.3)
     assert c1.config_hash() == c2.config_hash()
     assert c1.config_hash() != c3.config_hash()
+
+
+def dataset_spellings(tmp_path, monkeypatch):
+    """One saved dataset named three ways from the working directory
+    ``tmp_path``: bare, dot-prefixed and absolute."""
+    save_dataset(sbm_generate(**SBM), tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    return ["data", "./data", str(tmp_path / "data")]
+
+
+def test_config_hash_keys_the_dataset_by_its_resolved_path(tmp_path,
+                                                           monkeypatch):
+    configs = [quick_config(dataset=path, synthetic=None)
+               for path in dataset_spellings(tmp_path, monkeypatch)]
+    assert len({c.config_hash() for c in configs}) == 1
+    # the config keeps the path as written
+    assert [c.semantic_dict()["dataset"] for c in configs] == [
+        c.dataset for c in configs]
+
+
+def test_eval_accepts_a_checkpoint_across_dataset_spellings(tmp_path,
+                                                            monkeypatch):
+    bare, dotted, absolute = dataset_spellings(tmp_path, monkeypatch)
+    config = quick_config(dataset=bare, synthetic=None, seeds=[0],
+                          max_epochs=2, output_dir="out")
+    record = run_experiment(config)
+    with open(tmp_path / "out" / "config.json") as fh:
+        assert json.load(fh)["dataset"] == bare
+    for path in (dotted, absolute):
+        other = dataclasses.replace(config, dataset=path)
+        other.to_json(tmp_path / "other.json")
+        assert main(["eval", "--config", "other.json",
+                     "--checkpoint", "out/checkpoint"]) == 0
+        metrics = evaluate_checkpoint(other, "out/checkpoint")
+        assert metrics["test_accuracy"] == pytest.approx(
+            record.per_seed[0]["test_accuracy"])
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3])
@@ -570,6 +613,38 @@ def test_cli_gradcheck_passes_block_size_through(monkeypatch):
     assert main(["gradcheck", "--models", "et_gcn"]) == 0
     assert [kw["n_per_block"] for kw in seen] == [8, 8, 5, 5]
     assert [kw["recipe"] for kw in seen] == ["concat", "subtract"] * 2
+
+
+def test_cli_gradcheck_fails_on_a_wrong_gradient(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "model_gradcheck",
+                        lambda **kwargs: (False, {"edge_0": 0.5}))
+    monkeypatch.setattr(cli, "link_gradcheck",
+                        lambda **kwargs: (True, {"edge_0": 0.0}))
+    assert main(["gradcheck", "--models", "et_gcn"]) == 1
+    captured = capsys.readouterr()
+    assert "gradcheck FAILED (worst 5.000e-01)" in captured.out
+    assert json.loads(captured.err) == {"error": "gradient check failed",
+                                        "type": "RuntimeError"}
+
+
+def test_cli_train_config_file_and_its_output_override(tmp_path,
+                                                       monkeypatch):
+    """``--config`` gives the whole config; ``--output`` alone may replace
+    its output directory."""
+    seen = []
+
+    def spy(config):
+        seen.append(config)
+        return ResultRecord("spy", config.config_hash(), [], {})
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    config = quick_config(output_dir=str(tmp_path / "out"))
+    config.to_json(tmp_path / "config.json")
+    path = str(tmp_path / "config.json")
+    assert main(["train", "--config", path]) == 0
+    assert main(["train", "--config", path, "--output", "elsewhere"]) == 0
+    assert seen == [config, dataclasses.replace(config,
+                                                output_dir="elsewhere")]
 
 
 def test_cli_gradcheck_covers_every_recipe(capsys):

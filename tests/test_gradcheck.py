@@ -34,7 +34,7 @@ def test_detects_wrong_gradient():
 
     def loss_fn():
         # value of sum(w^2) but a graph whose gradient is only w, not 2w
-        wrong = ad.scale(ad.mul(w, Var(w.value.copy())), 1.0)
+        wrong = ad.mul(ad.mul(w, Var(w.value.copy())), 1.0)
         return ad.total(wrong)
 
     ok, report = finite_difference_check(tape, loss_fn)

@@ -1,5 +1,6 @@
 """Every imported name in the library, its tests, its demos and its
-benchmark harness is read."""
+benchmark harness is read, and every public name of the library is
+referenced in the library."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
+PACKAGE = ROOT / "src" / "edgetensor"
+# public names no library module references, each with why it stays
+UNREFERENCED_ALLOWED = {
+    # the dense oracle every sparse product is checked against
+    ("edge_tensor", "mode_k_product_dense"),
+    # entry points of the benchmark's multi-graph workload, until it calls
+    # run_node_classification on LabeledGraph.from_views itself
+    ("models", "prepare_multigraph"),
+    ("tasks", "run_multigraph_classification"),
+}
 
 
 def unused_imports(source):
@@ -43,3 +54,59 @@ def test_the_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os, json as j\nfrom a.b import c, d\nprint(os, d)\n")
     assert unused_imports(source) == [(2, "j"), (3, "c")]
+
+
+def unreferenced_names(sources):
+    """(module, name) of each public module-level name that no module of
+    ``sources`` (module name -> source) references, by name or attribute.
+
+    The package ``__init__`` re-exports names without using them, so its
+    references do not count; its names and ``cli``'s are the entry points
+    and are not checked.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = []
+    for module, tree in sorted(trees.items()):
+        if module in ("__init__", "cli"):
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            unreferenced += [(module, name) for name in names
+                             if not name.startswith("_")
+                             and name not in referenced]
+    return unreferenced
+
+
+def test_every_public_library_name_is_referenced_in_the_library():
+    """A name only tests use is not part of the library."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert set(unreferenced_names(sources)) == UNREFERENCED_ALLOWED
+
+
+def test_the_scan_finds_an_unreferenced_name():
+    sources = {"__init__": "from .a import lone\n",
+               "cli": "from .a import by_cli\n",
+               "a": ("LIMIT = 3\n_private = 1\n"
+                     "def lone():\n    pass\n"
+                     "def by_cli():\n    pass\n"
+                     "class Used:\n    pass\n"),
+               "b": "from . import a\nprint(a.LIMIT, a.Used)\n"}
+    assert unreferenced_names(sources) == [("a", "lone")]

@@ -161,6 +161,12 @@ def test_edge_layer_rejects_negative_epsilon():
         EdgeConvLayer(np.ones((2, 1)), epsilon=-0.1)
 
 
+def test_edge_layer_rejects_an_unknown_activation():
+    # softmax is a node activation only
+    with pytest.raises(ValueError, match="unknown activation 'softmax'"):
+        EdgeConvLayer(np.ones((2, 1)), activation="softmax")
+
+
 def test_tpgat_uses_attention_weights(rng):
     t, a = random_pair(6, 2, rng)
     h = rng.standard_normal((6, 3))
@@ -257,6 +263,13 @@ def test_blend_edge_weights_is_average(rng):
     blend = blend_edge_weights(a, alpha)
     np.testing.assert_allclose(blend.weights,
                                0.5 * (a.weights + alpha.weights), atol=1e-15)
+
+
+def test_blend_edge_weights_rejects_another_support():
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
+    b = SparseAdjacency.from_undirected_edges(3, [(1, 2)])
+    with pytest.raises(ValueError, match="identical supports"):
+        blend_edge_weights(a, b)
 
 
 def test_traced_forward_matches_plain(rng):

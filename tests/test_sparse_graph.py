@@ -34,8 +34,16 @@ def test_constructor_refuses_asymmetric_weights_and_patterns():
 
 
 def test_out_of_range_index_rejected():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="col index out of range"):
         SparseAdjacency(2, [0], [5], [1.0])
+    for row in (-1, 2):
+        with pytest.raises(ValueError, match="row index out of range"):
+            SparseAdjacency(2, [row], [0], [1.0])
+
+
+def test_index_arrays_of_different_lengths_rejected():
+    with pytest.raises(ValueError, match="equal length"):
+        SparseAdjacency(2, [0, 1], [1], [1.0, 1.0])
 
 
 def test_index_of_and_transpose_permutation():
@@ -244,6 +252,15 @@ def test_labeled_graph_split_overlap_rejected():
     with pytest.raises(ValueError, match="overlap"):
         LabeledGraph(a, np.zeros((3, 2)), [0, 1, -1],
                      {"train": [0, 1], "val": [1]})
+
+
+def test_labeled_graph_rejects_features_or_labels_not_per_node():
+    a = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
+    with pytest.raises(ValueError, match="feature row count"):
+        LabeledGraph(a, np.zeros((2, 2)), [0, 1, 0])
+    for labels in ([0, 1], [[0, 1, 0]]):
+        with pytest.raises(ValueError, match="length-n vector"):
+            LabeledGraph(a, np.zeros((3, 2)), labels)
 
 
 def test_labeled_graph_num_classes():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import loop_bce, loop_cross_entropy
 from edgetensor import autodiff as ad
 from edgetensor import training
 from edgetensor.autodiff import Var, backward
@@ -33,6 +34,50 @@ def test_cross_entropy_matches_loop_oracle(rng):
     expected = -np.mean([np.log(pred[i, labels[i]]) for i in mask])
     loss = cross_entropy_masked(pred, labels, mask)
     assert loss == pytest.approx(expected, abs=1e-12)
+
+
+def bits(x):
+    """The bytes of ``x`` as float64, so -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# Rounding shows a change of summation order in only some draws, so each
+# oracle test checks many.
+ORACLE_DRAWS = 30
+
+
+@pytest.mark.parametrize("mask", [[0, 2, 5], [3, 1, 3, 3, 0, 1, 4]],
+                         ids=["distinct", "repeated"])
+def test_cross_entropy_bitwise_equal_to_loop_oracle(mask, rng):
+    for _ in range(ORACLE_DRAWS):
+        pred = rng.random((6, 3))
+        pred[1, :] = 0.0  # node 1's term sits on the probability floor
+        labels = rng.integers(0, 3, size=6)
+        p = Var(pred.copy())
+        loss = cross_entropy_masked(p, labels, mask)
+        backward(loss)
+        want_loss, want_grad = loop_cross_entropy(pred, labels, mask)
+        assert bits(loss.value) == bits(want_loss)
+        assert bits(p.grad) == bits(want_grad)
+
+
+def test_bce_bitwise_equal_to_loop_oracle(rng):
+    for _ in range(ORACLE_DRAWS):
+        # 7 scores, so the 1/7 scale rounds; the last of each is floored
+        pos = np.append(rng.random(3), 0.0)
+        neg = np.append(rng.random(2), 1.0)
+        p, q = Var(pos.copy()), Var(neg.copy())
+        loss = bce_from_scores(p, q)
+        backward(loss)
+        want_loss, want_pos, want_neg = loop_bce(pos, neg)
+        assert bits(loss.value) == bits(want_loss)
+        assert bits(p.grad) == bits(want_pos)
+        assert bits(q.grad) == bits(want_neg)
+
+
+def test_cross_entropy_label_beyond_the_columns_rejected():
+    with pytest.raises(ValueError, match="outside the 2 prediction columns"):
+        cross_entropy_masked(np.full((2, 2), 0.5), [0, 2], [0, 1])
 
 
 def test_cross_entropy_empty_mask_rejected():
@@ -87,7 +132,7 @@ def quadratic_step(tape, noise=None):
 
     def step(epoch):
         # rebuild the graph from the live parameter each epoch
-        diff = ad.add_const(p, -3.0)
+        diff = ad.add(p, -3.0)
         loss = ad.total(ad.mul(diff, diff))
         val = float(loss.value) if noise is None else float(loss.value) + noise[epoch]
         return loss, val, -val, {}, p.value.copy()
@@ -114,7 +159,7 @@ def test_train_loop_early_stops_on_plateau():
     # validation loss frozen at a constant: epoch 0 improves over inf,
     # then `patience` consecutive non-improving epochs trigger the stop
     def step(epoch):
-        diff = ad.add_const(tape["w"], -3.0)
+        diff = ad.add(tape["w"], -3.0)
         return ad.total(ad.mul(diff, diff)), 1.0, 0.0, {}, epoch
 
     result = train_loop(tape, step, TaskConfig(learning_rate=1e-4,
@@ -130,7 +175,7 @@ def test_train_loop_patience_zero_stops_at_first_stall():
     tape.add("w", np.array([0.0]))
 
     def step(epoch):
-        diff = ad.add_const(tape["w"], -3.0)
+        diff = ad.add(tape["w"], -3.0)
         return ad.total(ad.mul(diff, diff)), 1.0, 0.0, {}, None
 
     result = train_loop(tape, step, TaskConfig(learning_rate=1e-4,
@@ -143,7 +188,7 @@ def test_train_loop_raises_on_divergence():
     tape.add("w", np.array([0.0]))
 
     def step(epoch):
-        diff = ad.add_const(tape["w"], -3.0)
+        diff = ad.add(tape["w"], -3.0)
         loss = ad.total(ad.mul(diff, diff))
         val = np.nan if epoch == 3 else 1.0 / (epoch + 1)
         return loss, val, 0.0, {}, None
@@ -159,7 +204,7 @@ def test_train_loop_records_history_extras():
     tape.add("w", np.array([0.0]))
 
     def step(epoch):
-        diff = ad.add_const(tape["w"], -3.0)
+        diff = ad.add(tape["w"], -3.0)
         return (ad.total(ad.mul(diff, diff)), float(epoch), 0.5,
                 {"homophily": epoch * 0.1}, None)
 
@@ -176,7 +221,7 @@ def test_small_steps_decrease_smooth_loss():
     losses = []
 
     def step(epoch):
-        diff = ad.add_const(tape["w"], -3.0)
+        diff = ad.add(tape["w"], -3.0)
         loss = ad.total(ad.mul(diff, diff))
         losses.append(float(loss.value))
         return loss, float(loss.value), 0.0, {}, None
