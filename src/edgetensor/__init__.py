@@ -11,15 +11,13 @@ weighting, and node-classification and link-prediction tasks.
 from .autodiff import Var, backward
 from .edge_tensor import (EdgeFeatureTensor, axpy, mode_k_product_dense,
                           project_mode3, propagate_mode1, propagate_mode2)
-from .evaluation import (MetricReport, accuracy, auc_ap, homophily,
-                         link_split, split_nodes)
+from .evaluation import accuracy, auc_ap, homophily, link_split, split_nodes
 from .experiment import (ExperimentConfig, ResultRecord, report,
                          run_experiment)
 from .features import build_concat_features, build_subtract_features
 from .generators import sbm_generate
-from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
-                     attention_forward, blend_edge_weights, gc_forward,
-                     tpgc_forward)
+from .layers import (EdgeConvLayer, GraphConvLayer, attention_forward,
+                     blend_edge_weights, gc_forward, tpgc_forward)
 from .models import (EdgeTensorGnn, build_model, etgnn_forward, prepare,
                      prepare_multigraph)
 from .params import ParamTape, glorot_init

@@ -54,18 +54,16 @@ class Var:
     same shape as ``value``; an op's result keeps ``grad`` None.
     """
 
-    __slots__ = ("value", "grad", "_parents", "_vjps", "name")
+    __slots__ = ("value", "grad", "_parents", "_vjps")
 
-    def __init__(self, value, parents=(), vjps=(), name=None):
+    def __init__(self, value, parents=(), vjps=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
         self._vjps = vjps
-        self.name = name
 
     def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Var{tag}(shape={self.value.shape})"
+        return f"Var(shape={self.value.shape})"
 
 
 def value(x):
@@ -89,20 +87,17 @@ def _node(out, *pairs):
     return Var(out, parents, vjps)
 
 
-def backward(root, seed=None):
+def backward(root):
     """Accumulate d(root)/d(leaf) into ``leaf.grad`` for every leaf ancestor.
 
     A leaf is a Var with no parents. Intermediate nodes, ``root`` included
     unless it is a leaf, get no ``.grad``: each cotangent is dropped once
-    its node's vjps have run. ``seed`` defaults to ones (the usual choice
-    for a scalar loss). Existing ``.grad`` values are added to, so callers
-    must zero parameter gradients between steps.
+    its node's vjps have run. The root's cotangent is ones, as for a scalar
+    loss; to pull a cotangent ``g`` back through an output ``out``, run
+    ``backward(total(mul(out, g)))``, which hands ``out`` exactly ``g``.
+    Existing ``.grad`` values are added to, so callers must zero parameter
+    gradients between steps.
     """
-    if seed is None:
-        seed = np.ones_like(root.value)
-    else:
-        seed = np.asarray(seed, dtype=np.float64)
-
     # Iterative topological sort; recursion would overflow on deep nets.
     topo = []
     seen = set()
@@ -122,7 +117,7 @@ def backward(root, seed=None):
 
     # every node after the root is a parent of a node before it, so its
     # cotangent is pending by the time it is reached
-    pending = {id(root): seed}
+    pending = {id(root): np.ones_like(root.value)}
     for node in reversed(topo):
         g = pending.pop(id(node))
         if not node._parents:

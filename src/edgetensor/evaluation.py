@@ -10,18 +10,6 @@ from .autodiff import value
 from .sparse_graph import SparseAdjacency
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    auc: float = None
-    ap: float = None
-
-    def __post_init__(self):
-        for name in ("auc", "ap"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
 def accuracy(predictions, labels, idx):
     """Fraction of nodes in ``idx`` whose argmax prediction is correct."""
     predictions = value(predictions)
@@ -41,7 +29,8 @@ def _midranks(x):
 
 
 def auc_ap(scores, labels):
-    """Area under ROC (midrank statistic) and average precision.
+    """The pair (AUC, AP): area under ROC (midrank statistic) and average
+    precision, each a float in [0, 1].
 
     AP uses step interpolation at each positive: the mean, over positives,
     of the precision at that positive's rank when scores are sorted
@@ -63,7 +52,7 @@ def auc_ap(scores, labels):
     cum_hits = np.cumsum(hits)
     precision = cum_hits / np.arange(1, scores.size + 1)
     ap = precision[hits].mean()
-    return MetricReport(auc=float(auc), ap=float(ap))
+    return float(auc), float(ap)
 
 
 def homophily(adjacency, labels):

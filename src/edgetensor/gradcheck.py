@@ -60,9 +60,10 @@ def finite_difference_check(tape, loss_fn):
     return ok, report
 
 
-def _tiny_model(model_kind, seed, n_per_block, activation, recipe,
-                out_dim=None, **model_kwargs):
-    """(graph, ctx, tape, model) on a two-block SBM with small widths.
+def _tiny_model(model_kind, seed, n_per_block, recipe, out_dim=None,
+                **model_kwargs):
+    """(graph, ctx, tape, model) on a two-block SBM with small widths and
+    identity activations, so no ReLU kink can spoil a check.
 
     A kind that reads them gets ``reduce_dim=2`` and ``edge_hidden=(3, 1)``,
     so the first edge layer narrows under concat (4 -> 3) and widens under
@@ -75,21 +76,22 @@ def _tiny_model(model_kind, seed, n_per_block, activation, recipe,
     tape = ParamTape()
     model = build_model(tape, model_kind, ctx, out_dim or graph.num_classes,
                         recipe=recipe, gc_hidden=(4,), seed=seed,
-                        hidden_activation=activation, **small, **model_kwargs)
+                        hidden_activation="identity", **small, **model_kwargs)
     return graph, ctx, tape, model
 
 
 def model_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5,
-                    activation="identity", recipe="concat"):
+                    recipe="concat"):
     """Finite-difference suite for a full model on a tiny synthetic graph.
 
-    Uses identity activations by default so ReLU kinks cannot spoil the
-    check; pass ``activation="relu"`` to check at a random (almost surely
-    kink-free) operating point. ``recipe`` picks the edge recipe.
-    The loss is node classification's masked cross-entropy.
+    The model's hidden activations are identity, so ReLU kinks cannot
+    spoil the check; ``recipe`` picks the edge recipe. The loss is node
+    classification's masked cross-entropy. To check another model (ReLU
+    hiddens, say), pass its tape and loss to
+    :func:`finite_difference_check`.
     """
     graph, ctx, tape, model = _tiny_model(model_kind, seed, n_per_block,
-                                          activation, recipe)
+                                          recipe)
     splits = split_nodes(graph.labels, 2, 0.2, seed=seed + 2)
 
     def loss_fn():
@@ -106,12 +108,12 @@ def link_gradcheck(model_kind="et_gcn", seed=0, n_per_block=5):
     ``tasks.run_link_prediction`` builds it, and the loss is
     ``bce_from_scores`` over the ``link_scores`` of the graph's edges and
     of as many non-edges (fewer when the graph has fewer), sampled once.
-    Activations are identity and the recipe is concat: the check is of
-    the pair-score adjoint, which the recipe does not reach, and
-    :func:`model_gradcheck` already varies both.
+    The recipe is concat: the check is of the pair-score adjoint, which
+    the recipe does not reach, and :func:`model_gradcheck` already varies
+    it.
     """
     graph, ctx, tape, model = _tiny_model(model_kind, seed, n_per_block,
-                                          "identity", "concat", out_dim=4,
+                                          "concat", out_dim=4,
                                           final_activation="identity")
     a = graph.adjacency
     upper = a.rows < a.cols

@@ -64,17 +64,6 @@ class EdgeConvLayer:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass(frozen=True)
-class AttentionHead:
-    """Single-layer feedforward scorer on concatenated node-feature pairs.
-
-    ``theta`` splits into a top half that scores the row node and a bottom
-    half that scores the column node.
-    """
-
-    theta: object  # (2d,) array or Var
-
-
 def _activate(values, name):
     if name == "relu":
         return ad.relu(values)
@@ -140,21 +129,23 @@ def tpgc_forward(s, a, layer):
     return out.with_values(_activate(out.values, layer.activation))
 
 
-def attention_forward(h, a, head):
+def attention_forward(h, a, theta):
     """Per-edge attention, row-normalized over each node's stored neighbors.
 
     ``a`` supplies the pattern and must contain every self-loop slot
-    (pass the renormalized adjacency). Scores are
+    (pass the renormalized adjacency). ``theta`` is the (2d,) scoring
+    vector (an array or Var): its top half scores the row node and its
+    bottom half the column node. Scores are
     leaky_relu(theta . [H_i || H_j]) softmaxed within each row i, computed
-    at node level as (H theta_top)_i + (H theta_bot)_j. Returns the weights
-    on ``a``'s pattern (a Var when traced).
+    at node level as (H theta_top)_i + (H theta_bot)_j. Returns a copy of
+    ``a`` holding the weights (a Var when traced).
     """
     if not a.has_self_loops:
         raise ValueError("attention pattern must contain every self-loop")
     d = ad.value(h).shape[1]
-    if ad.value(head.theta).shape != (2 * d,):
+    if ad.value(theta).shape != (2 * d,):
         raise ValueError("theta length must be twice the feature dimension")
-    theta = ad.reshape(head.theta, (-1, 1))
+    theta = ad.reshape(theta, (-1, 1))
     top = ad.reshape(ad.matmul(h, ad.row_slice(theta, 0, d)), (-1,))
     bottom = ad.reshape(ad.matmul(h, ad.row_slice(theta, d, 2 * d)), (-1,))
     scores = ad.leaky_relu(ad.add(ad.gather_rows(top, a.rows),

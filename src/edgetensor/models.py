@@ -19,9 +19,9 @@ from . import autodiff as ad
 from .edge_tensor import EdgeFeatureTensor
 from .features import (RECIPE_KINDS, build_concat_features,
                        build_subtract_features)
-from .layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
-                     attention_forward, blend_edge_weights, gc_forward,
-                     tpgc_forward, tpgc_propagate)
+from .layers import (EdgeConvLayer, GraphConvLayer, attention_forward,
+                     blend_edge_weights, gc_forward, tpgc_forward,
+                     tpgc_propagate)
 from .sparse_graph import LabeledGraph, renormalize_weights
 
 MODEL_KINDS = ("et_gcn", "et_gat", "gcn_only")
@@ -33,15 +33,15 @@ class EdgeTensorGnn:
     """Layer stack and parameters; the forward branches on what is present.
 
     No ``edge_layers``: node layers only. No ``reducer``: the context's
-    stacked tensor is the edge input. No ``attention_head``: edges
-    propagate with ``a_tilde``.
+    stacked tensor is the edge input. No ``theta``: edges propagate with
+    ``a_tilde``.
     """
 
     recipe: str  # one of RECIPE_KINDS; None without a reducer
     reducer: GraphConvLayer
     edge_layers: list
     gc_layers: list
-    attention_head: AttentionHead
+    theta: object  # (2d,) attention vector (Var); None without attention
     negative_mode: str
     blend_attention: bool
 
@@ -176,12 +176,12 @@ def build_model(tape, kind, ctx, out_dim, *, recipe="concat", reduce_dim=8,
         w = tape.create(f"gc_{k}", (dims[k], dims[k + 1]), child_seed())
         gc_layers.append(GraphConvLayer(w, activation=act))
 
-    head = None
+    theta = None
     if kind == "et_gat" or blend_attention:
-        head = AttentionHead(tape.create("theta", (2 * d_in,), child_seed()))
+        theta = tape.create("theta", (2 * d_in,), child_seed())
 
     return EdgeTensorGnn(recipe if reducer is not None else None, reducer,
-                         edge_layers, gc_layers, head, negative_mode,
+                         edge_layers, gc_layers, theta, negative_mode,
                          blend_attention)
 
 
@@ -222,21 +222,21 @@ def _edge_input(model, ctx, h, prop):
 
 
 def _propagation_weights(model, ctx, h):
-    if model.attention_head is None:
+    if model.theta is None:
         return ctx.a_tilde
-    alpha = attention_forward(h, ctx.a_tilde, model.attention_head)
+    alpha = attention_forward(h, ctx.a_tilde, model.theta)
     if model.blend_attention:
         return blend_edge_weights(ctx.a_tilde, alpha)
     return alpha
 
 
-def etgnn_forward(model, ctx, h=None):
-    """Full forward pass; ``h`` defaults to the context's node features.
+def etgnn_forward(model, ctx):
+    """Full forward pass on the context's node features.
 
     Traced whenever the model parameters are Vars (they are, once built on
     a tape), so the result's ``z`` supports backpropagation.
     """
-    h = ctx.features if h is None else h
+    h = ctx.features
     pattern = ctx.a_tilde
     if not model.edge_layers:
         out = h

@@ -47,7 +47,7 @@ class ParamTape:
     def add(self, name, value):
         if name in self.params:
             raise ValueError(f"parameter {name!r} already registered")
-        p = Var(np.array(value, dtype=np.float64), name=name)
+        p = Var(np.array(value, dtype=np.float64))
         self.params[name] = p
         self._m[name] = np.zeros_like(p.value)
         self._v[name] = np.zeros_like(p.value)
@@ -56,21 +56,24 @@ class ParamTape:
     def create(self, name, shape, seed):
         return self.add(name, glorot_init(shape, seed))
 
-    def __getitem__(self, name):
-        return self.params[name]
-
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
     def adam_step(self, learning_rate):
-        """Standard bias-corrected Adam update; gradients are zeroed after."""
+        """Standard bias-corrected Adam update; gradients are zeroed after.
+
+        Every gradient is checked before any parameter moves, so a
+        non-finite one raises with values, moments and ``step_count``
+        unchanged.
+        """
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         t = self.step_count
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
             m *= ADAM_BETA1

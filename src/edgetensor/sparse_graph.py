@@ -292,15 +292,24 @@ def _wedges(pattern, upper):
             np.where(walk_x, pos, walked_slot))
 
 
+def _refuse_non_finite(block, what, row):
+    """Raise a ValueError naming ``what`` and its first non-finite row."""
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        raise ValueError(f"{what} must be finite; {row} {bad[0][0]} holds "
+                         f"{block[tuple(bad[0])]}")
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """A graph with node features, class labels and train/val/test splits.
 
-    ``labels[i] == -1`` marks an unlabeled node. Split index sets are
-    disjoint; any of them may be empty. ``edge_channels``, if given, is an
-    (adjacency.nnz, p) block of observed edge features, one row per stored
-    entry; a graph that has them stores no diagonal entry, and entry (j, i)
-    carries the channels of (i, j).
+    ``labels[i] == -1`` marks an unlabeled node. Node features and edge
+    channels must be finite. Split index sets are disjoint; any of them may
+    be empty. ``edge_channels``, if given, is an (adjacency.nnz, p) block
+    of observed edge features, one row per stored entry; a graph that has
+    them stores no diagonal entry, and entry (j, i) carries the channels
+    of (i, j).
     """
 
     adjacency: SparseAdjacency
@@ -316,6 +325,7 @@ class LabeledGraph:
         n = self.adjacency.n
         if self.node_features.shape[0] != n:
             raise ValueError("feature row count must equal node count")
+        _refuse_non_finite(self.node_features, "node features", "node")
         if self.labels.shape != (n,):
             raise ValueError("labels must be a length-n vector")
         splits = {k: np.asarray(v, dtype=np.intp) for k, v in self.splits.items()}
@@ -333,6 +343,7 @@ class LabeledGraph:
         a = self.adjacency
         if channels.ndim != 2 or channels.shape[0] != a.nnz:
             raise ValueError(f"edge channels must have shape ({a.nnz}, p)")
+        _refuse_non_finite(channels, "edge channels", "stored entry")
         if np.any(a.rows == a.cols):
             raise ValueError("a graph with edge channels may not store a "
                              "diagonal entry")

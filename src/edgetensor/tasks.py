@@ -137,13 +137,12 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
                                link_scores(result.z, train_neg))
         scores = link_scores(z, val_pairs)
         val_loss = bce_from_scores(scores[:num_val_pos], scores[num_val_pos:])
-        return loss, float(val_loss), auc_ap(scores, val_labels).auc, {}, z
+        return loss, float(val_loss), auc_ap(scores, val_labels)[0], {}, z
 
     def evaluate(z, outcome):
         pairs, labels = labeled_pairs(split.test_pos, split.test_neg)
-        report = auc_ap(link_scores(z, pairs), labels)
-        return {"auc": report.auc, "ap": report.ap,
-                "val_loss": outcome.best_val_loss}
+        auc, ap = auc_ap(link_scores(z, pairs), labels)
+        return {"auc": auc, "ap": ap, "val_loss": outcome.best_val_loss}
 
     return _run(tape, config, initial_params, step, evaluate)
 

@@ -12,9 +12,14 @@ from edgetensor import autodiff as ad
 from edgetensor import tasks
 from edgetensor.autodiff import value
 from edgetensor.edge_tensor import EdgeFeatureTensor, project_mode3
+from edgetensor.evaluation import split_nodes
+from edgetensor.generators import sbm_generate
 from edgetensor.layers import gc_forward
+from edgetensor.models import (build_model, etgnn_forward, prepare,
+                               prepare_multigraph, read_settings)
+from edgetensor.params import ParamTape
 from edgetensor.sparse_graph import SparseAdjacency
-from edgetensor.training import PROB_FLOOR
+from edgetensor.training import PROB_FLOOR, cross_entropy_masked
 
 
 def random_support(n, rng, density=0.3):
@@ -320,6 +325,40 @@ def renormalize_oracle(a_dense):
     d = a_bar.sum(axis=1)
     d_inv_sqrt = np.diag(1.0 / np.sqrt(d))
     return d_inv_sqrt @ a_bar @ d_inv_sqrt
+
+
+def configured_loss(kind, features, negative_mode, blend, *, seed=0,
+                    n_per_block=5, activation="identity"):
+    """(tape, loss_fn) of one model configuration on a tiny two-block SBM.
+
+    The model gets small widths of the settings it reads and the hidden
+    ``activation``. ``features`` is a recipe, or ``"stack"`` for a
+    two-view graph whose edge channels replace it. Graph, split and model
+    seeds follow ``gradcheck.model_gradcheck``, so a concat, clamp,
+    no-blend configuration is the model that check builds, apart from
+    the activation.
+    """
+    graph = sbm_generate([n_per_block] * 2, 0.6, 0.3, seed=seed + 1)
+    splits = split_nodes(graph.labels, 2, 0.2, seed=seed + 2)
+    stack = features == "stack"
+    if stack:
+        other = sbm_generate([n_per_block] * 2, 0.5, 0.2, seed=seed + 5)
+        ctx = prepare_multigraph([graph.adjacency, other.adjacency],
+                                 graph.node_features, graph.labels)
+    else:
+        ctx = prepare(graph)
+    settings = read_settings(kind, stack, dict(
+        recipe=features, reduce_dim=2, edge_hidden=(3, 1),
+        negative_mode=negative_mode, blend_attention=blend))
+    tape = ParamTape()
+    model = build_model(tape, kind, ctx, graph.num_classes, gc_hidden=(4,),
+                        seed=seed, hidden_activation=activation, **settings)
+
+    def loss_fn():
+        z = etgnn_forward(model, ctx).z
+        return cross_entropy_masked(z, graph.labels, splits["train"])
+
+    return tape, loss_fn
 
 
 def check_learned_graph(result, tol=1e-12):

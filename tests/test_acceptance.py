@@ -11,14 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import configured_loss
 from edgetensor.edge_tensor import (EdgeFeatureTensor, contraction_plan,
                                     propagate_mode1)
 from edgetensor.evaluation import split_nodes
 from edgetensor.experiment import ExperimentConfig, run_experiment
 from edgetensor.generators import sbm_generate
-from edgetensor.gradcheck import model_gradcheck
-from edgetensor.layers import AttentionHead, EdgeConvLayer, attention_forward, \
-    tpgc_forward
+from edgetensor.gradcheck import finite_difference_check, model_gradcheck
+from edgetensor.layers import EdgeConvLayer, attention_forward, tpgc_forward
 from edgetensor.sparse_graph import SparseAdjacency, renormalize
 from edgetensor.tasks import run_node_classification
 from edgetensor.training import TaskConfig
@@ -104,8 +104,8 @@ def test_criterion_1_dense_oracle_equivalence():
             propagation = adjacency
         else:
             h = rng.standard_normal((tensor.n, 3))
-            propagation = attention_forward(
-                h, adjacency, AttentionHead(rng.standard_normal(6)))
+            propagation = attention_forward(h, adjacency,
+                                            rng.standard_normal(6))
         got = tpgc_forward(tensor, propagation, layer)
         expected = dense_tpgc(tensor, propagation.to_dense(), w, epsilon, mask)
         got_dense = np.zeros_like(expected)
@@ -128,8 +128,8 @@ def test_criterion_2_gradient_suite():
                                            n_per_block=5)
             ok &= good
             worst = max(worst, max(report.values()))
-        good, report = model_gradcheck(model_kind=kind, seed=0,
-                                       n_per_block=6, activation="relu")
+        good, report = finite_difference_check(*configured_loss(
+            kind, "concat", "clamp", False, n_per_block=6, activation="relu"))
         ok &= good
         worst = max(worst, max(report.values()))
     elapsed = time.perf_counter() - start

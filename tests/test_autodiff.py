@@ -67,6 +67,9 @@ def test_unused_parameter_gets_no_grad(rng):
     np.testing.assert_allclose(used.grad, 2 * used.value, atol=1e-12)
 
 
+LEADING = np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3)
+
+
 @pytest.mark.parametrize("op,f", [
     (ad.relu, lambda x: np.maximum(x, 0.0)),
     (ad.leaky_relu, lambda x: np.where(x > 0, x, 0.2 * x)),
@@ -76,6 +79,9 @@ def test_unused_parameter_gets_no_grad(rng):
     (lambda v: ad.mul(v, -1.5), lambda x: -1.5 * x),
     (lambda v: ad.add(v, 3.0), lambda x: x + 3.0),
     (lambda v: ad.sub(1.0, v), lambda x: 1.0 - x),
+    # a plain operand with a leading axis: the adjoint sums that axis away
+    (lambda v: ad.mul(ad.add(v, LEADING), LEADING),
+     lambda x: (x + LEADING) * LEADING),
 ])
 def test_elementwise_grads(op, f, rng):
     x = rng.standard_normal((4, 3)) + 0.05  # keep away from kinks
@@ -129,13 +135,13 @@ def test_gather_and_segment_sum_bitwise_equal_to_fancy_index(shape, rng):
     g = rng.standard_normal((idx.size,) + shape[1:])
     a = Var(x.copy())
     out = ad.gather_rows(a, idx)
-    backward(out, seed=g)
+    backward(ad.total(ad.mul(out, g)))
     assert np.array_equal(out.value, x[idx])
     assert np.array_equal(a.grad, bincount_per_column(g, idx, shape[0]))
 
     b = Var(g.copy())
     out = ad.segment_sum(b, idx, shape[0])
-    backward(out, seed=x)
+    backward(ad.total(ad.mul(out, x)))
     assert np.array_equal(out.value, bincount_per_column(g, idx, shape[0]))
     assert np.array_equal(b.grad, x[idx])
 

@@ -211,6 +211,24 @@ def test_feature_matrix_errors(tmp_path):
         datasets.load_matrix(path)
 
 
+def test_non_finite_features_and_channels_are_refused(tmp_path):
+    root = tmp_path / "data"
+    root.mkdir()
+    (root / "features.txt").write_text("1 0\n0 nan\n1 1\n")
+    (root / "labels.txt").write_text("0\n1\n0\n")
+    (root / "edges.tsv").write_text("0\t1\n1\t2\n")
+    with pytest.raises(ValueError,
+                       match="node features must be finite; node 1 holds nan"):
+        load_dataset(root)
+    graph = views(2)
+    channels = graph.edge_channels.copy()
+    channels[graph.adjacency.transpose_permutation[:1]] = np.inf
+    channels[:1] = np.inf
+    with pytest.raises(ValueError, match="edge channels must be finite"):
+        LabeledGraph(graph.adjacency, graph.node_features, graph.labels,
+                     edge_channels=channels)
+
+
 def test_missing_edge_files_reported(tmp_path):
     root = tmp_path / "data"
     root.mkdir()

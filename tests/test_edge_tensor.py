@@ -385,7 +385,7 @@ def test_propagate_values_bitwise_equal_to_fancy_index_kernel(mode, p, kind):
         av, sv = Var(pattern.weights.copy()), Var(s_vals.copy(order="K"))
         out = propagate_values(plan, av, sv)
         assert out.value.flags.f_contiguous
-        backward(out, seed=g)
+        backward(ad.total(ad.mul(out, g)))
         expected = fancy_index_propagate(plan, pattern.weights, s_vals, g)
         for got, want in zip((out.value, av.grad, sv.grad), expected):
             assert np.array_equal(got, want)
@@ -400,7 +400,7 @@ def test_propagate_values_weight_gradient_near_einsum_rowdot(p):
     g = rng.standard_normal((pattern.nnz, p))
     for plan in pattern.plans:
         av = Var(pattern.weights.copy())
-        backward(propagate_values(plan, av, s_vals), seed=g)
+        backward(ad.total(ad.mul(propagate_values(plan, av, s_vals), g)))
         rowdot = np.einsum("lp,lp->l", g[plan.out_idx], s_vals[plan.slot_idx])
         want = np.bincount(plan.adj_idx, weights=rowdot, minlength=plan.num_adj)
         np.testing.assert_allclose(av.grad, want, rtol=0, atol=1e-12)
@@ -442,14 +442,14 @@ def test_propagate_values_allocates_no_triples_by_width_block():
         peak = _traced_peak(lambda: propagate_values(plan, a.weights, s_vals))
         assert peak < block, f"mode {mode}: forward peak {peak} B >= block {block} B"
         av, sv = Var(a.weights.copy()), Var(s_vals.copy())
-        out = propagate_values(plan, av, sv)
-        peak = _traced_peak(lambda: backward(out, seed=g))
+        loss = ad.total(ad.mul(propagate_values(plan, av, sv), g))
+        peak = _traced_peak(lambda: backward(loss))
         assert av.grad is not None and sv.grad is not None
         assert peak < block, f"mode {mode}: backward peak {peak} B >= block {block} B"
     w, h = Var(a.weights.copy()), Var(rng.standard_normal((a.n, p)))
     g = rng.standard_normal((a.n, p))
-    out = sparse_matmul(a.with_weights(w), h)
-    peak = _traced_peak(lambda: backward(out, seed=g))
+    loss = ad.total(ad.mul(sparse_matmul(a.with_weights(w), h), g))
+    peak = _traced_peak(lambda: backward(loss))
     assert w.grad is not None and h.grad is not None
     block = a.nnz * p * 8
     assert peak < block, f"A·H: backward peak {peak} B >= block {block} B"

@@ -7,18 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import has_entry, loop_sample_non_edges
 from edgetensor.autodiff import Var
-from edgetensor.evaluation import (LinkSplit, MetricReport, accuracy, auc_ap,
-                                   homophily, link_split, sample_non_edges,
-                                   split_nodes)
+from edgetensor.evaluation import (LinkSplit, accuracy, auc_ap, homophily,
+                                   link_split, sample_non_edges, split_nodes)
 from edgetensor.sparse_graph import SparseAdjacency
-
-
-def test_metric_report_bounds():
-    MetricReport(auc=1.0, ap=0.0)
-    with pytest.raises(ValueError, match="auc"):
-        MetricReport(auc=1.2)
-    with pytest.raises(ValueError, match="ap"):
-        MetricReport(ap=-0.1)
 
 
 def test_accuracy_basic():
@@ -34,27 +25,27 @@ def test_accuracy_unlabeled_node_in_idx_rejected():
 
 
 def test_auc_ap_perfect_separation():
-    report = auc_ap([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-    assert report.auc == 1.0 and report.ap == 1.0
+    auc, ap = auc_ap([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
+    assert auc == 1.0 and ap == 1.0
 
 
 def test_auc_ap_four_point_hand_case():
     # pairs (positive, negative) ordered correctly: (.9,.8), (.9,.1), (.7,.1)
     # out of 4 pairs -> AUC = 3/4; precision at positives: 1/1 and 2/3
-    report = auc_ap([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0])
-    assert report.auc == pytest.approx(0.75)
-    assert report.ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
+    auc, ap = auc_ap([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0])
+    assert auc == pytest.approx(0.75)
+    assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
 
 
 def test_auc_counts_ties_as_half():
-    report = auc_ap([0.5, 0.5], [1, 0])
-    assert report.auc == pytest.approx(0.5)
+    auc, _ = auc_ap([0.5, 0.5], [1, 0])
+    assert auc == pytest.approx(0.5)
 
 
 def test_auc_near_half_for_independent_scores(rng):
     scores = rng.random(4000)
     labels = rng.integers(0, 2, size=4000)
-    assert auc_ap(scores, labels).auc == pytest.approx(0.5, abs=0.05)
+    assert auc_ap(scores, labels)[0] == pytest.approx(0.5, abs=0.05)
 
 
 def test_auc_ap_single_class_rejected():
@@ -78,7 +69,7 @@ def test_auc_matches_pair_oracle(rng):
         labels = rng.integers(0, 2, size=m)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
-        got = auc_ap(scores, labels).auc
+        got = auc_ap(scores, labels)[0]
         assert got == pytest.approx(auc_pair_oracle(scores, labels), abs=1e-12)
 
 
@@ -98,8 +89,8 @@ def test_auc_invariant_under_monotone_transforms(seed, kind):
         mapped = scores ** 3
     else:
         mapped = 2.5 * scores + 7.0
-    assert auc_ap(scores, labels).auc == pytest.approx(
-        auc_ap(mapped, labels).auc, abs=1e-12)
+    assert auc_ap(scores, labels)[0] == pytest.approx(
+        auc_ap(mapped, labels)[0], abs=1e-12)
 
 
 def test_homophily_all_same_label():

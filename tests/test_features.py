@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import slot_pair_features
+from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import project_mode3
 from edgetensor.features import (RECIPE_KINDS, build_concat_features,
@@ -96,7 +97,7 @@ def test_node_level_builders_match_slot_level_oracle(recipe, p_out, rng):
                   lambda *args: slot_pair_features(*args, recipe=recipe)):
         rw, ww = Var(reducer.weight.copy()), Var(w.copy())
         t = build(h, a, GraphConvLayer(rw, activation="relu"), ww)
-        backward(t.values, seed=g)
+        backward(ad.total(ad.mul(t.values, g)))
         results.append((t.values.value, rw.grad, ww.grad))
         assert t.pattern is a
     for got, want in zip(*results):

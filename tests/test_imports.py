@@ -13,8 +13,12 @@ SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench")
 PACKAGE = ROOT / "src" / "edgetensor"
 # public names no library module references, each with why it stays
 UNREFERENCED_ALLOWED = {
-    # the dense oracle every sparse product is checked against
+    # the dense oracles every sparse product is checked against
     ("edge_tensor", "mode_k_product_dense"),
+    ("edge_tensor", "EdgeFeatureTensor.to_dense"),
+    ("sparse_graph", "SparseAdjacency.to_dense"),
+    # the benchmark builds its oracle inputs with it
+    ("edge_tensor", "EdgeFeatureTensor.from_support_of"),
     # entry points of the benchmark's multi-graph workload, until it calls
     # run_node_classification on LabeledGraph.from_views itself
     ("models", "prepare_multigraph"),
@@ -56,13 +60,34 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == [(2, "j"), (3, "c")]
 
 
-def unreferenced_names(sources):
-    """(module, name) of each public module-level name that no module of
-    ``sources`` (module name -> source) references, by name or attribute.
+def defined_names(node):
+    """Names a module-level statement defines: a function, assignment
+    targets, or a class with its methods, properties and annotated fields,
+    each as ``Class.member``."""
+    if isinstance(node, ast.FunctionDef):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign):
+        return [node.target.id]
+    if isinstance(node, ast.ClassDef):
+        return [node.name] + [
+            f"{node.name}.{name}" for member in node.body
+            if isinstance(member, (ast.FunctionDef, ast.AnnAssign))
+            for name in defined_names(member)]
+    return []
 
-    The package ``__init__`` re-exports names without using them, so its
-    references do not count; its names and ``cli``'s are the entry points
-    and are not checked.
+
+def unreferenced_names(sources):
+    """(module, name) of each public module-level name or class member
+    that no module of ``sources`` (module name -> source) references, by
+    name or attribute.
+
+    A member counts as referenced when any attribute or name of that
+    spelling is, whatever object it is read from. The package
+    ``__init__`` re-exports names without using them, so its references do
+    not count; its names and ``cli``'s are the entry points and are not
+    checked.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referenced = set()
@@ -81,17 +106,11 @@ def unreferenced_names(sources):
         if module in ("__init__", "cli"):
             continue
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign):
-                names = [node.target.id]
-            else:
-                continue
-            unreferenced += [(module, name) for name in names
-                             if not name.startswith("_")
-                             and name not in referenced]
+            for name in defined_names(node):
+                parts = name.split(".")
+                if (not any(part.startswith("_") for part in parts)
+                        and parts[-1] not in referenced):
+                    unreferenced.append((module, name))
     return unreferenced
 
 
@@ -110,3 +129,15 @@ def test_the_scan_finds_an_unreferenced_name():
                      "class Used:\n    pass\n"),
                "b": "from . import a\nprint(a.LIMIT, a.Used)\n"}
     assert unreferenced_names(sources) == [("a", "lone")]
+
+
+def test_the_scan_finds_an_unreferenced_member():
+    sources = {"a": ("class Box:\n"
+                     "    size: int\n    tag: str\n    LIMIT = 3\n"
+                     "    def grow(self):\n        pass\n"
+                     "    @property\n    def area(self):\n        pass\n"
+                     "    def _hidden(self):\n        pass\n"
+                     "class _Private:\n    def lone(self):\n        pass\n"),
+               "b": ("from .a import Box\n"
+                     "print(Box(1, 'x').size, Box.grow)\n")}
+    assert unreferenced_names(sources) == [("a", "Box.tag"), ("a", "Box.area")]

@@ -14,10 +14,9 @@ from edgetensor import layers
 from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import EdgeFeatureTensor
 from edgetensor.gradcheck import finite_difference_check
-from edgetensor.layers import (AttentionHead, EdgeConvLayer, GraphConvLayer,
-                               attention_forward,
-                               blend_edge_weights, gc_forward, sparse_matmul,
-                               tpgc_forward)
+from edgetensor.layers import (EdgeConvLayer, GraphConvLayer,
+                               attention_forward, blend_edge_weights,
+                               gc_forward, sparse_matmul, tpgc_forward)
 from edgetensor.params import ParamTape
 from edgetensor.sparse_graph import ContractionPlan, SparseAdjacency, renormalize
 
@@ -89,7 +88,7 @@ def test_sparse_matmul_bitwise_equal_to_composition(width, rng):
     for op in (sparse_matmul, composed_sparse_matmul):
         w, hv = Var(a.weights.copy()), Var(h.copy())
         out = op(a.with_weights(w), hv)
-        backward(out, seed=g)
+        backward(ad.total(ad.mul(out, g)))
         results.append((out.value, w.grad, hv.grad))
     (out, grad_w, grad_h), (want_out, want_w, want_h) = results
     assert np.array_equal(out, want_out)
@@ -170,7 +169,7 @@ def test_edge_layer_rejects_an_unknown_activation():
 def test_tpgat_uses_attention_weights(rng):
     t, a = random_pair(6, 2, rng)
     h = rng.standard_normal((6, 3))
-    alpha = attention_forward(h, a, AttentionHead(rng.standard_normal(6)))
+    alpha = attention_forward(h, a, rng.standard_normal(6))
     w = rng.standard_normal((2, 2))
     layer = EdgeConvLayer(w, epsilon=0.2, activation="identity")
     out = tpgc_forward(t, alpha, layer)
@@ -181,7 +180,7 @@ def test_tpgat_uses_attention_weights(rng):
 def test_attention_rows_stochastic(rng):
     t, a = random_pair(8, 1, rng)
     h = rng.standard_normal((8, 4))
-    alpha = attention_forward(h, a, AttentionHead(rng.standard_normal(8)))
+    alpha = attention_forward(h, a, rng.standard_normal(8))
     row_sums = np.bincount(alpha.rows, weights=alpha.weights, minlength=8)
     np.testing.assert_allclose(row_sums, np.ones(8), atol=1e-12)
     assert np.all(alpha.weights > 0)
@@ -190,7 +189,7 @@ def test_attention_rows_stochastic(rng):
 def test_attention_preserves_support(rng):
     t, a = random_pair(6, 1, rng)
     h = rng.standard_normal((6, 2))
-    alpha = attention_forward(h, a, AttentionHead(rng.standard_normal(4)))
+    alpha = attention_forward(h, a, rng.standard_normal(4))
     assert np.array_equal(alpha.rows, a.rows)
     assert np.array_equal(alpha.cols, a.cols)
 
@@ -199,7 +198,7 @@ def test_attention_matches_hand_softmax(rng):
     a = renormalize(SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)]))
     h = rng.standard_normal((3, 2))
     theta = rng.standard_normal(4)
-    alpha = attention_forward(h, a, AttentionHead(theta))
+    alpha = attention_forward(h, a, theta)
     dense = alpha.to_dense()
     for i in range(3):
         nbrs = [j for j in range(3) if has_entry(a, i, j)]
@@ -216,7 +215,7 @@ def test_attention_matches_hand_loop_of_pair_scores(rng):
     a = random_adjacency(9, rng, density=0.5)
     h = rng.standard_normal((9, 3))
     theta = rng.standard_normal(6)
-    alpha = attention_forward(h, a, AttentionHead(theta))
+    alpha = attention_forward(h, a, theta)
     scores = np.array([theta @ np.concatenate([h[i], h[j]])
                        for i, j in zip(a.rows.tolist(), a.cols.tolist())])
     scores = np.where(scores > 0, scores, 0.2 * scores)
@@ -235,7 +234,7 @@ def test_attention_gradcheck(rng):
     g = rng.standard_normal(a.nnz)
 
     def loss_fn():
-        alpha = attention_forward(h, a, AttentionHead(theta))
+        alpha = attention_forward(h, a, theta)
         return ad.total(ad.mul(alpha.weights, g))
 
     ok, report = finite_difference_check(tape, loss_fn)
@@ -245,21 +244,19 @@ def test_attention_gradcheck(rng):
 def test_attention_requires_self_loops(rng):
     a = SparseAdjacency.from_undirected_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="self-loop"):
-        attention_forward(rng.standard_normal((3, 2)), a,
-                          AttentionHead(rng.standard_normal(4)))
+        attention_forward(rng.standard_normal((3, 2)), a, rng.standard_normal(4))
 
 
 def test_attention_rejects_wrong_theta_length(rng):
     a = renormalize(SparseAdjacency.from_undirected_edges(3, [(0, 1)]))
     with pytest.raises(ValueError, match="theta"):
-        attention_forward(rng.standard_normal((3, 2)), a,
-                          AttentionHead(np.ones(3)))
+        attention_forward(rng.standard_normal((3, 2)), a, np.ones(3))
 
 
 def test_blend_edge_weights_is_average(rng):
     t, a = random_pair(5, 1, rng)
     h = rng.standard_normal((5, 2))
-    alpha = attention_forward(h, a, AttentionHead(rng.standard_normal(4)))
+    alpha = attention_forward(h, a, rng.standard_normal(4))
     blend = blend_edge_weights(a, alpha)
     np.testing.assert_allclose(blend.weights,
                                0.5 * (a.weights + alpha.weights), atol=1e-15)
@@ -351,7 +348,7 @@ def test_attention_row_stochastic_property(seed):
     n = int(rng.integers(2, 15))
     t, a = random_pair(n, 1, rng, density=float(rng.random()))
     h = rng.standard_normal((n, int(rng.integers(1, 5))))
-    head = AttentionHead(rng.standard_normal(2 * h.shape[1]))
-    alpha = attention_forward(h, a, head)
+    theta = rng.standard_normal(2 * h.shape[1])
+    alpha = attention_forward(h, a, theta)
     sums = np.bincount(alpha.rows, weights=alpha.weights, minlength=n)
     assert np.abs(sums - 1.0).max() <= 1e-12

@@ -80,7 +80,7 @@ def test_forward_deterministic_across_runs():
 def test_build_model_seed_changes_parameters():
     _, _, tape_a, _ = build_small(seed=0)
     _, _, tape_b, _ = build_small(seed=1)
-    assert not np.array_equal(tape_a["gc_0"].value, tape_b["gc_0"].value)
+    assert not np.array_equal(tape_a.params["gc_0"].value, tape_b.params["gc_0"].value)
 
 
 def test_gcn_only_skips_edge_stack():
@@ -124,7 +124,7 @@ def test_stack_recipe_requires_channel_count():
         assert not tape.params
     build_model(tape, "et_gcn", multi, 2, recipe="concat", reduce_dim=8,
                 edge_hidden=(2, 1))
-    assert tape["edge_0"].value.shape == (multi.stacked.p, 2) == (3, 2)
+    assert tape.params["edge_0"].value.shape == (multi.stacked.p, 2) == (3, 2)
 
 
 @pytest.mark.parametrize("kind, kwargs, message", [
@@ -153,7 +153,7 @@ def test_model_holds_only_what_its_forward_reads():
     graph, ctx, tape, model = build_small("gcn_only")
     assert sorted(tape.params) == ["gc_0", "gc_1"]
     assert model.reducer is None and model.recipe is None
-    assert model.edge_layers == [] and model.attention_head is None
+    assert model.edge_layers == [] and model.theta is None
     views = [sbm_generate([4, 4], 0.6, 0.2, seed=s).adjacency for s in range(2)]
     multi = prepare_multigraph(views, np.eye(8), np.array([0] * 4 + [1] * 4))
     tape = ParamTape()
@@ -162,14 +162,14 @@ def test_model_holds_only_what_its_forward_reads():
     # the reducer's seed is still drawn: later parameters keep theirs
     _, _, single_tape, _ = build_small("et_gat", edge_hidden=(2, 1),
                                        gc_hidden=(32,))
-    np.testing.assert_array_equal(tape["edge_1"].value,
-                                  single_tape["edge_1"].value)
+    np.testing.assert_array_equal(tape.params["edge_1"].value,
+                                  single_tape.params["edge_1"].value)
 
 
 def test_et_gat_requires_attention_parameters():
     graph, ctx, tape, model = build_small("et_gat")
     assert "theta" in tape.params
-    assert model.attention_head is not None
+    assert model.theta is not None
 
 
 def test_gradients_reach_every_parameter():
@@ -244,7 +244,8 @@ def test_backward_keeps_gradients_only_on_parameters(kind):
     ref_grads = keep_all_backward(ref_loss)
     assert all(id(v) in ref_grads for v in tape_nodes(ref_loss) if v._parents)
     for name, p in tape.params.items():
-        assert np.array_equal(p.grad, ref_grads[id(ref_tape[name])]), name
+        ref = ref_tape.params[name]
+        assert np.array_equal(p.grad, ref_grads[id(ref)]), name
 
 
 # bytes a backward may leave alive besides the parameters' gradients: their
@@ -384,7 +385,7 @@ def test_prepare_multigraph_builds_union_context():
     tape = ParamTape()
     model = build_model(tape, "et_gcn", ctx, 2, edge_hidden=(2, 1),
                         gc_hidden=(4,), seed=0)
-    assert tape["edge_0"].value.shape == (ctx.stacked.p, 2)
+    assert tape.params["edge_0"].value.shape == (ctx.stacked.p, 2)
     z = etgnn_forward(model, ctx).z.value
     assert z.shape == (8, 2)
 
@@ -466,14 +467,14 @@ def plain_case():
         model, reducer=_plain_copy(model.reducer),
         edge_layers=[_plain_copy(layer) for layer in model.edge_layers],
         gc_layers=[_plain_copy(layer) for layer in model.gc_layers],
-        attention_head=_plain_copy(model.attention_head))
+        theta=model.theta.value)
     h = ctx.features
     # the pair features themselves (identity projection), and as the first
     # edge layer reads them, projected by its weight
     s = build_concat_features(h, ctx.a_tilde, model.reducer, np.eye(4))
     projected = build_concat_features(h, ctx.a_tilde, model.reducer,
                                       model.edge_layers[0].weight)
-    alpha = attention_forward(h, ctx.a_tilde, model.attention_head)
+    alpha = attention_forward(h, ctx.a_tilde, model.theta)
     return SimpleNamespace(graph=graph, ctx=ctx, model=model, h=h, s=s,
                            projected=projected, alpha=alpha, a=ctx.a_tilde)
 
@@ -487,7 +488,7 @@ PLAIN_FORWARDS = {
     "tpgc_propagate": lambda c: tpgc_propagate(
         c.projected, c.alpha, c.model.edge_layers[0]),
     "attention_forward": lambda c: attention_forward(
-        c.h, c.a, c.model.attention_head),
+        c.h, c.a, c.model.theta),
     "blend_edge_weights": lambda c: blend_edge_weights(c.a, c.alpha),
     "propagate_mode1": lambda c: propagate_mode1(c.s, c.a),
     "propagate_mode2": lambda c: propagate_mode2(c.s, c.a),

@@ -92,6 +92,29 @@ def test_adam_rejects_non_finite_gradient():
         tape.adam_step(0.1)
 
 
+def test_adam_checks_every_gradient_before_updating():
+    # a NaN on the second parameter leaves the first one, every moment and
+    # the step count as they were
+    tape = ParamTape()
+    a = tape.add("a", np.zeros(2))
+    b = tape.add("b", np.zeros(2))
+    a.grad, b.grad = np.ones(2), np.ones(2)
+    tape.adam_step(0.1)
+
+    def state():
+        return [tape.snapshot(), {k: m.copy() for k, m in tape._m.items()},
+                {k: v.copy() for k, v in tape._v.items()}]
+
+    before = state()
+    a.grad, b.grad = np.ones(2), np.array([0.0, np.nan])
+    with pytest.raises(NonFiniteGradient, match="'b'"):
+        tape.adam_step(0.1)
+    for want, got in zip(before, state()):
+        for name in ("a", "b"):
+            np.testing.assert_array_equal(got[name], want[name])
+    assert tape.step_count == 1
+
+
 def test_duplicate_parameter_name_rejected():
     tape = ParamTape()
     tape.add("w", np.zeros(1))
@@ -107,7 +130,7 @@ def test_snapshot_restore_round_trip():
     tape.restore(snap)
     np.testing.assert_array_equal(p.value, snap["w"])
     # restore mutates in place so traced references stay valid
-    assert tape["w"] is p
+    assert tape.params["w"] is p
 
 
 @pytest.mark.parametrize("snap, message", [
@@ -124,7 +147,7 @@ def test_restore_rejects_a_mismatched_snapshot(snap, message):
     with pytest.raises(ValueError, match=message):
         tape.restore(snap)
     for name, value in before.items():
-        np.testing.assert_array_equal(tape[name].value, value)
+        np.testing.assert_array_equal(tape.params[name].value, value)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -224,13 +224,13 @@ def test_link_metrics_equal_a_fresh_forward_at_the_best_params(
     result = run_link_prediction(graph, split, cfg)
     assert result.best_epoch < len(result.history) - 1
     z = _fresh_forward(recorded_calls, result.best_params)[0].z.value
-    report = auc_ap(link_scores(z, np.concatenate([split.test_pos,
-                                                   split.test_neg])),
-                    np.r_[np.ones(len(split.test_pos)),
-                          np.zeros(len(split.test_neg))])
+    auc, ap = auc_ap(link_scores(z, np.concatenate([split.test_pos,
+                                                    split.test_neg])),
+                     np.r_[np.ones(len(split.test_pos)),
+                           np.zeros(len(split.test_neg))])
     val_loss = bce_from_scores(link_scores(z, split.val_pos),
                                link_scores(z, split.val_neg))
-    assert result.metrics == {"auc": report.auc, "ap": report.ap,
+    assert result.metrics == {"auc": auc, "ap": ap,
                               "val_loss": float(val_loss)}
 
 

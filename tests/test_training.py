@@ -128,7 +128,7 @@ def test_bce_floor_keeps_loss_finite():
 def quadratic_step(tape, noise=None):
     """Step closure minimizing (w - 3)^2 with val loss equal to train loss;
     its outputs are a copy of the parameter the epoch ran at."""
-    p = tape["w"]
+    p = tape.params["w"]
 
     def step(epoch):
         # rebuild the graph from the live parameter each epoch
@@ -146,9 +146,9 @@ def test_train_loop_converges_and_restores_best():
     result = train_loop(tape, quadratic_step(tape),
                         TaskConfig(learning_rate=0.1, max_epochs=500,
                                    patience=20))
-    assert tape["w"].value[0] == pytest.approx(3.0, abs=1e-2)
+    assert tape.params["w"].value[0] == pytest.approx(3.0, abs=1e-2)
     assert result.best_val_loss == pytest.approx(0.0, abs=1e-3)
-    np.testing.assert_array_equal(tape["w"].value, result.best_params["w"])
+    np.testing.assert_array_equal(tape.params["w"].value, result.best_params["w"])
     # the outputs kept are those of the epoch that ran at best_params
     np.testing.assert_array_equal(result.best_outputs, result.best_params["w"])
 
@@ -159,7 +159,7 @@ def test_train_loop_early_stops_on_plateau():
     # validation loss frozen at a constant: epoch 0 improves over inf,
     # then `patience` consecutive non-improving epochs trigger the stop
     def step(epoch):
-        diff = ad.add(tape["w"], -3.0)
+        diff = ad.add(tape.params["w"], -3.0)
         return ad.total(ad.mul(diff, diff)), 1.0, 0.0, {}, epoch
 
     result = train_loop(tape, step, TaskConfig(learning_rate=1e-4,
@@ -175,7 +175,7 @@ def test_train_loop_patience_zero_stops_at_first_stall():
     tape.add("w", np.array([0.0]))
 
     def step(epoch):
-        diff = ad.add(tape["w"], -3.0)
+        diff = ad.add(tape.params["w"], -3.0)
         return ad.total(ad.mul(diff, diff)), 1.0, 0.0, {}, None
 
     result = train_loop(tape, step, TaskConfig(learning_rate=1e-4,
@@ -188,7 +188,7 @@ def test_train_loop_raises_on_divergence():
     tape.add("w", np.array([0.0]))
 
     def step(epoch):
-        diff = ad.add(tape["w"], -3.0)
+        diff = ad.add(tape.params["w"], -3.0)
         loss = ad.total(ad.mul(diff, diff))
         val = np.nan if epoch == 3 else 1.0 / (epoch + 1)
         return loss, val, 0.0, {}, None
@@ -204,7 +204,7 @@ def test_train_loop_records_history_extras():
     tape.add("w", np.array([0.0]))
 
     def step(epoch):
-        diff = ad.add(tape["w"], -3.0)
+        diff = ad.add(tape.params["w"], -3.0)
         return (ad.total(ad.mul(diff, diff)), float(epoch), 0.5,
                 {"homophily": epoch * 0.1}, None)
 
@@ -221,7 +221,7 @@ def test_small_steps_decrease_smooth_loss():
     losses = []
 
     def step(epoch):
-        diff = ad.add(tape["w"], -3.0)
+        diff = ad.add(tape.params["w"], -3.0)
         loss = ad.total(ad.mul(diff, diff))
         losses.append(float(loss.value))
         return loss, float(loss.value), 0.0, {}, None
@@ -285,7 +285,7 @@ def test_train_loop_updates_after_every_epoch_but_the_last(
     assert calls == ["backward", "adam_step"] * (len(result.history) - 1)
     assert result.best_epoch == 3
     np.testing.assert_array_equal(result.best_outputs, result.best_params["w"])
-    np.testing.assert_array_equal(tape["w"].value, result.best_params["w"])
+    np.testing.assert_array_equal(tape.params["w"].value, result.best_params["w"])
 
 
 def test_one_epoch_scores_the_parameters_without_updating_them(monkeypatch):
@@ -298,4 +298,4 @@ def test_one_epoch_scores_the_parameters_without_updating_them(monkeypatch):
     assert [r.val_loss for r in result.history] == [2.25]
     assert result.best_val_loss == 2.25 and result.best_epoch == 0
     np.testing.assert_array_equal(result.best_outputs, [1.5])
-    np.testing.assert_array_equal(tape["w"].value, [1.5])
+    np.testing.assert_array_equal(tape.params["w"].value, [1.5])
