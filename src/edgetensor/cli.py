@@ -22,8 +22,19 @@ from .models import MODEL_KINDS
 
 
 def _config_from_args(args):
-    """The ``train`` flags' config; an unset flag is absent from ``args``."""
+    """The ``train`` flags' config; an unset flag is absent from ``args``,
+    and a set one the config would ignore is refused."""
     given = vars(args)
+    if "config" in given:
+        ignored = given.keys() - {"command", "func", "config", "output_dir"}
+        rule = "--config takes no other flag but --output"
+    else:
+        ignored = given.keys() & ({"p_in", "p_out", "sbm_seed"}
+                                  if "blocks" not in given else set())
+        rule = "the SBM flags shape the graph of --blocks"
+    if ignored:
+        flags = ", ".join(sorted("--" + n.replace("_", "-") for n in ignored))
+        raise ValueError(f"{flags} would be ignored: {rule}")
     if "config" in given:
         config = ExperimentConfig.from_json(args.config)
         if "output_dir" in given:
@@ -34,7 +45,8 @@ def _config_from_args(args):
     if "blocks" in given:
         kwargs["synthetic"] = {
             "block_sizes": [int(b) for b in args.blocks.split(",")],
-            "p_in": args.p_in, "p_out": args.p_out, "seed": args.sbm_seed}
+            "p_in": given.get("p_in", 0.2), "p_out": given.get("p_out", 0.02),
+            "seed": given.get("sbm_seed", 0)}
     if "seeds" in given:
         kwargs["seeds"] = [int(s) for s in args.seeds.split(",")]
     elif "seed_count" in given:
@@ -43,16 +55,18 @@ def _config_from_args(args):
 
 
 def _add_config_flags(p):
-    """The ``train`` flags; one without a default names a config field."""
-    p.add_argument("--config", help="JSON experiment config (overrides flags)")
+    """The ``train`` flags, unset unless given; most name a config field."""
+    p.add_argument("--config", help="JSON experiment config, the whole "
+                   "config: it takes no other flag but --output")
     p.add_argument("--task", choices=TASKS)
     p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--dataset", help="dataset directory")
     p.add_argument("--blocks", help="synthetic SBM block sizes, e.g. 50,50")
-    p.add_argument("--p-in", type=float, default=0.2)
-    p.add_argument("--p-out", type=float, default=0.02)
-    p.add_argument("--sbm-seed", type=int, default=0)
-    p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
+    p.add_argument("--p-in", type=float, help="default 0.2")
+    p.add_argument("--p-out", type=float, help="default 0.02")
+    p.add_argument("--sbm-seed", type=int, help="default 0")
+    p.add_argument("--lr", "--learning-rate", dest="learning_rate",
+                   type=float, metavar="LR")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--patience", type=int)

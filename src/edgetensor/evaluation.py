@@ -28,31 +28,32 @@ def _midranks(x):
     return mid[inverse]
 
 
-def auc_ap(scores, labels):
-    """The pair (AUC, AP): area under ROC (midrank statistic) and average
-    precision, each a float in [0, 1].
-
-    AP uses step interpolation at each positive: the mean, over positives,
-    of the precision at that positive's rank when scores are sorted
-    descending (stable tie order).
-    """
+def roc_auc(scores, labels):
+    """Area under ROC (midrank statistic), a float in [0, 1]."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     num_pos = int((labels == 1).sum())
     num_neg = int((labels == 0).sum())
     if num_pos == 0 or num_neg == 0:
         raise ValueError("both classes must be present")
-
     ranks = _midranks(scores)
-    auc = (ranks[labels == 1].sum() - num_pos * (num_pos + 1) / 2.0) \
-        / (num_pos * num_neg)
+    return float((ranks[labels == 1].sum() - num_pos * (num_pos + 1) / 2.0)
+                 / (num_pos * num_neg))
 
+
+def auc_ap(scores, labels):
+    """The pair (AUC, AP): :func:`roc_auc` and average precision, each a
+    float in [0, 1]. AP uses step interpolation at each positive: the mean,
+    over positives, of the precision at that positive's rank when scores
+    are sorted descending (stable tie order)."""
+    auc = roc_auc(scores, labels)
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
     order = np.argsort(-scores, kind="stable")
     hits = labels[order] == 1
     cum_hits = np.cumsum(hits)
     precision = cum_hits / np.arange(1, scores.size + 1)
-    ap = precision[hits].mean()
-    return float(auc), float(ap)
+    return auc, float(precision[hits].mean())
 
 
 def homophily(adjacency, labels):

@@ -247,8 +247,8 @@ def _write_artifacts(config, record, runs):
 
 def evaluate_checkpoint(config, checkpoint_dir):
     """Metrics of saved parameters, without any training: one epoch, which
-    as the last updates nothing, scores them. The checkpoint must have been
-    saved under ``config``: its manifest's ``config_hash`` is checked."""
+    as the last updates nothing, scores them. The ``checkpoint.json`` in
+    ``checkpoint_dir`` must be saved under ``config``: its hash is checked."""
     values, manifest = load_checkpoint(checkpoint_dir)
     saved, expected = manifest.get("config_hash"), config.config_hash()
     if saved != expected:

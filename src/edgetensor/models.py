@@ -238,27 +238,24 @@ def etgnn_forward(model, ctx):
     """
     h = ctx.features
     pattern = ctx.a_tilde
-    if not model.edge_layers:
-        out = h
-        for layer in model.gc_layers:
-            out = gc_forward(out, pattern, layer)
-        return ForwardResult(out)
+    graph, edge_weights = pattern, None
+    if model.edge_layers:
+        prop = _propagation_weights(model, ctx, h)
+        s, layers = _edge_input(model, ctx, h, prop)
+        for layer in layers:
+            s = tpgc_forward(s, prop, layer)
 
-    prop = _propagation_weights(model, ctx, h)
-    s, layers = _edge_input(model, ctx, h, prop)
-    for layer in layers:
-        s = tpgc_forward(s, prop, layer)
-
-    raw = ad.reshape(s.values, (-1,))
-    sym = ad.mul(ad.add(raw, ad.gather_rows(raw, s.pattern.transpose_permutation)), 0.5)
-    clamped = ad.relu(sym) if model.negative_mode == "clamp" else ad.absolute(sym)
-    norm = renormalize_weights(pattern.rows, pattern.cols, pattern.n, clamped)
-    learned = pattern.with_weights(norm)
+        raw = ad.reshape(s.values, (-1,))
+        sym = ad.mul(ad.add(raw, ad.gather_rows(raw, s.pattern.transpose_permutation)), 0.5)
+        clamped = ad.relu(sym) if model.negative_mode == "clamp" else ad.absolute(sym)
+        norm = renormalize_weights(pattern.rows, pattern.cols, pattern.n, clamped)
+        graph = pattern.with_weights(norm)
+        edge_weights = pattern.with_weights(clamped)
 
     out = h
     for layer in model.gc_layers:
-        out = gc_forward(out, learned, layer)
-    return ForwardResult(out, pattern.with_weights(clamped))
+        out = gc_forward(out, graph, layer)
+    return ForwardResult(out, edge_weights)
 
 
 def link_scores(z, pairs):

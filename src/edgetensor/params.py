@@ -102,7 +102,7 @@ class ParamTape:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: parameter arrays in a text snapshot plus a JSON manifest
+# checkpoints: one JSON document holding the manifest and the parameters
 
 
 @contextmanager
@@ -120,34 +120,21 @@ def atomic_open(path, newline=None):
             os.remove(tmp)
 
 
-def save_checkpoint(values, directory, manifest=None):
-    """Write named arrays to ``params.txt`` and a manifest to ``manifest.json``."""
+def save_checkpoint(values, directory, manifest):
+    """Write the manifest and the named arrays, as nested lists, to one file,
+    ``checkpoint.json``, in one atomic replace; a non-finite value raises."""
     os.makedirs(directory, exist_ok=True)
-    with atomic_open(os.path.join(directory, "params.txt")) as fh:
-        for name in sorted(values):
-            arr = np.atleast_2d(np.asarray(values[name], dtype=np.float64))
-            fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-            for row in arr:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-    meta = dict(manifest or {})
-    meta["shapes"] = {k: list(np.asarray(v).shape) for k, v in values.items()}
-    with atomic_open(os.path.join(directory, "manifest.json")) as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    params = {k: np.asarray(v, dtype=np.float64).tolist()
+              for k, v in values.items()}
+    with atomic_open(os.path.join(directory, "checkpoint.json")) as fh:
+        json.dump({"manifest": manifest, "params": params}, fh,
+                  allow_nan=False, sort_keys=True)
 
 
 def load_checkpoint(directory):
-    """Read back (values, manifest) written by :func:`save_checkpoint`."""
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    values = {}
-    with open(os.path.join(directory, "params.txt")) as fh:
-        line = fh.readline()
-        while line:
-            name, nrows, ncols = line.split()
-            rows = [list(map(float, fh.readline().split())) for _ in range(int(nrows))]
-            arr = np.array(rows)
-            if len(manifest["shapes"][name]) == 1:
-                arr = arr.reshape(-1)
-            values[name] = arr
-            line = fh.readline()
-    return values, manifest
+    """Read back (values, manifest) written by :func:`save_checkpoint`;
+    each array is float64, shaped by its list nesting."""
+    with open(os.path.join(directory, "checkpoint.json")) as fh:
+        doc = json.load(fh)
+    return ({k: np.asarray(v, dtype=np.float64)
+             for k, v in doc["params"].items()}, doc["manifest"])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import (LinkSplit, accuracy, auc_ap, homophily,
+from .evaluation import (LinkSplit, accuracy, auc_ap, homophily, roc_auc,
                          sample_non_edges)
 from .models import (build_model, etgnn_forward, link_scores, prepare,
                      read_settings)
@@ -137,7 +137,7 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
                                link_scores(result.z, train_neg))
         scores = link_scores(z, val_pairs)
         val_loss = bce_from_scores(scores[:num_val_pos], scores[num_val_pos:])
-        return loss, float(val_loss), auc_ap(scores, val_labels)[0], {}, z
+        return loss, float(val_loss), roc_auc(scores, val_labels), {}, z
 
     def evaluate(z, outcome):
         pairs, labels = labeled_pairs(split.test_pos, split.test_neg)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import has_entry, loop_sample_non_edges
 from edgetensor.autodiff import Var
 from edgetensor.evaluation import (LinkSplit, accuracy, auc_ap, homophily,
-                                   link_split, sample_non_edges, split_nodes)
+                                   link_split, roc_auc, sample_non_edges,
+                                   split_nodes)
 from edgetensor.sparse_graph import SparseAdjacency
 
 
@@ -51,6 +52,17 @@ def test_auc_near_half_for_independent_scores(rng):
 def test_auc_ap_single_class_rejected():
     with pytest.raises(ValueError, match="both classes"):
         auc_ap([0.2, 0.4], [1, 1])
+
+
+def test_roc_auc_is_the_auc_of_auc_ap(rng):
+    """Per-epoch validation reads ``roc_auc``; the test metrics read
+    ``auc_ap``. Both give the same AUC bits, and refuse one class alike."""
+    scores = np.round(rng.random(200), 2)
+    labels = rng.integers(0, 2, size=200)
+    assert roc_auc(scores, labels) == auc_ap(scores, labels)[0]
+    assert type(roc_auc(scores, labels)) is float
+    with pytest.raises(ValueError, match="both classes"):
+        roc_auc([0.2, 0.4], [0, 0])
 
 
 def auc_pair_oracle(scores, labels):

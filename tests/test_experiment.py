@@ -306,8 +306,7 @@ def test_run_experiment_writes_reloadable_artifacts(tmp_path):
         assert rows
         assert set(rows[0]) == {"epoch", "train_loss", "val_loss",
                                 "val_metric", "homophily"}
-    assert os.path.exists(out / "checkpoint" / "params.txt")
-    assert os.path.exists(out / "checkpoint" / "manifest.json")
+    assert os.listdir(out / "checkpoint") == ["checkpoint.json"]
 
 
 def test_interrupted_artifact_write_keeps_previous_result(tmp_path,
@@ -338,8 +337,7 @@ def test_evaluate_checkpoint_matches_training_metrics(tmp_path):
     config = quick_config(output_dir=str(out))
     record = run_experiment(config)
     metrics = evaluate_checkpoint(config, str(out / "checkpoint"))
-    with open(out / "checkpoint" / "manifest.json") as fh:
-        seed = json.load(fh)["seed"]
+    seed = load_checkpoint(out / "checkpoint")[1]["seed"]
     stored = next(m for m in record.per_seed if m["seed"] == seed)
     assert metrics["test_accuracy"] == pytest.approx(stored["test_accuracy"])
 
@@ -355,6 +353,24 @@ def test_evaluate_checkpoint_rejects_parameters_the_model_lacks(tmp_path):
     save_checkpoint(values, out / "stale", manifest)
     with pytest.raises(ValueError, match="reducer"):
         evaluate_checkpoint(config, str(out / "stale"))
+
+
+def test_eval_names_the_file_a_two_file_checkpoint_lacks(tmp_path, capsys):
+    """A directory in the retired params.txt + manifest.json layout is not
+    a checkpoint: eval exits 1 with a JSON error naming checkpoint.json."""
+    config = quick_config(seeds=[0], max_epochs=2)
+    config.to_json(tmp_path / "config.json")
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "params.txt").write_text("w 1 2\n0.5 0.25\n")
+    (old / "manifest.json").write_text(json.dumps(
+        {"config_hash": config.config_hash(), "seed": 0,
+         "shapes": {"w": [1, 2]}}))
+    assert main(["eval", "--config", str(tmp_path / "config.json"),
+                 "--checkpoint", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "checkpoint.json" in json.loads(err)["error"]
 
 
 def test_evaluate_checkpoint_refuses_a_checkpoint_of_another_config(
@@ -427,8 +443,7 @@ def test_channel_dataset_trains_as_node_class_and_evals(tmp_path, capsys):
                  "8", "--seeds", "0,1", "--output", str(out_dir)]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["name"] == "node_class:et_gcn"
-    with open(out_dir / "checkpoint" / "manifest.json") as fh:
-        seed = json.load(fh)["seed"]
+    seed = load_checkpoint(out_dir / "checkpoint")[1]["seed"]
     trained = next(m for m in record["per_seed"] if m["seed"] == seed)
 
     assert main(["eval", "--config", str(out_dir / "config.json"),
@@ -569,8 +584,7 @@ def test_cli_eval_prints_the_checkpoint_metrics_as_json(tmp_path, capsys,
     config = quick_config(task=task, max_epochs=6, patience=6,
                           output_dir=str(out_dir))
     record = run_experiment(config)
-    with open(out_dir / "checkpoint" / "manifest.json") as fh:
-        seed = json.load(fh)["seed"]
+    seed = load_checkpoint(out_dir / "checkpoint")[1]["seed"]
     trained = next(m for m in record.per_seed if m["seed"] == seed)
 
     assert main(["eval", "--config", str(out_dir / "config.json"),
@@ -645,6 +659,49 @@ def test_cli_train_config_file_and_its_output_override(tmp_path,
     assert main(["train", "--config", path, "--output", "elsewhere"]) == 0
     assert seen == [config, dataclasses.replace(config,
                                                 output_dir="elsewhere")]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--config", "CONFIG", "--seeds", "5,6", "--max-epochs", "7"],
+     "--max-epochs, --seeds"),
+    (["--config", "CONFIG", "--lr", "0.1", "--output", "elsewhere"],
+     "--learning-rate"),
+    (["--config", "CONFIG", "--p-in", "0.3"], "--p-in"),
+    (["--dataset", "DATA", "--p-in", "0.3", "--sbm-seed", "2"],
+     "--p-in, --sbm-seed"),
+    (["--dataset", "DATA", "--p-out", "0.1"], "--p-out"),
+], ids=["config_seeds_epochs", "config_lr", "config_p_in",
+        "no_blocks_p_in_sbm_seed", "no_blocks_p_out"])
+def test_cli_train_refuses_flags_it_would_ignore(tmp_path, capsys,
+                                                 monkeypatch, flags, named):
+    """``--config`` takes no config flag but ``--output``, and the SBM flags
+    need ``--blocks``: an ignored flag exits 1 naming it, before any run."""
+    monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+    quick_config().to_json(tmp_path / "config.json")
+    data_dir = tmp_path / "data"
+    save_dataset(sbm_generate(**SBM), data_dir)
+    names = {"CONFIG": str(tmp_path / "config.json"), "DATA": str(data_dir)}
+    assert main(["train", *(names.get(f, f) for f in flags)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["type"] == "ValueError"
+    assert named in error["error"]
+
+
+def test_cli_train_sbm_flags_shape_the_blocks_graph(monkeypatch):
+    """With ``--blocks``, an SBM flag left unset takes its default."""
+    seen = []
+
+    def spy(config):
+        seen.append(config)
+        return ResultRecord("spy", config.config_hash(), [], {})
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    assert main(["train", "--blocks", "6,6", "--p-out", "0.1"]) == 0
+    assert main(["train", "--blocks", "6,6", "--p-in", "0.3", "--p-out",
+                 "0.05", "--sbm-seed", "4"]) == 0
+    assert [c.synthetic for c in seen] == [
+        {"block_sizes": [6, 6], "p_in": 0.2, "p_out": 0.1, "seed": 0},
+        {"block_sizes": [6, 6], "p_in": 0.3, "p_out": 0.05, "seed": 4}]
 
 
 def test_cli_gradcheck_covers_every_recipe(capsys):

@@ -1,10 +1,17 @@
 """Initialization, the parameter tape, Adam updates and checkpoints."""
 
+import os
+
 import numpy as np
 import pytest
 
+from edgetensor.evaluation import split_nodes
+from edgetensor.generators import sbm_generate
+from edgetensor.models import MODEL_KINDS
 from edgetensor.params import (NonFiniteGradient, ParamTape, glorot_init,
                                load_checkpoint, save_checkpoint)
+from edgetensor.tasks import run_node_classification
+from edgetensor.training import TaskConfig
 
 
 def test_glorot_bounds_and_determinism():
@@ -160,3 +167,55 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded["a"], values["a"])
     np.testing.assert_array_equal(loaded["b"], values["b"])
     assert loaded["b"].shape == (2,)
+    # one file, one format: nothing else is left in the directory
+    assert os.listdir(tmp_path / "ckpt") == ["checkpoint.json"]
+
+
+@pytest.fixture(scope="module")
+def trained_params():
+    """The best parameters of a tiny run of each model kind (et_gat's
+    ``theta`` is 1-d), plus a vector of float64's edge values."""
+    graph = sbm_generate([8, 8], 0.5, 0.1, seed=0)
+    splits = split_nodes(graph.labels, 2, 0.5, seed=0)
+    params = {"edge": np.array([-0.0, 5e-324, 1.7976931348623157e308,
+                                -1.7976931348623157e308, 0.1])}
+    for kind in MODEL_KINDS:
+        run = run_node_classification(graph, splits,
+                                      TaskConfig(0.05, 3, 3, seed=0),
+                                      model_kind=kind)
+        params.update({f"{kind}/{name}": value
+                       for name, value in run.best_params.items()})
+    return params
+
+
+def test_checkpoint_round_trips_every_bit(tmp_path, trained_params):
+    assert trained_params["et_gat/theta"].ndim == 1
+    save_checkpoint(trained_params, tmp_path, manifest={"seed": 3})
+    loaded, manifest = load_checkpoint(tmp_path)
+    assert manifest == {"seed": 3}
+    assert loaded.keys() == trained_params.keys()
+    for name, value in trained_params.items():
+        assert loaded[name].dtype == np.float64, name
+        assert loaded[name].shape == value.shape, name
+        assert loaded[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("values, manifest, error", [
+    ({"w": np.ones((2, 2))}, {"seed": object()}, TypeError),
+    ({"w": np.array([[1.0, np.nan], [0.0, 1.0]])}, {"seed": 1}, ValueError),
+    ({"w": np.full((2, 2), -np.inf)}, {"seed": 1}, ValueError),
+], ids=["unencodable_manifest", "nan_param", "inf_param"])
+def test_a_failed_save_keeps_the_previous_checkpoint_whole(
+        tmp_path, values, manifest, error):
+    """A save that raises partway leaves the previous checkpoint as it
+    was: its values and its manifest, not a mix of two runs."""
+    before = {"w": np.arange(4.0).reshape(2, 2), "theta": np.array([0.5])}
+    save_checkpoint(before, tmp_path, manifest={"seed": 0, "epoch": 4})
+    with pytest.raises(error):
+        save_checkpoint(values, tmp_path, manifest=manifest)
+    loaded, kept = load_checkpoint(tmp_path)
+    assert kept == {"seed": 0, "epoch": 4}
+    assert loaded.keys() == before.keys()
+    for name, value in before.items():
+        assert loaded[name].tobytes() == value.tobytes()
+    assert os.listdir(tmp_path) == ["checkpoint.json"]

@@ -538,6 +538,28 @@ def test_link_prediction_reproducible():
     assert r1.metrics == r2.metrics
 
 
+def test_link_prediction_computes_ap_once_per_run(monkeypatch,
+                                                  recorded_calls):
+    """Each epoch's validation reads only the AUC, so ``auc_ap`` runs once,
+    on the test pairs; the per-epoch metric is its AUC, bit for bit."""
+    calls = []
+
+    def spy(scores, labels):
+        calls.append(len(scores))
+        return auc_ap(scores, labels)
+
+    monkeypatch.setattr(tasks, "auc_ap", spy)
+    graph, split = small_link_inputs()
+    result = run_link_prediction(graph, split, TaskConfig(0.01, 5, 5, seed=0))
+    assert len(result.history) == 5
+    assert calls == [len(split.test_pos) + len(split.test_neg)]
+    z = _fresh_forward(recorded_calls, result.best_params)[0].z.value
+    scores = link_scores(z, np.concatenate([split.val_pos, split.val_neg]))
+    labels = np.r_[np.ones(len(split.val_pos)), np.zeros(len(split.val_neg))]
+    assert (result.history[result.best_epoch].val_metric
+            == auc_ap(scores, labels)[0])
+
+
 def test_link_prediction_rejects_a_split_of_the_wrong_type():
     graph = sbm_generate([10, 10], 0.3, 0.05, seed=2)
     cfg = TaskConfig(max_epochs=1, patience=1)
