@@ -17,7 +17,7 @@ from .experiment import (ExperimentConfig, ResultRecord, report,
 from .features import build_concat_features, build_subtract_features
 from .generators import sbm_generate
 from .layers import (EdgeConvLayer, GraphConvLayer, attention_forward,
-                     blend_edge_weights, gc_forward, tpgc_forward)
+                     gc_forward, tpgc_forward)
 from .models import (EdgeTensorGnn, build_model, etgnn_forward, prepare,
                      prepare_multigraph)
 from .params import ParamTape, glorot_init

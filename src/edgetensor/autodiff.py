@@ -345,13 +345,6 @@ def floor_at(a, c):
     return _node(np.where(mask, av, c), (a, lambda g: g * mask))
 
 
-def absolute(a):
-    """|a| elementwise; subgradient at 0 is 0."""
-    av = value(a)
-    sign = np.sign(av)
-    return _node(np.abs(av), (a, lambda g: g * sign))
-
-
 def rsqrt(a):
     av = value(a)
     r = 1.0 / np.sqrt(av)

@@ -26,15 +26,20 @@ def _config_from_args(args):
     and a set one the config would ignore is refused."""
     given = vars(args)
     if "config" in given:
-        ignored = given.keys() - {"command", "func", "config", "output_dir"}
-        rule = "--config takes no other flag but --output"
+        checks = [(given.keys() - {"command", "func", "config", "output_dir"},
+                   "--config takes no other flag but --output")]
     else:
-        ignored = given.keys() & ({"p_in", "p_out", "sbm_seed"}
-                                  if "blocks" not in given else set())
-        rule = "the SBM flags shape the graph of --blocks"
-    if ignored:
-        flags = ", ".join(sorted("--" + n.replace("_", "-") for n in ignored))
-        raise ValueError(f"{flags} would be ignored: {rule}")
+        checks = [(given.keys() & ({"p_in", "p_out", "sbm_seed"}
+                                   if "blocks" not in given else set()),
+                   "the SBM flags shape the graph of --blocks"),
+                  (given.keys() & ({"seed_count"} if "seeds" in given
+                                   else set()),
+                   "--seeds lists the seeds itself")]
+    for ignored, rule in checks:
+        if ignored:
+            flags = ", ".join(sorted("--" + n.replace("_", "-")
+                                     for n in ignored))
+            raise ValueError(f"{flags} would be ignored: {rule}")
     if "config" in given:
         config = ExperimentConfig.from_json(args.config)
         if "output_dir" in given:
@@ -78,7 +83,7 @@ def _add_config_flags(p):
     p.add_argument("--split-seed", type=int)
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--seed-count", type=int,
-                   help="expands to seeds 0..k-1 when --seeds is absent")
+                   help="seeds 0..k-1; refused beside --seeds")
     p.add_argument("--output", dest="output_dir", metavar="DIR",
                    help="output directory for artifacts")
 

@@ -56,8 +56,6 @@ class ExperimentConfig:
     edge_hidden: list = None          # None: the task's widths
     gc_hidden: list = None
     embed_dim: int = TASK_SETTINGS["link_pred"]["embed_dim"]
-    negative_mode: str = MODEL_DEFAULTS["negative_mode"]
-    blend_attention: bool = MODEL_DEFAULTS["blend_attention"]
     train_per_class: int = TASK_SETTINGS["node_class"]["train_per_class"]
     train_fraction: float = TASK_SETTINGS["node_class"]["train_fraction"]
     val_fraction: float = TASK_SETTINGS["node_class"]["val_fraction"]
@@ -84,6 +82,10 @@ class ExperimentConfig:
             raise ValueError("set train_per_class or train_fraction, not both")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ValueError(f"seeds {repeated} are repeated; each seed "
+                             "trains one run")
         # the learning rate and epoch settings follow TaskConfig's rules
         TaskConfig(self.learning_rate, self.max_epochs, self.patience)
         if (self.dataset is None) == (self.synthetic is None):

@@ -2,7 +2,7 @@
 neighborhood attention.
 
 Every graph operand ``a`` is a :class:`SparseAdjacency`: the renormalized
-adjacency, attention weights or their blend, all on one pattern. The
+adjacency or attention weights, both on one pattern. The
 forwards are compositions of autodiff ops, so they follow the tracing rule
 stated in :mod:`edgetensor.autodiff`: plain numpy inputs give plain
 outputs, and an output is traced (gradients flow through
@@ -153,10 +153,3 @@ def attention_forward(h, a, theta):
     alpha = ad.segment_softmax(scores, a.rows, a.n)
     return a.with_weights(alpha)
 
-
-def blend_edge_weights(a_tilde, alpha):
-    """Entrywise average (A_tilde + alpha) / 2 on identical supports."""
-    if not a_tilde.same_pattern(alpha):
-        raise ValueError("blend requires identical supports")
-    mixed = ad.mul(ad.add(a_tilde.weights, alpha.weights), 0.5)
-    return a_tilde.with_weights(mixed)

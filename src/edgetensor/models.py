@@ -20,12 +20,10 @@ from .edge_tensor import EdgeFeatureTensor
 from .features import (RECIPE_KINDS, build_concat_features,
                        build_subtract_features)
 from .layers import (EdgeConvLayer, GraphConvLayer, attention_forward,
-                     blend_edge_weights, gc_forward, tpgc_forward,
-                     tpgc_propagate)
+                     gc_forward, tpgc_forward, tpgc_propagate)
 from .sparse_graph import LabeledGraph, renormalize_weights
 
 MODEL_KINDS = ("et_gcn", "et_gat", "gcn_only")
-NEGATIVE_MODES = ("clamp", "abs")
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,6 @@ class EdgeTensorGnn:
     edge_layers: list
     gc_layers: list
     theta: object  # (2d,) attention vector (Var); None without attention
-    negative_mode: str
-    blend_attention: bool
 
 
 @dataclass(frozen=True)
@@ -83,8 +79,7 @@ def prepare_multigraph(graphs, features, labels):
 
 # The settings build_model takes that a model may not read: gcn_only has no
 # edge stack, and edge channels replace the recipe as the edge input.
-EDGE_STACK_SETTINGS = ("recipe", "reduce_dim", "edge_hidden", "epsilon",
-                       "negative_mode", "blend_attention")
+EDGE_STACK_SETTINGS = ("recipe", "reduce_dim", "edge_hidden", "epsilon")
 RECIPE_SETTINGS = ("recipe", "reduce_dim")
 
 
@@ -96,16 +91,14 @@ def read_settings(kind, channels, settings):
 
 
 def check_settings(kind, channels, settings):
-    """Refuse an unknown kind, recipe or negative mode, or a non-default
-    value of a setting the model never reads; an absent one is default."""
+    """Refuse an unknown kind or recipe, or a non-default value of a
+    setting the model never reads; an absent one is default."""
     settings = {k: tuple(v) if isinstance(v, (list, np.ndarray)) else v
                 for k, v in {**MODEL_DEFAULTS, **settings}.items()}
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if settings["recipe"] not in RECIPE_KINDS:
         raise ValueError(f"unknown recipe kind {settings['recipe']!r}")
-    if settings["negative_mode"] not in NEGATIVE_MODES:
-        raise ValueError(f"unknown negative mode {settings['negative_mode']!r}")
     read = read_settings(kind, channels, settings)
     changed = [k for k, v in settings.items()
                if k not in read and v != MODEL_DEFAULTS[k]]
@@ -117,7 +110,6 @@ def check_settings(kind, channels, settings):
 
 def build_model(tape, kind, ctx, out_dim, *, recipe="concat", reduce_dim=8,
                 edge_hidden=(8, 1), gc_hidden=(32,), epsilon=0.2,
-                negative_mode="clamp", blend_attention=False,
                 final_activation="softmax", seed=0, hidden_activation="relu"):
     """Register the parameters the forward reads on ``tape``; return the model.
 
@@ -128,13 +120,12 @@ def build_model(tape, kind, ctx, out_dim, *, recipe="concat", reduce_dim=8,
     edge-layer output dims and must end in 1; ``gc_hidden`` lists node-layer
     hidden dims (the output layer of size ``out_dim`` is appended).
     :func:`check_settings` refuses a model setting (``recipe`` to
-    ``blend_attention``) the model never reads. Every argument is checked
+    ``epsilon``) the model never reads. Every argument is checked
     before any parameter is registered.
     """
     check_settings(kind, ctx.stacked is not None, dict(
         recipe=recipe, reduce_dim=reduce_dim, edge_hidden=edge_hidden,
-        gc_hidden=gc_hidden, epsilon=epsilon, negative_mode=negative_mode,
-        blend_attention=blend_attention))
+        gc_hidden=gc_hidden, epsilon=epsilon))
     edge_stack = kind != "gcn_only"
     if edge_stack and (not edge_hidden or edge_hidden[-1] != 1):
         raise ValueError("edge_hidden must be nonempty and end in output "
@@ -177,12 +168,11 @@ def build_model(tape, kind, ctx, out_dim, *, recipe="concat", reduce_dim=8,
         gc_layers.append(GraphConvLayer(w, activation=act))
 
     theta = None
-    if kind == "et_gat" or blend_attention:
+    if kind == "et_gat":
         theta = tape.create("theta", (2 * d_in,), child_seed())
 
     return EdgeTensorGnn(recipe if reducer is not None else None, reducer,
-                         edge_layers, gc_layers, theta, negative_mode,
-                         blend_attention)
+                         edge_layers, gc_layers, theta)
 
 
 # every model setting's default, as build_model declares it
@@ -221,15 +211,6 @@ def _edge_input(model, ctx, h, prop):
     return tpgc_propagate(s, prop, first), layers[1:]
 
 
-def _propagation_weights(model, ctx, h):
-    if model.theta is None:
-        return ctx.a_tilde
-    alpha = attention_forward(h, ctx.a_tilde, model.theta)
-    if model.blend_attention:
-        return blend_edge_weights(ctx.a_tilde, alpha)
-    return alpha
-
-
 def etgnn_forward(model, ctx):
     """Full forward pass on the context's node features.
 
@@ -240,14 +221,15 @@ def etgnn_forward(model, ctx):
     pattern = ctx.a_tilde
     graph, edge_weights = pattern, None
     if model.edge_layers:
-        prop = _propagation_weights(model, ctx, h)
+        prop = (ctx.a_tilde if model.theta is None
+                else attention_forward(h, ctx.a_tilde, model.theta))
         s, layers = _edge_input(model, ctx, h, prop)
         for layer in layers:
             s = tpgc_forward(s, prop, layer)
 
         raw = ad.reshape(s.values, (-1,))
         sym = ad.mul(ad.add(raw, ad.gather_rows(raw, s.pattern.transpose_permutation)), 0.5)
-        clamped = ad.relu(sym) if model.negative_mode == "clamp" else ad.absolute(sym)
+        clamped = ad.relu(sym)
         norm = renormalize_weights(pattern.rows, pattern.cols, pattern.n, clamped)
         graph = pattern.with_weights(norm)
         edge_weights = pattern.with_weights(clamped)

@@ -131,10 +131,15 @@ def save_checkpoint(values, directory, manifest):
                   allow_nan=False, sort_keys=True)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"checkpoint holds the non-finite value {token}")
+
+
 def load_checkpoint(directory):
     """Read back (values, manifest) written by :func:`save_checkpoint`;
-    each array is float64, shaped by its list nesting."""
+    each array is float64, shaped by its list nesting. A ``NaN`` or
+    ``Infinity`` token, which no save writes, raises."""
     with open(os.path.join(directory, "checkpoint.json")) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_refuse_constant)
     return ({k: np.asarray(v, dtype=np.float64)
              for k, v in doc["params"].items()}, doc["manifest"])

@@ -327,16 +327,15 @@ def renormalize_oracle(a_dense):
     return d_inv_sqrt @ a_bar @ d_inv_sqrt
 
 
-def configured_loss(kind, features, negative_mode, blend, *, seed=0,
-                    n_per_block=5, activation="identity"):
+def configured_loss(kind, features, *, seed=0, n_per_block=5,
+                    activation="identity"):
     """(tape, loss_fn) of one model configuration on a tiny two-block SBM.
 
     The model gets small widths of the settings it reads and the hidden
     ``activation``. ``features`` is a recipe, or ``"stack"`` for a
     two-view graph whose edge channels replace it. Graph, split and model
-    seeds follow ``gradcheck.model_gradcheck``, so a concat, clamp,
-    no-blend configuration is the model that check builds, apart from
-    the activation.
+    seeds follow ``gradcheck.model_gradcheck``, so a concat configuration
+    is the model that check builds, apart from the activation.
     """
     graph = sbm_generate([n_per_block] * 2, 0.6, 0.3, seed=seed + 1)
     splits = split_nodes(graph.labels, 2, 0.2, seed=seed + 2)
@@ -348,8 +347,7 @@ def configured_loss(kind, features, negative_mode, blend, *, seed=0,
     else:
         ctx = prepare(graph)
     settings = read_settings(kind, stack, dict(
-        recipe=features, reduce_dim=2, edge_hidden=(3, 1),
-        negative_mode=negative_mode, blend_attention=blend))
+        recipe=features, reduce_dim=2, edge_hidden=(3, 1)))
     tape = ParamTape()
     model = build_model(tape, kind, ctx, graph.num_classes, gc_hidden=(4,),
                         seed=seed, hidden_activation=activation, **settings)

@@ -129,7 +129,7 @@ def test_criterion_2_gradient_suite():
             ok &= good
             worst = max(worst, max(report.values()))
         good, report = finite_difference_check(*configured_loss(
-            kind, "concat", "clamp", False, n_per_block=6, activation="relu"))
+            kind, "concat", n_per_block=6, activation="relu"))
         ok &= good
         worst = max(worst, max(report.values()))
     elapsed = time.perf_counter() - start

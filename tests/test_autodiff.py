@@ -74,7 +74,6 @@ LEADING = np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3)
     (ad.relu, lambda x: np.maximum(x, 0.0)),
     (ad.leaky_relu, lambda x: np.where(x > 0, x, 0.2 * x)),
     (ad.sigmoid, lambda x: 1 / (1 + np.exp(-x))),
-    (ad.absolute, np.abs),
     # a plain constant operand of mul, add and sub
     (lambda v: ad.mul(v, -1.5), lambda x: -1.5 * x),
     (lambda v: ad.add(v, 3.0), lambda x: x + 3.0),

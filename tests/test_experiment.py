@@ -44,6 +44,12 @@ def test_config_validation():
         quick_config(task="multi_graph")
     with pytest.raises(ValueError, match="seeds"):
         quick_config(seeds=[])
+    # a repeated seed would train one run again, overwrite its history CSV
+    # and report a std over copies; the error names each repeated seed
+    with pytest.raises(ValueError, match=r"seeds \[1\] are repeated"):
+        quick_config(seeds=[1, 1, 1])
+    with pytest.raises(ValueError, match=r"seeds \[0, 2\] are repeated"):
+        quick_config(seeds=[2, 0, 2, 1, 0])
     with pytest.raises(ValueError, match="dataset path or a synthetic"):
         ExperimentConfig(task="node_class", synthetic=None)
     with pytest.raises(FileNotFoundError):
@@ -64,11 +70,24 @@ def test_config_takes_exactly_one_graph_source(tmp_path):
 @pytest.mark.parametrize("field, value, message", [
     ("recipe", "bogus", "recipe kind"),
     ("recipe", "stack", "recipe kind"),
-    ("negative_mode", "nope", "negative mode"),
-], ids=["recipe", "recipe_stack", "negative_mode"])
+], ids=["recipe", "recipe_stack"])
 def test_config_rejects_unknown_model_options(field, value, message):
     with pytest.raises(ValueError, match=f"unknown {message} '{value}'"):
         quick_config(**{field: value})
+
+
+@pytest.mark.parametrize("key, value", [("negative_mode", "clamp"),
+                                        ("blend_attention", False)])
+def test_config_json_naming_a_removed_model_option_is_refused(tmp_path, key,
+                                                              value):
+    """A model has no negative mode or attention blend: a config.json that
+    names either, even at its old default, is refused, naming the key."""
+    path = tmp_path / "config.json"
+    quick_config().to_json(path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, key: value}))
+    with pytest.raises(TypeError, match=key):
+        ExperimentConfig.from_json(path)
 
 
 def save_views(root, count=2):
@@ -182,9 +201,8 @@ def test_dataset_with_splits_refuses_changed_split_settings(tmp_path, capsys,
 
 @pytest.mark.parametrize("field, value", [
     ("recipe", "subtract"), ("reduce_dim", 4), ("edge_hidden", [4, 1]),
-    ("epsilon", 0.3), ("negative_mode", "abs"), ("blend_attention", True),
-], ids=["recipe", "reduce_dim", "edge_hidden", "epsilon",
-        "negative_mode", "blend_attention"])
+    ("epsilon", 0.3),
+], ids=["recipe", "reduce_dim", "edge_hidden", "epsilon"])
 def test_config_rejects_edge_stack_fields_for_gcn_only(field, value):
     # gcn_only never reads them, so a changed value would only change the
     # hash; build_model's rule refuses it at construction
@@ -201,8 +219,7 @@ def test_config_model_defaults_are_build_models():
     keywords = inspect.signature(build_model).parameters
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     assert set(MODEL_DEFAULTS) == {"recipe", "reduce_dim", "edge_hidden",
-                                   "gc_hidden", "epsilon", "negative_mode",
-                                   "blend_attention"}
+                                   "gc_hidden", "epsilon"}
     for name in MODEL_DEFAULTS:
         assert MODEL_DEFAULTS[name] == keywords[name].default, name
         expected = (None if name in ("edge_hidden", "gc_hidden")
@@ -371,6 +388,26 @@ def test_eval_names_the_file_a_two_file_checkpoint_lacks(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "checkpoint.json" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "minus_inf"])
+def test_eval_refuses_a_checkpoint_holding_a_non_finite_value(tmp_path,
+                                                              capsys, bad):
+    """json reads NaN and Infinity tokens, which no save writes: eval of a
+    checkpoint holding one exits 1 naming the token, and scores nothing."""
+    out = tmp_path / "out"
+    config = quick_config(model="et_gat", seeds=[0], max_epochs=2,
+                          output_dir=str(out))
+    run_experiment(config)
+    path = out / "checkpoint" / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    doc["params"]["theta"][0] = bad
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--config", str(out / "config.json"),
+                 "--checkpoint", str(out / "checkpoint")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.dumps(bad) in json.loads(captured.err)["error"]
 
 
 def test_evaluate_checkpoint_refuses_a_checkpoint_of_another_config(
@@ -670,12 +707,15 @@ def test_cli_train_config_file_and_its_output_override(tmp_path,
     (["--dataset", "DATA", "--p-in", "0.3", "--sbm-seed", "2"],
      "--p-in, --sbm-seed"),
     (["--dataset", "DATA", "--p-out", "0.1"], "--p-out"),
+    (["--blocks", "6,6", "--seeds", "4", "--seed-count", "3"],
+     "--seed-count would be ignored: --seeds lists the seeds itself"),
 ], ids=["config_seeds_epochs", "config_lr", "config_p_in",
-        "no_blocks_p_in_sbm_seed", "no_blocks_p_out"])
+        "no_blocks_p_in_sbm_seed", "no_blocks_p_out", "seeds_seed_count"])
 def test_cli_train_refuses_flags_it_would_ignore(tmp_path, capsys,
                                                  monkeypatch, flags, named):
-    """``--config`` takes no config flag but ``--output``, and the SBM flags
-    need ``--blocks``: an ignored flag exits 1 naming it, before any run."""
+    """``--config`` takes no config flag but ``--output``, the SBM flags
+    need ``--blocks``, and ``--seed-count`` is read only without
+    ``--seeds``: an ignored flag exits 1 naming it, before any run."""
     monkeypatch.setattr(cli, "run_experiment", pytest.fail)
     quick_config().to_json(tmp_path / "config.json")
     data_dir = tmp_path / "data"

@@ -15,8 +15,8 @@ from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import EdgeFeatureTensor
 from edgetensor.gradcheck import finite_difference_check
 from edgetensor.layers import (EdgeConvLayer, GraphConvLayer,
-                               attention_forward, blend_edge_weights,
-                               gc_forward, sparse_matmul, tpgc_forward)
+                               attention_forward, gc_forward, sparse_matmul,
+                               tpgc_forward)
 from edgetensor.params import ParamTape
 from edgetensor.sparse_graph import ContractionPlan, SparseAdjacency, renormalize
 
@@ -251,22 +251,6 @@ def test_attention_rejects_wrong_theta_length(rng):
     a = renormalize(SparseAdjacency.from_undirected_edges(3, [(0, 1)]))
     with pytest.raises(ValueError, match="theta"):
         attention_forward(rng.standard_normal((3, 2)), a, np.ones(3))
-
-
-def test_blend_edge_weights_is_average(rng):
-    t, a = random_pair(5, 1, rng)
-    h = rng.standard_normal((5, 2))
-    alpha = attention_forward(h, a, rng.standard_normal(4))
-    blend = blend_edge_weights(a, alpha)
-    np.testing.assert_allclose(blend.weights,
-                               0.5 * (a.weights + alpha.weights), atol=1e-15)
-
-
-def test_blend_edge_weights_rejects_another_support():
-    a = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
-    b = SparseAdjacency.from_undirected_edges(3, [(1, 2)])
-    with pytest.raises(ValueError, match="identical supports"):
-        blend_edge_weights(a, b)
 
 
 def test_traced_forward_matches_plain(rng):

@@ -16,9 +16,8 @@ from edgetensor.edge_tensor import (axpy, project_mode3, propagate_mode1,
                                     propagate_mode2)
 from edgetensor.features import build_concat_features, build_subtract_features
 from edgetensor.generators import sbm_generate
-from edgetensor.layers import (attention_forward, blend_edge_weights,
-                               gc_forward, sparse_matmul, tpgc_forward,
-                               tpgc_propagate)
+from edgetensor.layers import (attention_forward, gc_forward, sparse_matmul,
+                               tpgc_forward, tpgc_propagate)
 from edgetensor.models import (build_model, etgnn_forward, link_scores,
                                prepare, prepare_multigraph)
 from edgetensor.params import ParamTape
@@ -91,12 +90,6 @@ def test_gcn_only_skips_edge_stack():
     assert result.z.value.shape == (graph.n, graph.num_classes)
 
 
-def test_abs_negative_mode_keeps_magnitudes():
-    graph, ctx, tape, model = build_small(negative_mode="abs")
-    w = etgnn_forward(model, ctx).edge_weights.weights.value
-    assert np.all(w >= 0)
-
-
 def test_build_model_rejects_bad_edge_stack():
     graph, ctx = small_context()
     tape = ParamTape()
@@ -130,7 +123,6 @@ def test_stack_recipe_requires_channel_count():
 @pytest.mark.parametrize("kind, kwargs, message", [
     ("bogus", {}, "unknown model kind"),
     ("et_gcn", {"edge_hidden": ()}, "nonempty"),
-    ("gcn_only", {"blend_attention": True}, "no edge stack"),
     ("gcn_only", {"epsilon": 0.5, "reduce_dim": 3},
      r"gcn_only has no edge stack; leave \['reduce_dim', 'epsilon'\]"),
     ("gcn_only", {"edge_hidden": [8, 1], "recipe": "subtract"},
@@ -138,8 +130,7 @@ def test_stack_recipe_requires_channel_count():
     ("gcn_only", {"edge_hidden": np.array([8, 1]), "recipe": "subtract"},
      r"leave \['recipe'\] at their defaults"),
     ("et_gcn", {"gc_hidden": (0,)}, "positive"),
-], ids=["kind", "empty_edge_hidden", "gcn_only_blend",
-        "gcn_only_names_each_unread", "gcn_only_default_list_width",
+], ids=["kind", "empty_edge_hidden", "gcn_only_names_each_unread", "gcn_only_default_list_width",
         "gcn_only_default_array_width", "zero_width"])
 def test_build_model_checks_before_registering(kind, kwargs, message):
     graph, ctx = small_context()
@@ -390,12 +381,6 @@ def test_prepare_multigraph_builds_union_context():
     assert z.shape == (8, 2)
 
 
-def test_blend_attention_flag_adds_head():
-    graph, ctx, tape, model = build_small(blend_attention=True)
-    assert "theta" in tape.params
-    assert check_learned_graph(etgnn_forward(model, ctx))
-
-
 # (recipe, reduce_dim, first edge layer width): concat pairs are
 # 2 * reduce_dim wide, subtract pairs reduce_dim
 FIRST_LAYERS = [pytest.param("concat", 2, 3, id="narrow"),
@@ -432,7 +417,8 @@ def test_first_edge_layer_matches_slot_level_tensor(kind, recipe, reduce_dim,
         kind, recipe=recipe, reduce_dim=reduce_dim,
         edge_hidden=(p_out, 1))
     h, first = ctx.features, model.edge_layers[0]
-    prop = models._propagation_weights(model, ctx, h)
+    prop = (ctx.a_tilde if model.theta is None
+            else attention_forward(h, ctx.a_tilde, model.theta))
     s, rest = models._edge_input(model, ctx, h, prop)
     if len(rest) == len(model.edge_layers):
         s = tpgc_forward(s, prop, first)
@@ -462,7 +448,7 @@ def _holds_var(out):
 
 @pytest.fixture(scope="module")
 def plain_case():
-    graph, ctx, _, model = build_small("et_gat", blend_attention=True)
+    graph, ctx, _, model = build_small("et_gat")
     model = dataclasses.replace(
         model, reducer=_plain_copy(model.reducer),
         edge_layers=[_plain_copy(layer) for layer in model.edge_layers],
@@ -489,7 +475,6 @@ PLAIN_FORWARDS = {
         c.projected, c.alpha, c.model.edge_layers[0]),
     "attention_forward": lambda c: attention_forward(
         c.h, c.a, c.model.theta),
-    "blend_edge_weights": lambda c: blend_edge_weights(c.a, c.alpha),
     "propagate_mode1": lambda c: propagate_mode1(c.s, c.a),
     "propagate_mode2": lambda c: propagate_mode2(c.s, c.a),
     "project_mode3": lambda c: project_mode3(c.s, c.model.edge_layers[0].weight),
@@ -513,7 +498,7 @@ def test_plain_et_gat_forwards_reuse_their_plans(plain_case, monkeypatch):
     """One plan walk, on the context's pattern, over three forwards.
 
     Each forward propagates with a new ``with_weights`` copy of ``a_tilde``
-    (the attention blend); plans are read from the tensor's pattern, so
+    (the attention weights); plans are read from the tensor's pattern, so
     the copies never rebuild them. A second context of the same graph
     shares ``a_tilde`` and walks nothing.
     """
