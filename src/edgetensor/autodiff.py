@@ -29,10 +29,13 @@ operands once and then works on one contiguous feature column at a time, so no
 (terms x width) block or flat index is ever built.
 :func:`gather_scale_sum` serves the sparse products of
 ``edge_tensor.propagate_values`` (the mode-1/2 products and A·H) and the
-adjoint of ``models.link_scores``. It is bitwise equal to the row-major
-gather-multiply-``segment_sum`` composition: every term is the same
-single product, and ``bincount`` adds each output's terms in array order
-either way. :func:`row_dots` serves the weight adjoint of
+adjoint of ``models.link_scores``. ``propagate_values`` calls it one way
+round in both directions: its forward and its tensor adjoint each gather
+through the plan's sorted output slots and add into its input slots, the
+forward reading the weights transposed. It is bitwise equal to the
+row-major gather-multiply-``segment_sum`` composition: every term is the
+same single product, and ``bincount`` adds each output's terms in array
+order either way. :func:`row_dots` serves the weight adjoint of
 ``propagate_values`` and the forward of ``link_scores``.
 
 Pair features never become a (pairs x 2 width) block. A linear map of

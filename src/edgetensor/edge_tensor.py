@@ -11,14 +11,20 @@ decided in :mod:`edgetensor.sparse_graph` alone.
 Mode-1/2 products against a sparse matrix are computed only for output
 slots on the pattern; everything the full dense product would create
 outside it is dropped. The matrix must lie on the tensor's own pattern (a
-``with_weights`` copy of it, as attention and blends are): a product
-against any other pattern, a strict sub-pattern included, raises. The
-pattern owns the contraction plans, the surviving (output slot, matrix
-entry, input slot) triples, which forward and adjoint passes share: one
-walk per pattern builds both, and they share their output-slot array (see
+``with_weights`` copy of it, as attention's is): a product against any
+other pattern, a strict sub-pattern included, raises. The pattern owns
+the contraction plans, the surviving (output slot, matrix entry, input
+slot) triples, which forward and adjoint passes share: one walk per
+pattern builds both, and they share their output-slot array (see
 ``SparseAdjacency.plans``). Plans are looked up on the tensor's pattern,
 never on the matrix, so a per-forward copy of the matrix never rebuilds
 them.
+
+The forward and the tensor adjoint are one gather-scale-scatter over a
+plan: both gather rows through its sorted output slots and add them into
+its input slots. The forward reads the matrix transposed, through
+``plan.transpose``, which the symmetric pattern makes exact (see
+:func:`propagate_values`).
 """
 
 from __future__ import annotations
@@ -143,16 +149,24 @@ def propagate_values(plan, a_vals, s_vals):
     same plan: the gradient w.r.t. the tensor is the product with
     transposed matrix roles, restricted to the same support.
 
-    The forward and the tensor adjoint run through
-    :func:`autodiff.gather_scale_sum`, so no (triples x p) block is built.
-    The tensor adjoint gathers the weights again instead of keeping them,
-    so the tape holds no triples-long array. The weight adjoint sums the
-    row dot products of :func:`autodiff.row_dots` per adjacency entry with
-    one ``bincount``.
+    The forward and the tensor adjoint are one gather-scale-scatter over
+    the plan, :func:`autodiff.gather_scale_sum` gathering rows through
+    the sorted ``out_idx`` and adding them into ``slot_idx``; only the
+    weights differ. The forward reads them through ``plan.transpose``:
+    the pattern is symmetric, so triple (t, e, u) read backwards is triple
+    (u, transpose[e], t), which adds a[transpose[e]] * s[t] into slot u.
+    Each output slot still gets the same products in the same order, so
+    the result is bit for bit that of gathering through ``slot_idx`` and
+    adding into ``out_idx``, for any weights, symmetric or not. No
+    (triples x p) block is built. The tensor adjoint gathers the weights
+    again instead of keeping them, so the tape holds no triples-long
+    array. The weight adjoint sums the row dot products of
+    :func:`autodiff.row_dots` per adjacency entry with one ``bincount``.
     """
     av, sv = ad.value(a_vals), ad.value(s_vals)
-    out = ad.gather_scale_sum(sv, plan.slot_idx, np.take(av, plan.adj_idx),
-                              plan.out_idx, plan.num_slots)
+    out = ad.gather_scale_sum(sv, plan.out_idx,
+                              np.take(np.take(av, plan.transpose), plan.adj_idx),
+                              plan.slot_idx, plan.num_slots)
 
     def vjp_a(g):
         return np.bincount(plan.adj_idx,

@@ -82,6 +82,12 @@ class ExperimentConfig:
             raise ValueError("set train_per_class or train_fraction, not both")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        # a bool would train as 0 or 1 under another hash, and a float, a
+        # negative or a string would fail inside numpy, naming no field
+        bad = [s for s in self.seeds
+               if isinstance(s, bool) or not isinstance(s, int) or s < 0]
+        if bad:
+            raise ValueError(f"seeds must be nonnegative integers, got {bad!r}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ValueError(f"seeds {repeated} are repeated; each seed "

@@ -76,11 +76,15 @@ def sparse_matmul(a, h):
     """A_hat @ H for a sparse matrix (pattern + values) and dense H.
 
     H x1 A_hat, run by :func:`edge_tensor.propagate_values` over a plan
-    with one triple (output row, entry, input row) per entry of ``a``.
-    The plan is built per call and never cached, so a pattern's ``plans``
-    are only edge-tensor plans. Traced when ``a.weights`` or ``h`` is a Var.
+    with one triple (output row, entry, input row) per entry of ``a``,
+    whose ``transpose`` is ``a.transpose_permutation``: the forward, like
+    the adjoint, gathers H's rows through the sorted ``a.rows`` and adds
+    them into ``a.cols``, with the weights read transposed. The plan is
+    built per call and never cached, so a pattern's ``plans`` are only
+    edge-tensor plans. Traced when ``a.weights`` or ``h`` is a Var.
     """
-    plan = ContractionPlan(a.rows, np.arange(a.nnz), a.cols, a.n, a.nnz)
+    plan = ContractionPlan(a.rows, np.arange(a.nnz), a.cols,
+                           a.transpose_permutation, a.n, a.nnz)
     return propagate_values(plan, a.weights, h)
 
 

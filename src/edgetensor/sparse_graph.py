@@ -7,9 +7,9 @@ and hash by identity.
 
 Symmetry is decided here alone. The constructor refuses an asymmetric
 pattern or asymmetric weights, so every pattern is symmetric; a
-``with_weights`` copy's weights (attention, blends, the learned graph)
-need not be. :func:`renormalize`, the one function that needs symmetric
-weights and can be given a copy, checks them itself.
+``with_weights`` copy's weights (attention, the learned graph) need not
+be. :func:`renormalize`, the one function that needs symmetric weights
+and can be given a copy, checks them itself.
 
 A matrix's pattern is also the slot layout of the edge tensors built on it
 (see :mod:`edgetensor.edge_tensor`), and it owns their contraction plans:
@@ -47,11 +47,20 @@ PLAN_BUDGET_BYTES = 2 ** 30
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """Triples (output slot, adjacency entry, input slot) of a masked product."""
+    """Triples (output slot, adjacency entry, input slot) of a masked product.
+
+    ``transpose`` is the adjacency pattern's ``transpose_permutation``, the
+    cached array itself, not a copy: entry ``transpose[e]`` is entry ``e``
+    transposed. The pattern is symmetric, so (input slot,
+    ``transpose[entry]``, output slot) is a triple of the plan whenever
+    (output slot, entry, input slot) is, and the forward reads the
+    triples that way round (see ``edge_tensor.propagate_values``).
+    """
 
     out_idx: np.ndarray
     adj_idx: np.ndarray
     slot_idx: np.ndarray
+    transpose: np.ndarray
     num_slots: int
     num_adj: int
 
@@ -248,8 +257,8 @@ def _plan_walk(pattern):
         dest = np.repeat(offsets[slots], hits)
         dest += rank
         P[dest], Q[dest] = p, q
-    return (ContractionPlan(out, P, perm[Q], nnz, nnz),
-            ContractionPlan(out, Q, P, nnz, nnz))
+    return (ContractionPlan(out, P, perm[Q], perm, nnz, nnz),
+            ContractionPlan(out, Q, P, perm, nnz, nnz))
 
 
 def _wedges(pattern, upper):

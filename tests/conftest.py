@@ -45,6 +45,13 @@ def random_adjacency(n, rng, density=0.3):
     return SparseAdjacency(n, rows, cols, dense[rows, cols])
 
 
+def asymmetric_copy(a, rng):
+    """A ``with_weights`` copy of ``a`` with random per-entry weights, as
+    attention gives: a product that reads an entry where it should read
+    its transpose gets them wrong."""
+    return a.with_weights(rng.random(a.nnz) + 0.1)
+
+
 def has_entry(a, i, j):
     """Whether ``a`` stores entry (i, j); a plain scan of its triplets."""
     return any(r == i and c == j for r, c in zip(a.rows.tolist(),

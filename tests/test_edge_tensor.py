@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_mode1_oracle, dense_mode2_oracle,
-                      dense_mode3_oracle, fancy_index_propagate, loop_plan,
-                      random_adjacency, random_edge_tensor, random_support,
-                      support_mask, tensor_to_dense)
+from conftest import (asymmetric_copy, dense_mode1_oracle,
+                      dense_mode2_oracle, dense_mode3_oracle,
+                      fancy_index_propagate, loop_plan, random_adjacency,
+                      random_edge_tensor, random_support, support_mask,
+                      tensor_to_dense)
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import (EdgeFeatureTensor, axpy, contraction_plan,
@@ -33,6 +34,19 @@ def make_pair(n, p, rng, density=0.4):
     return t, SparseAdjacency(n, *a)
 
 
+def check_mode_oracle(propagate, oracle, rng):
+    for _ in range(20):
+        n = int(rng.integers(2, 15))
+        p = int(rng.integers(1, 5))
+        t, a = make_pair(n, p, rng, density=float(rng.random() * 0.6))
+        for weighted in (a, asymmetric_copy(a, rng)):
+            out = propagate(t, weighted)
+            expected = oracle(tensor_to_dense(t), weighted.to_dense())
+            expected[~support_mask(t)] = 0.0
+            np.testing.assert_allclose(tensor_to_dense(out), expected,
+                                       atol=1e-12)
+
+
 def test_tensor_requires_diagonal():
     a = SparseAdjacency(2, [0, 1], [1, 0], np.ones(2))
     with pytest.raises(ValueError, match="diagonal"):
@@ -52,25 +66,13 @@ def test_mode_k_product_dense_matches_loop_oracle(rng):
 
 
 def test_propagate_mode1_matches_masked_dense_oracle(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 15))
-        p = int(rng.integers(1, 5))
-        t, a = make_pair(n, p, rng, density=float(rng.random() * 0.6))
-        out = propagate_mode1(t, a)
-        expected = dense_mode1_oracle(tensor_to_dense(t), a.to_dense())
-        expected[~support_mask(t)] = 0.0
-        np.testing.assert_allclose(tensor_to_dense(out), expected, atol=1e-12)
+    """Symmetric and asymmetric weights on random supports."""
+    check_mode_oracle(propagate_mode1, dense_mode1_oracle, rng)
 
 
 def test_propagate_mode2_matches_masked_dense_oracle(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 15))
-        p = int(rng.integers(1, 5))
-        t, a = make_pair(n, p, rng, density=float(rng.random() * 0.6))
-        out = propagate_mode2(t, a)
-        expected = dense_mode2_oracle(tensor_to_dense(t), a.to_dense())
-        expected[~support_mask(t)] = 0.0
-        np.testing.assert_allclose(tensor_to_dense(out), expected, atol=1e-12)
+    """Symmetric and asymmetric weights on random supports."""
+    check_mode_oracle(propagate_mode2, dense_mode2_oracle, rng)
 
 
 def test_mode_k_product_dense_rejects_bad_operands():
@@ -336,10 +338,13 @@ def test_plan_matches_loop_oracle(seed, n, kind):
 @pytest.mark.parametrize("kind", PLAN_KINDS)
 def test_plan_pair_shares_its_output_and_entry_arrays(kind):
     """Mode 2 reads entry Q and slot P where mode 1 reads entry P: one
-    ``out`` array and one P array serve both plans."""
-    mode1, mode2 = plan_case(5, 12, kind).plans
+    ``out`` array and one P array serve both plans. Their ``transpose`` is
+    the pattern's own permutation, not a copy."""
+    pattern = plan_case(5, 12, kind)
+    mode1, mode2 = pattern.plans
     assert mode2.out_idx is mode1.out_idx
     assert mode2.slot_idx is mode1.adj_idx
+    assert mode1.transpose is mode2.transpose is pattern.transpose_permutation
 
 
 @pytest.mark.parametrize("pattern", [
@@ -373,22 +378,56 @@ def test_propagate_values_bitwise_equal_to_fancy_index_kernel(mode, p, kind):
 
     Each case runs on C-ordered blocks and on F-ordered ones, the layout
     of the kernel's own output, so a chained product (mode 1 into mode 2,
-    or a gradient the next product returned) is covered too.
+    or a gradient the next product returned) is covered too; and on the
+    pattern's symmetric weights and on asymmetric ones, as attention gives.
     """
     pattern = plan_case(7, 40, kind)
     plan = pattern.plans[mode - 1]
     rng = np.random.default_rng(p)
     s_c = rng.standard_normal((pattern.nnz, p))
     g_c = rng.standard_normal((pattern.nnz, p))
-    for order in ("C", "F"):
-        s_vals, g = np.asarray(s_c, order=order), np.asarray(g_c, order=order)
-        av, sv = Var(pattern.weights.copy()), Var(s_vals.copy(order="K"))
-        out = propagate_values(plan, av, sv)
-        assert out.value.flags.f_contiguous
-        backward(ad.total(ad.mul(out, g)))
-        expected = fancy_index_propagate(plan, pattern.weights, s_vals, g)
-        for got, want in zip((out.value, av.grad, sv.grad), expected):
-            assert np.array_equal(got, want)
+    for weighted in (pattern, asymmetric_copy(pattern, rng)):
+        for order in ("C", "F"):
+            s_vals, g = np.asarray(s_c, order=order), np.asarray(g_c, order=order)
+            av, sv = Var(weighted.weights.copy()), Var(s_vals.copy(order="K"))
+            out = propagate_values(plan, av, sv)
+            assert out.value.flags.f_contiguous
+            backward(ad.total(ad.mul(out, g)))
+            expected = fancy_index_propagate(plan, weighted.weights, s_vals, g)
+            for got, want in zip((out.value, av.grad, sv.grad), expected):
+                assert np.array_equal(got, want)
+
+
+def test_every_sparse_product_gathers_through_its_sorted_output_index(monkeypatch):
+    """Both directions of ``propagate_values``, for both modes and for
+    ``sparse_matmul``'s A·H, call ``gather_scale_sum`` one way round: they
+    gather through the plan's nondecreasing ``out_idx`` and add into its
+    ``slot_idx``; only the weights differ."""
+    calls, kernel = [], ad.gather_scale_sum
+
+    def spy(x, gather_idx, scale, seg_ids, num_segments):
+        calls.append((gather_idx, seg_ids))
+        return kernel(x, gather_idx, scale, seg_ids, num_segments)
+
+    monkeypatch.setattr(ad, "gather_scale_sum", spy)
+    rng = np.random.default_rng(0)
+    a = asymmetric_copy(plan_case(7, 40, "hub"), rng)
+    for plan in a.plans:
+        calls.clear()
+        sv = Var(rng.standard_normal((a.nnz, 3)))
+        backward(ad.total(propagate_values(plan, a.weights, sv)))
+        assert len(calls) == 2  # the forward and the tensor adjoint
+        for gather_idx, seg_ids in calls:
+            assert gather_idx is plan.out_idx and seg_ids is plan.slot_idx
+            assert np.all(np.diff(gather_idx) >= 0)
+    calls.clear()
+    h = Var(rng.standard_normal((a.n, 3)))
+    backward(ad.total(sparse_matmul(a, h)))
+    assert len(calls) == 2
+    for gather_idx, seg_ids in calls:
+        # the per-call plan's output rows and input rows
+        assert gather_idx is a.rows and seg_ids is a.cols
+        assert np.all(np.diff(gather_idx) >= 0)
 
 
 @pytest.mark.parametrize("p", [1, 3, 8, 32])

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ def test_config_validation():
         ExperimentConfig(task="node_class", synthetic=None)
     with pytest.raises(FileNotFoundError):
         quick_config(dataset="/nonexistent/path", synthetic=None)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1, "3"])
+def test_config_refuses_a_seed_that_is_not_a_nonnegative_int(seed):
+    with pytest.raises(ValueError, match=r"seeds must be nonnegative "
+                                         r"integers, got \[" + re.escape(repr(seed))):
+        quick_config(seeds=[0, seed])
+
+
+def test_config_json_refuses_a_bool_seed(tmp_path):
+    """JSON's ``true`` is a bool, not the seed 1."""
+    path = tmp_path / "config.json"
+    quick_config().to_json(path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "seeds": [True]}))
+    with pytest.raises(ValueError, match=r"seeds must be nonnegative "
+                                         r"integers, got \[True\]"):
+        ExperimentConfig.from_json(path)
 
 
 def test_config_takes_exactly_one_graph_source(tmp_path):

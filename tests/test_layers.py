@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (composed_sparse_matmul, dense_mode1_oracle,
-                      dense_mode2_oracle, dense_mode3_oracle,
-                      fancy_index_propagate, has_entry, random_adjacency,
-                      support_mask, tensor_to_dense)
+from conftest import (asymmetric_copy, composed_sparse_matmul,
+                      dense_mode1_oracle, dense_mode2_oracle,
+                      dense_mode3_oracle, fancy_index_propagate, has_entry,
+                      random_adjacency, support_mask, tensor_to_dense)
 from edgetensor import autodiff as ad
 from edgetensor import layers
 from edgetensor.autodiff import Var, backward
@@ -74,7 +74,8 @@ def test_sparse_matmul_matches_dense(rng):
 def test_sparse_matmul_bitwise_equal_to_composition(width, rng):
     """Values and both gradients match the fancy-index kernel over the same
     entry plan bit for bit, and gather_rows/mul/segment_sum too, except
-    for the weight gradient from width 8 up.
+    for the weight gradient from width 8 up; on symmetric weights and on
+    asymmetric ones, as attention gives.
 
     The weight gradient's row dots add their columns in order 0, 1, ...;
     the composition's ``mul`` adjoint sums them with ``.sum(axis=1)``,
@@ -84,22 +85,25 @@ def test_sparse_matmul_bitwise_equal_to_composition(width, rng):
     a = random_adjacency(30, rng, density=0.4)
     h = rng.standard_normal((30, width))
     g = rng.standard_normal((30, width))
-    results = []
-    for op in (sparse_matmul, composed_sparse_matmul):
-        w, hv = Var(a.weights.copy()), Var(h.copy())
-        out = op(a.with_weights(w), hv)
-        backward(ad.total(ad.mul(out, g)))
-        results.append((out.value, w.grad, hv.grad))
-    (out, grad_w, grad_h), (want_out, want_w, want_h) = results
-    assert np.array_equal(out, want_out)
-    assert np.array_equal(grad_h, want_h)
-    if width < 8:
-        assert np.array_equal(grad_w, want_w)
-    else:
-        np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-12)
-    plan = ContractionPlan(a.rows, np.arange(a.nnz), a.cols, a.n, a.nnz)
-    for got, want in zip(results[0], fancy_index_propagate(plan, a.weights, h, g)):
-        assert np.array_equal(got, want)
+    plan = ContractionPlan(a.rows, np.arange(a.nnz), a.cols,
+                           a.transpose_permutation, a.n, a.nnz)
+    for weighted in (a, asymmetric_copy(a, rng)):
+        results = []
+        for op in (sparse_matmul, composed_sparse_matmul):
+            w, hv = Var(weighted.weights.copy()), Var(h.copy())
+            out = op(a.with_weights(w), hv)
+            backward(ad.total(ad.mul(out, g)))
+            results.append((out.value, w.grad, hv.grad))
+        (out, grad_w, grad_h), (want_out, want_w, want_h) = results
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(grad_h, want_h)
+        if width < 8:
+            assert np.array_equal(grad_w, want_w)
+        else:
+            np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-12)
+        expected = fancy_index_propagate(plan, weighted.weights, h, g)
+        for got, want in zip(results[0], expected):
+            assert np.array_equal(got, want)
 
 
 def tpgc_dense_oracle(t, a_dense, w, epsilon, activation):
