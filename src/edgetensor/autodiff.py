@@ -192,11 +192,18 @@ def row_slice(a, start, stop):
     return _node(av[start:stop], (a, vjp))
 
 
-def gather_rows(a, idx):
+def gather_rows(a, idx, flat=None):
+    """Rows ``idx`` of ``a``; the adjoint sums them back with
+    :func:`bincount_rows`.
+
+    ``flat``, for a 2-d ``a``, is ``flat_ids(idx, width)``, kept by a
+    caller that gathers through one index at one width every epoch (a
+    pattern's ``flat_ids``), so the adjoint does not rebuild it.
+    """
     av = value(a)
     idx = np.asarray(idx, dtype=np.intp)
     return _node(np.take(av, idx, axis=0),
-                 (a, lambda g: bincount_rows(g, idx, av.shape[0])))
+                 (a, lambda g: bincount_rows(g, idx, av.shape[0], flat)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +225,24 @@ def mean(a):
     return mul(total(a), 1.0 / value(a).size)
 
 
-def bincount_rows(values, seg_ids, num_segments):
+def flat_ids(seg_ids, ncols):
+    """``seg_id * ncols + col`` for each element of a (len(seg_ids), ncols)
+    block, in row-major order: the index one ``bincount`` sums its rows by."""
+    return (seg_ids[:, None] * ncols + np.arange(ncols)).reshape(-1)
+
+
+def bincount_rows(values, seg_ids, num_segments, flat=None):
     """Plain-array segment sum: row k of ``values`` is added to row ``seg_ids[k]``.
 
-    A 2-d block runs one ``bincount`` over the flat index
-    ``seg_id * ncols + col``, which sums in array order, as a
-    ``bincount`` per column would: deterministic and bitwise equal to it.
+    A 2-d block runs one ``bincount`` over :func:`flat_ids`, built here
+    unless passed as ``flat``; it sums in array order, as a ``bincount``
+    per column would: deterministic and bitwise equal to it.
     """
     if values.ndim == 1:
         return np.bincount(seg_ids, weights=values, minlength=num_segments)
     ncols = values.shape[1]
-    flat = (seg_ids[:, None] * ncols + np.arange(ncols)).reshape(-1)
+    if flat is None:
+        flat = flat_ids(seg_ids, ncols)
     return np.bincount(flat, weights=values.reshape(-1),
                        minlength=num_segments * ncols).reshape(num_segments, ncols)
 

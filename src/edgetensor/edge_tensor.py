@@ -24,7 +24,12 @@ The forward and the tensor adjoint are one gather-scale-scatter over a
 plan: both gather rows through its sorted output slots and add them into
 its input slots. The forward reads the matrix transposed, through
 ``plan.transpose``, which the symmetric pattern makes exact (see
-:func:`propagate_values`).
+:func:`propagate_values`). A matrix with plain symmetric weights, as Â
+is, keeps them gathered through each plan it is multiplied over, one
+float64 per triple (``SparseAdjacency.product_weights``; 1.2 MB for the
+two modes of a 2,000-node graph of mean degree 12), so only its first
+product gathers them. Var weights (attention, the learned graph) are
+gathered on every call.
 """
 
 from __future__ import annotations
@@ -138,16 +143,16 @@ def contraction_plan(mode, tensor, adjacency):
     return tensor.pattern.plans[mode - 1]
 
 
-def propagate_values(plan, a_vals, s_vals):
-    """Masked sparse product on raw value blocks: the library's one
-    sparse-product op.
+def propagate_values(plan, a, s_vals):
+    """Masked sparse product of matrix ``a`` and a raw value block: the
+    library's one sparse-product op.
 
     out[t] sums a * s over the plan triples of output slot t. It runs the
     mode-1/2 products of this module and, over a plan with one triple per
     adjacency entry, the node product A·H of ``layers.sparse_matmul``. An
-    autodiff op: traced when either block is a Var. Adjoints reuse the
-    same plan: the gradient w.r.t. the tensor is the product with
-    transposed matrix roles, restricted to the same support.
+    autodiff op: traced when ``a.weights`` or ``s_vals`` is a Var.
+    Adjoints reuse the same plan: the gradient w.r.t. the tensor is the
+    product with transposed matrix roles, restricted to the same support.
 
     The forward and the tensor adjoint are one gather-scale-scatter over
     the plan, :func:`autodiff.gather_scale_sum` gathering rows through
@@ -158,15 +163,20 @@ def propagate_values(plan, a_vals, s_vals):
     Each output slot still gets the same products in the same order, so
     the result is bit for bit that of gathering through ``slot_idx`` and
     adding into ``out_idx``, for any weights, symmetric or not. No
-    (triples x p) block is built. The tensor adjoint gathers the weights
-    again instead of keeping them, so the tape holds no triples-long
-    array. The weight adjoint sums the row dot products of
-    :func:`autodiff.row_dots` per adjacency entry with one ``bincount``.
+    (triples x p) block is built. Plain symmetric weights are gathered
+    through the plan once and kept by the matrix, which then serves both
+    directions (``SparseAdjacency.product_weights``). Other weights are
+    gathered per call, and the tensor adjoint gathers them again instead
+    of keeping them, so the tape holds no triples-long array. The weight
+    adjoint sums the row dot products of :func:`autodiff.row_dots` per
+    adjacency entry with one ``bincount``.
     """
-    av, sv = ad.value(a_vals), ad.value(s_vals)
-    out = ad.gather_scale_sum(sv, plan.out_idx,
-                              np.take(np.take(av, plan.transpose), plan.adj_idx),
-                              plan.slot_idx, plan.num_slots)
+    av, sv = ad.value(a.weights), ad.value(s_vals)
+    kept = a.product_weights(plan)
+    forward = (kept if kept is not None
+               else np.take(np.take(av, plan.transpose), plan.adj_idx))
+    out = ad.gather_scale_sum(sv, plan.out_idx, forward, plan.slot_idx,
+                              plan.num_slots)
 
     def vjp_a(g):
         return np.bincount(plan.adj_idx,
@@ -174,15 +184,16 @@ def propagate_values(plan, a_vals, s_vals):
                            minlength=plan.num_adj)
 
     def vjp_s(g):
-        return ad.gather_scale_sum(g, plan.out_idx, np.take(av, plan.adj_idx),
-                                   plan.slot_idx, plan.num_slots)
+        weights = kept if kept is not None else np.take(av, plan.adj_idx)
+        return ad.gather_scale_sum(g, plan.out_idx, weights, plan.slot_idx,
+                                   plan.num_slots)
 
-    return ad._node(out, (a_vals, vjp_a), (s_vals, vjp_s))
+    return ad._node(out, (a.weights, vjp_a), (s_vals, vjp_s))
 
 
 def _propagate(s, a, mode):
-    return s.with_values(propagate_values(contraction_plan(mode, s, a),
-                                          a.weights, s.values))
+    return s.with_values(propagate_values(contraction_plan(mode, s, a), a,
+                                          s.values))
 
 
 def propagate_mode1(s, a):

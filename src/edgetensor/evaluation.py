@@ -56,25 +56,46 @@ def auc_ap(scores, labels):
     return auc, float(precision[hits].mean())
 
 
+@dataclass(frozen=True)
+class LabelPairs:
+    """What :func:`homophily` reads of a pattern and its node labels.
+
+    ``qualify`` lists the off-diagonal stored entries whose two ends are
+    labeled, and ``same`` the positions in ``qualify`` whose ends share a
+    label. A caller that scores many weightings of one pattern (a
+    training run, every epoch) builds them once.
+    """
+
+    qualify: np.ndarray
+    same: np.ndarray
+
+    @classmethod
+    def of(cls, adjacency, labels):
+        rows, cols = adjacency.rows, adjacency.cols
+        labels = np.asarray(labels, dtype=np.intp)
+        li, lj = labels[rows], labels[cols]
+        qualify = (rows != cols) & (li >= 0) & (lj >= 0)
+        return cls(np.flatnonzero(qualify),
+                   np.flatnonzero((li == lj)[qualify]))
+
+
 def homophily(adjacency, labels):
     """Share of off-diagonal weight mass joining same-label nodes.
 
     Only pairs with both endpoints labeled count, each with its absolute
     weight; on unit weights this is the share of pairs. ``adjacency.weights``
-    may be a Var.
+    may be a Var. ``labels`` is a node label vector, or the
+    :class:`LabelPairs` of ``adjacency``'s pattern under one, kept.
     """
-    rows, cols = adjacency.rows, adjacency.cols
-    labels = np.asarray(labels, dtype=np.intp)
-    li, lj = labels[rows], labels[cols]
-    qualify = (rows != cols) & (li >= 0) & (lj >= 0)
-    if not np.any(qualify):
+    pairs = (labels if isinstance(labels, LabelPairs)
+             else LabelPairs.of(adjacency, labels))
+    if not pairs.qualify.size:
         raise ValueError("no off-diagonal edges between labeled nodes")
-    same = (li == lj)[qualify]
-    mass = np.abs(value(adjacency.weights)[qualify])
+    mass = np.abs(np.take(value(adjacency.weights), pairs.qualify))
     total = mass.sum()
     if total <= 0:
         raise ValueError("no weight mass on qualifying edges")
-    return float(mass[same].sum() / total)
+    return float(np.take(mass, pairs.same).sum() / total)
 
 
 def split_nodes(labels, train, val_fraction, seed):

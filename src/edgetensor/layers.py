@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .edge_tensor import (axpy, project_mode3, propagate_mode1,
                           propagate_mode2, propagate_values)
-from .sparse_graph import ContractionPlan
 
 GC_ACTIVATIONS = ("relu", "softmax", "identity")
 EDGE_ACTIVATIONS = ("relu", "identity")
@@ -75,17 +72,16 @@ def _activate(values, name):
 def sparse_matmul(a, h):
     """A_hat @ H for a sparse matrix (pattern + values) and dense H.
 
-    H x1 A_hat, run by :func:`edge_tensor.propagate_values` over a plan
-    with one triple (output row, entry, input row) per entry of ``a``,
-    whose ``transpose`` is ``a.transpose_permutation``: the forward, like
-    the adjoint, gathers H's rows through the sorted ``a.rows`` and adds
-    them into ``a.cols``, with the weights read transposed. The plan is
-    built per call and never cached, so a pattern's ``plans`` are only
-    edge-tensor plans. Traced when ``a.weights`` or ``h`` is a Var.
+    H x1 A_hat, run by :func:`edge_tensor.propagate_values` over the
+    pattern's ``node_plan``, one triple (output row, entry, input row) per
+    entry of ``a``: the forward, like the adjoint, gathers H's rows
+    through the sorted ``a.rows`` and adds them into ``a.cols``, with the
+    weights read transposed. The pattern keeps the plan beside its
+    ``plans``, and a matrix with plain weights keeps them gathered through
+    it, so a second product on either builds and gathers nothing. Traced
+    when ``a.weights`` or ``h`` is a Var.
     """
-    plan = ContractionPlan(a.rows, np.arange(a.nnz), a.cols,
-                           a.transpose_permutation, a.n, a.nnz)
-    return propagate_values(plan, a.weights, h)
+    return propagate_values(a.node_plan, a, h)
 
 
 def gc_forward(h, a, layer):
@@ -99,10 +95,16 @@ def gc_forward(h, a, layer):
         raise ValueError("feature row count must equal node count")
     d, d_out = ad.value(layer.weight).shape
     if d_out < d:
-        z = sparse_matmul(a, ad.matmul(h, layer.weight))
-    else:
-        z = ad.matmul(sparse_matmul(a, h), layer.weight)
-    return _activate(z, layer.activation)
+        return _activate(sparse_matmul(a, ad.matmul(h, layer.weight)),
+                         layer.activation)
+    return gc_project(sparse_matmul(a, h), layer)
+
+
+def gc_project(ah, layer):
+    """act((A_hat H) W) from the product A_hat H: the order
+    :func:`gc_forward` takes for a weight that does not narrow, run alone
+    on a product a caller keeps (``models.GraphContext`` keeps Â·X)."""
+    return _activate(ad.matmul(ah, layer.weight), layer.activation)
 
 
 def tpgc_propagate(s, a, layer):

@@ -7,20 +7,30 @@ edge stack trains from the downstream task loss. Its input is a recipe of
 node features, or, for a graph with edge channels (a multi-graph's views),
 the channels stacked by :func:`prepare`, the one context builder. Which
 settings a model reads is decided here alone, by :func:`read_settings`.
+
+The context keeps what an epoch would otherwise rebuild from the graph
+alone: Â·X for a first layer on the features that does not narrow (the
+reducer, or ``gcn_only``'s first node layer), and the label pairs
+homophily reads. Â itself keeps its plans, gathered weights and flat
+segment ids (see :mod:`edgetensor.sparse_graph`). Nothing derived from a
+parameter's value is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
 from .edge_tensor import EdgeFeatureTensor
+from .evaluation import LabelPairs
 from .features import (RECIPE_KINDS, build_concat_features,
                        build_subtract_features)
 from .layers import (EdgeConvLayer, GraphConvLayer, attention_forward,
-                     gc_forward, tpgc_forward, tpgc_propagate)
+                     gc_forward, gc_project, sparse_matmul, tpgc_forward,
+                     tpgc_propagate)
 from .sparse_graph import LabeledGraph, renormalize_weights
 
 MODEL_KINDS = ("et_gcn", "et_gat", "gcn_only")
@@ -44,12 +54,42 @@ class EdgeTensorGnn:
 
 @dataclass(frozen=True)
 class GraphContext:
-    """Precomputed per-graph state shared by every forward pass."""
+    """Precomputed per-graph state shared by every forward pass.
+
+    Two constants of the graph are built on first read and kept for every
+    later epoch: ``a_tilde_x``, the product Â·X that a first layer on the
+    features reads unless it narrows (n x d floats), and ``label_pairs``,
+    the entries homophily scores (two index arrays of at most nnz
+    entries). A run that never reads one never builds it.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     a_tilde: object  # renormalized adjacency (SparseAdjacency)
     stacked: EdgeFeatureTensor = None  # fixed initial edge tensor, if any
+
+    @cached_property
+    def a_tilde_x(self):
+        """Â·X, the plain product of the context's two constants; read-only,
+        since every epoch reads this one array."""
+        ax = sparse_matmul(self.a_tilde, self.features)
+        ax.setflags(write=False)
+        return ax
+
+    @cached_property
+    def label_pairs(self):
+        """``LabelPairs`` of ``a_tilde``'s pattern under ``labels``."""
+        return LabelPairs.of(self.a_tilde, self.labels)
+
+    def convolve_features(self, layer):
+        """``gc_forward(features, a_tilde, layer)``: a first layer on Â.
+
+        A weight that does not narrow runs (Â X) W from the kept Â·X.
+        """
+        d, d_out = ad.value(layer.weight).shape
+        if d_out < d:
+            return gc_forward(self.features, self.a_tilde, layer)
+        return gc_project(self.a_tilde_x, layer)
 
 
 def prepare(graph):
@@ -188,26 +228,28 @@ class ForwardResult:
     edge_weights: object = None   # SparseAdjacency: clamped weights, pre-renorm
 
 
-def _edge_input(model, ctx, h, prop):
+def _edge_input(model, ctx, prop):
     """An edge tensor and the edge layers still to run on it.
 
     Without a reducer that is the stacked tensor and every layer. A recipe
-    projects by the first layer's weight at node level, so that layer runs
-    only :func:`tpgc_propagate` here and the rest remain. A widening first
-    layer instead gets the pair features themselves (an identity
-    projection) and runs whole, so it still propagates at the narrower
-    width.
+    pairs the rows of the reducer, a first layer on the context's
+    features, and projects them by the first edge layer's weight at node
+    level, so that layer runs only :func:`tpgc_propagate` here and the
+    rest remain. A widening first layer instead gets the pair features
+    themselves (an identity projection) and runs whole, so it still
+    propagates at the narrower width.
     """
     layers = model.edge_layers
     if model.reducer is None:
         return ctx.stacked, layers
     builder = (build_concat_features if model.recipe == "concat"
                else build_subtract_features)
+    reduced = ctx.convolve_features(model.reducer)
     first = layers[0]
     p, p_out = ad.value(first.weight).shape
     if p_out > p:
-        return builder(h, ctx.a_tilde, model.reducer, np.eye(p)), layers
-    s = builder(h, ctx.a_tilde, model.reducer, first.weight)
+        return builder(reduced, ctx.a_tilde, np.eye(p)), layers
+    s = builder(reduced, ctx.a_tilde, first.weight)
     return tpgc_propagate(s, prop, first), layers[1:]
 
 
@@ -215,7 +257,9 @@ def etgnn_forward(model, ctx):
     """Full forward pass on the context's node features.
 
     Traced whenever the model parameters are Vars (they are, once built on
-    a tape), so the result's ``z`` supports backpropagation.
+    a tape), so the result's ``z`` supports backpropagation. Without an
+    edge stack the first node layer runs on Â, through
+    ``ctx.convolve_features``.
     """
     h = ctx.features
     pattern = ctx.a_tilde
@@ -223,7 +267,7 @@ def etgnn_forward(model, ctx):
     if model.edge_layers:
         prop = (ctx.a_tilde if model.theta is None
                 else attention_forward(h, ctx.a_tilde, model.theta))
-        s, layers = _edge_input(model, ctx, h, prop)
+        s, layers = _edge_input(model, ctx, prop)
         for layer in layers:
             s = tpgc_forward(s, prop, layer)
 
@@ -234,8 +278,10 @@ def etgnn_forward(model, ctx):
         graph = pattern.with_weights(norm)
         edge_weights = pattern.with_weights(clamped)
 
-    out = h
-    for layer in model.gc_layers:
+    first, *rest = model.gc_layers
+    out = (ctx.convolve_features(first) if graph is pattern
+           else gc_forward(h, graph, first))
+    for layer in rest:
         out = gc_forward(out, graph, layer)
     return ForwardResult(out, edge_weights)
 

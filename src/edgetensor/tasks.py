@@ -12,7 +12,7 @@ from .evaluation import (LinkSplit, accuracy, auc_ap, homophily, roc_auc,
 from .models import (build_model, etgnn_forward, link_scores, prepare,
                      read_settings)
 from .params import ParamTape
-from .sparse_graph import LabeledGraph
+from .sparse_graph import LabeledGraph, check_splits
 from .training import bce_from_scores, cross_entropy_masked, train_loop
 
 # layer widths of a run on edge channels, under any the caller sets
@@ -29,11 +29,11 @@ class SeedRunResult:
     best_params: dict
 
 
-def _learned_homophily(result, labels):
+def _learned_homophily(result, ctx):
     if result.edge_weights is None:
         return None
     try:
-        return homophily(result.edge_weights, labels)
+        return homophily(result.edge_weights, ctx.label_pairs)
     except ValueError:
         return None
 
@@ -67,8 +67,12 @@ def run_node_classification(graph, splits, config, *, model_kind="et_gcn",
 
 def _classify_nodes(ctx, splits, config, model_kind, model_kwargs,
                     initial_params):
-    """Node classification on a prepared context; training reads only it."""
+    """Node classification on a prepared context; training reads only it.
+
+    ``splits`` must pass ``check_splits`` on the context's nodes.
+    """
     labels = ctx.labels
+    splits = check_splits(splits, ctx.a_tilde.n)
     widths = (read_settings(model_kind, True, MULTI_GRAPH_WIDTHS)
               if ctx.stacked is not None else {})
     tape = ParamTape()
@@ -83,7 +87,7 @@ def _classify_nodes(ctx, splits, config, model_kind, model_kwargs,
         loss = cross_entropy_masked(result.z, labels, splits["train"])
         val_loss = cross_entropy_masked(z, labels, splits["val"])
         val_acc = accuracy(z, labels, splits["val"])
-        extra = {"homophily": _learned_homophily(result, labels)}
+        extra = {"homophily": _learned_homophily(result, ctx)}
         return loss, val_loss, val_acc, extra, z
 
     def evaluate(z, outcome):

@@ -16,9 +16,9 @@ from edgetensor.evaluation import split_nodes
 from edgetensor.generators import sbm_generate
 from edgetensor.layers import gc_forward
 from edgetensor.models import (build_model, etgnn_forward, prepare,
-                               prepare_multigraph, read_settings)
+                               read_settings)
 from edgetensor.params import ParamTape
-from edgetensor.sparse_graph import SparseAdjacency
+from edgetensor.sparse_graph import LabeledGraph, SparseAdjacency
 from edgetensor.training import PROB_FLOOR, cross_entropy_masked
 
 
@@ -334,25 +334,33 @@ def renormalize_oracle(a_dense):
     return d_inv_sqrt @ a_bar @ d_inv_sqrt
 
 
+def configured_graph(features, *, seed=0, n_per_block=5):
+    """The tiny two-block SBM of :func:`configured_loss`; for ``"stack"``,
+    the union of it and a second view, one edge channel per view."""
+    graph = sbm_generate([n_per_block] * 2, 0.6, 0.3, seed=seed + 1)
+    if features != "stack":
+        return graph
+    other = sbm_generate([n_per_block] * 2, 0.5, 0.2, seed=seed + 5)
+    return LabeledGraph.from_views([graph.adjacency, other.adjacency],
+                                   graph.node_features, graph.labels)
+
+
 def configured_loss(kind, features, *, seed=0, n_per_block=5,
-                    activation="identity"):
+                    activation="identity", graph=None):
     """(tape, loss_fn) of one model configuration on a tiny two-block SBM.
 
     The model gets small widths of the settings it reads and the hidden
     ``activation``. ``features`` is a recipe, or ``"stack"`` for a
     two-view graph whose edge channels replace it. Graph, split and model
     seeds follow ``gradcheck.model_gradcheck``, so a concat configuration
-    is the model that check builds, apart from the activation.
+    is the model that check builds, apart from the activation. ``graph``
+    replaces :func:`configured_graph`'s, to which it must be equal.
     """
-    graph = sbm_generate([n_per_block] * 2, 0.6, 0.3, seed=seed + 1)
+    if graph is None:
+        graph = configured_graph(features, seed=seed, n_per_block=n_per_block)
     splits = split_nodes(graph.labels, 2, 0.2, seed=seed + 2)
     stack = features == "stack"
-    if stack:
-        other = sbm_generate([n_per_block] * 2, 0.5, 0.2, seed=seed + 5)
-        ctx = prepare_multigraph([graph.adjacency, other.adjacency],
-                                 graph.node_features, graph.labels)
-    else:
-        ctx = prepare(graph)
+    ctx = prepare(graph)
     settings = read_settings(kind, stack, dict(
         recipe=features, reduce_dim=2, edge_hidden=(3, 1)))
     tape = ParamTape()

@@ -201,6 +201,14 @@ def test_splits_parse_and_errors(tmp_path):
         load_splits(path, 5)
 
 
+def test_a_repeated_split_id_fails_at_load(tmp_path):
+    graph = sbm_generate([3, 3], 0.6, 0.2, seed=0)
+    save_dataset(graph, tmp_path)
+    (tmp_path / "splits.txt").write_text("#train\n0 3\n#val\n1 1\n")
+    with pytest.raises(ValueError, match="split 'val' repeats node id 1"):
+        load_dataset(tmp_path)
+
+
 def test_feature_matrix_errors(tmp_path):
     path = tmp_path / "features.txt"
     path.write_text("1 2\n3 nan?\n")

@@ -390,12 +390,71 @@ def test_propagate_values_bitwise_equal_to_fancy_index_kernel(mode, p, kind):
         for order in ("C", "F"):
             s_vals, g = np.asarray(s_c, order=order), np.asarray(g_c, order=order)
             av, sv = Var(weighted.weights.copy()), Var(s_vals.copy(order="K"))
-            out = propagate_values(plan, av, sv)
+            out = propagate_values(plan, pattern.with_weights(av), sv)
             assert out.value.flags.f_contiguous
             backward(ad.total(ad.mul(out, g)))
             expected = fancy_index_propagate(plan, weighted.weights, s_vals, g)
             for got, want in zip((out.value, av.grad, sv.grad), expected):
                 assert np.array_equal(got, want)
+
+
+def _products_and_gradients(pattern, a, s_vals, h, g):
+    """Mode-1, mode-2 and A·H products of matrix ``a`` on ``pattern`` and
+    the gradients of their g-weighted sum: a list of plain arrays."""
+    sv, hv = Var(s_vals.copy()), Var(h.copy())
+    s = EdgeFeatureTensor(pattern, sv)
+    outs = [propagate_mode1(s, a).values, propagate_mode2(s, a).values,
+            sparse_matmul(a, hv)]
+    backward(ad.total(ad.add(ad.total(ad.mul(ad.add(outs[0], outs[1]), g)),
+                             ad.total(ad.mul(outs[2], h)))))
+    grads = [sv.grad, hv.grad] + ([a.weights.grad]
+                                  if isinstance(a.weights, Var) else [])
+    return [ad.value(out) for out in outs] + grads
+
+
+@pytest.mark.parametrize("symmetric", [False, True],
+                         ids=["asymmetric", "symmetric"])
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "var"])
+def test_a_twin_never_reads_its_parents_kept_products(traced, symmetric):
+    """A matrix keeps the weights its products gathered through each plan;
+    a ``with_weights`` copy of it, plain or Var, symmetric or not, gets
+    none of them: its products and their gradients equal those of a
+    fresh matrix with the same weights bit for bit."""
+    rng = np.random.default_rng(3)
+    parent = renormalize(random_adjacency(12, rng, density=0.4))
+    s_vals = rng.standard_normal((parent.nnz, 3))
+    h = rng.standard_normal((parent.n, 3))
+    g = rng.standard_normal((parent.nnz, 3))
+    _products_and_gradients(parent, parent, s_vals, h, g)
+    assert len(parent._product_weights) == 3  # two modes and A·H
+    w = rng.random(parent.nnz) + 0.1
+    if symmetric:
+        w = np.maximum(w, w[parent.transpose_permutation])
+    fresh = SparseAdjacency(parent.n, parent.rows.copy(), parent.cols.copy(),
+                            parent.weights.copy())
+    twin_out, fresh_out = (
+        _products_and_gradients(
+            pattern, pattern.with_weights(Var(w.copy()) if traced else w.copy()),
+            s_vals, h, g)
+        for pattern in (parent, fresh))
+    assert len(twin_out) == len(fresh_out) == (6 if traced else 5)
+    for got, want in zip(twin_out, fresh_out):
+        assert np.array_equal(got, want)
+
+
+def test_var_weights_are_gathered_per_call():
+    """A Var's value changes in place (Adam does that), so a product of a
+    Var-weighted matrix keeps no gathered weights and follows the change."""
+    rng = np.random.default_rng(4)
+    pattern = plan_case(5, 20, "full")
+    w = Var(pattern.weights.copy())
+    a = pattern.with_weights(w)
+    s = EdgeFeatureTensor(pattern, rng.standard_normal((pattern.nnz, 2)))
+    propagate_mode1(s, a)
+    w.value *= 2.0
+    want = propagate_mode1(s, pattern.with_weights(w.value.copy()))
+    assert np.array_equal(propagate_mode1(s, a).values.value, want.values)
+    assert a._product_weights is None
 
 
 def test_every_sparse_product_gathers_through_its_sorted_output_index(monkeypatch):
@@ -415,7 +474,7 @@ def test_every_sparse_product_gathers_through_its_sorted_output_index(monkeypatc
     for plan in a.plans:
         calls.clear()
         sv = Var(rng.standard_normal((a.nnz, 3)))
-        backward(ad.total(propagate_values(plan, a.weights, sv)))
+        backward(ad.total(propagate_values(plan, a, sv)))
         assert len(calls) == 2  # the forward and the tensor adjoint
         for gather_idx, seg_ids in calls:
             assert gather_idx is plan.out_idx and seg_ids is plan.slot_idx
@@ -439,7 +498,8 @@ def test_propagate_values_weight_gradient_near_einsum_rowdot(p):
     g = rng.standard_normal((pattern.nnz, p))
     for plan in pattern.plans:
         av = Var(pattern.weights.copy())
-        backward(ad.total(ad.mul(propagate_values(plan, av, s_vals), g)))
+        backward(ad.total(ad.mul(
+            propagate_values(plan, pattern.with_weights(av), s_vals), g)))
         rowdot = np.einsum("lp,lp->l", g[plan.out_idx], s_vals[plan.slot_idx])
         want = np.bincount(plan.adj_idx, weights=rowdot, minlength=plan.num_adj)
         np.testing.assert_allclose(av.grad, want, rtol=0, atol=1e-12)
@@ -478,10 +538,11 @@ def test_propagate_values_allocates_no_triples_by_width_block():
     for mode, plan in zip((1, 2), a.plans):
         assert plan.out_idx.size >= 50_000
         block = plan.out_idx.size * p * 8
-        peak = _traced_peak(lambda: propagate_values(plan, a.weights, s_vals))
+        peak = _traced_peak(lambda: propagate_values(plan, a, s_vals))
         assert peak < block, f"mode {mode}: forward peak {peak} B >= block {block} B"
         av, sv = Var(a.weights.copy()), Var(s_vals.copy())
-        loss = ad.total(ad.mul(propagate_values(plan, av, sv), g))
+        loss = ad.total(ad.mul(propagate_values(plan, a.with_weights(av), sv),
+                               g))
         peak = _traced_peak(lambda: backward(loss))
         assert av.grad is not None and sv.grad is not None
         assert peak < block, f"mode {mode}: backward peak {peak} B >= block {block} B"

@@ -44,9 +44,9 @@ def test_recipe_validation():
 def test_concat_features_match_hand_loop(rng):
     a, h, reducer = setup_graph(rng)
     reduced = gc_forward(h, a, reducer)
-    t = build_concat_features(h, a, reducer, np.eye(4))
+    t = build_concat_features(reduced, a, np.eye(4))
     w = rng.standard_normal((4, 3))
-    projected = build_concat_features(h, a, reducer, w)
+    projected = build_concat_features(reduced, a, w)
     assert t.p == 4 and projected.p == 3
     for k in range(t.num_slots):
         i, j = t.rows[k], t.cols[k]
@@ -58,9 +58,9 @@ def test_concat_features_match_hand_loop(rng):
 def test_subtract_features_match_hand_loop(rng):
     a, h, reducer = setup_graph(rng)
     reduced = gc_forward(h, a, reducer)
-    t = build_subtract_features(h, a, reducer, np.eye(2))
+    t = build_subtract_features(reduced, a, np.eye(2))
     w = rng.standard_normal((2, 3))
-    projected = build_subtract_features(h, a, reducer, w)
+    projected = build_subtract_features(reduced, a, w)
     assert t.p == 2 and projected.p == 3
     for k in range(t.num_slots):
         i, j = t.rows[k], t.cols[k]
@@ -93,7 +93,8 @@ def test_node_level_builders_match_slot_level_oracle(recipe, p_out, rng):
     w = rng.standard_normal((p, p_out))
     g = rng.standard_normal((a.nnz, p_out))
     results = []
-    for build in (BUILDERS[recipe],
+    for build in (lambda h, a, reducer, w: BUILDERS[recipe](
+                      gc_forward(h, a, reducer), a, w),
                   lambda *args: slot_pair_features(*args, recipe=recipe)):
         rw, ww = Var(reducer.weight.copy()), Var(w.copy())
         t = build(h, a, GraphConvLayer(rw, activation="relu"), ww)
@@ -108,20 +109,21 @@ def test_node_level_builders_match_slot_level_oracle(recipe, p_out, rng):
 def test_builders_reject_a_weight_of_the_wrong_height(build, rng):
     a, h, reducer = setup_graph(rng)
     with pytest.raises(ValueError, match="pair feature width"):
-        build(h, a, reducer, np.ones((3, 2)))
+        build(gc_forward(h, a, reducer), a, np.ones((3, 2)))
 
 
 def test_concat_support_equals_renormalized_adjacency(rng):
     a, h, reducer = setup_graph(rng)
-    t = build_concat_features(h, a, reducer, np.eye(4))
+    t = build_concat_features(gc_forward(h, a, reducer), a, np.eye(4))
     assert np.array_equal(t.rows, a.rows)
     assert np.array_equal(t.cols, a.cols)
 
 
 def test_builders_and_projection_stay_on_the_adjacency_support(rng):
     a, h, reducer = setup_graph(rng)
-    tensors = [build_concat_features(h, a, reducer, np.eye(4)),
-               build_subtract_features(h, a, reducer, np.eye(2))]
+    reduced = gc_forward(h, a, reducer)
+    tensors = [build_concat_features(reduced, a, np.eye(4)),
+               build_subtract_features(reduced, a, np.eye(2))]
     graphs = [SparseAdjacency.from_undirected_edges(6, [(0, 1), (2, 3)]),
               SparseAdjacency.from_undirected_edges(6, [(1, 2)])]
     stacked_ctx = prepare(views(graphs))

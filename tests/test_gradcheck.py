@@ -1,9 +1,11 @@
 """Finite-difference gradient verification."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from conftest import configured_loss
+from conftest import configured_graph, configured_loss
 from edgetensor import autodiff as ad
 from edgetensor.autodiff import Var, backward
 from edgetensor.features import RECIPE_KINDS
@@ -129,3 +131,25 @@ def test_every_registered_parameter_gets_a_gradient(kind, features):
     backward(loss_fn())
     for name, p in tape.params.items():
         assert p.grad is not None and np.any(p.grad != 0.0), name
+
+
+@pytest.mark.parametrize("kind, features", CONFIGURATIONS)
+def test_warm_graph_arrays_equal_a_freshly_unpickled_graphs(kind, features):
+    """A forward and backward that read the arrays an earlier one kept (Â's
+    gathered weights, node plan and flat segment ids, the context's Â·X
+    and label pairs) equal, bit for bit, those on the same graph pickled
+    and loaded, which keeps none of them."""
+    def loss_and_grads(graph, passes):
+        tape, loss_fn = configured_loss(kind, features, graph=graph)
+        for _ in range(passes):
+            tape.zero_grad()
+            loss = loss_fn()
+            backward(loss)
+        return [loss.value] + [p.grad for _, p in sorted(tape.params.items())]
+
+    graph = configured_graph(features)
+    warm = loss_and_grads(graph, 2)
+    cold = loss_and_grads(pickle.loads(pickle.dumps(graph)), 1)
+    assert len(warm) == len(cold)
+    for got, want in zip(warm, cold):
+        assert np.array_equal(got, want)

@@ -419,7 +419,7 @@ def test_first_edge_layer_matches_slot_level_tensor(kind, recipe, reduce_dim,
     h, first = ctx.features, model.edge_layers[0]
     prop = (ctx.a_tilde if model.theta is None
             else attention_forward(h, ctx.a_tilde, model.theta))
-    s, rest = models._edge_input(model, ctx, h, prop)
+    s, rest = models._edge_input(model, ctx, prop)
     if len(rest) == len(model.edge_layers):
         s = tpgc_forward(s, prop, first)
     assert len(rest) == (2 if p_out > _pair_width(recipe, reduce_dim) else 1)
@@ -457,8 +457,9 @@ def plain_case():
     h = ctx.features
     # the pair features themselves (identity projection), and as the first
     # edge layer reads them, projected by its weight
-    s = build_concat_features(h, ctx.a_tilde, model.reducer, np.eye(4))
-    projected = build_concat_features(h, ctx.a_tilde, model.reducer,
+    reduced = gc_forward(h, ctx.a_tilde, model.reducer)
+    s = build_concat_features(reduced, ctx.a_tilde, np.eye(4))
+    projected = build_concat_features(reduced, ctx.a_tilde,
                                       model.edge_layers[0].weight)
     alpha = attention_forward(h, ctx.a_tilde, model.theta)
     return SimpleNamespace(graph=graph, ctx=ctx, model=model, h=h, s=s,
@@ -480,9 +481,11 @@ PLAIN_FORWARDS = {
     "project_mode3": lambda c: project_mode3(c.s, c.model.edge_layers[0].weight),
     "axpy": lambda c: axpy(c.s, c.s, 0.2),
     "build_concat_features": lambda c: build_concat_features(
-        c.h, c.a, c.model.reducer, c.model.edge_layers[0].weight),
+        gc_forward(c.h, c.a, c.model.reducer), c.a,
+        c.model.edge_layers[0].weight),
     "build_subtract_features": lambda c: build_subtract_features(
-        c.h, c.a, c.model.reducer, c.model.edge_layers[0].weight[:2]),
+        gc_forward(c.h, c.a, c.model.reducer), c.a,
+        c.model.edge_layers[0].weight[:2]),
     "renormalize_weights": lambda c: renormalize_weights(
         c.a.rows, c.a.cols, c.a.n, c.a.weights),
     "etgnn_forward": lambda c: etgnn_forward(c.model, c.ctx),
@@ -492,6 +495,34 @@ PLAIN_FORWARDS = {
     "bce_from_scores": lambda c: bce_from_scores(np.array([0.9, 0.6]),
                                                  np.array([0.2])),
 }
+
+
+@pytest.mark.parametrize("kind, width, reads", [
+    ("et_gcn", dict(reduce_dim=1), False), ("et_gcn", dict(reduce_dim=2), True),
+    ("gcn_only", dict(gc_hidden=(1,)), False),
+    ("gcn_only", dict(gc_hidden=(4,)), True)],
+    ids=["reducer-narrows", "reducer-keeps-width", "gc-narrows", "gc-widens"])
+def test_context_computes_a_tilde_x_only_for_a_first_layer_that_reads_it(
+        kind, width, reads, monkeypatch):
+    """Â·X is computed once, by the first forward whose first layer on the
+    context's features does not narrow (the features have width 2); a
+    narrowing first layer multiplies A_hat (X W) and never computes it."""
+    graph, ctx, _, model = build_small(kind, **width)
+    products = []
+    matmul = models.sparse_matmul
+
+    def spy(a, h):
+        products.append(h)
+        return matmul(a, h)
+
+    monkeypatch.setattr(models, "sparse_matmul", spy)
+    for _ in range(3):
+        etgnn_forward(model, ctx)
+    assert ("a_tilde_x" in vars(ctx)) == reads
+    assert [h is ctx.features for h in products] == ([True] if reads else [])
+    if reads:
+        assert np.array_equal(ctx.a_tilde_x,
+                              sparse_matmul(ctx.a_tilde, ctx.features))
 
 
 def test_plain_et_gat_forwards_reuse_their_plans(plain_case, monkeypatch):

@@ -9,7 +9,8 @@ from conftest import has_entry, random_adjacency, renormalize_oracle
 from edgetensor.autodiff import Var, backward
 from edgetensor import autodiff as ad
 from edgetensor.sparse_graph import (LabeledGraph, SparseAdjacency,
-                                     renormalize, renormalize_weights)
+                                     check_splits, renormalize,
+                                     renormalize_weights)
 
 
 def test_entries_sorted_canonically():
@@ -252,6 +253,36 @@ def test_labeled_graph_split_overlap_rejected():
     with pytest.raises(ValueError, match="overlap"):
         LabeledGraph(a, np.zeros((3, 2)), [0, 1, -1],
                      {"train": [0, 1], "val": [1]})
+
+
+BAD_SPLITS = [
+    pytest.param([-1, 0], "negative node id -1", id="negative"),
+    pytest.param([True, False, True], "integer node ids", id="bool-mask"),
+    pytest.param([0.0, 1.0], "integer node ids", id="float"),
+    pytest.param([[0, 1]], "1-d array", id="2-d"),
+    pytest.param([3, 3], "repeats node id 3", id="repeated"),
+    pytest.param([99], "node id 99, outside the graph's 10 nodes",
+                 id="too-large"),
+]
+
+
+@pytest.mark.parametrize("train, message", BAD_SPLITS)
+def test_check_splits_refuses_an_id_it_cannot_mean(train, message):
+    """One check serves every caller: a graph's own splits are refused
+    here, and ``tasks`` refuses the splits a run is given with it."""
+    a = SparseAdjacency.from_undirected_edges(10, [(0, 1), (2, 3)])
+    splits = {"val": [5], "train": train}
+    with pytest.raises(ValueError, match=f"split 'train' .*{message}"):
+        check_splits(splits, 10)
+    with pytest.raises(ValueError, match=f"split 'train' .*{message}"):
+        LabeledGraph(a, np.zeros((10, 2)), np.arange(10) % 2, splits)
+
+
+def test_check_splits_keeps_good_ids_as_intp_arrays():
+    splits = check_splits({"train": np.array([4, 0], dtype=np.uint8),
+                           "val": [], "test": np.array([], dtype=float)}, 5)
+    assert [idx.tolist() for idx in splits.values()] == [[4, 0], [], []]
+    assert all(idx.dtype == np.intp for idx in splits.values())
 
 
 def test_labeled_graph_rejects_features_or_labels_not_per_node():

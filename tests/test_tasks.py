@@ -35,6 +35,18 @@ def sbm_splits(sbm_graph):
     return split_nodes(sbm_graph.labels, 5, 0.4, seed=0)
 
 
+@pytest.mark.parametrize("train", [[-1, 0], [True, False, True], [3, 3],
+                                   [99]],
+                         ids=["negative", "bool-mask", "repeated", "too-large"])
+def test_node_classification_refuses_split_ids_before_building(
+        sbm_graph, sbm_splits, built_models, train):
+    """The splits a run is given pass ``check_splits``, as a graph's own do."""
+    cfg = TaskConfig(max_epochs=1, seed=0)
+    with pytest.raises(ValueError, match="split 'train'"):
+        run_node_classification(sbm_graph, {**sbm_splits, "train": train}, cfg)
+    assert not built_models
+
+
 def test_node_classification_learns(sbm_graph, sbm_splits):
     cfg = TaskConfig(learning_rate=0.005, max_epochs=120, patience=120, seed=0)
     result = run_node_classification(sbm_graph, sbm_splits, cfg)
@@ -309,14 +321,24 @@ def test_second_node_classification_run_equals_a_run_on_a_fresh_graph(
 
 @pytest.mark.parametrize("model_kind", ["et_gcn", "et_gat"])
 def test_a_used_graph_pickles_like_a_fresh_one(sbm_splits, model_kind):
-    """Pickles carry no cached Â, plan pair or transposition: a graph
-    pickled after a run is as large as a fresh one, and a run on the
+    """Pickles carry no cached Â, plan pair or transposition, and none of
+    the arrays Â keeps for products (its node plan, gathered weights and
+    flat segment ids): a graph, or its Â, pickled after a run is as large
+    as a fresh one and loads holding none of them, and a run on the
     unpickled graph equals the original's bit for bit."""
     graph = new_sbm_graph()
     fresh = len(pickle.dumps(graph))
+    fresh_a_tilde = len(pickle.dumps(new_sbm_graph().adjacency.renormalized))
     cfg = TaskConfig(learning_rate=0.01, max_epochs=4, patience=4, seed=1)
     first = run_node_classification(graph, sbm_splits, cfg,
                                     model_kind=model_kind)
+    a_tilde = graph.adjacency.renormalized
+    kept = {"plans", "node_plan", "_flat_ids", "_product_weights"}
+    assert kept & set(vars(a_tilde))
+    used_a_tilde = pickle.dumps(a_tilde)
+    assert len(used_a_tilde) == fresh_a_tilde
+    assert set(vars(pickle.loads(used_a_tilde))) == {"n", "rows", "cols",
+                                                     "weights"}
     used = pickle.dumps(graph)
     assert len(used) == fresh
     again = run_node_classification(pickle.loads(used), sbm_splits, cfg,
