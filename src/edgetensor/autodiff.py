@@ -272,14 +272,24 @@ def row_dots(x, x_idx, y, y_idx):
 
     Feature-major, like :func:`gather_scale_sum`: each operand is
     transposed once (free when it is F-ordered), then each feature column
-    adds the product of two contiguous ``np.take``s into one
-    ``x_idx``-long array. So every row adds its columns in order
-    0, 1, ..., p - 1: deterministic, though it may differ in the last bit
-    from ``einsum`` or ``.sum(axis=1)``, which add in other orders (the
-    latter from width 8 up on numpy 2.4).
+    takes the product of two contiguous ``np.take``s. The first column's
+    product is the sum's start, and each later one is added into it. So
+    every row adds its columns in order 0, 1, ..., p - 1: deterministic,
+    though it may differ in the last bit from ``einsum`` or
+    ``.sum(axis=1)``, which add in other orders (the latter from width 8
+    up on numpy 2.4). Starting from the first product rather than from
+    zeros changes only the sign of a zero: a row whose every product is
+    -0.0 sums to -0.0, not 0.0. Neither reader can see that: the weight
+    adjoint of ``edge_tensor.propagate_values`` adds the dots into a
+    ``bincount`` that starts at 0.0, and ``models.link_scores`` takes their
+    sigmoid, which is 0.5 at both zeros.
     """
-    out = np.zeros(len(x_idx))
-    for x_col, y_col in zip(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)):
+    x_cols, y_cols = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    if not len(x_cols):
+        return np.zeros(len(x_idx))
+    out = np.take(x_cols[0], x_idx)
+    out *= np.take(y_cols[0], y_idx)
+    for x_col, y_col in zip(x_cols[1:], y_cols[1:]):
         term = np.take(x_col, x_idx)
         term *= np.take(y_col, y_idx)
         out += term

@@ -24,12 +24,15 @@ The forward and the tensor adjoint are one gather-scale-scatter over a
 plan: both gather rows through its sorted output slots and add them into
 its input slots. The forward reads the matrix transposed, through
 ``plan.transpose``, which the symmetric pattern makes exact (see
-:func:`propagate_values`). A matrix with plain symmetric weights, as Â
-is, keeps them gathered through each plan it is multiplied over, one
-float64 per triple (``SparseAdjacency.product_weights``; 1.2 MB for the
-two modes of a 2,000-node graph of mean degree 12), so only its first
-product gathers them. Var weights (attention, the learned graph) are
-gathered on every call.
+:func:`propagate_values`). A matrix keeps the weights its forward
+gathered through each plan it is multiplied over, one float64 per triple
+(``SparseAdjacency.product_weights``; 1.2 MB for the two modes of a
+2,000-node graph of mean degree 12), so only its first product over a
+plan gathers them: Â, and the per-forward copies holding attention or
+the learned graph, which both edge layers or both node layers of one
+forward read. Only a leaf Var's weights, a parameter's, are gathered on
+every call. The tensor adjoint reads the kept array only for plain
+symmetric weights, as Â's are; it gathers any other weights per call.
 """
 
 from __future__ import annotations
@@ -163,18 +166,17 @@ def propagate_values(plan, a, s_vals):
     Each output slot still gets the same products in the same order, so
     the result is bit for bit that of gathering through ``slot_idx`` and
     adding into ``out_idx``, for any weights, symmetric or not. No
-    (triples x p) block is built. Plain symmetric weights are gathered
-    through the plan once and kept by the matrix, which then serves both
-    directions (``SparseAdjacency.product_weights``). Other weights are
-    gathered per call, and the tensor adjoint gathers them again instead
-    of keeping them, so the tape holds no triples-long array. The weight
-    adjoint sums the row dot products of :func:`autodiff.row_dots` per
-    adjacency entry with one ``bincount``.
+    (triples x p) block is built. The matrix keeps the forward's gathered
+    weights per plan unless they are a leaf Var, and hands the tensor
+    adjoint the same array when they are plain and symmetric
+    (``SparseAdjacency.product_weights``). Other weights the adjoint
+    gathers again instead of keeping them, so the tape holds no
+    triples-long array of a per-forward copy. The weight adjoint sums the
+    row dot products of :func:`autodiff.row_dots` per adjacency entry with
+    one ``bincount``.
     """
     av, sv = ad.value(a.weights), ad.value(s_vals)
-    kept = a.product_weights(plan)
-    forward = (kept if kept is not None
-               else np.take(np.take(av, plan.transpose), plan.adj_idx))
+    forward, adjoint = a.product_weights(plan)
     out = ad.gather_scale_sum(sv, plan.out_idx, forward, plan.slot_idx,
                               plan.num_slots)
 
@@ -184,7 +186,7 @@ def propagate_values(plan, a, s_vals):
                            minlength=plan.num_adj)
 
     def vjp_s(g):
-        weights = kept if kept is not None else np.take(av, plan.adj_idx)
+        weights = adjoint if adjoint is not None else np.take(av, plan.adj_idx)
         return ad.gather_scale_sum(g, plan.out_idx, weights, plan.slot_idx,
                                    plan.num_slots)
 

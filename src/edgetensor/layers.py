@@ -77,9 +77,10 @@ def sparse_matmul(a, h):
     entry of ``a``: the forward, like the adjoint, gathers H's rows
     through the sorted ``a.rows`` and adds them into ``a.cols``, with the
     weights read transposed. The pattern keeps the plan beside its
-    ``plans``, and a matrix with plain weights keeps them gathered through
-    it, so a second product on either builds and gathers nothing. Traced
-    when ``a.weights`` or ``h`` is a Var.
+    ``plans``, shared by all its copies, and a matrix whose weights are not
+    a leaf Var keeps them gathered through it, so a second product on one
+    matrix builds and gathers nothing. Traced when ``a.weights`` or ``h``
+    is a Var.
     """
     return propagate_values(a.node_plan, a, h)
 

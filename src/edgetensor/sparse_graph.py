@@ -22,25 +22,28 @@ graph builds, so refusal starts at 2**24 (16.8M) candidates: about
 n = 197k nodes at mean degree 12 (85 candidates a node), whose pair would
 be ~0.23 GB.
 
-Beside the plan pair a pattern keeps, each built on first use: its node
-plan (``node_plan``, the A·H plan of ``layers.sparse_matmul``: one index
-array of nnz entries), and per row width the flat segment ids of the
-adjoint of gathering node rows to its entries' rows or columns
+Beside the plan pair a pattern keeps its node plan (``node_plan``, the
+A·H plan of ``layers.sparse_matmul``: one index array of nnz entries),
+built at the latest by its first ``with_weights`` copy, so every copy
+shares one; and per row width, built on first use, the flat segment ids
+of the adjoint of gathering node rows to its entries' rows or columns
 (``flat_ids``: nnz x width ids per end and width). These depend on the
 pattern alone, so ``with_weights`` copies made after share them. On a
 2,000-node graph of mean degree 12 (25,908 entries with the diagonal)
 the node plan is 0.2 MB, and a recipe's ids at width 8 are 1.7 MB per
 end.
 
-A matrix also owns what depends on its weights, while they are plain:
-``renormalized`` is computed on first read and kept, and with it the plans
+A matrix also owns what depends on its weights. ``renormalized`` (plain
+weights only) is computed on first read and kept, and with it the plans
 built on it, so every run on one graph shares one renormalized matrix and
-one plan pair; and ``product_weights`` keeps, per plan a product runs
-over, the weights gathered through it (one float64 per triple: 1.4 MB
-for both modes and A·H on the graph above). Var weights keep nothing,
-since an optimizer updates a parameter's value in place.
-``with_weights`` copies never inherit these. A matrix pickles without
-its cached properties, which rebuild on demand.
+one plan pair. ``product_weights`` keeps, per plan a product runs over,
+the weights the forward gathers through it (one float64 per triple: 1.4
+MB for both modes and A·H on the graph above), for every matrix whose
+weights cannot change under it: plain weights, and a Var computed by an
+op (attention, the learned graph), whose value no later op writes. A leaf
+Var keeps nothing, since an optimizer or a finite difference updates a
+parameter's value in place. ``with_weights`` copies never inherit these.
+A matrix pickles without its cached properties, which rebuild on demand.
 """
 
 from __future__ import annotations
@@ -199,8 +202,10 @@ class SparseAdjacency:
     @cached_property
     def node_plan(self):
         """Plan of the node product A·H: one triple (row, entry, col) per
-        entry, in entry order, built on first use and kept beside
-        ``plans``. Its ``transpose`` is ``transpose_permutation``."""
+        entry, in entry order. Built on first use or by the first
+        :meth:`with_weights` copy, whichever comes first, so a matrix and
+        all its copies share one. Its ``transpose`` is
+        ``transpose_permutation``."""
         return ContractionPlan(self.rows, np.arange(self.nnz), self.cols,
                                self.transpose_permutation, self.n, self.nnz)
 
@@ -224,28 +229,38 @@ class SparseAdjacency:
     @cached_property
     def _product_weights(self):
         w = self.weights
-        if isinstance(w, ad.Var) or not np.array_equal(
-                w, np.take(w, self.transpose_permutation)):
-            return None
-        return {}
+        # a leaf Var is a parameter: its value is updated in place
+        return None if isinstance(w, ad.Var) and not w._parents else {}
+
+    @cached_property
+    def _plain_symmetric(self):
+        w = self.weights
+        return not isinstance(w, ad.Var) and np.array_equal(
+            w, np.take(w, self.transpose_permutation))
 
     def product_weights(self, plan):
-        """``weights[plan.adj_idx]``, the weight a product over ``plan``
-        reads per triple, gathered on first use per plan and kept; None
-        for weights a product must gather per call.
+        """``(forward, adjoint)``: the weight per triple that a product over
+        ``plan`` reads, ``weights[transpose][adj_idx]`` in the forward and
+        ``weights[adj_idx]`` in the tensor adjoint.
 
-        Only plain symmetric weights are kept, as the constructor requires
-        them: their forward reads them transposed, which gives the same
-        array, so one serves both directions. A Var is gathered per call,
-        since an optimizer updates its value in place, and so are the
-        plain asymmetric weights of a ``with_weights`` copy.
+        The forward's array is gathered on first use per plan and kept,
+        unless the weights are a leaf Var, which an optimizer updates in
+        place and so is gathered per call. Plain weights and an op's Var
+        result cannot change under the matrix. ``adjoint`` is the same
+        array for plain symmetric weights, as the constructor requires
+        them, since reading them transposed changes nothing; for any other
+        weights it is None, and the adjoint gathers them per call. So the
+        tape, which holds the adjoint's weights until the backward, holds
+        no array kept for a per-forward copy.
         """
         kept = self._product_weights
-        if kept is None:
-            return None
-        if plan not in kept:
-            kept[plan] = _frozen(np.take(self.weights, plan.adj_idx))
-        return kept[plan]
+        forward = None if kept is None else kept.get(plan)
+        if forward is None:
+            w = ad.value(self.weights)
+            forward = np.take(np.take(w, plan.transpose), plan.adj_idx)
+            if kept is not None:
+                kept[plan] = _frozen(forward)
+        return forward, forward if self._plain_symmetric else None
 
     @cached_property
     def renormalized(self):
@@ -254,7 +269,7 @@ class SparseAdjacency:
         The result caches its own plan pair, so every run on this matrix
         reuses both. Like ``product_weights``, and unlike the other cached
         properties, this one depends on the weights, not only on the
-        pattern: :meth:`with_weights` drops both from the copy.
+        pattern: :meth:`with_weights` drops them from the copy.
         :func:`renormalize`'s checks run on every read until one succeeds,
         since an exception is not cached.
         """
@@ -266,14 +281,16 @@ class SparseAdjacency:
         The weights are checked for shape and, when plain, finiteness;
         not for symmetry, which only :func:`renormalize` needs and checks.
         The copy shares the pattern's cached properties computed so far,
-        except ``renormalized`` and the kept ``product_weights``, which
-        depend on the weights.
+        and ``node_plan``, which is built here if it is not yet; not
+        ``renormalized`` and the kept ``product_weights``, which depend on
+        the weights.
         """
+        self.node_plan  # built once, so that every copy shares it
         # not copy.copy: it copies the state __getstate__ returns, which
         # leaves out the caches a twin must share
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
-        for name in ("renormalized", "_product_weights"):
+        for name in ("renormalized", "_product_weights", "_plain_symmetric"):
             twin.__dict__.pop(name, None)
         object.__setattr__(twin, "weights", weights)
         twin._check_weights()

@@ -189,6 +189,36 @@ def test_row_dots_empty_index_gives_empty_float_array(rng):
     assert out.shape == (0,) and out.dtype == np.float64
 
 
+def test_row_dots_of_zero_width_rows_are_zeros(rng):
+    """No column starts the sum, so every dot is the empty sum."""
+    x = np.zeros((4, 0))
+    out = ad.row_dots(x, rng.integers(0, 4, 5), x, rng.integers(0, 4, 5))
+    assert np.array_equal(out, np.zeros(5)) and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_row_dots_signed_zeros_read_as_the_zero_started_sum(width, rng):
+    """The sum starts from the first column's product, so a row of -0.0
+    products sums to -0.0, where a sum from zeros gives 0.0. Both readers
+    see the same bytes: the weight adjoint's ``bincount`` of the dots and
+    ``link_scores``' sigmoid of them."""
+    x = rng.choice([-0.0, 0.0, -1.5, 2.0], size=(6, width), p=[.4, .4, .1, .1])
+    y = rng.choice([-0.0, 0.0, 0.5], size=(5, width), p=[.45, .45, .1])
+    x_idx = rng.integers(0, 6, 200)
+    y_idx = rng.integers(0, 5, 200)
+    zero_started = np.zeros(200)
+    for q in range(width):
+        zero_started += x[x_idx, q] * y[y_idx, q]
+    got = ad.row_dots(x, x_idx, y, y_idx)
+    assert np.any(np.signbit(got) & (zero_started == 0) & ~np.signbit(zero_started))
+    seg = rng.integers(0, 7, 200)
+    for ids, bins in ((seg, 9), (x_idx, 6)):
+        assert (np.bincount(ids, weights=got, minlength=bins).tobytes()
+                == np.bincount(ids, weights=zero_started,
+                               minlength=bins).tobytes())
+    assert ad.sigmoid(got).tobytes() == ad.sigmoid(zero_started).tobytes()
+
+
 def test_segment_softmax_matches_dense_softmax(rng):
     scores = rng.standard_normal(6)
     seg = np.array([0, 0, 0, 1, 1, 2])

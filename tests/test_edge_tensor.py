@@ -398,28 +398,39 @@ def test_propagate_values_bitwise_equal_to_fancy_index_kernel(mode, p, kind):
                 assert np.array_equal(got, want)
 
 
-def _products_and_gradients(pattern, a, s_vals, h, g):
+def _products_and_gradients(pattern, a, s_vals, h, g, leaf=None):
     """Mode-1, mode-2 and A·H products of matrix ``a`` on ``pattern`` and
-    the gradients of their g-weighted sum: a list of plain arrays."""
+    the gradients of their g-weighted sum: a list of plain arrays, the
+    gradient of ``leaf``, the Var ``a``'s weights are computed from, last."""
     sv, hv = Var(s_vals.copy()), Var(h.copy())
     s = EdgeFeatureTensor(pattern, sv)
     outs = [propagate_mode1(s, a).values, propagate_mode2(s, a).values,
             sparse_matmul(a, hv)]
     backward(ad.total(ad.add(ad.total(ad.mul(ad.add(outs[0], outs[1]), g)),
                              ad.total(ad.mul(outs[2], h)))))
-    grads = [sv.grad, hv.grad] + ([a.weights.grad]
-                                  if isinstance(a.weights, Var) else [])
+    grads = [sv.grad, hv.grad] + ([leaf.grad] if leaf is not None else [])
     return [ad.value(out) for out in outs] + grads
+
+
+def _weights_of_kind(kind, w):
+    """(weights, leaf): ``w`` plain, as a leaf Var, or as an op's result
+    (a Var with a parent, as attention and the learned graph are)."""
+    if kind == "plain":
+        return w.copy(), None
+    leaf = Var(w.copy())
+    return (leaf if kind == "var" else ad.mul(leaf, 1.0)), leaf
 
 
 @pytest.mark.parametrize("symmetric", [False, True],
                          ids=["asymmetric", "symmetric"])
-@pytest.mark.parametrize("traced", [False, True], ids=["plain", "var"])
-def test_a_twin_never_reads_its_parents_kept_products(traced, symmetric):
+@pytest.mark.parametrize("kind", ["plain", "var", "op"])
+def test_a_twin_never_reads_its_parents_kept_products(kind, symmetric):
     """A matrix keeps the weights its products gathered through each plan;
     a ``with_weights`` copy of it, plain or Var, symmetric or not, gets
     none of them: its products and their gradients equal those of a
-    fresh matrix with the same weights bit for bit."""
+    fresh matrix with the same weights bit for bit. A copy whose weights
+    are an op's result keeps its own forward gathers, one array per plan,
+    and its products equal those of plain weights too."""
     rng = np.random.default_rng(3)
     parent = renormalize(random_adjacency(12, rng, density=0.4))
     s_vals = rng.standard_normal((parent.nnz, 3))
@@ -432,14 +443,25 @@ def test_a_twin_never_reads_its_parents_kept_products(traced, symmetric):
         w = np.maximum(w, w[parent.transpose_permutation])
     fresh = SparseAdjacency(parent.n, parent.rows.copy(), parent.cols.copy(),
                             parent.weights.copy())
-    twin_out, fresh_out = (
-        _products_and_gradients(
-            pattern, pattern.with_weights(Var(w.copy()) if traced else w.copy()),
-            s_vals, h, g)
-        for pattern in (parent, fresh))
-    assert len(twin_out) == len(fresh_out) == (6 if traced else 5)
+    outs = []
+    for pattern in (parent, fresh):
+        weights, leaf = _weights_of_kind(kind, w)
+        twin = pattern.with_weights(weights)
+        outs.append(_products_and_gradients(pattern, twin, s_vals, h, g, leaf))
+    twin_out, fresh_out = outs
+    assert len(twin_out) == len(fresh_out) == (5 if kind == "plain" else 6)
     for got, want in zip(twin_out, fresh_out):
         assert np.array_equal(got, want)
+    if kind == "op":
+        plans = (*fresh.plans, fresh.node_plan)  # twin is on fresh
+        assert set(twin._product_weights) == set(plans)
+        for plan in plans:
+            forward, adjoint = twin.product_weights(plan)
+            assert forward is twin._product_weights[plan] and adjoint is None
+        plain = _products_and_gradients(fresh, fresh.with_weights(w.copy()),
+                                        s_vals, h, g)
+        for got, want in zip(twin_out, plain):
+            assert np.array_equal(got, want)
 
 
 def test_var_weights_are_gathered_per_call():

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from edgetensor import sparse_graph, tasks, training
+from edgetensor import models, sparse_graph, tasks, training
 from edgetensor.models import build_model, etgnn_forward, link_scores
 from edgetensor.params import ParamTape
 from edgetensor.sparse_graph import LabeledGraph, SparseAdjacency
@@ -528,6 +528,47 @@ def test_gcn_only_trains_on_edge_channels(sbm_graph, sbm_splits,
     assert ([layer.weight.value.shape[1] for layer in model.gc_layers[:-1]]
             == list(MULTI_GRAPH_WIDTHS["gc_hidden"]))
     assert result.history[-1].train_loss.hex() == "0x1.48dcb177b5218p-1"
+
+
+def test_et_gat_trains_on_edge_channels_bit_for_bit(sbm_graph, sbm_splits):
+    """et_gat on a channel graph, mg's path: attention weights both edge
+    layers and the learned graph both node layers. Its final train loss
+    is pinned bit for bit."""
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=4, patience=4, seed=0)
+    result = run_node_classification(two_view_union(sbm_graph), sbm_splits,
+                                     cfg, model_kind="et_gat")
+    assert result.history[-1].train_loss.hex() == "0x1.0e6d7a8f171ddp-1"
+
+
+def test_et_gat_link_prediction_bit_for_bit():
+    """et_gat's link loss reads ``row_dots`` in ``link_scores``; its final
+    train loss is pinned bit for bit."""
+    result = run_link_prediction(*small_link_inputs(),
+                                 TaskConfig(0.01, 5, 5, seed=0),
+                                 model_kind="et_gat")
+    assert result.history[-1].train_loss.hex() == "0x1.35258239561fcp-1"
+
+
+def test_every_epochs_learned_graph_shares_one_node_plan(sbm_graph,
+                                                         sbm_splits,
+                                                         monkeypatch):
+    """On a channel graph Â runs no A·H of its own, yet the learned graph
+    of every epoch, a new ``with_weights`` copy of Â, reads Â's one node
+    plan instead of building its own."""
+    learned, gc_forward = [], models.gc_forward
+
+    def recording(h, a, layer):
+        learned.append(a)
+        return gc_forward(h, a, layer)
+
+    monkeypatch.setattr(models, "gc_forward", recording)
+    graph = two_view_union(sbm_graph)
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=2, patience=2, seed=0)
+    run_node_classification(graph, sbm_splits, cfg, model_kind="et_gat")
+    a_tilde = graph.adjacency.renormalized
+    assert len({id(a) for a in learned}) == 2  # one per epoch
+    assert all(a is not a_tilde and a.node_plan is a_tilde.node_plan
+               for a in learned)
 
 
 def test_link_prediction_refuses_a_graph_with_edge_channels():
