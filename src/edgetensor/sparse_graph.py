@@ -2,8 +2,9 @@
 degree renormalization.
 
 Entries are stored in canonical (row, col) sorted order, so iteration and
-serialization are deterministic. All weights are float64. Matrices compare
-and hash by identity.
+serialization are deterministic. A matrix has at most 3,037,000,499 nodes,
+so that its entry keys row*n+col fit in int64. All weights are float64.
+Matrices compare and hash by identity.
 
 Symmetry is decided here alone. The constructor refuses an asymmetric
 pattern or asymmetric weights, so every pattern is symmetric; a
@@ -15,12 +16,16 @@ A matrix's pattern is also the slot layout of the edge tensors built on it
 (see :mod:`edgetensor.edge_tensor`), and it owns their contraction plans:
 the pair is built on first use by one walk over the slots (x, y) with
 x <= y, and cached. Every ``with_weights`` copy made after that shares it.
-A pattern whose pair could need more than ``PLAN_BUDGET_BYTES`` (1 GiB) is
-refused with a ``ValueError`` before the walk allocates its candidates.
-The bound is 64 bytes per candidate, several times the pair a sparse
-graph builds, so refusal starts at 2**24 (16.8M) candidates: about
-n = 197k nodes at mean degree 12 (85 candidates a node), whose pair would
-be ~0.23 GB.
+The walk finds the entries that close its wedges by a hashed lookup of
+their keys: a table of 4-8 int32 slots per entry, built once per walk,
+resolves a key by one gather and one compare, and only the keys that land
+on a slot two entries share are binary-searched, so the plans are exactly
+those of a binary search. A pattern whose pair could need more than
+``PLAN_BUDGET_BYTES`` (1 GiB) is refused with a ``ValueError`` before the
+walk allocates its candidates or its table. The bound is 64 bytes per
+candidate, several times the pair a sparse graph builds, so refusal
+starts at 2**24 (16.8M) candidates: about n = 197k nodes at mean degree
+12 (85 candidates a node), whose pair would be ~0.23 GB.
 
 Beside the plan pair a pattern keeps its node plan (``node_plan``, the
 A·H plan of ``layers.sparse_matmul``: one index array of nnz entries),
@@ -57,8 +62,17 @@ from . import autodiff as ad
 
 # bytes one pattern's plan pair may need (see _wedges): an n=20k graph of
 # mean degree 12 bounds its pair at ~0.11 GB, a 400-node clique at 2.05 GB;
-# sparse graphs of mean degree 12 are refused from about n = 197k
+# sparse graphs of mean degree 12 are refused from about n = 197k. The
+# walk's lookup table (see _lookup), 16-32 bytes per entry, is built after
+# the check and not counted: 4.2 MB on that n=20k graph
 PLAN_BUDGET_BYTES = 2 ** 30
+
+# the most nodes a pattern may have: its keys row*n+col reach n*n - 1,
+# which must fit in int64 for the canonical order and the lookup's hash
+_MAX_NODES = 3_037_000_499  # math.isqrt(2**63 - 1)
+
+# 2**64 over the golden ratio, rounded to odd: the multiplier of _home
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +116,9 @@ class SparseAdjacency:
     weights: object  # plain float64 array, or a Var after with_weights
 
     def __post_init__(self):
+        if self.n > _MAX_NODES:
+            raise ValueError(f"n = {self.n:,} is over {_MAX_NODES:,}, the most "
+                             f"nodes whose row*n+col keys fit in int64")
         rows = np.asarray(self.rows, dtype=np.intp)
         cols = np.asarray(self.cols, dtype=np.intp)
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -139,6 +156,11 @@ class SparseAdjacency:
     def from_undirected_edges(cls, n, pairs, weights=None):
         """Build a symmetric matrix from undirected (i, j) pairs, i != j."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            i = pairs[loops][0, 0]
+            raise ValueError(f"pair ({i}, {i}) joins a node to itself; an "
+                             f"undirected edge (i, j) needs i != j")
         if weights is None:
             weights = np.ones(len(pairs))
         weights = np.asarray(weights, dtype=np.float64)
@@ -333,7 +355,9 @@ def _plan_walk(pattern):
     :func:`_wedges` walks only the slots with x <= y; the mirror slot
     (y, x) closes the same wedges with P and Q swapped. A slot's hits come
     in rising c, which orders both P and Q, so each segment is already in
-    (output slot, entry) order for both modes: nothing is sorted.
+    (output slot, entry) order for both modes: nothing is sorted. The
+    wedges' entries are found by a hashed lookup (:func:`_lookup`) whose
+    result is a binary search's, so the plans are a binary search's too.
     """
     nnz, perm = pattern.nnz, pattern.transpose_permutation
     upper = np.flatnonzero(pattern.rows <= pattern.cols)
@@ -358,13 +382,15 @@ def _wedges(pattern, upper):
     """Common neighbours c of the ends of each slot ``upper[k]`` = (x, y).
 
     The c of the shorter of rows x and y are walked and the other row's
-    entry is looked up in ``pattern.keys``, so a walk tests sum min(deg x,
-    deg y) candidates. Returns the hits per slot and, per hit in (slot, c)
-    order, the entries P = (x, c) and Q = (y, c). A pattern whose plan
-    pair could exceed ``PLAN_BUDGET_BYTES`` is refused before any
-    candidate is built.
+    entry is found by :func:`_lookup` in ``pattern.keys``, so a walk tests
+    sum min(deg x, deg y) candidates. The walked entries are dropped
+    while the candidates are looked up and rebuilt for the hits alone.
+    Returns the hits per slot and, per hit in (slot, c) order, the entries
+    P = (x, c) and Q = (y, c). A pattern whose plan pair could exceed
+    ``PLAN_BUDGET_BYTES`` is refused before any candidate or lookup table
+    is built.
     """
-    n, keys, nnz, ptr = pattern.n, pattern.keys, pattern.nnz, pattern.indptr
+    n, ptr = pattern.n, pattern.indptr
     deg = np.diff(ptr)
     x, y = pattern.rows[upper], pattern.cols[upper]
     walk_x = deg[x] <= deg[y]
@@ -380,18 +406,62 @@ def _wedges(pattern, upper):
             f"({candidates:,} candidates), over its budget of "
             f"{PLAN_BUDGET_BYTES:,} bytes")
     starts = _offsets(count)
-    # ragged ranges: the walked row's slot indices for each slot
-    walked_slot = np.repeat(ptr[walked] - starts[:-1], count)
+    # ragged ranges: candidate k of a slot walks slot index first + k
+    first = ptr[walked] - starts[:-1]
+    walked_slot = np.repeat(first, count)
     walked_slot += np.arange(candidates)
     looked = np.repeat(np.where(walk_x, y, x) * n, count)
     looked += pattern.cols[walked_slot]
-    pos = np.searchsorted(keys, looked)
-    pos[pos == nnz] = 0
-    found = np.flatnonzero(keys[pos] == looked)
+    del walked_slot  # rebuilt for the hits alone, so the lookup holds less
+    found, pos = _lookup(pattern.keys, looked)
     hits = np.diff(np.searchsorted(found, starts))
-    walked_slot, pos, walk_x = walked_slot[found], pos[found], np.repeat(walk_x, hits)
+    walked_slot = np.repeat(first, hits)
+    walked_slot += found
+    walk_x = np.repeat(walk_x, hits)
     return (hits, np.where(walk_x, walked_slot, pos),
             np.where(walk_x, pos, walked_slot))
+
+
+def _home(keys, bits):
+    """Home slot of each key in a table of ``2**bits`` slots: the top
+    ``bits`` bits of the key's product with the Fibonacci constant."""
+    slot = keys.view(np.uint64) * _FIBONACCI
+    slot >>= np.uint64(64 - bits)
+    return slot.view(np.intp)
+
+
+def _lookup(keys, looked):
+    """``(found, pos)``: the indices of the ``looked`` keys that occur in the
+    strictly increasing ``keys``, rising, and where each occurs.
+
+    Each key owns one slot of a table of 4-8 slots per key (see
+    :func:`_table`), so a needle is resolved by one gather from the table
+    and one compare against ``keys``. Only the needles that land on a slot
+    two or more keys share are searched for in ``keys``, so the result is
+    exactly that of a binary search. ``keys`` may be empty only if
+    ``looked`` is. The plan budget keeps a walked pattern's nnz under
+    2**26, so an int32 table holds every entry's index.
+    """
+    nnz = keys.size
+    bits = (4 * nnz - 1).bit_length()
+    pos = _home(looked, bits)
+    pos[...] = _table(keys, bits)[pos]  # the table is freed before the compare
+    shared = np.flatnonzero(pos < 0)
+    pos[shared] = np.minimum(np.searchsorted(keys, looked[shared]), nnz - 1)
+    found = np.flatnonzero(keys[pos] == looked)
+    return found, pos[found]
+
+
+def _table(keys, bits):
+    """int32 table of ``2**bits`` slots: each key's index at its home slot,
+    -1 where two or more keys share one, and 0 where none has it home,
+    which a needle that lands there cannot equal."""
+    table = np.zeros(1 << bits, dtype=np.int32)
+    home = _home(keys, bits)
+    entry = np.arange(keys.size, dtype=np.int32)
+    table[home] = entry
+    table[home[table[home] != entry]] = -1
+    return table
 
 
 def _refuse_non_finite(block, what, row):
@@ -490,6 +560,9 @@ class LabeledGraph:
         The union stores an entry wherever any view does; channel k of an
         entry holds view k's weight there, or 0 where view k has none.
         """
+        if not views:
+            raise ValueError("from_views needs at least one view; the view "
+                             "list is empty")
         n = views[0].n
         if any(v.n != n for v in views):
             raise ValueError("all views must share the node count")

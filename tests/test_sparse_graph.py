@@ -1,5 +1,7 @@
 """Sparse adjacency storage and degree renormalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,9 @@ from hypothesis import strategies as st
 from conftest import has_entry, random_adjacency, renormalize_oracle
 from edgetensor.autodiff import Var, backward
 from edgetensor import autodiff as ad
+from edgetensor import sparse_graph
+from edgetensor.generators import sbm_generate
+from edgetensor.models import prepare_multigraph
 from edgetensor.sparse_graph import (LabeledGraph, SparseAdjacency,
                                      check_splits, renormalize,
                                      renormalize_weights)
@@ -32,6 +37,33 @@ def test_constructor_refuses_asymmetric_weights_and_patterns():
         SparseAdjacency(2, [0, 1], [1, 0], [1.0, 2.0])
     with pytest.raises(ValueError, match="pattern is not symmetric"):
         SparseAdjacency(2, [0, 0, 1], [0, 1, 1], np.ones(3))
+
+
+def test_from_undirected_edges_refuses_a_pair_joining_a_node_to_itself():
+    with pytest.raises(ValueError, match=r"pair \(1, 1\) joins a node to itself"):
+        SparseAdjacency.from_undirected_edges(3, [(1, 1)])
+    with pytest.raises(ValueError, match=r"pair \(2, 2\)"):
+        SparseAdjacency.from_undirected_edges(3, [(0, 1), (2, 2)])
+
+
+def test_a_node_count_whose_keys_overflow_int64_is_refused():
+    """Keys row*n+col reach n*n - 1, which fits in int64 up to n =
+    3,037,000,499. Neither the refusal nor the largest graph allocates an
+    n-sized array."""
+    tracemalloc.start()
+    try:
+        for n in (3_037_000_500, 2 ** 32):
+            with pytest.raises(ValueError, match="3,037,000,499"):
+                SparseAdjacency.from_undirected_edges(n, [(0, n - 1), (1, 2)])
+        n = 3_037_000_499
+        a = SparseAdjacency.from_undirected_edges(n, [(0, n - 1), (1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert a.rows.tolist() == [0, 1, 2, n - 1]
+    assert a.keys.tolist() == [n - 1, n + 2, 2 * n + 1, n * n - n]
+    assert np.all(np.diff(a.keys) > 0)
 
 
 def test_out_of_range_index_rejected():
@@ -294,6 +326,11 @@ def test_labeled_graph_rejects_features_or_labels_not_per_node():
             LabeledGraph(a, np.zeros((3, 2)), labels)
 
 
+def test_from_views_refuses_an_empty_view_list():
+    with pytest.raises(ValueError, match="view list is empty"):
+        LabeledGraph.from_views([], np.zeros((3, 2)), [0, 1, 0])
+
+
 def test_labeled_graph_num_classes():
     a = SparseAdjacency.from_undirected_edges(3, [(0, 1)])
     g = LabeledGraph(a, np.zeros((3, 2)), [2, -1, 0])
@@ -308,3 +345,120 @@ def test_renormalize_symmetry_property(seed):
     a = random_adjacency(n, rng, density=float(rng.random()))
     r = renormalize(a).to_dense()
     assert np.abs(r - r.T).max() <= 1e-12
+
+
+def searchsorted_lookup(keys, looked):
+    """The lookup as a binary search: ``(found, pos)`` of the ``looked`` keys
+    that occur in ``keys``."""
+    pos = np.searchsorted(keys, looked)
+    pos[pos == keys.size] = 0
+    found = np.flatnonzero(keys[pos] == looked)
+    return found, pos[found]
+
+
+def hub_heavy(seed):
+    """A 4-block SBM of 50-node blocks with three hubs joined to 60% of
+    the nodes."""
+    rng = np.random.default_rng(seed)
+    a = sbm_generate([50] * 4, 0.1, 0.01, seed).adjacency
+    pairs = {(int(i), int(j)) for i, j in zip(a.rows, a.cols) if i < j}
+    for hub in rng.choice(a.n, 3, replace=False):
+        for other in rng.choice(a.n, 120, replace=False):
+            if other != hub:
+                pairs.add((min(hub, other), max(hub, other)))
+    return SparseAdjacency.from_undirected_edges(a.n, sorted(pairs))
+
+
+def tiny_multigraph_union():
+    """The union of two 4-block SBM views and a two-hub view of 40 links
+    each on 120 nodes, as a multi-graph run renormalizes it."""
+    views = [sbm_generate([30] * 4, 0.2, 0.02, seed).adjacency
+             for seed in (1, 2)]
+    rng = np.random.default_rng(3)
+    hub_pairs = {(min(h, o), max(h, o)) for h in (7, 80)
+                 for o in rng.choice(120, 41, replace=False).tolist() if o != h}
+    views.append(SparseAdjacency.from_undirected_edges(120, sorted(hub_pairs)))
+    return prepare_multigraph(views, np.eye(120), np.arange(120) % 4).a_tilde
+
+
+LOOKUP_GRAPHS = [
+    *(pytest.param(lambda seed=seed, b=b: renormalize(sbm_generate(
+        [b] * 4, 0.15, 0.02, seed).adjacency), id=f"sbm-{b}-{seed}")
+      for seed, b in ((0, 10), (1, 40), (2, 100))),
+    pytest.param(lambda: sbm_generate([40] * 3, 0.2, 0.05, 4).adjacency,
+                 id="sbm-no-diagonal"),
+    *(pytest.param(lambda seed=seed: renormalize(hub_heavy(seed)),
+                   id=f"hub-{seed}") for seed in (0, 1)),
+    pytest.param(lambda: renormalize(SparseAdjacency(7, [], [], [])),
+                 id="diagonal-only"),
+    pytest.param(lambda: SparseAdjacency(1, [0], [0], [1.0]), id="n=1"),
+    pytest.param(lambda: SparseAdjacency(1, [], [], []), id="n=1-empty"),
+    pytest.param(lambda: SparseAdjacency(0, [], [], []), id="n=0"),
+    pytest.param(tiny_multigraph_union, id="tiny-multigraph-union"),
+]
+
+
+@pytest.mark.parametrize("graph", LOOKUP_GRAPHS)
+def test_plans_equal_a_binary_search_walk(graph, monkeypatch):
+    """The hashed entry lookup finds exactly the entries a binary search
+    over the keys finds, so both plans equal, array for array, those of a
+    walk whose lookup is ``searchsorted``."""
+    got = graph().plans
+    with monkeypatch.context() as m:
+        m.setattr(sparse_graph, "_lookup", searchsorted_lookup)
+        expected = graph().plans
+    for plan, ref in zip(got, expected):
+        for name in ("out_idx", "adj_idx", "slot_idx", "transpose"):
+            g, e = getattr(plan, name), getattr(ref, name)
+            assert g.dtype == e.dtype and np.array_equal(g, e), name
+
+
+def test_lookup_searches_the_needles_on_a_shared_slot():
+    """Keys that share a table slot are found by the binary search the
+    lookup falls back to. So are needles past the last key, needles that
+    land on an empty slot and needles that land on a shared slot but are
+    no key. 48 keys get a table of 2**8 slots: ten slots of four keys
+    each, and eight keys alone on theirs."""
+    bits = (4 * 48 - 1).bit_length()
+    pool = np.arange(1, 4096, dtype=np.intp)
+    home = sparse_graph._home(pool, bits)
+    crowded = np.flatnonzero(np.bincount(home) >= 5)
+    shared, alone = crowded[:10], np.setdiff1d(np.unique(home), crowded[:10])[:8]
+    keys = np.sort(np.concatenate(
+        [pool[home == slot][:4] for slot in shared]
+        + [pool[home == slot][:1] for slot in alone]))
+    assert keys.size == 48
+    spare = np.setdiff1d(pool[np.isin(home, shared)], keys)
+    looked = np.concatenate([keys, spare, keys[::-1],
+                             [keys[-1] + 1, 9999, 0]])
+    lands = sparse_graph._table(keys, bits)[sparse_graph._home(looked, bits)]
+    assert np.count_nonzero(lands < 0) >= 80  # the fallback runs
+    on_empty = ~np.isin(sparse_graph._home(looked, bits),
+                        sparse_graph._home(keys, bits))
+    assert on_empty.any()
+    found, pos = sparse_graph._lookup(keys, looked)
+    expected = searchsorted_lookup(keys, looked)
+    assert np.array_equal(found, expected[0])
+    assert np.array_equal(pos, expected[1])
+    assert found.size == 2 * keys.size
+
+
+def test_a_plan_build_holds_under_four_candidate_arrays():
+    """The walk drops its walked entries while it looks the candidates up,
+    and frees the lookup table before the compare, so a build's peak stays
+    under four candidate-long index arrays (a binary search's walk held
+    4.6 of them)."""
+    b, degree = 1000, 12
+    a = renormalize(sbm_generate([b] * 4, 0.75 * degree / (b - 1),
+                                 0.25 * degree / (3 * b), 1).adjacency)
+    a.keys, a.indptr, a.transpose_permutation  # cached before the trace
+    deg = np.diff(a.indptr)
+    upper = a.rows <= a.cols
+    candidates = np.minimum(deg[a.rows[upper]], deg[a.cols[upper]]).sum()
+    tracemalloc.start()
+    try:
+        a.plans
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * candidates * np.dtype(np.intp).itemsize
