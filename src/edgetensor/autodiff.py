@@ -211,8 +211,26 @@ def gather_rows(a, idx, flat=None):
 
 
 def matmul(a, b):
+    """``a @ b``.
+
+    For a one-column 2-d ``b``, as the (p, 1) projection that ends every
+    edge stack is, ``a``'s adjoint, the outer product g bᵀ, is built by
+    broadcasting, in feature-major order, rather than by a k=1 BLAS call:
+    0.08-0.15 against 0.28-0.41 ms at 25,908-37,976 rows of width 6 (one
+    BLAS thread, numpy 2.4). The
+    product sums from +0.0, so it turns an exact -0.0 term into +0.0; the
+    broadcast does the same by adding 0.0, which keeps it bitwise equal.
+    """
     av, bv = value(a), value(b)
-    return _node(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
+
+    def vjp_a(g):
+        if av.ndim == bv.ndim == 2 and bv.shape[1] == 1:
+            outer = bv * g.T
+            outer += 0.0
+            return outer.T
+        return g @ bv.T
+
+    return _node(av @ bv, (a, vjp_a), (b, lambda g: av.T @ g))
 
 
 def total(a):
@@ -236,10 +254,19 @@ def bincount_rows(values, seg_ids, num_segments, flat=None):
 
     A 2-d block runs one ``bincount`` over :func:`flat_ids`, built here
     unless passed as ``flat``; it sums in array order, as a ``bincount``
-    per column would: deterministic and bitwise equal to it.
+    per column would: deterministic and bitwise equal to it. An F-ordered
+    block, as the cotangent of :func:`matmul`'s one-column adjoint is,
+    runs that ``bincount`` per contiguous column instead of being copied
+    into C order (0.47 against 1.5 ms at 25,908 x 8 on numpy 2.4), and
+    gives an F-ordered result.
     """
     if values.ndim == 1:
         return np.bincount(seg_ids, weights=values, minlength=num_segments)
+    if values.flags.f_contiguous and not values.flags.c_contiguous:
+        out = np.empty((values.shape[1], num_segments))
+        for q, column in enumerate(values.T):
+            out[q] = np.bincount(seg_ids, weights=column, minlength=num_segments)
+        return out.T
     ncols = values.shape[1]
     if flat is None:
         flat = flat_ids(seg_ids, ncols)
@@ -351,8 +378,8 @@ def leaky_relu(a):
 
 def sigmoid(a):
     x = value(a)
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def vjp(g):
         return g * s * (1.0 - s)
@@ -366,10 +393,21 @@ def log(a):
 
 
 def floor_at(a, c):
-    """max(a, c) elementwise; subgradient flows where a > c."""
+    """max(a, c) elementwise; subgradient flows where a > c.
+
+    The adjoint multiplies by the mask in ``g``'s memory order, copying
+    the mask when ``g`` is in the other: at 25,908 x 8 on numpy 2.4, a
+    C-ordered ``g`` times an F-ordered mask took 1.5 ms, the copy and a
+    matching product 0.3 ms.
+    """
     av = value(a)
     mask = av > c
-    return _node(np.where(mask, av, c), (a, lambda g: g * mask))
+
+    def vjp(g):
+        fortran = g.flags.f_contiguous and not g.flags.c_contiguous
+        return g * np.asarray(mask, order="F" if fortran else "C")
+
+    return _node(np.where(mask, av, c), (a, vjp))
 
 
 def rsqrt(a):

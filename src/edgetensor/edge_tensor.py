@@ -33,17 +33,39 @@ the learned graph, which both edge layers or both node layers of one
 forward read. Only a leaf Var's weights, a parameter's, are gathered on
 every call. The tensor adjoint reads the kept array only for plain
 symmetric weights, as Â's are; it gathers any other weights per call.
+
+What a product keeps depends on which side is constant:
+
+- constant weights (Â, and a Var computed by an op, as attention's are)
+  keep their gathered weights per plan, as above;
+- constant (plain) values under traced weights keep their nonzero
+  triples: per plan and channel, the positions and output slots of the
+  triples whose input entry is nonzero
+  (``EdgeFeatureTensor._nonzero_triples``, at most 16 bytes per kept
+  triple), so the forward's gather, scale and ``bincount`` run over
+  those alone. This is et_gat's first layer on edge channels, whose
+  one-hot or binary entries are mostly zero. Each dropped term is
+  w * (±0) = ±0, and a ``bincount`` bin starts at +0.0 and never
+  becomes -0.0, so adding ±0 never changes it: the output is bit for bit
+  the full gather's for finite weights. A channel without zeros keeps
+  nothing;
+- constant values under constant weights (et_gcn on edge channels) keep
+  nothing on the value side: the whole product is a constant, which is
+  left to be computed once per graph as a whole;
+- traced values under traced weights (recipes and every later layer)
+  keep nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .sparse_graph import SparseAdjacency
+from .sparse_graph import SparseAdjacency, _frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +120,31 @@ class EdgeFeatureTensor:
     def num_slots(self):
         return self.pattern.nnz
 
+    @cached_property
+    def _kept_triples(self):
+        return {}
+
+    def _nonzero_triples(self, plan):
+        """Per channel of the plain values, the triples of ``plan`` whose
+        input entry is nonzero, built on first use per plan, one channel at
+        a time, and kept.
+
+        A channel's entry is None when none of its entries is zero, else
+        ``(positions, slots, value)``: the read-only positions in the plan
+        of the triples whose input slot (``out_idx``, which the forward
+        gathers through) holds a nonzero entry, and their output slots
+        (``slot_idx``), 16 bytes per kept triple. ``value`` is the one
+        value every nonzero entry of the channel holds, as in a binary
+        channel, so the forward scales by it instead of gathering the
+        entries; None when they differ. The values are taken as constants:
+        a tensor's plain values must not be written after its first product.
+        """
+        kept = self._kept_triples.get(plan)
+        if kept is None:
+            kept = [_channel_triples(plan, column) for column in self.values.T]
+            self._kept_triples[plan] = kept
+        return kept
+
     def with_values(self, values):
         """Same pattern, new values of any width."""
         return EdgeFeatureTensor(self.pattern, values)
@@ -146,7 +193,44 @@ def contraction_plan(mode, tensor, adjacency):
     return tensor.pattern.plans[mode - 1]
 
 
-def propagate_values(plan, a, s_vals):
+def _channel_triples(plan, column):
+    """A channel's entry of ``EdgeFeatureTensor._nonzero_triples``."""
+    nonzero = column != 0
+    count = np.count_nonzero(nonzero)
+    if count == column.size:
+        return None
+    positions = np.flatnonzero(np.take(nonzero, plan.out_idx))
+    first = column[np.argmax(nonzero)]
+    value = float(first) if count and np.count_nonzero(column == first) == count else None
+    return _frozen(positions), _frozen(np.take(plan.slot_idx, positions)), value
+
+
+def _sum_nonzero(sv, plan, weights, nonzero):
+    """``gather_scale_sum(sv, plan.out_idx, weights, plan.slot_idx,
+    plan.num_slots)`` over each channel's ``nonzero`` triples only.
+
+    Feature-major, as that kernel is, with the same F-ordered result; a
+    channel without kept triples runs over every triple, as it does.
+    ``sv`` is read through its strided columns, not a contiguous copy: a
+    channel with one nonzero value never reads it.
+    """
+    out = np.empty((sv.shape[1], plan.num_slots))
+    for q, (column, kept) in enumerate(zip(sv.T, nonzero)):
+        if kept is None:
+            terms = np.take(column, plan.out_idx)
+            terms *= weights
+            seg_ids = plan.slot_idx
+        else:
+            # indexing, not np.take, which copies read-only indices first
+            positions, seg_ids, value = kept
+            terms = weights[positions]
+            terms *= (value if value is not None
+                      else column[plan.out_idx[positions]])
+        out[q] = np.bincount(seg_ids, weights=terms, minlength=plan.num_slots)
+    return out.T
+
+
+def propagate_values(plan, a, s_vals, nonzero=None):
     """Masked sparse product of matrix ``a`` and a raw value block: the
     library's one sparse-product op.
 
@@ -174,11 +258,19 @@ def propagate_values(plan, a, s_vals):
     triples-long array of a per-forward copy. The weight adjoint sums the
     row dot products of :func:`autodiff.row_dots` per adjacency entry with
     one ``bincount``.
+
+    ``nonzero``, for plain values, is their tensor's
+    ``_nonzero_triples(plan)``: the forward then runs over the triples that
+    read a nonzero entry only, bit for bit equal for finite weights (see
+    the module docstring). The adjoints do not read it.
     """
     av, sv = ad.value(a.weights), ad.value(s_vals)
     forward, adjoint = a.product_weights(plan)
-    out = ad.gather_scale_sum(sv, plan.out_idx, forward, plan.slot_idx,
-                              plan.num_slots)
+    if nonzero is None:
+        out = ad.gather_scale_sum(sv, plan.out_idx, forward, plan.slot_idx,
+                                  plan.num_slots)
+    else:
+        out = _sum_nonzero(sv, plan, forward, nonzero)
 
     def vjp_a(g):
         return np.bincount(plan.adj_idx,
@@ -194,8 +286,11 @@ def propagate_values(plan, a, s_vals):
 
 
 def _propagate(s, a, mode):
-    return s.with_values(propagate_values(contraction_plan(mode, s, a), a,
-                                          s.values))
+    plan = contraction_plan(mode, s, a)
+    # plain values under traced weights keep their nonzero triples
+    nonzero = (s._nonzero_triples(plan) if isinstance(a.weights, Var)
+               and not isinstance(s.values, Var) else None)
+    return s.with_values(propagate_values(plan, a, s.values, nonzero))
 
 
 def propagate_mode1(s, a):

@@ -53,6 +53,7 @@ A matrix pickles without its cached properties, which rebuild on demand.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -116,6 +117,10 @@ class SparseAdjacency:
     weights: object  # plain float64 array, or a Var after with_weights
 
     def __post_init__(self):
+        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral)
+                or self.n < 0):
+            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n > _MAX_NODES:
             raise ValueError(f"n = {self.n:,} is over {_MAX_NODES:,}, the most "
                              f"nodes whose row*n+col keys fit in int64")

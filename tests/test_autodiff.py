@@ -59,6 +59,41 @@ def test_matmul_grad_closed_form(rng):
     np.testing.assert_allclose(w.grad, 2 * x.T @ (x @ w.value), atol=1e-10)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 2000])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_one_column_matmul_adjoint_is_bitwise_the_blas_outer_product(rows, order, rng):
+    """The left adjoint of a product by a (k, 1) operand is g bᵀ, built by
+    broadcasting in feature-major order; with planted signed zeros in g and
+    b it equals the BLAS product bit for bit, zero signs included."""
+    x = np.asarray(rng.standard_normal((rows, 6)), order=order)
+    b = rng.standard_normal((6, 1))
+    b[0] = -0.0
+    b[1] = 0.0
+    g = rng.standard_normal((rows, 1))
+    g[::3] = -0.0
+    g[1::4] = 0.0
+    a = Var(x.copy(order="K"))
+    backward(ad.total(ad.mul(ad.matmul(a, b), g)))
+    want = g @ b.T
+    assert a.grad.flags.f_contiguous
+    assert np.array_equal(a.grad.view(np.uint64), want.view(np.uint64))
+
+
+def test_floor_at_adjoint_keeps_the_cotangents_memory_order(rng):
+    """The adjoint multiplies by the mask in g's memory order: a C- or
+    F-ordered g gets a result in its own order, equal to ``g * mask``."""
+    x = rng.standard_normal((50, 8))
+    for x_order in ("C", "F"):
+        mask = np.asarray(x, order=x_order) > 0.0
+        for g_order in ("C", "F"):
+            g = np.asarray(rng.standard_normal((50, 8)), order=g_order)
+            out = ad.relu(Var(np.asarray(x, order=x_order)))
+            grad = out._vjps[0](g)
+            assert np.array_equal(grad.view(np.uint64),
+                                  (g * mask).view(np.uint64))
+            assert grad.flags[f"{g_order}_CONTIGUOUS"]
+
+
 def test_unused_parameter_gets_no_grad(rng):
     used = Var(rng.standard_normal(4))
     unused = Var(rng.standard_normal(4))
@@ -105,6 +140,20 @@ def test_sigmoid_extreme_inputs_stable():
     s = ad.sigmoid(v)
     assert np.all(np.isfinite(s.value))
     np.testing.assert_allclose(s.value, [0.0, 0.5, 1.0], atol=1e-12)
+
+
+def test_sigmoid_is_bitwise_its_three_exponential_form(rng):
+    """One exp(-|x|) per call gives the values and gradients of the form
+    that computed it three times."""
+    x = np.concatenate([rng.standard_normal(500) * 30,
+                        [-800.0, -0.0, 0.0, 800.0]])
+    e = lambda: np.exp(-np.abs(x))  # noqa: E731
+    want = np.where(x >= 0, 1.0 / (1.0 + e()), e() / (1.0 + e()))
+    v = Var(x.copy())
+    s = ad.sigmoid(v)
+    backward(ad.total(s))
+    assert np.array_equal(s.value.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(v.grad, want * (1.0 - want))
 
 
 def test_reshape_and_row_slice_grads(rng):
@@ -161,12 +210,19 @@ def test_segment_sum_forward_and_grad(rng):
 
 @pytest.mark.parametrize("ncols", [3, 16])
 def test_bincount_rows_matches_a_bincount_per_column(ncols, rng):
-    values = rng.standard_normal((200, ncols))
+    """A C-ordered block sums through flat ids, kept or built; an F-ordered
+    one sums column by column and keeps its order; both bit for bit."""
     seg = rng.integers(0, 7, 200)
-    out = ad.bincount_rows(values, seg, 9)
-    for k in range(ncols):
-        np.testing.assert_array_equal(
-            out[:, k], np.bincount(seg, weights=values[:, k], minlength=9))
+    for order in ("C", "F"):
+        values = np.asarray(rng.standard_normal((200, ncols)), order=order)
+        values[::5] = -0.0
+        for flat in (None, ad.flat_ids(seg, ncols)):
+            out = ad.bincount_rows(values, seg, 9, flat)
+            assert out.flags[f"{order}_CONTIGUOUS"]
+            for k in range(ncols):
+                want = np.bincount(seg, weights=values[:, k], minlength=9)
+                assert np.array_equal(out[:, k].view(np.uint64),
+                                      want.view(np.uint64))
 
 
 @pytest.mark.parametrize("width", [1, 3, 8, 32])

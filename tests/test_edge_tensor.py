@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (asymmetric_copy, dense_mode1_oracle,
+from conftest import (asymmetric_copy, configured_loss, dense_mode1_oracle,
                       dense_mode2_oracle, dense_mode3_oracle,
                       fancy_index_propagate, loop_plan, random_adjacency,
                       random_edge_tensor, random_support, support_mask,
                       tensor_to_dense)
 from edgetensor import autodiff as ad
+from edgetensor import edge_tensor
 from edgetensor.autodiff import Var, backward
 from edgetensor.edge_tensor import (EdgeFeatureTensor, axpy, contraction_plan,
                                     mode_k_product_dense, project_mode3,
@@ -477,6 +478,134 @@ def test_var_weights_are_gathered_per_call():
     want = propagate_mode1(s, pattern.with_weights(w.value.copy()))
     assert np.array_equal(propagate_mode1(s, a).values.value, want.values)
     assert a._product_weights is None
+
+
+def _sparse_channels(nnz, rng):
+    """Channels of each kind the kept forward tells apart: random values
+    with planted +0.0 and -0.0 entries, all zero, no zero, binary, and one
+    negative value on every nonzero entry beside -0.0 ones."""
+    k = np.arange(nnz)
+    vals = rng.standard_normal((nnz, 5))
+    vals[k % 4 == 0, 0] = 0.0
+    vals[k % 4 == 1, 0] = -0.0
+    vals[:, 1] = 0.0
+    vals[:, 2] += np.where(vals[:, 2] >= 0, 0.1, -0.1)
+    vals[:, 3] = k % 3 == 0
+    vals[:, 4] = np.where(k % 3 == 1, -2.5, -0.0)
+    return vals
+
+
+def _bits(x):
+    return np.ascontiguousarray(ad.value(x)).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["op", "leaf"])
+@pytest.mark.parametrize("case", [(1, 11, "full"), (1, 16, "hub"), (2, 9, "edgeless"),
+                                  (3, 1, "full")],
+                         ids=["full", "hub", "edgeless", "one-node"])
+def test_nonzero_triples_forward_is_bitwise_the_gather_path(case, kind):
+    """A plain tensor under Var weights propagates over its nonzero triples
+    only: each mode's product equals the full gather's bit for bit, zero
+    signs included, and the masked dense oracle; the weight gradient is
+    unchanged. A channel without zeros keeps nothing, an all-zero one
+    keeps no triple, and a channel with one nonzero value keeps it."""
+    pattern = plan_case(*case)
+    rng = np.random.default_rng(case[0])
+    vals = _sparse_channels(pattern.nnz, rng)
+    s = EdgeFeatureTensor(pattern, vals)
+    w = asymmetric_copy(pattern, rng).weights
+    for mode, propagate, oracle in ((1, propagate_mode1, dense_mode1_oracle),
+                                    (2, propagate_mode2, dense_mode2_oracle)):
+        plan = pattern.plans[mode - 1]
+        outs, grads = [], []
+        for kept in (True, False):
+            leaf = Var(w.copy())
+            a = pattern.with_weights(leaf if kind == "leaf" else ad.mul(leaf, 1.0))
+            out = (propagate(s, a).values if kept
+                   else propagate_values(plan, a, vals))
+            backward(ad.total(ad.mul(out, vals + 1.0)))
+            outs.append(out)
+            grads.append(leaf.grad)
+        assert np.array_equal(_bits(outs[0]), _bits(outs[1]))
+        assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
+        expected = oracle(tensor_to_dense(s), pattern.with_weights(w).to_dense())
+        expected[~support_mask(s)] = 0.0
+        np.testing.assert_allclose(tensor_to_dense(s.with_values(outs[0].value)),
+                                   expected, atol=1e-12)
+        for column, kept in zip(vals.T, s._nonzero_triples(plan)):
+            if np.all(column != 0.0):
+                assert kept is None
+                continue
+            positions, slots, value = kept
+            read = column[plan.out_idx]
+            assert np.array_equal(positions, np.flatnonzero(read != 0.0))
+            assert np.array_equal(slots, plan.slot_idx[positions])
+            shared = np.unique(column[column != 0.0])
+            assert value == (shared[0] if shared.size == 1 else None)
+    if pattern.nnz > 1:  # each channel kind is planted
+        values = [kept and kept[2] for kept in s._nonzero_triples(plan)]
+        assert values == [None, None, None, 1.0, -2.5]
+
+
+def _spy_channel_triples(monkeypatch):
+    """Record the plan of every channel's ``_nonzero_triples`` build."""
+    calls, builder = [], edge_tensor._channel_triples
+
+    def spy(plan, column):
+        calls.append(plan)
+        return builder(plan, column)
+
+    monkeypatch.setattr(edge_tensor, "_channel_triples", spy)
+    return calls
+
+
+def test_nonzero_triples_are_built_once_per_tensor_and_plan(monkeypatch):
+    """Each tensor builds a plan's triples on its first product over the
+    plan, one channel at a time, and keeps them read-only; later products
+    of that tensor over the plan build none, and another tensor on the
+    same values builds its own."""
+    calls = _spy_channel_triples(monkeypatch)
+    pattern = plan_case(4, 14, "full")
+    rng = np.random.default_rng(4)
+    vals = _sparse_channels(pattern.nnz, rng)
+    s = EdgeFeatureTensor(pattern, vals)
+    a = pattern.with_weights(ad.mul(Var(pattern.weights.copy()), 1.0))
+    for _ in range(2):
+        propagate_mode1(s, a)
+        propagate_mode2(s, pattern.with_weights(Var(pattern.weights.copy())))
+    assert calls == [pattern.plans[0]] * 5 + [pattern.plans[1]] * 5
+    for plan in pattern.plans:
+        for kept in s._nonzero_triples(plan):
+            if kept is not None:
+                assert not any(arr.flags.writeable for arr in kept[:2])
+    calls.clear()
+    propagate_mode1(EdgeFeatureTensor(pattern, vals), a)
+    assert calls == [pattern.plans[0]] * 5
+
+
+def test_nonzero_triples_are_never_built_for_var_values_or_plain_weights(monkeypatch):
+    """Var values (a recipe, every later layer) and plain x plain products
+    (et_gcn on stacked views) keep no triples; et_gat on the same views
+    builds them for its first layer's mode-1 product alone, once."""
+    calls = _spy_channel_triples(monkeypatch)
+    pattern = plan_case(5, 12, "hub")
+    vals = _sparse_channels(pattern.nnz, np.random.default_rng(5))
+    weights = pattern.with_weights(Var(pattern.weights.copy()))
+    for values in (Var(vals.copy()), ad.mul(Var(vals.copy()), 1.0)):
+        s = EdgeFeatureTensor(pattern, values)
+        backward(ad.total(propagate_mode2(propagate_mode1(s, weights), weights).values))
+    s = EdgeFeatureTensor(pattern, vals)
+    propagate_mode2(propagate_mode1(s, pattern), pattern)
+    sparse_matmul(weights, vals[:pattern.n])
+    assert calls == []
+    for kind in ("et_gcn", "et_gat"):
+        tape, loss_fn = configured_loss(kind, "stack")
+        for _ in range(2):
+            backward(loss_fn())
+        if kind == "et_gcn":
+            assert calls == []
+    assert len(calls) == 2  # one per view, for the mode-1 plan
+    assert calls[0] is calls[1]
 
 
 def test_every_sparse_product_gathers_through_its_sorted_output_index(monkeypatch):

@@ -1,5 +1,6 @@
 """Sparse adjacency storage and degree renormalization."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,21 @@ def test_a_node_count_whose_keys_overflow_int64_is_refused():
     assert a.rows.tolist() == [0, 1, 2, n - 1]
     assert a.keys.tolist() == [n - 1, n + 2, 2 * n + 1, n * n - n]
     assert np.all(np.diff(a.keys) > 0)
+
+
+@pytest.mark.parametrize("n", [2.5, -1, True, np.bool_(True), "2", None])
+def test_a_node_count_that_is_not_a_nonnegative_integer_is_refused(n):
+    with pytest.raises(ValueError, match=f"n must be a nonnegative integer, "
+                                         f"got {re.escape(repr(n))}"):
+        SparseAdjacency(n, [], [], [])
+
+
+@pytest.mark.parametrize("n", [np.int64(2), np.int32(2), np.uint64(2)])
+def test_a_numpy_integer_node_count_is_accepted(n):
+    a = SparseAdjacency(n, [0, 1], [1, 0], [1.0, 1.0])
+    assert type(a.n) is int and a.n == 2
+    assert a.keys.dtype == np.intp and a.keys.tolist() == [1, 2]
+    assert a.indptr.tolist() == [0, 1, 2]
 
 
 def test_out_of_range_index_rejected():
