@@ -217,14 +217,15 @@ def matmul(a, b):
     edge stack is, ``a``'s adjoint, the outer product g bᵀ, is built by
     broadcasting, in feature-major order, rather than by a k=1 BLAS call:
     0.08-0.15 against 0.28-0.41 ms at 25,908-37,976 rows of width 6 (one
-    BLAS thread, numpy 2.4). The
-    product sums from +0.0, so it turns an exact -0.0 term into +0.0; the
-    broadcast does the same by adding 0.0, which keeps it bitwise equal.
+    BLAS thread, numpy 2.4). The BLAS product sums from +0.0, so it turns
+    an exact -0.0 term into +0.0; the broadcast does the same by adding
+    0.0, which keeps it bitwise equal.
     """
     av, bv = value(a), value(b)
+    rank1 = av.ndim == bv.ndim == 2 and bv.shape[1] == 1
 
     def vjp_a(g):
-        if av.ndim == bv.ndim == 2 and bv.shape[1] == 1:
+        if rank1:
             outer = bv * g.T
             outer += 0.0
             return outer.T
