@@ -48,7 +48,7 @@ What a product keeps depends on which side is constant:
   w * (±0) = ±0, and a ``bincount`` bin starts at +0.0 and never
   becomes -0.0, so adding ±0 never changes it: the output is bit for bit
   the full gather's for finite weights. A channel without zeros keeps
-  nothing;
+  every triple;
 - constant values under constant weights (et_gcn on edge channels) keep
   nothing on the value side: the whole product is a constant, which is
   left to be computed once per graph as a whole;
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .sparse_graph import SparseAdjacency, _frozen
+from .sparse_graph import SparseAdjacency
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +129,10 @@ class EdgeFeatureTensor:
         input entry is nonzero, built on first use per plan, one channel at
         a time, and kept.
 
-        A channel's entry is None when none of its entries is zero, else
-        ``(positions, slots, value)``: the read-only positions in the plan
-        of the triples whose input slot (``out_idx``, which the forward
-        gathers through) holds a nonzero entry, and their output slots
-        (``slot_idx``), 16 bytes per kept triple. ``value`` is the one
+        A channel's entry is ``(positions, slots, value)``: the positions
+        in the plan of the triples whose input slot (``out_idx``, which the
+        forward gathers through) holds a nonzero entry, and their output
+        slots (``slot_idx``), 16 bytes per kept triple. ``value`` is the one
         value every nonzero entry of the channel holds, as in a binary
         channel, so the forward scales by it instead of gathering the
         entries; None when they differ. The values are taken as constants:
@@ -197,35 +196,28 @@ def _channel_triples(plan, column):
     """A channel's entry of ``EdgeFeatureTensor._nonzero_triples``."""
     nonzero = column != 0
     count = np.count_nonzero(nonzero)
-    if count == column.size:
-        return None
     positions = np.flatnonzero(np.take(nonzero, plan.out_idx))
-    first = column[np.argmax(nonzero)]
-    value = float(first) if count and np.count_nonzero(column == first) == count else None
-    return _frozen(positions), _frozen(np.take(plan.slot_idx, positions)), value
+    value = None
+    if count:
+        first = column[np.argmax(nonzero)]
+        if np.count_nonzero(column == first) == count:
+            value = float(first)
+    return positions, np.take(plan.slot_idx, positions), value
 
 
 def _sum_nonzero(sv, plan, weights, nonzero):
     """``gather_scale_sum(sv, plan.out_idx, weights, plan.slot_idx,
     plan.num_slots)`` over each channel's ``nonzero`` triples only.
 
-    Feature-major, as that kernel is, with the same F-ordered result; a
-    channel without kept triples runs over every triple, as it does.
+    Feature-major, as that kernel is, with the same F-ordered result.
     ``sv`` is read through its strided columns, not a contiguous copy: a
     channel with one nonzero value never reads it.
     """
     out = np.empty((sv.shape[1], plan.num_slots))
-    for q, (column, kept) in enumerate(zip(sv.T, nonzero)):
-        if kept is None:
-            terms = np.take(column, plan.out_idx)
-            terms *= weights
-            seg_ids = plan.slot_idx
-        else:
-            # indexing, not np.take, which copies read-only indices first
-            positions, seg_ids, value = kept
-            terms = weights[positions]
-            terms *= (value if value is not None
-                      else column[plan.out_idx[positions]])
+    for q, (column, (positions, seg_ids, value)) in enumerate(zip(sv.T, nonzero)):
+        terms = np.take(weights, positions)
+        terms *= (value if value is not None
+                  else np.take(column, np.take(plan.out_idx, positions)))
         out[q] = np.bincount(seg_ids, weights=terms, minlength=plan.num_slots)
     return out.T
 

@@ -9,10 +9,9 @@ end. A recipe returns its pair features already projected by a weight
 rows: x3 acts on the feature mode alone, so projecting each node's row
 and then pairing rows gives the projected pairs without building a
 (slots x pair width) tensor. The adjoint of pairing sums each slot's
-gradient back into its two nodes through the flat segment ids the
-pattern keeps per projected width (``SparseAdjacency.flat_ids``). A
-graph with observed edge channels skips the recipe: ``models.prepare``
-stacks the channels into a fixed tensor held by its context.
+gradient back into its two nodes (``autodiff.gather_rows``). A graph
+with observed edge channels skips the recipe: ``models.prepare`` stacks
+the channels into a fixed tensor held by its context.
 """
 
 from __future__ import annotations
@@ -29,13 +28,6 @@ def _check_rows(weight, width):
                          f"{width}")
 
 
-def _gather_ends(x, a_tilde, end):
-    """Row i of the node block ``x`` for each slot whose ``end`` is i."""
-    width = ad.value(x).shape[1]
-    return ad.gather_rows(x, getattr(a_tilde, end),
-                          a_tilde.flat_ids(end, width))
-
-
 def build_concat_features(reduced, a_tilde, weight):
     """Slot (i, j) holds [r_i || r_j] W on a_tilde's pattern.
 
@@ -47,8 +39,8 @@ def build_concat_features(reduced, a_tilde, weight):
     _check_rows(weight, 2 * r)
     top = ad.matmul(reduced, ad.row_slice(weight, 0, r))
     bottom = ad.matmul(reduced, ad.row_slice(weight, r, 2 * r))
-    values = ad.add(_gather_ends(top, a_tilde, "rows"),
-                    _gather_ends(bottom, a_tilde, "cols"))
+    values = ad.add(ad.gather_rows(top, a_tilde.rows),
+                    ad.gather_rows(bottom, a_tilde.cols))
     return EdgeFeatureTensor(a_tilde, values)
 
 
@@ -60,6 +52,6 @@ def build_subtract_features(reduced, a_tilde, weight):
     """
     _check_rows(weight, ad.value(reduced).shape[1])
     projected = ad.matmul(reduced, weight)
-    values = ad.sub(_gather_ends(projected, a_tilde, "rows"),
-                    _gather_ends(projected, a_tilde, "cols"))
+    values = ad.sub(ad.gather_rows(projected, a_tilde.rows),
+                    ad.gather_rows(projected, a_tilde.cols))
     return EdgeFeatureTensor(a_tilde, values)

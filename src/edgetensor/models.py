@@ -11,8 +11,8 @@ settings a model reads is decided here alone, by :func:`read_settings`.
 The context keeps what an epoch would otherwise rebuild from the graph
 alone: Â·X for a first layer on the features that does not narrow (the
 reducer, or ``gcn_only``'s first node layer), and the label pairs
-homophily reads. Â itself keeps its plans, gathered weights and flat
-segment ids (see :mod:`edgetensor.sparse_graph`). Nothing derived from a
+homophily reads. Â itself keeps its plans, node plan and gathered
+weights (see :mod:`edgetensor.sparse_graph`). Nothing derived from a
 parameter's value is kept.
 """
 

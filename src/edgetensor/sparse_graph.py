@@ -30,13 +30,8 @@ starts at 2**24 (16.8M) candidates: about n = 197k nodes at mean degree
 Beside the plan pair a pattern keeps its node plan (``node_plan``, the
 A·H plan of ``layers.sparse_matmul``: one index array of nnz entries),
 built at the latest by its first ``with_weights`` copy, so every copy
-shares one; and per row width, built on first use, the flat segment ids
-of the adjoint of gathering node rows to its entries' rows or columns
-(``flat_ids``: nnz x width ids per end and width). These depend on the
-pattern alone, so ``with_weights`` copies made after share them. On a
-2,000-node graph of mean degree 12 (25,908 entries with the diagonal)
-the node plan is 0.2 MB, and a recipe's ids at width 8 are 1.7 MB per
-end.
+shares one: 0.2 MB on a 2,000-node graph of mean degree 12 (25,908
+entries with the diagonal).
 
 A matrix also owns what depends on its weights. ``renormalized`` (plain
 weights only) is computed on first read and kept, and with it the plans
@@ -237,23 +232,6 @@ class SparseAdjacency:
                                self.transpose_permutation, self.n, self.nnz)
 
     @cached_property
-    def _flat_ids(self):
-        return {}
-
-    def flat_ids(self, end, width):
-        """``autodiff.flat_ids(ids, width)`` of this pattern's ``rows`` or
-        ``cols`` (``end``), built on first use per end and width and kept.
-
-        The adjoint of gathering (n x width) node rows to every entry's
-        row or column node sums through them (``autodiff.gather_rows``).
-        """
-        key = (end, width)
-        if key not in self._flat_ids:
-            ids = ad.flat_ids(getattr(self, end), width)
-            self._flat_ids[key] = _frozen(ids)
-        return self._flat_ids[key]
-
-    @cached_property
     def _product_weights(self):
         w = self.weights
         # a leaf Var is a parameter: its value is updated in place
@@ -286,7 +264,8 @@ class SparseAdjacency:
             w = ad.value(self.weights)
             forward = np.take(np.take(w, plan.transpose), plan.adj_idx)
             if kept is not None:
-                kept[plan] = _frozen(forward)
+                forward.setflags(write=False)  # handed to every caller
+                kept[plan] = forward
         return forward, forward if self._plain_symmetric else None
 
     @cached_property
@@ -333,12 +312,6 @@ class SparseAdjacency:
         dense = np.zeros((self.n, self.n))
         dense[self.rows, self.cols] = ad.value(self.weights)
         return dense
-
-
-def _frozen(array):
-    """``array``, made read-only: a kept array is handed to every caller."""
-    array.setflags(write=False)
-    return array
 
 
 def _offsets(counts):

@@ -72,12 +72,15 @@ def _classify_nodes(ctx, splits, config, model_kind, model_kwargs,
     ``splits`` must pass ``check_splits`` on the context's nodes.
     """
     labels = ctx.labels
+    labeled = labels[labels >= 0]
+    if not labeled.size:
+        raise ValueError("node classification needs a labeled node; every "
+                         "label of this graph is -1")
     splits = check_splits(splits, ctx.a_tilde.n)
     widths = (read_settings(model_kind, True, MULTI_GRAPH_WIDTHS)
               if ctx.stacked is not None else {})
     tape = ParamTape()
-    model = build_model(tape, model_kind, ctx,
-                        int(labels[labels >= 0].max()) + 1,
+    model = build_model(tape, model_kind, ctx, int(labeled.max()) + 1,
                         final_activation="softmax", seed=config.seed,
                         **{**widths, **(model_kwargs or {})})
 

@@ -210,19 +210,18 @@ def test_segment_sum_forward_and_grad(rng):
 
 @pytest.mark.parametrize("ncols", [3, 16])
 def test_bincount_rows_matches_a_bincount_per_column(ncols, rng):
-    """A C-ordered block sums through flat ids, kept or built; an F-ordered
-    one sums column by column and keeps its order; both bit for bit."""
+    """A C-ordered block sums through flat ids built per call, an F-ordered
+    one column by column; each keeps its order, and both are bit for bit."""
     seg = rng.integers(0, 7, 200)
     for order in ("C", "F"):
         values = np.asarray(rng.standard_normal((200, ncols)), order=order)
         values[::5] = -0.0
-        for flat in (None, ad.flat_ids(seg, ncols)):
-            out = ad.bincount_rows(values, seg, 9, flat)
-            assert out.flags[f"{order}_CONTIGUOUS"]
-            for k in range(ncols):
-                want = np.bincount(seg, weights=values[:, k], minlength=9)
-                assert np.array_equal(out[:, k].view(np.uint64),
-                                      want.view(np.uint64))
+        out = ad.bincount_rows(values, seg, 9)
+        assert out.flags[f"{order}_CONTIGUOUS"]
+        for k in range(ncols):
+            want = np.bincount(seg, weights=values[:, k], minlength=9)
+            assert np.array_equal(out[:, k].view(np.uint64),
+                                  want.view(np.uint64))
 
 
 @pytest.mark.parametrize("width", [1, 3, 8, 32])

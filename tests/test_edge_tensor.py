@@ -507,8 +507,8 @@ def test_nonzero_triples_forward_is_bitwise_the_gather_path(case, kind):
     """A plain tensor under Var weights propagates over its nonzero triples
     only: each mode's product equals the full gather's bit for bit, zero
     signs included, and the masked dense oracle; the weight gradient is
-    unchanged. A channel without zeros keeps nothing, an all-zero one
-    keeps no triple, and a channel with one nonzero value keeps it."""
+    unchanged. A channel without zeros keeps every triple, an all-zero
+    one keeps no triple, and a channel with one nonzero value keeps it."""
     pattern = plan_case(*case)
     rng = np.random.default_rng(case[0])
     vals = _sparse_channels(pattern.nnz, rng)
@@ -533,17 +533,16 @@ def test_nonzero_triples_forward_is_bitwise_the_gather_path(case, kind):
         np.testing.assert_allclose(tensor_to_dense(s.with_values(outs[0].value)),
                                    expected, atol=1e-12)
         for column, kept in zip(vals.T, s._nonzero_triples(plan)):
-            if np.all(column != 0.0):
-                assert kept is None
-                continue
             positions, slots, value = kept
+            if np.all(column != 0.0):
+                assert np.array_equal(positions, np.arange(len(plan.out_idx)))
             read = column[plan.out_idx]
             assert np.array_equal(positions, np.flatnonzero(read != 0.0))
             assert np.array_equal(slots, plan.slot_idx[positions])
             shared = np.unique(column[column != 0.0])
             assert value == (shared[0] if shared.size == 1 else None)
     if pattern.nnz > 1:  # each channel kind is planted
-        values = [kept and kept[2] for kept in s._nonzero_triples(plan)]
+        values = [kept[2] for kept in s._nonzero_triples(plan)]
         assert values == [None, None, None, 1.0, -2.5]
 
 
@@ -561,9 +560,10 @@ def _spy_channel_triples(monkeypatch):
 
 def test_nonzero_triples_are_built_once_per_tensor_and_plan(monkeypatch):
     """Each tensor builds a plan's triples on its first product over the
-    plan, one channel at a time, and keeps them read-only; later products
-    of that tensor over the plan build none, and another tensor on the
-    same values builds its own."""
+    plan, one channel at a time, and keeps them; no product writes into
+    them, later products of that tensor over the plan build none, and
+    another tensor on the same values builds its own."""
+    builder = edge_tensor._channel_triples
     calls = _spy_channel_triples(monkeypatch)
     pattern = plan_case(4, 14, "full")
     rng = np.random.default_rng(4)
@@ -575,9 +575,11 @@ def test_nonzero_triples_are_built_once_per_tensor_and_plan(monkeypatch):
         propagate_mode2(s, pattern.with_weights(Var(pattern.weights.copy())))
     assert calls == [pattern.plans[0]] * 5 + [pattern.plans[1]] * 5
     for plan in pattern.plans:
-        for kept in s._nonzero_triples(plan):
-            if kept is not None:
-                assert not any(arr.flags.writeable for arr in kept[:2])
+        for column, kept in zip(vals.T, s._nonzero_triples(plan)):
+            fresh = builder(plan, column)
+            assert all(np.array_equal(got, want)
+                       for got, want in zip(kept[:2], fresh[:2]))
+            assert kept[2] == fresh[2]
     calls.clear()
     propagate_mode1(EdgeFeatureTensor(pattern, vals), a)
     assert calls == [pattern.plans[0]] * 5

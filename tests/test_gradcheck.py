@@ -136,9 +136,9 @@ def test_every_registered_parameter_gets_a_gradient(kind, features):
 @pytest.mark.parametrize("kind, features", CONFIGURATIONS)
 def test_warm_graph_arrays_equal_a_freshly_unpickled_graphs(kind, features):
     """A forward and backward that read the arrays an earlier one kept (Â's
-    gathered weights, node plan and flat segment ids, the context's Â·X
-    and label pairs) equal, bit for bit, those on the same graph pickled
-    and loaded, which keeps none of them."""
+    gathered weights and node plan, the context's Â·X and label pairs)
+    equal, bit for bit, those on the same graph pickled and loaded, which
+    keeps none of them."""
     def loss_and_grads(graph, passes):
         tape, loss_fn = configured_loss(kind, features, graph=graph)
         for _ in range(passes):

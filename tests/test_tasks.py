@@ -47,6 +47,25 @@ def test_node_classification_refuses_split_ids_before_building(
     assert not built_models
 
 
+@pytest.mark.parametrize("views", [False, True], ids=["graph", "multi-graph"])
+def test_node_classification_refuses_a_graph_without_labels(
+        sbm_graph, sbm_splits, built_models, views):
+    """A graph whose every label is -1 has no class to count, and is
+    refused before a model is built, with or without edge channels."""
+    labels = np.full(sbm_graph.n, -1)
+    cfg = TaskConfig(max_epochs=1, seed=0)
+    with pytest.raises(ValueError, match="needs a labeled node"):
+        if views:
+            run_multigraph_classification(
+                [sbm_graph.adjacency], sbm_graph.node_features, labels,
+                sbm_splits, cfg)
+        else:
+            run_node_classification(
+                LabeledGraph(sbm_graph.adjacency, sbm_graph.node_features,
+                             labels), sbm_splits, cfg)
+    assert not built_models
+
+
 def test_node_classification_learns(sbm_graph, sbm_splits):
     cfg = TaskConfig(learning_rate=0.005, max_epochs=120, patience=120, seed=0)
     result = run_node_classification(sbm_graph, sbm_splits, cfg)
@@ -322,8 +341,8 @@ def test_second_node_classification_run_equals_a_run_on_a_fresh_graph(
 @pytest.mark.parametrize("model_kind", ["et_gcn", "et_gat"])
 def test_a_used_graph_pickles_like_a_fresh_one(sbm_splits, model_kind):
     """Pickles carry no cached Â, plan pair or transposition, and none of
-    the arrays Â keeps for products (its node plan, gathered weights and
-    flat segment ids): a graph, or its Â, pickled after a run is as large
+    the arrays Â keeps for products (its node plan and gathered weights):
+    a graph, or its Â, pickled after a run is as large
     as a fresh one and loads holding none of them, and a run on the
     unpickled graph equals the original's bit for bit."""
     graph = new_sbm_graph()
@@ -333,7 +352,7 @@ def test_a_used_graph_pickles_like_a_fresh_one(sbm_splits, model_kind):
     first = run_node_classification(graph, sbm_splits, cfg,
                                     model_kind=model_kind)
     a_tilde = graph.adjacency.renormalized
-    kept = {"plans", "node_plan", "_flat_ids", "_product_weights"}
+    kept = {"plans", "node_plan", "_product_weights"}
     assert kept & set(vars(a_tilde))
     used_a_tilde = pickle.dumps(a_tilde)
     assert len(used_a_tilde) == fresh_a_tilde
