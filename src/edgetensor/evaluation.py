@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,13 +99,23 @@ def homophily(adjacency, labels):
     return float(np.take(mass, pairs.same).sum() / total)
 
 
+def _check_fraction(name, fraction):
+    if not (math.isfinite(fraction) and fraction >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, "
+                         f"got {fraction}")
+
+
 def split_nodes(labels, train, val_fraction, seed):
     """Seeded disjoint train/val/test index sets over the labeled nodes.
 
     ``train`` is either a per-class node count (int) or a fraction of all
     labeled nodes (float). Every class must receive at least one training
-    node. ``val_fraction`` is taken from the remaining labeled nodes.
+    node. ``val_fraction`` is taken from the remaining labeled nodes. A
+    fraction must be finite and non-negative.
     """
+    if not isinstance(train, (int, np.integer)):
+        _check_fraction("train", train)
+    _check_fraction("val_fraction", val_fraction)
     labels = np.asarray(labels, dtype=np.intp)
     labeled = np.flatnonzero(labels >= 0)
     rng = np.random.default_rng(seed)
@@ -149,8 +160,11 @@ def link_split(adjacency, test_fraction=0.10, val_fraction=0.05, seed=0):
 
     Removes the stated fractions of undirected edges from the graph and
     pairs each held-out set with an equal count of uniformly sampled
-    non-edges. Deterministic per seed.
+    non-edges. Deterministic per seed. A fraction must be finite and
+    non-negative.
     """
+    _check_fraction("test_fraction", test_fraction)
+    _check_fraction("val_fraction", val_fraction)
     upper = adjacency.rows < adjacency.cols
     edges = np.stack([adjacency.rows[upper], adjacency.cols[upper]], axis=1)
     weights = adjacency.weights[upper]
@@ -187,20 +201,40 @@ def sample_non_edges(n, edge_keys, count, rng):
     """Uniformly sample ``count`` distinct (i < j) pairs outside ``edge_keys``.
 
     ``edge_keys`` is an array of the keys ``i * n + j`` (i < j) of the
-    excluded pairs. Pairs are drawn in batches and accepted in draw
-    order, so the output is a function of ``rng``'s state.
+    excluded pairs, in any order and with repeats; strictly increasing
+    keys, as a graph's are, are not sorted again. Pairs are drawn in
+    batches of ``2 * (count still needed)`` (at least 8) and accepted in
+    draw order, so the output is a function of ``rng``'s state.
 
-    Each batch is sorted once. Runs of equal keys in that order give each
+    A draw is accepted when its key is neither excluded nor drawn earlier,
+    so a prefix of a batch accepts exactly what the whole batch accepts
+    from those positions. Each batch is worked through in at most two
+    prefix chunks. The first is the number of draws expected to find the
+    pairs still needed among those still free, plus four square roots of
+    the draws among them expected to be rejected; only if it falls short
+    does the second take the rest of the batch, once the keys the first
+    accepted have joined the excluded keys. On a sparse graph the first
+    chunk almost always suffices, so about half of each batch is never
+    sorted.
+
+    Each chunk is sorted once. Runs of equal keys in that order give each
     key's first draw position (``np.minimum.reduceat`` over the sort
     permutation, which holds for any ``n``, unlike a packed
     ``key * size + position`` sort key), and the distinct keys, already
-    sorted, are looked up in the sorted excluded array. The keys a batch
-    accepts join the excluded array only when another batch follows.
+    sorted, are looked up in the sorted excluded array. A mask over the
+    chunk marks the first draws of the fresh keys, so the accepted keys
+    come out in draw order without a sort of their positions.
     """
-    edge_keys = np.sort(np.asarray(edge_keys, dtype=np.intp).reshape(-1))
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    edge_keys = np.asarray(edge_keys, dtype=np.intp).reshape(-1)
+    # a graph's keys come strictly increasing, so only other keys are sorted
+    if np.any(edge_keys[1:] <= edge_keys[:-1]):
+        edge_keys = np.sort(edge_keys)
+        edge_keys = edge_keys[_run_starts(edge_keys)]
     # excluded keys stay sorted and distinct; the sentinel n * n, above
     # every key, keeps each searchsorted position in range
-    excluded = np.append(edge_keys[_run_starts(edge_keys)], n * n)
+    excluded = np.append(edge_keys, n * n)
     available = n * (n - 1) // 2 - (excluded.size - 1)
     if count > available:
         raise ValueError(f"cannot sample {count} non-edges, "
@@ -209,21 +243,35 @@ def sample_non_edges(n, edge_keys, count, rng):
     taken = 0
     while taken < count:
         draw = rng.integers(n, size=(max(2 * (count - taken), 8), 2))
-        lo = np.minimum(draw[:, 0], draw[:, 1])
-        hi = np.maximum(draw[:, 0], draw[:, 1])
-        keys = (lo * n + hi)[lo != hi]
-        order = np.argsort(keys)
-        ordered = keys[order]
-        starts = _run_starts(ordered)
-        distinct = ordered[starts]
-        fresh = excluded[np.searchsorted(excluded, distinct)] != distinct
-        first = np.minimum.reduceat(order, starts)
-        accepted = keys[np.sort(first[fresh])[:count - taken]]
-        parts.append(accepted)
-        taken += accepted.size
-        if accepted.size and taken < count:
-            # nothing was cut, so the batch accepted every fresh key
-            new = distinct[fresh]
-            excluded = np.insert(excluded, np.searchsorted(excluded, new), new)
+        need, free = count - taken, available - taken
+        cut = draw.shape[0]
+        if need < free:
+            # a draw lands on a given pair with chance 2 / n^2, so about
+            # n^2 / 2 * ln(free / (free - need)) draws find need free
+            # pairs; the count of the others, rejected, varies by about its
+            # square root, so four square roots more cover its spread
+            expected = n * n / 2 * math.log1p(need / (free - need))
+            cut = min(cut, int(expected + 4 * math.sqrt(expected - need)) + 8)
+        for rows in (draw[:cut], draw[cut:]):
+            if taken == count or not rows.size:
+                break
+            lo = np.minimum(rows[:, 0], rows[:, 1])
+            hi = np.maximum(rows[:, 0], rows[:, 1])
+            keys = (lo * n + hi)[lo != hi]
+            order = np.argsort(keys)
+            ordered = keys[order]
+            starts = _run_starts(ordered)
+            distinct = ordered[starts]
+            fresh = excluded[np.searchsorted(excluded, distinct)] != distinct
+            accepted_at = np.zeros(keys.size, dtype=bool)
+            accepted_at[np.minimum.reduceat(order, starts)[fresh]] = True
+            accepted = keys[accepted_at][:count - taken]
+            parts.append(accepted)
+            taken += accepted.size
+            if accepted.size and taken < count:
+                # nothing was cut, so the chunk accepted every fresh key
+                new = distinct[fresh]
+                excluded = np.insert(excluded, np.searchsorted(excluded, new),
+                                     new)
     accepted = np.concatenate(parts)
     return np.stack([accepted // n, accepted % n], axis=1)

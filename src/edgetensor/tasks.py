@@ -110,10 +110,17 @@ def run_link_prediction(graph, split, config, *, model_kind="et_gcn",
     """Train an inner-product link decoder on the held-out edge split.
 
     The split carries no edge channels, so a graph with them is refused:
-    the channels of a held-out edge would reach the model.
+    the channels of a held-out edge would reach the model. Every epoch
+    scores the validation pairs and the best epoch the test pairs, so a
+    split without either is refused before training.
     """
     if not isinstance(split, LinkSplit):
         raise TypeError(f"split must be a LinkSplit, not {type(split).__name__}")
+    empty = [name for name in ("val_pos", "val_neg", "test_pos", "test_neg")
+             if not len(getattr(split, name))]
+    if empty:
+        raise ValueError(f"link prediction scores validation and test pairs; "
+                         f"the split's {', '.join(empty)} are empty")
     if graph.edge_channels is not None:
         raise ValueError("link prediction takes a graph without edge channels")
     ctx = prepare(LabeledGraph(split.train, graph.node_features, graph.labels))

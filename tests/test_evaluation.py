@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import has_entry, loop_sample_non_edges
+from edgetensor import evaluation
 from edgetensor.autodiff import Var
 from edgetensor.evaluation import (LinkSplit, accuracy, auc_ap, homophily,
                                    link_split, roc_auc, sample_non_edges,
                                    split_nodes)
+from edgetensor.generators import sbm_generate
 from edgetensor.sparse_graph import SparseAdjacency
 
 
@@ -199,6 +201,36 @@ def test_split_nodes_errors():
         split_nodes(np.array([0] * 10 + [1]), 0.1, 0.2, seed=1)
 
 
+@pytest.mark.parametrize("train, val_fraction, name", [
+    (-0.1, 0.1, "train"), (float("nan"), 0.2, "train"),
+    (3, -0.5, "val_fraction"), (2, float("inf"), "val_fraction"),
+])
+def test_split_nodes_refuses_negative_or_non_finite_fractions(
+        train, val_fraction, name):
+    # a negative fraction slices from the end: on these 40 labeled nodes,
+    # train=-0.1 trained on 36, and val_fraction=-0.5 beside 3 training
+    # nodes per class gave 14 validation nodes
+    labels = np.array([0] * 20 + [1] * 20)
+    with pytest.raises(ValueError, match=rf"{name} must be finite and "
+                                         r"non-negative"):
+        split_nodes(labels, train, val_fraction, seed=0)
+
+
+@pytest.mark.parametrize("test_fraction, val_fraction, name", [
+    (0.1, -0.05, "val_fraction"), (-0.1, 0.05, "test_fraction"),
+    (float("nan"), 0.05, "test_fraction"), (0.1, float("inf"), "val_fraction"),
+])
+def test_link_split_refuses_negative_or_non_finite_fractions(
+        test_fraction, val_fraction, name):
+    # on these 143 edges, val_fraction=-0.05 gave n_val = -7, and the kept
+    # slice perm[7:] put 7 of the 14 test edges back into training
+    a = sbm_generate([20, 20], 0.3, 0.05, seed=2).adjacency
+    assert a.nnz // 2 == 143
+    with pytest.raises(ValueError, match=rf"{name} must be finite and "
+                                         r"non-negative"):
+        link_split(a, test_fraction, val_fraction, seed=0)
+
+
 def test_link_split_holds_out_requested_fractions():
     rng = np.random.default_rng(4)
     pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)
@@ -341,3 +373,88 @@ def test_sample_non_edges_huge_node_count_match_loop_oracle():
             got, loop_sample_non_edges(n, keys, count, want_rng))
         assert got.shape == (count, 2) and np.all(got[:, 0] < got[:, 1])
     assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+
+def test_sample_non_edges_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+        sample_non_edges(8, np.array([1]), -1, np.random.default_rng(0))
+
+
+class _BatchLoggingRng:
+    """A Generator's draws, with a ``"batch"`` mark in ``log`` per call."""
+
+    def __init__(self, seed, log):
+        self.generator = np.random.default_rng(seed)
+        self.log = log
+
+    def integers(self, *args, **kwargs):
+        self.log.append("batch")
+        return self.generator.integers(*args, **kwargs)
+
+
+@pytest.fixture
+def sorted_log(monkeypatch):
+    """The size of every sorted key array ``sample_non_edges`` splits into
+    runs, in call order; a :class:`_BatchLoggingRng` marks its batches."""
+    log, run_starts = [], evaluation._run_starts
+
+    def logging(ordered):
+        log.append(ordered.size)
+        return run_starts(ordered)
+
+    monkeypatch.setattr(evaluation, "_run_starts", logging)
+    return log
+
+
+def _chunks_per_batch(log):
+    """The number of chunks sorted in each batch, from a sorted log."""
+    chunks = []
+    for entry in log:
+        if entry == "batch":
+            chunks.append(0)
+        elif chunks:
+            chunks[-1] += 1
+    return chunks
+
+
+def test_sample_non_edges_at_link_prediction_scale_sorts_about_count_keys(
+        sorted_log):
+    # the lp workload's size: n=2000 and 10,161 training pairs, sampled
+    # against themselves; nearly every draw is free, so the first chunk of
+    # the batch of 2 * count draws suffices, where the whole batch was sorted
+    n, count = 2000, 10_161
+    i, j = np.random.default_rng(7).integers(n, size=(2, 10_400))
+    keep = i != j
+    keys = np.unique(np.minimum(i, j)[keep] * n + np.maximum(i, j)[keep])
+    keys = np.random.default_rng(8).permutation(keys)[:count]
+    got_rng = _BatchLoggingRng(9, sorted_log)
+    want_rng = np.random.default_rng(9)
+    got = sample_non_edges(n, keys, count, got_rng)
+    # unordered edge keys are sorted once, before the first batch
+    first_batch = sorted_log.index("batch")
+    assert sorted_log[:first_batch] == [count]
+    assert _chunks_per_batch(sorted_log) == [1]
+    assert sorted_log[-1] <= 1.1 * count
+    np.testing.assert_array_equal(
+        got, loop_sample_non_edges(n, keys, count, want_rng))
+    assert (got_rng.generator.integers(1 << 30)
+            == want_rng.integers(1 << 30))
+
+
+def test_sample_non_edges_dense_first_chunk_falls_short_match_loop_oracle(
+        sorted_log):
+    # 40% of the pairs are edges; seed 79 draws a batch whose first chunk
+    # accepts fewer pairs than needed, so the rest of the batch is sorted
+    # against the excluded keys and the pairs that chunk accepted
+    n, count = 400, 1440
+    keys = _upper_keys(n, np.random.default_rng(0), 0.4)
+    got_rng = _BatchLoggingRng(79, sorted_log)
+    want_rng = np.random.default_rng(79)
+    got = sample_non_edges(n, keys, count, got_rng)
+    # strictly increasing edge keys are not sorted again
+    assert sorted_log[0] == "batch"
+    assert max(_chunks_per_batch(sorted_log)) == 2
+    np.testing.assert_array_equal(
+        got, loop_sample_non_edges(n, keys, count, want_rng))
+    assert (got_rng.generator.integers(1 << 30)
+            == want_rng.integers(1 << 30))

@@ -535,6 +535,23 @@ def test_gcn_only_link_prediction_refuses_edge_stack_settings(monkeypatch):
     assert trained == []
 
 
+@pytest.mark.parametrize("test_fraction, val_fraction, empty", [
+    (0.1, 0.0, "val_pos, val_neg"), (0.0, 0.05, "test_pos, test_neg"),
+], ids=["no-val", "no-test"])
+def test_link_prediction_refuses_a_split_without_val_or_test_pairs(
+        monkeypatch, test_fraction, val_fraction, empty):
+    """Every epoch scores the validation pairs and the best epoch the test
+    pairs; without either, training would fail in epoch 0 or after its
+    last epoch, so the task refuses the split before training."""
+    trained = recording_train_loop(monkeypatch)
+    graph = sbm_generate([20, 20], 0.3, 0.05, seed=2)
+    split = link_split(graph.adjacency, test_fraction, val_fraction, seed=0)
+    cfg = TaskConfig(learning_rate=0.01, max_epochs=2, patience=2, seed=0)
+    with pytest.raises(ValueError, match=rf"the split's {empty} are empty"):
+        run_link_prediction(graph, split, cfg, model_kind="gcn_only")
+    assert trained == []
+
+
 def test_gcn_only_trains_on_edge_channels(sbm_graph, sbm_splits,
                                           built_models):
     """gcn_only on a graph with edge channels takes only the node width of
